@@ -9,7 +9,7 @@ multi-camera simulator provides ground truth for every stage.
 
 __version__ = "0.1.0"
 
-from .geometry import Camera, CameraRig, Homography
+from .geometry import Camera, CameraRig
 from .layout import CodeAlphabet, SuitLayout
 
-__all__ = ["Camera", "CameraRig", "Homography", "CodeAlphabet", "SuitLayout", "__version__"]
+__all__ = ["Camera", "CameraRig", "CodeAlphabet", "SuitLayout", "__version__"]

@@ -20,12 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import detection, inpaint, reconstruct, refine, registration, reporting, simulator
+from . import detection, inpaint, reconstruct, refine, registration, reporting, simulator, triangulate
 from .errors import CalibrationError, ConfigError, DivergedICP, SingularKKT
-from .geometry import load_calibration, save_calibration
+from .geometry import CameraArrays, load_calibration, save_calibration
 from .layout import load_layout, save_layout
 from .skinning import export_obj, load_model, save_model
-from .triangulate import CameraArrays
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -227,6 +226,7 @@ def cmd_reconstruct(cfg) -> int:
     else:
         clouds = _reconstruct_chunk((by_frame, rig, layout, radius))
 
+    paths["clouds"].parent.mkdir(parents=True, exist_ok=True)
     reconstruct.write_clouds(clouds, paths["clouds"])
     _write_reconstruct_report(cfg, paths, clouds)
     n_pts = sum(len(c.points) for c in clouds)
@@ -292,6 +292,7 @@ def cmd_fit(cfg) -> int:
         prune_top=int(cfg["refine"]["prune_top"]),
     )
     result = refine.refine(model0, clouds, layout, rcfg)
+    paths["model"].parent.mkdir(parents=True, exist_ok=True)
     save_model(result.model, paths["model"])
 
     prefix = paths["report_prefix"]
@@ -405,18 +406,18 @@ def cmd_eval(cfg) -> int:
         for o in obs:
             obs_pixels[(f.frame_index, o.camera_id, o.corner_id)] = o.pixel
 
-    errors = []
+    cam_idx, points, observed = [], [], []
     for cloud in clouds:
         for cid, rec in cloud.points.items():
             for cam_id in rec.cameras:
                 key = (cloud.frame_index, cam_id, cid)
-                if key not in obs_pixels:
-                    continue
-                from .triangulate import project_cams
-
-                uv, _ = project_cams(arr, np.array([idx_of[cam_id]]), rec.position.reshape(1, 3))
-                errors.append(float(np.linalg.norm(uv[0] - obs_pixels[key])))
-    errors = np.array(errors)
+                if key in obs_pixels:
+                    cam_idx.append(idx_of[cam_id])
+                    points.append(rec.position)
+                    observed.append(obs_pixels[key])
+    # the kernel is looked up through `triangulate` so that perfbench's eval span sees the call
+    uv, _ = triangulate.project_cams(arr, np.array(cam_idx, dtype=int), np.array(points).reshape(-1, 3))
+    errors = np.linalg.norm(uv - np.array(observed).reshape(-1, 2), axis=1)
 
     report = {
         "observations": int(errors.size),

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Camera, project_many
-from .quadgen import Corner2D
 
 __all__ = [
+    "Corner2D",
     "CodeReading",
     "DetectionFrame",
     "OracleNoiseConfig",
@@ -26,6 +26,17 @@ __all__ = [
     "write_detections",
     "read_detections",
 ]
+
+
+@dataclass
+class Corner2D:
+    """A detected checkerboard-like corner: subpixel position and confidence."""
+
+    position: np.ndarray
+    confidence: float = 1.0
+
+    def __post_init__(self):
+        self.position = np.asarray(self.position, dtype=float).reshape(2)
 
 
 @dataclass

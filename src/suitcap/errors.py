@@ -9,14 +9,6 @@ class NonPositiveDepth(SuitcapError):
     """A 3D point is at or behind the camera plane."""
 
 
-class PointAtInfinity(SuitcapError):
-    """Projective transform sent a point to (or numerically near) infinity."""
-
-
-class DegenerateQuad(SuitcapError):
-    """Four points are (near-)collinear; no valid homography exists."""
-
-
 class CalibrationError(SuitcapError):
     """Calibration file is malformed or uses an unsupported camera model."""
 

@@ -1,4 +1,4 @@
-"""Camera model, reprojection errors, and 4-point homographies.
+"""The camera model: quaternions, calibrated cameras and the one projection kernel.
 
 Conventions used throughout the package:
 
@@ -7,6 +7,10 @@ Conventions used throughout the package:
 * quaternions are (w, x, y, z) and rotate world points into the camera frame,
 * distortion is the 5-coefficient radial-tangential model (k1, k2, p1, p2, k3);
   all-zero coefficients give a pure pinhole camera.
+
+`project_cams` is the only world-to-pixel map and `distort_normalized` the only
+forward distortion polynomial; simulation, triangulation, the mislabel filter
+and evaluation all project through them.
 """
 
 from __future__ import annotations
@@ -16,17 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, DegenerateQuad, NonPositiveDepth, PointAtInfinity
+from .errors import CalibrationError, NonPositiveDepth
 
 __all__ = [
     "Camera",
     "CameraRig",
-    "Homography",
+    "CameraArrays",
+    "project_cams",
     "project",
     "project_many",
     "reprojection_error",
-    "homography_from_4pts",
-    "warp_point",
+    "distort_normalized",
+    "undistort_normalized",
     "quat_to_rot",
     "quat_mul",
     "quat_from_rotvec",
@@ -168,9 +173,6 @@ class Camera:
         """Camera center in world coordinates."""
         return -self.rot.T @ self.translation
 
-    def has_distortion(self):
-        return bool(np.any(self.distortion != 0.0))
-
 
 @dataclass
 class CameraRig:
@@ -195,8 +197,11 @@ class CameraRig:
 
 
 def distort_normalized(xn, dist):
-    """Apply radial-tangential distortion to normalized coordinates, batched (..., 2)."""
-    k1, k2, p1, p2, k3 = dist
+    """Apply radial-tangential distortion to normalized coordinates (..., 2).
+
+    `dist` is one camera's (5,) coefficients or per-row (B, 5) coefficients.
+    """
+    k1, k2, p1, p2, k3 = np.moveaxis(np.asarray(dist), -1, 0)
     x, y = xn[..., 0], xn[..., 1]
     r2 = x * x + y * y
     radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
@@ -223,22 +228,69 @@ def undistort_normalized(xd, dist, iterations: int = 12):
     return np.stack([x, y], axis=-1)
 
 
-def project_many(camera: Camera, points):
-    """Project (N, 3) world points; returns ((N, 2) pixels, (N,) camera-frame depth).
+@dataclass
+class CameraArrays:
+    """Rig parameters stacked for vectorized projection; row order == rig order."""
+
+    R: np.ndarray          # (C, 3, 3)
+    t: np.ndarray          # (C, 3)
+    fx: np.ndarray
+    fy: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    skew: np.ndarray
+    dist: np.ndarray       # (C, 5)
+    centers: np.ndarray    # (C, 3) camera centers in world
+    ids: np.ndarray        # (C,) camera ids
+    any_distortion: bool
+
+    @classmethod
+    def from_rig(cls, rig) -> "CameraArrays":
+        """Stack a CameraRig, or any sequence of cameras."""
+        cams = list(rig)
+        K = np.array([c.intrinsics for c in cams])
+        R = np.array([c.rot for c in cams])
+        t = np.array([c.translation for c in cams])
+        dist = np.array([c.distortion for c in cams])
+        return cls(
+            R=R,
+            t=t,
+            fx=K[:, 0, 0],
+            fy=K[:, 1, 1],
+            cx=K[:, 0, 2],
+            cy=K[:, 1, 2],
+            skew=K[:, 0, 1],
+            dist=dist,
+            centers=np.einsum("cji,cj->ci", R, -t),
+            ids=np.array([c.id for c in cams], dtype=int),
+            any_distortion=bool(np.any(dist != 0.0)),
+        )
+
+    def index_of_id(self):
+        return {int(cid): i for i, cid in enumerate(self.ids)}
+
+
+def project_cams(arr: CameraArrays, cam_idx, pts):
+    """Project pts[b] through camera cam_idx[b]; returns ((B,2) pixels, (B,) depth).
 
     Does not raise on non-positive depth; callers mask on the returned depth.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    pc = pts @ camera.rot.T + camera.translation
+    R = arr.R[cam_idx]
+    pc = np.einsum("bij,bj->bi", R, pts) + arr.t[cam_idx]
     z = pc[:, 2]
     with np.errstate(invalid="ignore", divide="ignore"):
         xn = pc[:, :2] / z[:, None]
-    if camera.has_distortion():
-        xn = distort_normalized(xn, camera.distortion)
-    K = camera.intrinsics
-    u = K[0, 0] * xn[..., 0] + K[0, 1] * xn[..., 1] + K[0, 2]
-    v = K[1, 1] * xn[..., 1] + K[1, 2]
+    if arr.any_distortion:
+        xn = distort_normalized(xn, arr.dist[cam_idx])
+    u = arr.fx[cam_idx] * xn[:, 0] + arr.skew[cam_idx] * xn[:, 1] + arr.cx[cam_idx]
+    v = arr.fy[cam_idx] * xn[:, 1] + arr.cy[cam_idx]
     return np.stack([u, v], axis=-1), z
+
+
+def project_many(camera: Camera, points):
+    """Project (N, 3) world points through one camera with `project_cams`."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    return project_cams(CameraArrays.from_rig([camera]), np.zeros(len(pts), dtype=int), pts)
 
 
 def project(camera: Camera, point):
@@ -260,133 +312,6 @@ def reprojection_error(camera: Camera, point, observation) -> float:
     uv = project(camera, point)
     d = uv - np.asarray(observation, dtype=float).reshape(2)
     return float(np.hypot(d[0], d[1]))
-
-
-def backproject_ray(camera: Camera, pixel):
-    """World-space unit ray direction through a pixel (undistorted)."""
-    K = camera.intrinsics
-    px = np.asarray(pixel, dtype=float).reshape(-1, 2)
-    yn = (px[:, 1] - K[1, 2]) / K[1, 1]
-    xn = (px[:, 0] - K[0, 2] - K[0, 1] * yn) / K[0, 0]
-    nd = undistort_normalized(np.stack([xn, yn], axis=-1), camera.distortion)
-    d_cam = np.concatenate([nd, np.ones((len(nd), 1))], axis=1)
-    d_world = d_cam @ camera.rot
-    d_world /= np.linalg.norm(d_world, axis=1, keepdims=True)
-    return d_world
-
-
-# ---------------------------------------------------------------------------
-# homographies
-
-
-@dataclass
-class Homography:
-    """3x3 projective map, normalized so H[2,2] == 1 when possible, else unit Frobenius."""
-
-    H: np.ndarray
-
-    def __post_init__(self):
-        H = np.asarray(self.H, dtype=float).reshape(3, 3)
-        if abs(H[2, 2]) > 1e-12:
-            H = H / H[2, 2]
-        else:
-            H = H / np.linalg.norm(H)
-        self.H = H
-        self.H.setflags(write=False)
-
-    def compose(self, other: "Homography") -> "Homography":
-        """self after other: warp(self.compose(other), p) == warp(self, warp(other, p))."""
-        return Homography(self.H @ other.H)
-
-    def inverse(self) -> "Homography":
-        return Homography(np.linalg.inv(self.H))
-
-
-def _collinearity_scale(pts):
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    diag2 = float(np.sum((hi - lo) ** 2))
-    return max(diag2, 1e-30)
-
-
-def _check_no_collinear_triple(pts, name):
-    scale = _collinearity_scale(pts)
-    idx = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    for a, b, c in idx:
-        v1 = pts[b] - pts[a]
-        v2 = pts[c] - pts[a]
-        if abs(v1[0] * v2[1] - v1[1] * v2[0]) < 1e-12 * scale:
-            raise DegenerateQuad(f"three {name} points are collinear")
-
-
-def _hartley_normalization(pts):
-    centroid = pts.mean(axis=0)
-    rms = np.sqrt(np.mean(np.sum((pts - centroid) ** 2, axis=1)))
-    s = np.sqrt(2.0) / max(rms, 1e-30)
-    T = np.array([[s, 0, -s * centroid[0]], [0, s, -s * centroid[1]], [0, 0, 1.0]])
-    return T
-
-
-def homography_from_4pts(src, dst) -> Homography:
-    """Direct linear transform homography mapping four source points to four targets.
-
-    Points are Hartley-normalized before building the 8x9 system; the solution is
-    the right singular vector of the smallest singular value.
-
-    Raises
-    ------
-    DegenerateQuad
-        If any three of the source or target points are collinear.
-    """
-    src = np.asarray(src, dtype=float).reshape(4, 2)
-    dst = np.asarray(dst, dtype=float).reshape(4, 2)
-    _check_no_collinear_triple(src, "source")
-    _check_no_collinear_triple(dst, "target")
-
-    Ts = _hartley_normalization(src)
-    Td = _hartley_normalization(dst)
-    sh = np.concatenate([src, np.ones((4, 1))], axis=1) @ Ts.T
-    dh = np.concatenate([dst, np.ones((4, 1))], axis=1) @ Td.T
-
-    A = np.zeros((8, 9))
-    for i in range(4):
-        x, y = sh[i, 0], sh[i, 1]
-        u, v = dh[i, 0], dh[i, 1]
-        A[2 * i] = [-x, -y, -1, 0, 0, 0, u * x, u * y, u]
-        A[2 * i + 1] = [0, 0, 0, -x, -y, -1, v * x, v * y, v]
-    _, _, vt = np.linalg.svd(A)
-    Hn = vt[-1].reshape(3, 3)
-    H = Homography(np.linalg.inv(Td) @ Hn @ Ts)
-
-    mapped = np.array([warp_point(H, p) for p in src])
-    tol = 1e-9 * (1.0 + np.abs(dst).max())
-    if np.abs(mapped - dst).max() > tol:
-        raise DegenerateQuad("homography solve did not reproduce the corner mapping")
-    return H
-
-
-def warp_point(h: Homography, p):
-    """Apply a projective transform to a 2D point.
-
-    Raises
-    ------
-    PointAtInfinity
-        If the third homogeneous coordinate is within 1e-12 of zero.
-    """
-    p = np.asarray(p, dtype=float).reshape(2)
-    q = h.H @ np.array([p[0], p[1], 1.0])
-    if abs(q[2]) <= 1e-12:
-        raise PointAtInfinity("warped point has vanishing homogeneous coordinate")
-    return q[:2] / q[2]
-
-
-def warp_points(h: Homography, pts):
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    q = np.concatenate([pts, np.ones((len(pts), 1))], axis=1) @ h.H.T
-    w = q[:, 2]
-    if np.any(np.abs(w) <= 1e-12):
-        raise PointAtInfinity("warped point has vanishing homogeneous coordinate")
-    return q[:, :2] / w[:, None]
 
 
 # ---------------------------------------------------------------------------

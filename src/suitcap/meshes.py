@@ -92,25 +92,6 @@ def geodesic_to_sources(graph, sources):
     return dijkstra(graph, directed=False, indices=sources, min_only=True)
 
 
-def connected_components_of_edges(n_vertices, edges):
-    """Component label per vertex from an undirected edge list."""
-    parent = np.arange(n_vertices)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    roots = np.array([find(i) for i in range(n_vertices)])
-    _, labels = np.unique(roots, return_inverse=True)
-    return labels
-
-
 def closest_point_on_triangles(p, tri_pts):
     """Closest point to `p` on each triangle of `tri_pts` (T, 3, 3).
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detection import DetectionFrame, cluster_frame
-from .geometry import CameraRig, distort_normalized
+from .geometry import CameraArrays, CameraRig, project_cams
 from .layout import SuitLayout
-from .triangulate import CameraArrays, linear_initialization, triangulate_points
+from .triangulate import linear_initialization, triangulate_points
 
 MAX_MEAN_REPROJECTION = 1.5  # px, absolute discard threshold
 
@@ -170,27 +170,15 @@ def filter_mislabels(
         hyps = linear_initialization(arr, hyp_index, hyp_cams, hyp_pix, g * n_pairs)
         hyps = hyps.reshape(g, n_pairs, 3)
 
-        # evaluate every hypothesis in every claiming camera, one camera at a time
+        # evaluate every hypothesis in every claiming camera, one camera column at a time
         err_sum = np.zeros((g, n_pairs))
         err_at = np.empty((g, n_pairs, m))
         for c in range(m):
-            cam_rows = cams[:, c]
-            for cam in np.unique(cam_rows):
-                rows = np.where(cam_rows == cam)[0]
-                pts = hyps[rows].reshape(-1, 3)
-                pc = pts @ arr.R[cam].T + arr.t[cam]
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    xn = pc[:, :2] / pc[:, 2:3]
-                if arr.any_distortion and np.any(arr.dist[cam] != 0.0):
-                    xn = distort_normalized(xn, arr.dist[cam])
-                u = arr.fx[cam] * xn[:, 0] + arr.skew[cam] * xn[:, 1] + arr.cx[cam]
-                v = arr.fy[cam] * xn[:, 1] + arr.cy[cam]
-                uv = np.stack([u, v], axis=-1).reshape(len(rows), n_pairs, 2)
-                e = np.linalg.norm(uv - pix[rows, c][:, None, :], axis=-1)
-                bad = pc[:, 2].reshape(len(rows), n_pairs) <= 0
-                e[bad] = np.inf
-                err_at[rows, :, c] = e
-                err_sum[rows] += e
+            uv, z = project_cams(arr, np.repeat(cams[:, c], n_pairs), hyps.reshape(-1, 3))
+            e = np.linalg.norm(uv.reshape(g, n_pairs, 2) - pix[:, c][:, None, :], axis=-1)
+            e[z.reshape(g, n_pairs) <= 0] = np.inf
+            err_at[:, :, c] = e
+            err_sum += e
 
         best = np.argmin(err_sum, axis=1)  # first minimum wins: lexicographic pair tie-break
         best_err = err_at[np.arange(g), best, :]  # (g, m)

@@ -18,6 +18,7 @@ is non-increasing.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ from .geometry import quat_from_rotvec, quat_mul, quat_normalize, quat_to_rot
 from .layout import SuitLayout
 from .meshes import edge_graph, geodesic_to_sources
 from .skinning import SkinnedBodyModel, joint_transforms
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "RefineConfig",
@@ -152,6 +155,16 @@ def simplex_qp(Q, c, forced_zero=None, max_iterations: int = 400):
 # pose block
 
 
+def _skin_ids(model, G, ids):
+    """Skin vertices `ids` under joint transforms G (M, 4, 4).
+
+    Returns the per-joint transformed rest positions y (n, M, 3) and their
+    weight blend v (n, 3).
+    """
+    y = np.einsum("mij,nj->nmi", G[:, :3, :3], model.rest_vertices[ids]) + G[:, :3, 3]
+    return y, np.einsum("nm,nmi->ni", model.weights[ids], y)
+
+
 def _subtree_matrix(parents):
     """sub[j, m] = 1 when joint j is in the subtree rooted at m (j == m included)."""
     M = len(parents)
@@ -191,9 +204,7 @@ def pose_residual_jacobian(model: SkinnedBodyModel, quats, root_t, vertex_ids, t
     sub = _subtree_matrix(model.parents)
 
     W = model.weights[vertex_ids]  # (n, M)
-    rest = model.rest_vertices[vertex_ids]
-    y = np.einsum("mij,nj->nmi", G[:, :3, :3], rest) + G[:, :3, 3][None, :, :]  # (n, M, 3)
-    v = np.einsum("nm,nmi->ni", W, y)
+    y, v = _skin_ids(model, G, vertex_ids)
     r = v - targets
 
     wy = W[:, :, None] * y                      # (n, M, 3)
@@ -228,10 +239,7 @@ def _fit_pose_frame(model, quats, root_t, vertex_ids, targets, iterations):
     root_t = np.asarray(root_t, dtype=float).copy()
 
     def sse(q, t):
-        G = joint_transforms(model, q, t)
-        y = np.einsum("mij,nj->nmi", G[:, :3, :3], model.rest_vertices[vertex_ids])
-        y += G[:, :3, 3][None, :, :]
-        v = np.einsum("nm,nmi->ni", model.weights[vertex_ids], y)
+        _, v = _skin_ids(model, joint_transforms(model, q, t), vertex_ids)
         d = v - targets
         return float(np.sum(d * d))
 
@@ -290,10 +298,8 @@ def _fit_joints(model, frames_obs, lambda_j, joints0, total_obs, iterations):
         saved = model.joints
         model.joints = j_pos
         sse = 0.0
-        for k, (ids, pts, q, t) in enumerate(frames_obs):
-            G = joint_transforms(model, q, t)
-            y = np.einsum("mij,nj->nmi", G[:, :3, :3], model.rest_vertices[ids]) + G[:, :3, 3]
-            v = np.einsum("nm,nmi->ni", model.weights[ids], y)
+        for ids, pts, q, t in frames_obs:
+            _, v = _skin_ids(model, joint_transforms(model, q, t), ids)
             sse += float(np.sum((v - pts) ** 2))
         model.joints = saved
         return sse
@@ -310,10 +316,8 @@ def _fit_joints(model, frames_obs, lambda_j, joints0, total_obs, iterations):
         for ids, pts, q, t in frames_obs:
             G, R_local, Rp, _ = _chain_context(model, q, t)
             D = np.einsum("mij,mjk->mik", Rp, np.eye(3)[None] - R_local)  # (M, 3, 3)
-            W = model.weights[ids]
-            Wsub = W @ sub  # (n, M)
-            y = np.einsum("mij,nj->nmi", G[:, :3, :3], model.rest_vertices[ids]) + G[:, :3, 3]
-            v = np.einsum("nm,nmi->ni", W, y)
+            Wsub = model.weights[ids] @ sub  # (n, M)
+            _, v = _skin_ids(model, G, ids)
             r = v - pts
             S = Wsub.T @ Wsub  # (M, M) sum over obs of Wsub_im Wsub_im'
             DtD = np.einsum("mik,lij->mlkj", D, D)  # D_m' D_l as (M, M, 3, 3)
@@ -361,9 +365,7 @@ def _prepare_frames(model, clouds):
 def _fit_sse(model, frames_obs):
     sse = 0.0
     for ids, pts, q, t in frames_obs:
-        G = joint_transforms(model, q, t)
-        y = np.einsum("mij,nj->nmi", G[:, :3, :3], model.rest_vertices[ids]) + G[:, :3, 3]
-        v = np.einsum("nm,nmi->ni", model.weights[ids], y)
+        _, v = _skin_ids(model, joint_transforms(model, q, t), ids)
         sse += float(np.sum((v - pts) ** 2))
     return sse
 
@@ -381,7 +383,6 @@ def refine(
     clouds,
     layout: SuitLayout,
     cfg: RefineConfig | None = None,
-    verbose: bool = False,
 ) -> RefineResult:
     """Alternating refinement of weights, joints, rest pose, and per-frame poses."""
     cfg = cfg or RefineConfig()
@@ -426,8 +427,7 @@ def refine(
         loss, fit = _total_loss(model, frames_obs, g_geo, joints0, cfg, total_obs)
         loss_trace.append(loss)
         fit_trace.append(np.sqrt(fit))
-        if verbose:
-            print(f"  outer {it:3d}  loss {loss:.9g}  fit-rms {np.sqrt(fit):.6g} mm")
+        log.debug("outer %3d  loss %.9g  fit-rms %.6g mm", it, loss, np.sqrt(fit))
         if prev - loss <= cfg.convergence_tol * max(abs(prev), 1e-30) and it >= 1:
             break
         prev = loss
@@ -447,8 +447,7 @@ def _solve_weights(model, frames_obs, g_geo, lambda_g, total_obs):
     cacc = np.zeros((N, M))
     seen = np.zeros(N, dtype=bool)
     for ids, pts, q, t in frames_obs:
-        G = joint_transforms(model, q, t)
-        y = np.einsum("mij,nj->nmi", G[:, :3, :3], model.rest_vertices[ids]) + G[:, :3, 3]
+        y, _ = _skin_ids(model, joint_transforms(model, q, t), ids)
         Qacc[ids] += np.einsum("nmi,nli->nml", y, y)
         cacc[ids] += np.einsum("nmi,ni->nm", y, pts)
         seen[ids] = True

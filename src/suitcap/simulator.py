@@ -9,7 +9,6 @@ real pipeline can be checked against the values generated here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -486,12 +485,6 @@ def truth_clouds(scene: SyntheticScene, n_frames: int, min_cameras: int = 2):
 
 # ---------------------------------------------------------------------------
 # scene spec files
-
-
-def save_scene_spec(spec: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(spec, f, indent=2)
-        f.write("\n")
 
 
 def scene_from_spec(spec: dict) -> SyntheticScene:

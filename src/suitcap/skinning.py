@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularBlend
-from .geometry import quat_normalize, quat_to_rot
+from .geometry import quat_to_rot
 
 __all__ = [
     "SkinnedBodyModel",
@@ -260,7 +260,3 @@ def export_obj(vertices, faces, path) -> None:
             f.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
         for face in faces:
             f.write("f " + " ".join(str(int(i) + 1) for i in face) + "\n")
-
-
-def renormalize_quats(quats):
-    return quat_normalize(quats)

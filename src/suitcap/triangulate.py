@@ -14,78 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParallelRays
-from .geometry import CameraRig, undistort_normalized
+from .geometry import CameraArrays, CameraRig, distort_normalized, project_cams, undistort_normalized
 
 GRADIENT_TOL = 1e-10
 MAX_ITERATIONS = 100
 MIN_RAY_ANGLE_DEG = 0.1
 
-__all__ = ["CameraArrays", "TriangulationResult", "triangulate_points", "triangulate"]
-
-
-@dataclass
-class CameraArrays:
-    """Rig parameters stacked for vectorized projection; row order == rig order."""
-
-    R: np.ndarray          # (C, 3, 3)
-    t: np.ndarray          # (C, 3)
-    fx: np.ndarray
-    fy: np.ndarray
-    cx: np.ndarray
-    cy: np.ndarray
-    skew: np.ndarray
-    dist: np.ndarray       # (C, 5)
-    centers: np.ndarray    # (C, 3) camera centers in world
-    ids: np.ndarray        # (C,) camera ids
-    any_distortion: bool
-
-    @classmethod
-    def from_rig(cls, rig: CameraRig) -> "CameraArrays":
-        cams = list(rig)
-        K = np.array([c.intrinsics for c in cams])
-        R = np.array([c.rot for c in cams])
-        t = np.array([c.translation for c in cams])
-        dist = np.array([c.distortion for c in cams])
-        return cls(
-            R=R,
-            t=t,
-            fx=K[:, 0, 0],
-            fy=K[:, 1, 1],
-            cx=K[:, 0, 2],
-            cy=K[:, 1, 2],
-            skew=K[:, 0, 1],
-            dist=dist,
-            centers=np.einsum("cji,cj->ci", R, -t),
-            ids=np.array([c.id for c in cams], dtype=int),
-            any_distortion=bool(np.any(dist != 0.0)),
-        )
-
-    def index_of_id(self):
-        return {int(cid): i for i, cid in enumerate(self.ids)}
-
-
-def project_cams(arr: CameraArrays, cam_idx, pts):
-    """Project pts[b] through camera cam_idx[b]; returns ((B,2) pixels, (B,) depth)."""
-    R = arr.R[cam_idx]
-    pc = np.einsum("bij,bj->bi", R, pts) + arr.t[cam_idx]
-    z = pc[:, 2]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        x = pc[:, 0] / z
-        y = pc[:, 1] / z
-    if arr.any_distortion:
-        x, y = _distort(arr.dist[cam_idx], x, y)
-    u = arr.fx[cam_idx] * x + arr.skew[cam_idx] * y + arr.cx[cam_idx]
-    v = arr.fy[cam_idx] * y + arr.cy[cam_idx]
-    return np.stack([u, v], axis=-1), z
-
-
-def _distort(dist, x, y):
-    k1, k2, p1, p2, k3 = (dist[:, i] for i in range(5))
-    r2 = x * x + y * y
-    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-    xd = x * radial + 2 * p1 * x * y + p2 * (r2 + 2 * x * x)
-    yd = y * radial + p1 * (r2 + 2 * y * y) + 2 * p2 * x * y
-    return xd, yd
+__all__ = ["TriangulationResult", "triangulate_points", "triangulate"]
 
 
 def project_jacobian(arr: CameraArrays, cam_idx, pts):
@@ -111,15 +46,13 @@ def project_jacobian(arr: CameraArrays, cam_idx, pts):
         r2 = x * x + y * y
         radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
         dr = k1 + r2 * (2 * k2 + 3 * k3 * r2)
-        xd = x * radial + 2 * p1 * x * y + p2 * (r2 + 2 * x * x)
-        yd = y * radial + p1 * (r2 + 2 * y * y) + 2 * p2 * x * y
         dd = np.empty((len(z), 2, 2))
         dd[:, 0, 0] = radial + 2 * x * x * dr + 2 * p1 * y + 6 * p2 * x
         dd[:, 0, 1] = 2 * x * y * dr + 2 * p1 * x + 2 * p2 * y
         dd[:, 1, 0] = 2 * x * y * dr + 2 * p1 * x + 2 * p2 * y
         dd[:, 1, 1] = radial + 2 * y * y * dr + 6 * p1 * y + 2 * p2 * x
         dn = dd @ dn
-        x, y = xd, yd
+        x, y = distort_normalized(np.stack([x, y], axis=-1), dist).T
 
     fx = arr.fx[cam_idx]
     fy = arr.fy[cam_idx]

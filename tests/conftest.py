@@ -59,6 +59,18 @@ def rig16():
     return ring_rig(16)
 
 
+# radial-tangential coefficients (k1, k2, p1, p2, k3) of the distorted test cameras
+DIST = np.array([-0.11, 0.03, 0.0007, -0.0004, 0.004])
+
+
+@pytest.fixture
+def mixed_rig():
+    """Eight ring cameras: the even ones distorted with DIST, the odd ones pinhole."""
+    pinhole = ring_rig(8)
+    distorted = ring_rig(8, dist=DIST)
+    return CameraRig([d if i % 2 == 0 else p for i, (d, p) in enumerate(zip(distorted, pinhole))])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -107,6 +107,13 @@ def test_reconstruct_noiseless_report(tmp_path, capsys):
     assert (tmp_path / "report_reconstruct.csv").exists()
 
 
+def test_reconstruct_creates_clouds_parent(tmp_path):
+    run_simulate(tmp_path, frames=1)
+    clouds = tmp_path / "fresh" / "a" / "clouds.jsonl"
+    run_reconstruct(tmp_path, extra=("--set", f"paths.clouds={clouds}"))
+    assert len(read_clouds(clouds)) == 1
+
+
 def test_reconstruct_bad_calibration_exits_4(tmp_path):
     run_simulate(tmp_path, frames=1)
     (tmp_path / "calibration.json").write_text("not json at all")
@@ -173,6 +180,22 @@ def test_fit_from_init_model(tmp_path, capsys):
     losses = [float(r.split(",")[1]) for r in loss_rows if r]
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
     assert (tmp_path / "report_fit_hist.csv").exists()
+
+
+def test_fit_creates_model_parent(tmp_path):
+    run_simulate(tmp_path, frames=2)
+    run_reconstruct(tmp_path)
+    _write_init_model(tmp_path)
+    model = tmp_path / "fresh" / "b" / "model.json"
+    args = [
+        "fit",
+        "--set", f"paths.output_dir={tmp_path}",
+        "--set", f"paths.init_model={tmp_path}/init_model.json",
+        "--set", f"paths.model={model}",
+        "--set", "refine.outer_iterations=1",
+    ]
+    assert main(args) == 0
+    assert model.exists()
 
 
 def test_fit_requires_model_or_template(tmp_path):

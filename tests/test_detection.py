@@ -3,6 +3,7 @@ import pytest
 
 from suitcap.detection import (
     CodeReading,
+    Corner2D,
     DetectionFrame,
     OracleNoiseConfig,
     cluster_duplicates,
@@ -13,7 +14,6 @@ from suitcap.detection import (
     read_detections,
     write_detections,
 )
-from suitcap.quadgen import Corner2D
 from suitcap.simulator import compute_visibility, tube_scene
 
 

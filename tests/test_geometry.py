@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from suitcap.errors import CalibrationError, DegenerateQuad, NonPositiveDepth, PointAtInfinity
+from suitcap.errors import CalibrationError, NonPositiveDepth
 from suitcap.geometry import (
     Camera,
-    Homography,
-    homography_from_4pts,
+    CameraArrays,
     load_calibration,
     project,
     quat_from_rotvec,
     quat_normalize,
     reprojection_error,
+    project_cams,
     save_calibration,
-    warp_point,
 )
+from suitcap.triangulate import project_jacobian
 
 from conftest import look_at_camera
 
@@ -99,6 +99,48 @@ def test_project_backproject_roundtrip_against_scalar_oracle(rng):
         assert np.abs(d_world - true_dir).max() < 1e-8
 
 
+def _mixed_rig_points(rng, n=400):
+    # spread wide enough that distortion moves pixels by several px
+    pts = rng.uniform([-800.0, -800.0, 300.0], [800.0, 800.0, 1700.0], size=(n, 3))
+    return pts, rng.integers(0, 8, size=n)
+
+
+def test_kernel_matches_scalar_oracle_on_mixed_rig(mixed_rig, rng):
+    arr = CameraArrays.from_rig(mixed_rig)
+    pts, cam_idx = _mixed_rig_points(rng)
+    uv, z = project_cams(arr, cam_idx, pts)
+    shift = []
+    for b, (p, c) in enumerate(zip(pts, cam_idx)):
+        cam = mixed_rig.cameras[c]
+        pc = cam.rot @ p + cam.translation
+        x, y = pc[0] / pc[2], pc[1] / pc[2]
+        xd, yd = _scalar_distort(x, y, cam.distortion)
+        K = cam.intrinsics
+        expected = np.array([K[0, 0] * xd + K[0, 1] * yd + K[0, 2], K[1, 1] * yd + K[1, 2]])
+        assert z[b] == pytest.approx(pc[2], rel=1e-12)
+        assert np.abs(uv[b] - expected).max() < 1e-9
+        shift.append(np.hypot(K[0, 0] * (xd - x), K[1, 1] * (yd - y)))
+    shift = np.array(shift)
+    assert np.all(shift[cam_idx % 2 == 1] == 0.0)
+    assert shift[cam_idx % 2 == 0].max() > 5.0  # the distorted cameras are exercised
+
+
+def test_project_jacobian_matches_kernel_central_differences(mixed_rig, rng):
+    arr = CameraArrays.from_rig(mixed_rig)
+    pts, cam_idx = _mixed_rig_points(rng, 100)
+    uv, z = project_cams(arr, cam_idx, pts)
+    uv_j, z_j, J = project_jacobian(arr, cam_idx, pts)
+    assert np.abs(uv_j - uv).max() < 1e-9
+    assert np.abs(z_j - z).max() < 1e-9
+    h = 1e-3
+    for k in range(3):
+        step = np.zeros(3)
+        step[k] = h
+        up, _ = project_cams(arr, cam_idx, pts + step)
+        down, _ = project_cams(arr, cam_idx, pts - step)
+        assert np.abs((up - down) / (2 * h) - J[:, :, k]).max() < 1e-7
+
+
 # ---------------------------------------------------------------------------
 # reprojection error
 
@@ -156,63 +198,6 @@ def test_project_scale_consistent_along_ray(rng):
     for lam in (0.5, 2.0, 5.0, 17.3):
         uv = project(cam, center + 1000.0 * lam * d)
         assert np.abs(uv - base).max() < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# homographies
-
-
-UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-
-
-def test_homography_identity():
-    h = homography_from_4pts(UNIT_SQUARE, UNIT_SQUARE)
-    assert np.abs(h.H - np.eye(3)).max() < 1e-9
-
-
-def test_homography_scale():
-    h = homography_from_4pts(UNIT_SQUARE, 2.0 * UNIT_SQUARE)
-    assert np.abs(h.H - np.diag([2.0, 2.0, 1.0])).max() < 1e-9
-
-
-def test_homography_random_quads_corners_and_inverse(rng):
-    for _ in range(100):
-        src = UNIT_SQUARE * 40 + rng.uniform(-8, 8, (4, 2))
-        dst = UNIT_SQUARE * 55 + rng.uniform(-12, 12, (4, 2))
-        h = homography_from_4pts(src, dst)
-        mapped = np.array([warp_point(h, p) for p in src])
-        assert np.abs(mapped - dst).max() < 1e-9
-        hinv = h.inverse()
-        assert np.abs((h.H @ hinv.H) / (h.H @ hinv.H)[2, 2] - np.eye(3)).max() < 1e-9
-
-
-def test_homography_collinear_raises():
-    src = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(DegenerateQuad):
-        homography_from_4pts(src, UNIT_SQUARE)
-    with pytest.raises(DegenerateQuad):
-        homography_from_4pts(UNIT_SQUARE, src)
-
-
-def test_homography_composition(rng):
-    h1 = homography_from_4pts(UNIT_SQUARE, UNIT_SQUARE * 3 + rng.uniform(-0.4, 0.4, (4, 2)))
-    h2 = homography_from_4pts(UNIT_SQUARE * 3, UNIT_SQUARE * 2 + rng.uniform(-0.3, 0.3, (4, 2)))
-    for _ in range(50):
-        p = rng.uniform(0, 1, 2)
-        a = warp_point(h2, warp_point(h1, p))
-        b = warp_point(h2.compose(h1), p)
-        assert np.abs(a - b).max() < 1e-9
-
-
-def test_warp_point_basics():
-    assert np.allclose(warp_point(Homography(np.eye(3)), [5.0, 7.0]), [5.0, 7.0])
-    assert np.allclose(warp_point(Homography(np.diag([2.0, 2.0, 1.0])), [1.0, 1.0]), [2.0, 2.0])
-
-
-def test_warp_point_at_infinity():
-    H = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
-    with pytest.raises(PointAtInfinity):
-        warp_point(Homography(H), [3.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

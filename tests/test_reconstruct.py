@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from suitcap.detection import CodeReading, DetectionFrame, OracleNoiseConfig, oracle_detect
+from suitcap.detection import CodeReading, Corner2D, DetectionFrame, OracleNoiseConfig, oracle_detect
 from suitcap.errors import ParallelRays
 from suitcap.geometry import project
 from suitcap.layout import SuitLayout
-from suitcap.quadgen import Corner2D
 from suitcap.reconstruct import (
     REASON_CONFLICT,
     REASON_MISLABEL,
     REASON_RESIDUAL,
     REASON_TOO_FEW,
+    DiscardRecord,
     LabeledObservation,
     cloud_from_json,
     cloud_to_json,
@@ -105,6 +105,19 @@ def test_triangulate_sixteen_cameras_exact(rig16):
     got, residuals, converged = triangulate(obs, rig16)
     assert np.linalg.norm(got - p) < 1e-6
     assert all(v < 1e-8 for v in residuals.values())
+
+
+def test_triangulate_mixed_distortion_exact(mixed_rig, rng):
+    # every camera subset mixes distorted (even) and pinhole (odd) cameras
+    for n_cams in (2, 3, 5, 8):
+        for _ in range(5):
+            p = rng.uniform([-600.0, -600.0, 500.0], [600.0, 600.0, 1500.0])
+            first = int(rng.integers(0, 8))
+            cams = [mixed_rig.cameras[(first + k) % 8] for k in range(n_cams)]
+            got, residuals, converged = triangulate([(c.id, project(c, p)) for c in cams], mixed_rig)
+            assert np.linalg.norm(got - p) < 1e-6
+            assert converged
+            assert all(v < 1e-8 for v in residuals.values())
 
 
 def test_triangulate_requires_two_distinct_cameras(rig4):
@@ -221,6 +234,22 @@ def test_filter_removes_single_mislabel(rig16, rng):
     removed = [d for d in cloud.discarded if d.reason == REASON_MISLABEL]
     assert any(d.camera_id == rig16.cameras[3].id for d in removed)
     assert np.linalg.norm(cloud.points[7].position - p) < 3 * 0.2  # 3-sigma of the noise
+
+
+def test_filter_drops_one_mislabel_on_mixed_distortion_rig(mixed_rig):
+    # corner k is mislabeled in camera k: seen there at another corner's position
+    truth = {k: np.array([-300.0 + 90.0 * k, 40.0 * k - 150.0, 800.0 + 60.0 * k]) for k in range(8)}
+    elsewhere = np.array([250.0, -220.0, 1350.0])
+    per_corner = {
+        k: [obs_of(k, c.id, project(c, elsewhere if c.id == k else p)) for c in mixed_rig]
+        for k, p in truth.items()
+    }
+    cloud = filter_mislabels(per_corner, mixed_rig)
+    assert cloud.discarded == [DiscardRecord(k, REASON_MISLABEL, k) for k in range(8)]
+    for k, p in truth.items():
+        rec = cloud.points[k]
+        assert rec.cameras == tuple(c for c in range(8) if c != k)
+        assert np.linalg.norm(rec.position - p) < 1e-6
 
 
 def test_filter_two_cameras_absolute_threshold(rig4):
