@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import detection, inpaint, reconstruct, refine, registration, reporting, simulator, triangulate
+from . import detection, inpaint, reconstruct, refine, registration, reporting, simulator
 from .errors import CalibrationError, ConfigError, DivergedICP, SingularKKT
 from .geometry import CameraArrays, load_calibration, save_calibration
 from .layout import load_layout, save_layout
-from .skinning import export_obj, load_model, save_model
+from .skinning import export_obj, load_model, save_model, skin_all
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -65,7 +65,6 @@ DEFAULT_CONFIG = {
     },
     "window": {"length": 150, "overlap": 50, "w_temporal": 100.0},
     "fit": {"perturb_joints": 0.0, "blur_weights": 0},
-    "inpaint": {"fit_poses": "auto"},  # auto | always | never
 }
 
 
@@ -283,7 +282,10 @@ def cmd_fit(cfg) -> int:
     for _ in range(int(fit_cfg["blur_weights"])):
         model0.weights = _blur_weights(model0.weights, layout)
 
-    before_rms = refine.fitting_rms(model0, clouds)
+    # one pose-only fit of the initial model serves the printed rms and the histogram
+    fit0 = refine.fit_poses(model0, clouds)
+    e0 = _pose_fit_errors(model0, clouds, fit0)
+    before_rms = float(np.sqrt(fit0[2] / max(e0.size, 1)))
     rcfg = refine.RefineConfig(
         lambda_g=float(cfg["refine"]["lambda_g"]),
         lambda_j=float(cfg["refine"]["lambda_j"]),
@@ -300,7 +302,8 @@ def cmd_fit(cfg) -> int:
     after_rms = result.fit_rms_trace[-1]
     rows = [[i, l] for i, l in enumerate(result.loss_trace)]
     reporting.write_csv(str(prefix) + "_fit_loss.csv", ["outer_iteration", "loss"], rows)
-    _write_fit_histograms(str(prefix), model0, result.model, clouds)
+    e1 = _pose_fit_errors(result.model, clouds, refine.fit_poses(result.model, clouds))
+    _write_fit_histograms(str(prefix), e0, e1)
     mono = all(nxt <= prev + 1e-9 for prev, nxt in zip(result.loss_trace, result.loss_trace[1:]))
     print(f"fitting rms: before {before_rms:.4f} mm -> after {after_rms:.4f} mm")
     print(f"loss trace non-increasing: {mono}")
@@ -309,7 +312,6 @@ def cmd_fit(cfg) -> int:
 
 def _blur_weights(W, layout):
     edges = layout.edges()
-    out = W.copy()
     acc = W.copy()
     deg = np.ones(len(W))
     valid = edges[(edges[:, 0] < len(W)) & (edges[:, 1] < len(W))]
@@ -321,23 +323,20 @@ def _blur_weights(W, layout):
     return out / out.sum(axis=1, keepdims=True)
 
 
-def _write_fit_histograms(prefix, model0, model1, clouds) -> None:
-    def per_obs_errors(model):
-        quats, roots, _ = refine.fit_poses(model, clouds)
-        m = model.copy()
-        m.pose_quats, m.root_translations = quats, roots
-        errs = []
-        for k, cloud in enumerate(clouds):
-            ids = np.array(sorted(i for i in cloud.points if i < m.n_vertices), dtype=int)
-            pts = np.array([cloud.points[int(i)].position for i in ids]).reshape(-1, 3)
-            from .skinning import skin_all
+def _pose_fit_errors(model, clouds, fit) -> np.ndarray:
+    """Per-observation distances (mm) of `model` under `fit`, its `refine.fit_poses` result."""
+    m = model.copy()
+    m.pose_quats, m.root_translations, _ = fit
+    errs = []
+    for k, cloud in enumerate(clouds):
+        ids = np.array(sorted(i for i in cloud.points if i < m.n_vertices), dtype=int)
+        pts = np.array([cloud.points[int(i)].position for i in ids]).reshape(-1, 3)
+        v = skin_all(m, k)[ids]
+        errs.extend(np.linalg.norm(v - pts, axis=1))
+    return np.array(errs)
 
-            v = skin_all(m, k)[ids]
-            errs.extend(np.linalg.norm(v - pts, axis=1))
-        return np.array(errs)
 
-    e0 = per_obs_errors(model0)
-    e1 = per_obs_errors(model1)
+def _write_fit_histograms(prefix, e0, e1) -> None:
     edges, c0 = reporting.log_histogram(e0, lo=1e-3, hi=1e3)
     _, c1 = reporting.log_histogram(e1, lo=1e-3, hi=1e3)
     rows = [
@@ -356,8 +355,7 @@ def cmd_inpaint(cfg) -> int:
     model = load_model(paths["model"])
     clouds = reconstruct.read_clouds(paths["clouds"])
 
-    mode = cfg["inpaint"]["fit_poses"]
-    if mode == "always" or (mode == "auto" and model.n_frames != len(clouds)):
+    if model.n_frames != len(clouds):
         quats, roots, _ = refine.fit_poses(model, clouds)
         model.pose_quats, model.root_translations = quats, roots
 
@@ -391,33 +389,17 @@ def cmd_inpaint(cfg) -> int:
 
 def cmd_eval(cfg) -> int:
     paths = _paths(cfg)
-    rig = load_calibration(paths["calibration"])
-    layout = load_layout(paths["layout"])
     clouds = reconstruct.read_clouds(paths["clouds"])
-    frames = detection.read_detections(paths["detections"])
-    arr = CameraArrays.from_rig(rig)
-    idx_of = arr.index_of_id()
-
-    obs_pixels: dict[tuple, np.ndarray] = {}
-    for f in frames:
-        obs, _ = reconstruct.consolidate_labels(
-            detection.cluster_frame(f, float(cfg["cluster_radius"])), layout
-        )
-        for o in obs:
-            obs_pixels[(f.frame_index, o.camera_id, o.corner_id)] = o.pixel
-
-    cam_idx, points, observed = [], [], []
+    errors = []
     for cloud in clouds:
         for cid, rec in cloud.points.items():
-            for cam_id in rec.cameras:
-                key = (cloud.frame_index, cam_id, cid)
-                if key in obs_pixels:
-                    cam_idx.append(idx_of[cam_id])
-                    points.append(rec.position)
-                    observed.append(obs_pixels[key])
-    # the kernel is looked up through `triangulate` so that perfbench's eval span sees the call
-    uv, _ = triangulate.project_cams(arr, np.array(cam_idx, dtype=int), np.array(points).reshape(-1, 3))
-    errors = np.linalg.norm(uv - np.array(observed).reshape(-1, 2), axis=1)
+            if len(rec.per_camera_err) != len(rec.cameras):
+                raise ConfigError(
+                    f"{paths['clouds']}: frame {cloud.frame_index} point {cid} has "
+                    f"{len(rec.per_camera_err)} per-camera errors for {len(rec.cameras)} cameras"
+                )
+            errors.extend(rec.per_camera_err)
+    errors = np.array(errors, dtype=float)
 
     report = {
         "observations": int(errors.size),

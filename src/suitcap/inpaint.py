@@ -4,9 +4,10 @@ Observed corners are unposed through the refined model (Eq.-style generative
 direction: world = skin(rest + displacement)), stacked into a frames-by-vertex
 displacement matrix, and the unobserved entries are interpolated by minimizing
 a spatio-temporal quadratic: the cotangent Laplacian of the rest mesh applied
-per frame plus a weighted per-vertex acceleration penalty, subject to equality
-constraints at the observed entries. Long sequences are solved in overlapping
-windows whose overlaps are blended smoothly.
+per frame plus a weighted per-vertex acceleration penalty. Observed entries
+keep their values exactly; only the unobserved ones are unknowns, so each
+window is one sparse symmetric positive-definite solve. Long sequences are
+solved in overlapping windows whose overlaps are blended smoothly.
 """
 
 from __future__ import annotations
@@ -217,11 +218,16 @@ def solve_window(
     w_temporal: float = DEFAULT_TEMPORAL_WEIGHT,
     n_frames: int | None = None,
 ):
-    """Solve the equality-constrained quadratic for one window via its KKT system.
+    """Solve the quadratic for one window on its unobserved entries only.
+
+    Observed entries are assigned their targets; the free ones solve the SPD
+    system Q_ff X_f = -Q_fc X_c, one factorization for all three coordinates.
 
     Returns (X (F, N, 3), zeroed_components list). Mesh components with no
     constraint anywhere in the window are set to zero displacement and
-    reported; any remaining rank deficiency raises SingularKKT.
+    reported. A solution that is not unique raises SingularKKT: a constrained
+    component seen in fewer than min(F, 2) frames, a duplicate (frame, vertex)
+    constraint, or a failed factorization.
     """
     F = n_frames if n_frames is not None else constraints.n_frames
     N = L.shape[0]
@@ -235,8 +241,15 @@ def solve_window(
     if zeroed:
         logger.warning("components %s have no constraints in window; displacements set to 0", zeroed)
 
+    # a field constant in space and affine in time (any function of time
+    # below three frames) costs nothing within a component
+    constraint_comp = comp[constraints.vertex_idx]
+    for c in constrained_comps:
+        frames = np.unique(constraints.frame_idx[constraint_comp == c])
+        if len(frames) < min(F, 2):
+            raise SingularKKT(f"component {c} is constrained only in frames {frames.tolist()} of {F}")
+
     # restrict the solve to constrained components
-    sub = {int(v): i for i, v in enumerate(active_vertices)}
     Ns = len(active_vertices)
     Ls = L[np.ix_(active_vertices, active_vertices)].tocsr()
 
@@ -245,28 +258,27 @@ def solve_window(
     if S.shape[0]:
         Q = Q + w_temporal * sparse.kron(S.T @ S, sparse.identity(Ns, format="csr"), format="csr")
 
-    flat = constraints.frame_idx * Ns + np.array([sub[int(v)] for v in constraints.vertex_idx])
-    R = len(flat)
-    C = sparse.csr_matrix((np.ones(R), (np.arange(R), flat)), shape=(R, F * Ns))
+    known = constraints.frame_idx * Ns + np.searchsorted(active_vertices, constraints.vertex_idx)
+    is_free = np.ones(F * Ns, dtype=bool)
+    is_free[known] = False
+    free = np.flatnonzero(is_free)
+    if len(free) + len(known) != F * Ns:
+        raise SingularKKT("duplicate (frame, vertex) constraints")
 
-    KKT = sparse.bmat([[Q, C.T], [C, None]], format="csc")
-    try:
-        lu = splu(KKT)
-    except RuntimeError as e:
-        raise SingularKKT(f"KKT factorization failed: {e}") from e
+    x = np.empty((F * Ns, 3))
+    x[known] = constraints.targets
+    if len(free):
+        Q_f = Q[free]
+        try:
+            lu = splu(Q_f[:, free].tocsc())
+        except RuntimeError as e:
+            raise SingularKKT(f"factorization of the free block failed: {e}") from e
+        x[free] = lu.solve(-(Q_f[:, known] @ constraints.targets))
+        if not np.all(np.isfinite(x[free])):
+            raise SingularKKT("solve produced non-finite values (rank deficient)")
 
     X = np.zeros((F, N, 3))
-    for col in range(3):
-        rhs = np.concatenate([np.zeros(F * Ns), constraints.targets[:, col]])
-        sol = lu.solve(rhs)
-        if not np.all(np.isfinite(sol)):
-            raise SingularKKT("KKT solve produced non-finite values (rank deficient)")
-        X[:, active_vertices, col] = sol[: F * Ns].reshape(F, Ns)
-
-    target_scale = 1.0 + np.abs(constraints.targets).max(initial=0.0)
-    err = np.abs(X[constraints.frame_idx, constraints.vertex_idx] - constraints.targets).max(initial=0.0)
-    if err > 1e-8 * target_scale:
-        raise SingularKKT(f"constraints violated by {err:.3e} (relative tolerance 1e-8)")
+    X[:, active_vertices] = x.reshape(F, Ns, 3)
     return X, zeroed
 
 

@@ -68,7 +68,7 @@ class PointRecord:
     cameras: tuple
     mean_reproj_err: float
     converged: bool = True
-    per_camera_err: tuple = ()  # aligned with `cameras`; in-memory only
+    per_camera_err: tuple = ()  # pixels, aligned with `cameras`; empty when unknown
 
 
 @dataclass
@@ -314,6 +314,8 @@ def cloud_to_json(cloud: LabeledPointCloud) -> str:
                 "err": float(rec.mean_reproj_err),
             }
         )
+        if rec.per_camera_err:
+            points[-1]["errs"] = [float(e) for e in rec.per_camera_err]
     discarded = []
     for d in cloud.discarded:
         e: dict = {"id": d.corner_id, "reason": d.reason}
@@ -331,6 +333,7 @@ def cloud_from_json(line: str) -> LabeledPointCloud:
             position=np.array(p["p"], dtype=float),
             cameras=tuple(p["cams"]),
             mean_reproj_err=float(p["err"]),
+            per_camera_err=tuple(p.get("errs", ())),
         )
     for d in doc["discarded"]:
         cloud.discarded.append(DiscardRecord(int(d["id"]), d["reason"], d.get("cam")))

@@ -151,6 +151,30 @@ def test_eval_report_structure(tmp_path):
     assert (tmp_path / "report_eval.svg").exists()
 
 
+def test_eval_reads_only_clouds_and_truth(tmp_path):
+    run_simulate(tmp_path, frames=2, sigma=0.3)
+    run_reconstruct(tmp_path)
+    names = ("report_eval.json", "report_eval.csv", "report_eval.svg")
+    assert main(["eval", "--set", f"paths.output_dir={tmp_path}"]) == 0
+    first = {n: (tmp_path / n).read_bytes() for n in names}
+    assert json.loads(first["report_eval.json"])["reprojection_percentiles"]["99"] > 0
+    for name in ("detections.jsonl", "calibration.json", "layout.json"):
+        (tmp_path / name).unlink()
+    assert main(["eval", "--set", f"paths.output_dir={tmp_path}"]) == 0
+    assert {n: (tmp_path / n).read_bytes() for n in names} == first
+
+
+def test_eval_rejects_errors_misaligned_with_cameras(tmp_path, capsys):
+    run_simulate(tmp_path, frames=1)
+    run_reconstruct(tmp_path)
+    path = tmp_path / "clouds.jsonl"
+    doc = json.loads(path.read_text())
+    doc["points"][0]["errs"].pop()
+    path.write_text(json.dumps(doc) + "\n")
+    assert main(["eval", "--set", f"paths.output_dir={tmp_path}"]) == 2
+    assert "per-camera errors" in capsys.readouterr().err
+
+
 def _write_init_model(tmp_path):
     """Ground-truth generative model for the simulated tube scene."""
     from suitcap.simulator import tube_scene
@@ -196,6 +220,30 @@ def test_fit_creates_model_parent(tmp_path):
     ]
     assert main(args) == 0
     assert model.exists()
+
+
+def test_fit_fits_each_models_poses_once(tmp_path, monkeypatch):
+    from suitcap import refine
+
+    run_simulate(tmp_path, frames=2)
+    run_reconstruct(tmp_path)
+    _write_init_model(tmp_path)
+    fitted = []
+    fit_poses = refine.fit_poses
+
+    def counting(model, clouds, *args, **kwargs):
+        fitted.append(model)
+        return fit_poses(model, clouds, *args, **kwargs)
+
+    monkeypatch.setattr(refine, "fit_poses", counting)
+    assert main([
+        "fit",
+        "--set", f"paths.output_dir={tmp_path}",
+        "--set", f"paths.init_model={tmp_path}/init_model.json",
+        "--set", "refine.outer_iterations=1",
+    ]) == 0
+    assert len(fitted) == 2  # the initial and the refined model
+    assert fitted[0] is not fitted[1]
 
 
 def test_fit_requires_model_or_template(tmp_path):

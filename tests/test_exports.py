@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import types
+from pathlib import Path
 
 import suitcap
 
@@ -16,4 +18,16 @@ def test_every_exported_name_resolves():
         if unresolved:
             missing[name] = unresolved
     assert len(names) > 10
+    assert not missing
+
+
+def test_benchmark_span_names_resolve():
+    # the benchmark's layer trace replaces these attributes by name; run its
+    # module from source so that nothing is written next to it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    layertrace = types.ModuleType("layertrace")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), layertrace.__dict__)
+    spans = [(module, attr) for entries in layertrace.SPANS.values() for module, attr, _, _ in entries]
+    assert len(spans) > 20
+    missing = [(m, a) for m, a in spans if not hasattr(importlib.import_module(m), a)]
     assert not missing

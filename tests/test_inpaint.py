@@ -196,7 +196,7 @@ def test_fully_constrained_window_returns_targets(rng):
     cons = Constraints(fi.ravel(), vi.ravel(), targets, K, n)
     X, zeroed = solve_window(L, cons)
     assert not zeroed
-    assert np.abs(X.reshape(-1, 3) - targets).max() < 1e-8
+    assert np.array_equal(X.reshape(-1, 3), targets)  # observed entries are assigned, not solved for
 
 
 def test_zero_constraints_give_zero_field(rng):
@@ -234,8 +234,7 @@ def test_window_matches_dense_nullspace_oracle(rng):
 def test_window_constraint_satisfaction(rng):
     layout, L, cons = small_problem(rng, n_frames=4, observed_fraction=0.4)
     X, _ = solve_window(L, cons)
-    err = np.abs(X[cons.frame_idx, cons.vertex_idx] - cons.targets).max()
-    assert err <= 1e-8 * (1.0 + np.abs(cons.targets).max())
+    assert np.array_equal(X[cons.frame_idx, cons.vertex_idx], cons.targets)
 
 
 def test_window_local_optimality_probing(rng):
@@ -288,6 +287,40 @@ def test_unconstrained_component_zeroed(rng):
     X, zeroed = solve_window(L, cons)
     assert zeroed  # the 4..7 component has no constraints
     assert np.abs(X[:, 4:]).max() == 0.0
+
+
+def test_duplicate_constraints_raise(rng):
+    layout, L, cons = small_problem(rng)
+    dup = Constraints(
+        np.append(cons.frame_idx, cons.frame_idx[0]),
+        np.append(cons.vertex_idx, cons.vertex_idx[0]),
+        np.vstack([cons.targets, cons.targets[:1] + 1.0]),
+        cons.n_frames,
+        cons.n_vertices,
+    )
+    with pytest.raises(SingularKKT, match="duplicate"):
+        solve_window(L, dup)
+
+
+@pytest.mark.parametrize("n_frames", [2, 3, 5])
+def test_component_constrained_in_one_frame_raises(rng, n_frames):
+    # a spatially constant field, affine in time (arbitrary below three
+    # frames), costs nothing and vanishes only at frame 0
+    layout = generate_synthetic_layout(2, 3)
+    n = layout.n_corners
+    L = build_spatial_laplacian(layout, rng.uniform(0, 60, (n, 3)))
+    cons = Constraints(np.zeros(n, dtype=int), np.arange(n), rng.uniform(-1, 1, (n, 3)), n_frames, n)
+    with pytest.raises(SingularKKT, match=r"component 0 is constrained only in frames \[0\] of"):
+        solve_window(L, cons)
+
+
+def test_two_frame_window_constrained_in_both_frames_solves(rng):
+    layout, L, _ = small_problem(rng)
+    n = L.shape[0]
+    cons = Constraints(np.array([0, 1]), np.array([0, n - 1]), rng.uniform(-1, 1, (2, 3)), 2, n)
+    X, _ = solve_window(L, cons)
+    assert np.all(np.isfinite(X))
+    assert np.array_equal(X[[0, 1], [0, n - 1]], cons.targets)
 
 
 def test_empty_window_raises():

@@ -12,6 +12,8 @@ from suitcap.reconstruct import (
     REASON_TOO_FEW,
     DiscardRecord,
     LabeledObservation,
+    LabeledPointCloud,
+    PointRecord,
     cloud_from_json,
     cloud_to_json,
     consolidate_labels,
@@ -394,3 +396,19 @@ def test_cloud_file_roundtrip(tmp_path):
     # json round trip is stable line by line
     for a in clouds:
         assert cloud_to_json(cloud_from_json(cloud_to_json(a))) == cloud_to_json(a)
+
+
+def test_cloud_file_roundtrips_per_camera_errors(tmp_path):
+    scene = tube_scene(n_cameras=6, strips=3, codes_per_strip=6, seed=45)
+    frames = _simulate_detections(scene, 1, OracleNoiseConfig(pixel_sigma=0.3, seed=13))
+    clouds = reconstruct_sequence(frames, scene.rig, scene.layout)
+    clouds.append(LabeledPointCloud(1, {0: PointRecord(np.zeros(3), (0, 1), 0.0)}))  # errors unknown
+    path = tmp_path / "clouds.jsonl"
+    write_clouds(clouds, path)
+    back = read_clouds(path)
+    recs = [(a.points[cid], b.points[cid]) for a, b in zip(clouds, back) for cid in a.points]
+    assert len(recs) > 10
+    for a, b in recs:
+        assert len(a.per_camera_err) in (0, len(a.cameras))
+        assert b.per_camera_err == a.per_camera_err
+    assert '"errs"' not in path.read_text().splitlines()[-1]
