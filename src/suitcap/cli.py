@@ -16,13 +16,14 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import detection, inpaint, reconstruct, refine, registration, reporting, simulator
 from .errors import CalibrationError, ConfigError, DivergedICP, SingularKKT
-from .geometry import CameraArrays, load_calibration, save_calibration
+from .geometry import load_calibration, save_calibration
 from .layout import load_layout, save_layout
 from .skinning import export_obj, load_model, save_model, skin_all
 
@@ -172,7 +173,7 @@ def cmd_simulate(cfg) -> int:
                     scene.layout, noise,
                 )
                 n_corner_obs += len(frame.corners)
-                n_readings += len(frame.readings)
+                n_readings += len(frame.codes)
                 det_f.write(detection.frame_to_json(frame) + "\n")
             truth_f.write(_truth_line(k, pos, vis) + "\n")
     print(f"simulated {n_frames} frames x {len(scene.rig)} cameras")
@@ -193,37 +194,32 @@ def _truth_line(k, pos, vis) -> str:
     return json.dumps({"frame": k, "truth": True, "points": points, "discarded": []})
 
 
-def _reconstruct_chunk(args):
-    frames_by_index, rig, layout, radius = args
-    out = []
-    arr = CameraArrays.from_rig(rig)
-    for k in sorted(frames_by_index):
-        out.append(reconstruct.reconstruct_frame(frames_by_index[k], rig, layout, radius, arr=arr))
-    return out
-
-
 def cmd_reconstruct(cfg) -> int:
     paths = _paths(cfg)
     rig = load_calibration(paths["calibration"])
     layout = load_layout(paths["layout"])
     frames = detection.read_detections(paths["detections"])
-    by_frame: dict[int, list] = {}
+    calibrated = {cam.id for cam in rig}
     for f in frames:
-        by_frame.setdefault(f.frame_index, []).append(f)
+        if f.camera_id not in calibrated:
+            raise ConfigError(
+                f"{paths['detections']}: frame {f.frame_index} camera {f.camera_id}: "
+                f"camera id {f.camera_id} is not in the calibration"
+            )
 
     workers = int(cfg["workers"]) or 1
     radius = float(cfg["cluster_radius"])
-    keys = sorted(by_frame)
+    keys = sorted({f.frame_index for f in frames})
     if workers > 1 and len(keys) > 1:
-        chunks = [
-            ({k: by_frame[k] for k in keys[i::workers]}, rig, layout, radius)
-            for i in range(workers)
-        ]
+        worker_of = {k: i % workers for i, k in enumerate(keys)}
+        chunks = [[f for f in frames if worker_of[f.frame_index] == i] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_reconstruct_chunk, chunks))
-        clouds = sorted((c for chunk in results for c in chunk), key=lambda c: c.frame_index)
+            results = pool.map(
+                reconstruct.reconstruct_sequence, chunks, repeat(rig), repeat(layout), repeat(radius)
+            )
+            clouds = sorted((c for chunk in results for c in chunk), key=lambda c: c.frame_index)
     else:
-        clouds = _reconstruct_chunk((by_frame, rig, layout, radius))
+        clouds = reconstruct.reconstruct_sequence(frames, rig, layout, radius)
 
     paths["clouds"].parent.mkdir(parents=True, exist_ok=True)
     reconstruct.write_clouds(clouds, paths["clouds"])
@@ -329,8 +325,7 @@ def _pose_fit_errors(model, clouds, fit) -> np.ndarray:
     m.pose_quats, m.root_translations, _ = fit
     errs = []
     for k, cloud in enumerate(clouds):
-        ids = np.array(sorted(i for i in cloud.points if i < m.n_vertices), dtype=int)
-        pts = np.array([cloud.points[int(i)].position for i in ids]).reshape(-1, 3)
+        ids, pts = cloud.observed(m.n_vertices)
         v = skin_all(m, k)[ids]
         errs.extend(np.linalg.norm(v - pts, axis=1))
     return np.array(errs)
@@ -379,7 +374,7 @@ def cmd_inpaint(cfg) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for k, cloud in enumerate(clouds):
-        observed = len([i for i in cloud.points if i < model.n_vertices])
+        observed = len(cloud.observed(model.n_vertices)[0])
         rows.append([k, observed, model.n_vertices - observed])
     reporting.write_csv(str(prefix) + "_inpaint.csv", ["frame", "observed", "filled"], rows)
     n_windows = len(plan.starts(K)) if K > plan.window_length else 1

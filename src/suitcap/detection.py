@@ -9,18 +9,17 @@ and the JSON-lines detection file format.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
+from .errors import ConfigError
 from .geometry import Camera, project_many
 
 __all__ = [
-    "Corner2D",
-    "CodeReading",
     "DetectionFrame",
     "OracleNoiseConfig",
-    "cluster_duplicates",
     "cluster_frame",
     "oracle_detect",
     "write_detections",
@@ -29,37 +28,41 @@ __all__ = [
 
 
 @dataclass
-class Corner2D:
-    """A detected checkerboard-like corner: subpixel position and confidence."""
-
-    position: np.ndarray
-    confidence: float = 1.0
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(2)
-
-
-@dataclass
-class CodeReading:
-    """A recognized two-letter code on an oriented quad of detected corners.
-
-    `quad` holds four indices into the frame's corner list, ordered so that
-    position i corresponds to corner index i_q = i + 1 of the upright code.
-    """
-
-    quad: tuple[int, int, int, int]
-    code: str
-    confidence: float = 1.0
-
-
-@dataclass
 class DetectionFrame:
-    """Per-camera, per-frame 2D corner observations plus code readings."""
+    """One camera's corner detections and code readings at one time step, as arrays.
+
+    `corners` (n, 2) holds subpixel corner positions and `corner_conf` (n,)
+    their confidences. Each code reading is a row of `quads` (r, 4): indices
+    into `corners`, ordered so that column i holds corner i_q = i + 1 of the
+    upright code `codes[r]`, read with confidence `code_conf[r]`.
+    """
 
     frame_index: int
     camera_id: int
-    corners: list[Corner2D] = field(default_factory=list)
-    readings: list[CodeReading] = field(default_factory=list)
+    corners: np.ndarray = ()
+    corner_conf: np.ndarray = ()
+    quads: np.ndarray = ()
+    codes: list[str] = ()
+    code_conf: np.ndarray = ()
+
+    def __post_init__(self):
+        self.corners = np.asarray(self.corners, dtype=float).reshape(-1, 2)
+        self.corner_conf = np.asarray(self.corner_conf, dtype=float).reshape(-1)
+        quads = np.asarray(self.quads)
+        if quads.dtype.kind == "f":
+            bad = quads[np.mod(quads, 1) != 0]  # NaN and inf included
+            if bad.size:
+                raise ValueError(
+                    f"frame {self.frame_index} camera {self.camera_id}: "
+                    f"reading index {bad[0]} is not an integer"
+                )
+        self.quads = quads.astype(int).reshape(-1, 4)
+        self.codes = list(self.codes)
+        self.code_conf = np.asarray(self.code_conf, dtype=float).reshape(-1)
+        if len(self.corner_conf) != len(self.corners) or not (
+            len(self.quads) == len(self.codes) == len(self.code_conf)
+        ):
+            raise ValueError("detection frame arrays differ in length")
 
 
 @dataclass(frozen=True)
@@ -79,62 +82,53 @@ class OracleNoiseConfig:
                 raise ValueError("probabilities must lie in [0, 1]")
 
 
-def cluster_duplicates(corners, radius: float = 3.0):
-    """Suppress near-duplicate corners: within `radius` px, the higher confidence wins.
-
-    Greedy over descending confidence (ties broken by lower list index), so the
-    result is deterministic and idempotent.
-    """
-    survivors, _ = _cluster_with_map(corners, radius)
-    return survivors
-
-
-def _cluster_with_map(corners, radius):
-    n = len(corners)
-    if n == 0:
-        return [], {}
-    conf = np.array([c.confidence for c in corners], dtype=float)
-    pos = np.array([c.position for c in corners], dtype=float).reshape(n, 2)
-    order = np.lexsort((np.arange(n), -conf))
-    cells = pos // radius if radius > 0 else pos
-    r2 = radius * radius
-    grid: dict[tuple, list[int]] = {}
-    kept_idx = []
-    assign = {}
-    for i in order:
-        i = int(i)
-        cx, cy = int(cells[i, 0]), int(cells[i, 1])
-        winner = -1
-        best_d2 = r2
-        for gx in (cx - 1, cx, cx + 1):
-            for gy in (cy - 1, cy, cy + 1):
-                for j in grid.get((gx, gy), ()):
-                    dx = pos[j, 0] - pos[i, 0]
-                    dy = pos[j, 1] - pos[i, 1]
-                    d2 = dx * dx + dy * dy
-                    if d2 < best_d2:
-                        best_d2 = d2
-                        winner = j
-        if winner >= 0:
-            assign[i] = winner
-        else:
-            kept_idx.append(i)
-            assign[i] = i
-            grid.setdefault((cx, cy), []).append(i)
-    kept_idx.sort()
-    remap = {orig: new for new, orig in enumerate(kept_idx)}
-    index_map = {i: remap[assign[i]] for i in range(n)}
-    return [corners[i] for i in kept_idx], index_map
+def _cluster(pos, conf, radius):
+    """Greedy duplicate suppression: the surviving indices, and each corner's
+    survivor as an index into them."""
+    n = len(pos)
+    winner = np.arange(n)
+    if n > 1 and radius != 0:
+        # only corners with a neighbour closer than `radius` can suppress or be suppressed
+        near = cKDTree(pos).query_pairs(abs(radius) * (1 + 1e-9), output_type="ndarray")
+        crowded = np.zeros(n, dtype=bool)
+        crowded[near.ravel()] = True
+        order = np.lexsort((np.arange(n), -conf))
+        cells = pos // radius
+        r2 = radius * radius
+        grid: dict[tuple, list[int]] = {}
+        for i in order[crowded[order]].tolist():
+            cx, cy = int(cells[i, 0]), int(cells[i, 1])
+            best = -1
+            best_d2 = r2
+            for gx in (cx - 1, cx, cx + 1):
+                for gy in (cy - 1, cy, cy + 1):
+                    for j in grid.get((gx, gy), ()):
+                        dx = pos[j, 0] - pos[i, 0]
+                        dy = pos[j, 1] - pos[i, 1]
+                        d2 = dx * dx + dy * dy
+                        if d2 < best_d2:
+                            best_d2 = d2
+                            best = j
+            if best >= 0:
+                winner[i] = best
+            else:
+                grid.setdefault((cx, cy), []).append(i)
+    survives = winner == np.arange(n)
+    return np.flatnonzero(survives), (np.cumsum(survives) - 1)[winner]
 
 
 def cluster_frame(frame: DetectionFrame, radius: float = 3.0) -> DetectionFrame:
-    """Apply duplicate clustering to a frame, remapping reading indices onto survivors."""
-    survivors, index_map = _cluster_with_map(frame.corners, radius)
-    readings = [
-        CodeReading(tuple(index_map[i] for i in r.quad), r.code, r.confidence)
-        for r in frame.readings
-    ]
-    return DetectionFrame(frame.frame_index, frame.camera_id, survivors, readings)
+    """Suppress near-duplicate corners: within `radius` px, the higher confidence wins.
+
+    Greedy over descending confidence (ties broken by lower index), so the
+    result is deterministic and idempotent. Survivors keep their order, and
+    reading indices are remapped onto them.
+    """
+    kept, survivor = _cluster(frame.corners, frame.corner_conf, radius)
+    return DetectionFrame(
+        frame.frame_index, frame.camera_id, frame.corners[kept], frame.corner_conf[kept],
+        survivor[frame.quads], frame.codes, frame.code_conf,
+    )
 
 
 def oracle_detect(
@@ -169,34 +163,32 @@ def oracle_detect(
     visible_corner_ids = np.asarray(visible_corner_ids, dtype=int)
     truth_positions = np.asarray(truth_positions, dtype=float)
 
-    corners: list[Corner2D] = []
-    index_of: dict[int, int] = {}
+    corners = conf = ()
+    index_of = np.full(len(truth_positions), -1)  # corner ID -> detection index
     if len(visible_corner_ids):
         uv, _ = project_many(camera, truth_positions[visible_corner_ids])
         keep = rng.random(len(visible_corner_ids)) >= noise.dropout_prob
         offsets = rng.normal(0.0, 1.0, size=uv.shape) * noise.pixel_sigma
         confs = rng.uniform(0.5, 1.0, size=len(visible_corner_ids))
-        for k, cid in enumerate(visible_corner_ids):
-            if not keep[k]:
-                continue
-            index_of[int(cid)] = len(corners)
-            corners.append(Corner2D(uv[k] + offsets[k], confidence=float(confs[k])))
+        corners = (uv + offsets)[keep]
+        conf = confs[keep]
+        index_of[visible_corner_ids[keep]] = np.arange(len(corners))
 
-    readings: list[CodeReading] = []
+    quads = index_of[np.array([ids for _, ids in visible_quads], dtype=int).reshape(-1, 4)]
+    detected = np.flatnonzero((quads >= 0).all(axis=1))
     codes = layout.codes
-    for code, quad_ids in visible_quads:
-        if any(int(c) not in index_of for c in quad_ids):
-            continue
-        emitted = code
+    emitted = []
+    for q in detected.tolist():
+        code = visible_quads[q][0]
         if noise.mislabel_prob > 0 and rng.random() < noise.mislabel_prob:
             other = int(rng.integers(0, len(codes) - 1))
             if other >= codes.index(code):
                 other += 1
-            emitted = codes[other]
-        readings.append(
-            CodeReading(tuple(index_of[int(c)] for c in quad_ids), emitted, confidence=1.0)
-        )
-    return DetectionFrame(frame_index, camera.id, corners, readings)
+            code = codes[other]
+        emitted.append(code)
+    return DetectionFrame(
+        frame_index, camera.id, corners, conf, quads[detected], emitted, np.ones(len(emitted))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -204,28 +196,28 @@ def oracle_detect(
 
 
 def frame_to_json(frame: DetectionFrame) -> str:
+    corners = zip(frame.corners.tolist(), frame.corner_conf.tolist())
+    readings = zip(frame.quads.tolist(), frame.codes, frame.code_conf.tolist())
     doc = {
         "frame": frame.frame_index,
         "cam": frame.camera_id,
-        "corners": [
-            {"x": float(c.position[0]), "y": float(c.position[1]), "conf": float(c.confidence)}
-            for c in frame.corners
-        ],
-        "readings": [
-            {"idx": list(r.quad), "code": r.code, "conf": float(r.confidence)}
-            for r in frame.readings
-        ],
+        "corners": [{"x": x, "y": y, "conf": c} for (x, y), c in corners],
+        "readings": [{"idx": q, "code": code, "conf": c} for q, code, c in readings],
     }
     return json.dumps(doc)
 
 
 def frame_from_json(line: str) -> DetectionFrame:
     doc = json.loads(line)
+    corners, readings = doc["corners"], doc["readings"]
     return DetectionFrame(
-        frame_index=int(doc["frame"]),
-        camera_id=int(doc["cam"]),
-        corners=[Corner2D((c["x"], c["y"]), confidence=c["conf"]) for c in doc["corners"]],
-        readings=[CodeReading(tuple(r["idx"]), r["code"], r["conf"]) for r in doc["readings"]],
+        int(doc["frame"]),
+        int(doc["cam"]),
+        [(c["x"], c["y"]) for c in corners],
+        [c["conf"] for c in corners],
+        [r["idx"] for r in readings],
+        [r["code"] for r in readings],
+        [r["conf"] for r in readings],
     )
 
 
@@ -236,9 +228,34 @@ def write_detections(frames, path) -> None:
 
 
 def read_detections(path) -> list[DetectionFrame]:
+    """Parse a detection file, rejecting records that would silently change results.
+
+    Raises `ConfigError`, naming the frame, the camera and the bad value, for a
+    reading index outside the frame's corners, a non-finite pixel or
+    confidence, or a repeated (frame, camera) record.
+    """
     frames = []
+    seen = set()
     with open(path, "r", encoding="utf-8") as f:
         for line in f:
-            if line.strip():
-                frames.append(frame_from_json(line))
+            if not line.strip():
+                continue
+            frame = frame_from_json(line)
+            where = f"{path}: frame {frame.frame_index} camera {frame.camera_id}"
+            if (frame.frame_index, frame.camera_id) in seen:
+                raise ConfigError(f"{where}: repeated (frame, camera) record")
+            seen.add((frame.frame_index, frame.camera_id))
+            n = len(frame.corners)
+            bad = frame.quads[(frame.quads < 0) | (frame.quads >= n)]
+            if bad.size:
+                raise ConfigError(f"{where}: reading index {bad[0]} outside [0, {n})")
+            for name, values in (
+                ("pixel", frame.corners),
+                ("corner confidence", frame.corner_conf),
+                ("reading confidence", frame.code_conf),
+            ):
+                bad = values[~np.isfinite(values)]
+                if bad.size:
+                    raise ConfigError(f"{where}: non-finite {name} {bad[0]}")
+            frames.append(frame)
     return frames

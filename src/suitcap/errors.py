@@ -33,10 +33,6 @@ class AlphabetExhausted(LayoutError):
     """Requested more codes than the alphabet can produce."""
 
 
-class ParallelRays(SuitcapError):
-    """All observation rays are within the minimum triangulation angle."""
-
-
 class SingularBlend(SuitcapError):
     """Blended skinning matrix is not invertible for this vertex/pose."""
 

@@ -266,8 +266,16 @@ class CameraArrays:
             any_distortion=bool(np.any(dist != 0.0)),
         )
 
-    def index_of_id(self):
-        return {int(cid): i for i, cid in enumerate(self.ids)}
+    def rows_of(self, camera_ids) -> np.ndarray:
+        """Row of each camera id; ValueError for an id not in the rig."""
+        camera_ids = np.asarray(camera_ids, dtype=int)
+        order = np.argsort(self.ids)
+        at = np.searchsorted(self.ids, camera_ids, sorter=order).clip(max=len(order) - 1)
+        rows = order[at]
+        unknown = self.ids[rows] != camera_ids
+        if unknown.any():
+            raise ValueError(f"camera id {camera_ids[unknown][0]} is not in the rig")
+        return rows
 
 
 def project_cams(arr: CameraArrays, cam_idx, pts):

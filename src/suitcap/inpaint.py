@@ -113,13 +113,11 @@ def unpose_observations(model: SkinnedBodyModel, clouds) -> Constraints:
     targets = []
     skipped = []
     for k, cloud in enumerate(clouds):
-        ids = np.array(
-            sorted(i for i in cloud.points if i < model.n_vertices and not model.never_observed[i]),
-            dtype=int,
-        )
+        ids, pts = cloud.observed(model.n_vertices)
+        constrained = ~model.never_observed[ids]
+        ids, pts = ids[constrained], pts[constrained]
         if len(ids) == 0:
             continue
-        pts = np.array([cloud.points[int(i)].position for i in ids])
         G = joint_transforms(model, model.pose_quats[k], model.root_translations[k])
         try:
             rest_pts = unskin_with_transforms(model, G, ids, pts)

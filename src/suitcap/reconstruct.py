@@ -29,7 +29,6 @@ REASON_RESIDUAL = "HighResidual"
 REASON_TOO_FEW = "TooFewCameras"
 
 __all__ = [
-    "LabeledObservation",
     "DiscardRecord",
     "PointRecord",
     "LabeledPointCloud",
@@ -40,19 +39,6 @@ __all__ = [
     "write_clouds",
     "read_clouds",
 ]
-
-
-@dataclass
-class LabeledObservation:
-    """One corner seen by one camera, with the number of supporting codes."""
-
-    corner_id: int
-    camera_id: int
-    pixel: np.ndarray
-    source: int = 1
-
-    def __post_init__(self):
-        self.pixel = np.asarray(self.pixel, dtype=float).reshape(2)
 
 
 @dataclass(frozen=True)
@@ -77,90 +63,89 @@ class LabeledPointCloud:
     points: dict[int, PointRecord] = field(default_factory=dict)
     discarded: list[DiscardRecord] = field(default_factory=list)
 
+    def observed(self, n_vertices: int | None = None):
+        """Sorted ids of the points below `n_vertices` (all when None), and their (k, 3) positions."""
+        ids = np.sort(np.fromiter(self.points, dtype=int, count=len(self.points)))
+        if n_vertices is not None:
+            ids = ids[ids < n_vertices]
+        positions = np.array([self.points[i].position for i in ids.tolist()], dtype=float)
+        return ids, positions.reshape(-1, 3)
+
 
 def consolidate_labels(frame: DetectionFrame, layout: SuitLayout):
     """Turn code readings into labeled observations, cross-checking shared corners.
 
-    Each reading proposes `label(code, i_q)` for its four corners. Agreement of
-    two readings on a corner raises its source to 2; any disagreement drops the
-    corner from this camera. A corner ID claimed by two distinct detections in
-    the same camera is contradictory and drops both.
+    Each reading of a layout code proposes `label(code, i_q)` for its four
+    detections. A detection proposed two different labels is dropped, with a
+    conflict for each label. A corner ID claimed by two distinct detections in
+    the same camera is contradictory and drops both, with one conflict.
 
     Returns
     -------
-    (observations, conflicts) : (list[LabeledObservation], list[DiscardRecord])
+    (obs, conflicts) : ((k, 2) int array, list[DiscardRecord])
+        One `(corner_id, detection_index)` row per labeled observation, in
+        corner ID order.
     """
-    proposals: dict[int, list[int]] = defaultdict(list)
-    for reading in frame.readings:
-        if reading.code not in layout.quad_table:
-            continue
-        for i_q in (1, 2, 3, 4):
-            proposals[reading.quad[i_q - 1]].append(layout.label(reading.code, i_q))
-
-    conflicts: list[DiscardRecord] = []
-    by_id: dict[int, list[tuple[int, int]]] = defaultdict(list)  # corner_id -> [(det_idx, source)]
-    for det_idx in sorted(proposals):
-        ids = proposals[det_idx]
-        if len(set(ids)) != 1:
-            for cid in sorted(set(ids)):
-                conflicts.append(DiscardRecord(cid, REASON_CONFLICT, frame.camera_id))
-            continue
-        by_id[ids[0]].append((det_idx, min(len(ids), 2)))
-
-    observations = []
-    for cid in sorted(by_id):
-        claims = by_id[cid]
-        if len(claims) != 1:
-            conflicts.append(DiscardRecord(cid, REASON_CONFLICT, frame.camera_id))
-            continue
-        det_idx, source = claims[0]
-        observations.append(
-            LabeledObservation(cid, frame.camera_id, frame.corners[det_idx].position, source)
-        )
-    return observations, conflicts
-
-
-def _group_by_count(per_corner):
-    groups = defaultdict(list)
-    for cid, obs in per_corner.items():
-        groups[len(obs)].append(cid)
-    return {m: sorted(ids) for m, ids in groups.items()}
+    known = [r for r, code in enumerate(frame.codes) if code in layout.quad_table]
+    labels = np.array([layout.quad_table[frame.codes[r]] for r in known], dtype=int)
+    # distinct (detection, label) proposals, in detection then label order
+    proposals = np.unique(np.stack([frame.quads[known].ravel(), labels.ravel()], axis=1), axis=0)
+    _, per_detection, n_labels = np.unique(
+        proposals[:, 0], return_inverse=True, return_counts=True
+    )
+    ambiguous = n_labels[per_detection] > 1
+    claims = proposals[~ambiguous]
+    ids, first, n_claims = np.unique(claims[:, 1], return_index=True, return_counts=True)
+    single = n_claims == 1
+    obs = np.stack([ids[single], claims[first[single], 0]], axis=1)
+    conflicts = [
+        DiscardRecord(cid, REASON_CONFLICT, frame.camera_id)
+        for cid in np.concatenate([proposals[ambiguous, 1], ids[~single]]).tolist()
+    ]
+    return obs, conflicts
 
 
 def filter_mislabels(
-    per_corner: dict[int, list[LabeledObservation]],
+    corner_id,
+    camera_id,
+    pixel,
     rig: CameraRig,
     frame_index: int = 0,
     arr: CameraArrays | None = None,
-    diagnostics: list | None = None,
 ) -> LabeledPointCloud:
     """Pairwise-search mislabel filter with the 1.5 x IQR rule.
 
-    Per corner: reconstruct from every camera pair, keep the pair whose point
-    has the lowest mean reprojection error over all claiming cameras, flag
-    cameras beyond Q3 + 1.5 IQR of those errors as outliers, re-triangulate the
-    survivors, and apply the absolute 1.5 px mean-error test. With exactly two
-    cameras the IQR step is skipped and only the absolute test applies.
+    Takes one frame's labeled observations as flat arrays, sorted by
+    (corner_id, camera_id), with at most one observation per corner and
+    camera. Per corner: reconstruct from every camera pair, keep the pair whose
+    point has the lowest mean reprojection error over all claiming cameras,
+    flag cameras beyond Q3 + 1.5 IQR of those errors as outliers,
+    re-triangulate the survivors, and apply the absolute 1.5 px mean-error
+    test. With exactly two cameras the IQR step is skipped and only the
+    absolute test applies.
     """
     arr = arr or CameraArrays.from_rig(rig)
-    idx_of = arr.index_of_id()
+    corner_id = np.asarray(corner_id, dtype=int)
+    camera_id = np.asarray(camera_id, dtype=int)
+    pixel = np.asarray(pixel, dtype=float).reshape(-1, 2)
+    cam_idx = arr.rows_of(camera_id)
     cloud = LabeledPointCloud(frame_index)
 
-    survivors_batch: list[tuple[int, list[LabeledObservation]]] = []
-
-    for m, corner_ids in sorted(_group_by_count(per_corner).items()):
+    ids, start, count = np.unique(corner_id, return_index=True, return_counts=True)
+    survives = np.ones(len(corner_id), dtype=bool)  # observations that reach the final solve
+    for m in np.unique(count).tolist():
+        corner_ids = ids[count == m]
+        rows = start[count == m][:, None] + np.arange(m)  # (g, m): each corner's block
         if m < 2:
-            for cid in corner_ids:
-                cloud.discarded.append(DiscardRecord(cid, REASON_TOO_FEW))
+            survives[rows] = False
+            cloud.discarded += [DiscardRecord(cid, REASON_TOO_FEW) for cid in corner_ids.tolist()]
             continue
         if m == 2:
-            survivors_batch.extend((cid, sorted(per_corner[cid], key=lambda o: o.camera_id)) for cid in corner_ids)
             continue
 
         g = len(corner_ids)
-        obs_sorted = [sorted(per_corner[cid], key=lambda o: o.camera_id) for cid in corner_ids]
-        cams = np.array([[idx_of[o.camera_id] for o in obs] for obs in obs_sorted])  # (g, m)
-        pix = np.array([[o.pixel for o in obs] for obs in obs_sorted])  # (g, m, 2)
+        cams = cam_idx[rows]
+        pix = pixel[rows]  # (g, m, 2)
 
         pairs = np.array(list(itertools.combinations(range(m), 2)))  # (P, 2) lexicographic
         n_pairs = len(pairs)
@@ -189,62 +174,42 @@ def filter_mislabels(
         # flagging float dust; real mislabels sit orders of magnitude higher
         fence = q3 + 1.5 * (q3 - q1) + 1e-6
         outliers = best_err > fence[:, None]
+        too_few = m - outliers.sum(axis=1) < 2
+        survives[rows[outliers]] = False
+        survives[rows[too_few]] = False
+        cloud.discarded += [
+            DiscardRecord(int(corner_ids[r]), REASON_MISLABEL, int(camera_id[rows[r, c]]))
+            for r, c in np.argwhere(outliers).tolist()
+        ]
+        cloud.discarded += [DiscardRecord(cid, REASON_TOO_FEW) for cid in corner_ids[too_few].tolist()]
 
-        for row, cid in enumerate(corner_ids):
-            surv = [obs_sorted[row][c] for c in range(m) if not outliers[row, c]]
-            for c in range(m):
-                if outliers[row, c]:
-                    cloud.discarded.append(
-                        DiscardRecord(cid, REASON_MISLABEL, obs_sorted[row][c].camera_id)
-                    )
-            if len(surv) < 2:
-                cloud.discarded.append(DiscardRecord(cid, REASON_TOO_FEW))
-                continue
-            survivors_batch.append((cid, surv))
-            if diagnostics is not None:
-                diagnostics.append(
-                    {
-                        "corner": cid,
-                        "mean_err_best_pair": float(err_sum[row, best[row]] / m),
-                        "n_outliers": int(outliers[row].sum()),
-                    }
-                )
-
-    if not survivors_batch:
+    if not survives.any():
         return cloud
 
-    survivors_batch.sort(key=lambda t: t[0])
-    point_index = []
-    cam_idx = []
-    pixels = []
-    for i, (_, obs) in enumerate(survivors_batch):
-        for o in obs:
-            point_index.append(i)
-            cam_idx.append(idx_of[o.camera_id])
-            pixels.append(o.pixel)
-    res = triangulate_points(
-        arr, np.array(point_index), np.array(cam_idx), np.array(pixels), len(survivors_batch)
+    batch = np.flatnonzero(survives)
+    point_ids, first, point_index = np.unique(
+        corner_id[batch], return_index=True, return_inverse=True
     )
+    res = triangulate_points(arr, point_index, cam_idx[batch], pixel[batch], len(point_ids))
 
-    bounds = np.cumsum([0] + [len(obs) for _, obs in survivors_batch])
-    for i, (cid, obs) in enumerate(survivors_batch):
+    bounds = np.append(first, len(batch)).tolist()
+    cameras = camera_id[batch].tolist()
+    obs_errors = res.obs_errors.tolist()
+    for i, cid in enumerate(point_ids.tolist()):
         mean_err = float(res.mean_error[i])
-        if diagnostics is not None:
-            for d in diagnostics:
-                if d.get("corner") == cid and "mean_err_final" not in d:
-                    d["mean_err_final"] = mean_err
         if res.parallel[i]:
             cloud.discarded.append(DiscardRecord(cid, REASON_TOO_FEW))
             continue
         if mean_err > MAX_MEAN_REPROJECTION:
             cloud.discarded.append(DiscardRecord(cid, REASON_RESIDUAL))
             continue
+        b0, b1 = bounds[i], bounds[i + 1]
         cloud.points[cid] = PointRecord(
             position=res.points[i],
-            cameras=tuple(o.camera_id for o in obs),
+            cameras=tuple(cameras[b0:b1]),
             mean_reproj_err=mean_err,
             converged=bool(res.converged[i]),
-            per_camera_err=tuple(float(e) for e in res.obs_errors[bounds[i] : bounds[i + 1]]),
+            per_camera_err=tuple(obs_errors[b0:b1]),
         )
     return cloud
 
@@ -260,16 +225,20 @@ def reconstruct_frame(
     if not frames:
         raise ValueError("no detection frames supplied")
     frame_index = frames[0].frame_index
-    per_corner: dict[int, list[LabeledObservation]] = defaultdict(list)
+    corner_id, camera_id, pixel = [], [], []
     conflicts: list[DiscardRecord] = []
-    for f in sorted(frames, key=lambda f: f.camera_id):
+    for f in frames:
         if f.frame_index != frame_index:
             raise ValueError("reconstruct_frame expects a single time step")
-        obs, conf = consolidate_labels(cluster_frame(f, cluster_radius), layout)
+        f = cluster_frame(f, cluster_radius)
+        obs, conf = consolidate_labels(f, layout)
         conflicts.extend(conf)
-        for o in obs:
-            per_corner[o.corner_id].append(o)
-    cloud = filter_mislabels(dict(per_corner), rig, frame_index, arr=arr)
+        corner_id.append(obs[:, 0])
+        camera_id.append(np.full(len(obs), f.camera_id))
+        pixel.append(f.corners[obs[:, 1]])
+    corner_id, camera_id, pixel = (np.concatenate(a) for a in (corner_id, camera_id, pixel))
+    order = np.lexsort((camera_id, corner_id))
+    cloud = filter_mislabels(corner_id[order], camera_id[order], pixel[order], rig, frame_index, arr=arr)
     cloud.discarded = sorted(
         conflicts + cloud.discarded,
         key=lambda d: (d.corner_id, d.reason, -1 if d.camera_id is None else d.camera_id),

@@ -353,9 +353,7 @@ def _fit_joints(model, frames_obs, lambda_j, joints0, total_obs, iterations):
 def _prepare_frames(model, clouds):
     frames_obs = []
     for k, cloud in enumerate(clouds):
-        ids = np.array(sorted(cloud.points), dtype=int)
-        ids = ids[ids < model.n_vertices]
-        pts = np.array([cloud.points[int(i)].position for i in ids], dtype=float).reshape(-1, 3)
+        ids, pts = cloud.observed(model.n_vertices)
         q = model.pose_quats[k] if k < model.n_frames else model.identity_pose()[0]
         t = model.root_translations[k] if k < model.n_frames else np.zeros(3)
         frames_obs.append([ids, pts, q.copy(), t.copy()])
@@ -497,8 +495,7 @@ def fit_poses(model: SkinnedBodyModel, clouds, iterations: int = 20):
     sse = 0.0
     q0, t0 = model.identity_pose()
     for cloud in clouds:
-        ids = np.array(sorted(i for i in cloud.points if i < model.n_vertices), dtype=int)
-        pts = np.array([cloud.points[int(i)].position for i in ids], dtype=float).reshape(-1, 3)
+        ids, pts = cloud.observed(model.n_vertices)
         q, t, c = _fit_pose_frame(model, q0, t0, ids, pts, iterations)
         quats.append(q)
         roots.append(t)
@@ -509,5 +506,5 @@ def fit_poses(model: SkinnedBodyModel, clouds, iterations: int = 20):
 def fitting_rms(model: SkinnedBodyModel, clouds, iterations: int = 20) -> float:
     """Held-out fitting error: RMS distance after pose-only fits (shape frozen)."""
     _, _, sse = fit_poses(model, clouds, iterations)
-    n = sum(len([i for i in c.points if i < model.n_vertices]) for c in clouds)
+    n = sum(len(c.observed(model.n_vertices)[0]) for c in clouds)
     return float(np.sqrt(sse / max(n, 1)))

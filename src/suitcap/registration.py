@@ -223,8 +223,7 @@ def register_icp(
     targets = np.array([cloud.points[i].position for i in seed_ids])
     params = _fit_params(fit, np.zeros(fit.n_params()), tris, bary, targets)
 
-    obs_ids = np.array(sorted(cloud.points), dtype=int)
-    obs_pts = np.array([cloud.points[int(i)].position for i in obs_ids])
+    obs_ids, obs_pts = cloud.observed()
 
     correspondences: dict[int, tuple[int, np.ndarray]] = {}
     mean_residuals: list[float] = []
@@ -250,21 +249,18 @@ def register_icp(
 
     # register corners revealed by subsequent frames (pose-only refits)
     for extra in extra_clouds:
-        new_ids = sorted(i for i in extra.points if i not in correspondences)
-        if not new_ids:
+        ids, pts = extra.observed()
+        new = np.array([i not in correspondences for i in ids.tolist()], dtype=bool)
+        if not new.any() or np.count_nonzero(~new) < 10:
             continue
-        known = sorted(i for i in extra.points if i in correspondences)
-        if len(known) < 10:
-            continue
+        known = ids[~new].tolist()
         k_tris = np.array([correspondences[i][0] for i in known], dtype=int)
         k_bary = np.array([correspondences[i][1] for i in known], dtype=float)
-        k_targets = np.array([extra.points[i].position for i in known])
-        frame_params = _fit_params(fit, params, k_tris, k_bary, k_targets)
+        frame_params = _fit_params(fit, params, k_tris, k_bary, pts[~new])
         deformed = fit.deform(frame_params)
-        pts = np.array([extra.points[i].position for i in new_ids])
-        tri_n, bary_n, _ = _closest_on_surface(pts, deformed, template.triangles)
-        for i, cid in enumerate(new_ids):
-            correspondences[int(cid)] = (int(tri_n[i]), bary_n[i])
+        tri_n, bary_n, _ = _closest_on_surface(pts[new], deformed, template.triangles)
+        for i, cid in enumerate(ids[new].tolist()):
+            correspondences[cid] = (int(tri_n[i]), bary_n[i])
 
     model, registered = _build_model(fit, params, correspondences, template, layout)
     return RegistrationResult(model, correspondences, mean_residuals, registered)

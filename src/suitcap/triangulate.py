@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParallelRays
-from .geometry import CameraArrays, CameraRig, distort_normalized, project_cams, undistort_normalized
+from .geometry import CameraArrays, distort_normalized, project_cams, undistort_normalized
 
 GRADIENT_TOL = 1e-10
 MAX_ITERATIONS = 100
 MIN_RAY_ANGLE_DEG = 0.1
 
-__all__ = ["TriangulationResult", "triangulate_points", "triangulate"]
+__all__ = ["TriangulationResult", "triangulate_points"]
 
 
 def project_jacobian(arr: CameraArrays, cam_idx, pts):
@@ -213,37 +212,3 @@ def triangulate_points(arr: CameraArrays, point_index, cam_idx, pixels, n_points
     mean_err /= np.maximum(counts, 1)
     converged[parallel] = False
     return TriangulationResult(p, converged, parallel, obs_err, mean_err)
-
-
-def triangulate(observations, rig: CameraRig):
-    """Triangulate one corner from >= 2 labeled observations.
-
-    Parameters
-    ----------
-    observations : iterable of (camera_id, pixel)
-        Distinct cameras observing the same corner.
-
-    Returns
-    -------
-    (point, residuals, converged) : ((3,) array, dict cam_id -> pixel error, bool)
-
-    Raises
-    ------
-    ValueError
-        Fewer than two distinct cameras.
-    ParallelRays
-        All rays within the minimum triangulation angle.
-    """
-    obs = [(int(c), np.asarray(px, dtype=float).reshape(2)) for c, px in observations]
-    if len({c for c, _ in obs}) < 2:
-        raise ValueError("triangulation needs observations from >= 2 distinct cameras")
-    arr = CameraArrays.from_rig(rig)
-    idx = arr.index_of_id()
-    cam_idx = np.array([idx[c] for c, _ in obs])
-    pixels = np.array([px for _, px in obs])
-    point_index = np.zeros(len(obs), dtype=int)
-    res = triangulate_points(arr, point_index, cam_idx, pixels, 1)
-    if res.parallel[0]:
-        raise ParallelRays("observation rays are within the minimum triangulation angle")
-    residuals = {c: float(e) for (c, _), e in zip(obs, res.obs_errors)}
-    return res.points[0], residuals, bool(res.converged[0])

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
 import time
-from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -27,25 +26,19 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     conftest.ACCEPTANCE_LINES.append(line)
 
 
-def detect_sequence(scene, n_frames, noise, attach_truth=False):
+def detect_sequence(scene, n_frames, noise):
     frames = []
-    truth_ids = {}
     for k in range(n_frames):
         pos = scene.positions(k)
         vis = sim.compute_visibility(scene, k, positions=pos)
         for cam in scene.rig:
-            f = det.oracle_detect(
-                k, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
-                scene.layout, noise,
+            frames.append(
+                det.oracle_detect(
+                    k, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
+                    scene.layout, noise,
+                )
             )
-            frames.append(f)
-            if attach_truth:
-                # detections are emitted in visibility order (no dropout here)
-                truth_ids[(k, cam.id)] = {
-                    tuple(c.position): int(t)
-                    for c, t in zip(f.corners, vis.visible_corners[cam.id])
-                }
-    return (frames, truth_ids) if attach_truth else frames
+    return frames
 
 
 def labeled_camera_counts(scene, k):
@@ -158,35 +151,37 @@ def test_criterion_3_mislabel_filter():
     for k in range(n_frames):
         pos = scene.positions(k)
         vis = sim.compute_visibility(scene, k, positions=pos)
-        per_corner = defaultdict(list)
-        truth_of = {}
+        corner_id, camera_id, pixel, truthful = [], [], [], []
         for cam in scene.rig:
             f = det.oracle_detect(
                 k, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
                 scene.layout, noise,
             )
-            pix2tid = {
-                tuple(c.position): int(t) for c, t in zip(f.corners, vis.visible_corners[cam.id])
-            }
-            obs, _ = rec.consolidate_labels(det.cluster_frame(f), scene.layout)
-            for o in obs:
-                truth_of[(o.corner_id, o.camera_id)] = pix2tid[tuple(o.pixel)] == o.corner_id
-                per_corner[o.corner_id].append(o)
+            pix2tid = {tuple(p): int(t) for p, t in zip(f.corners.tolist(), vis.visible_corners[cam.id])}
+            f = det.cluster_frame(f)
+            obs, _ = rec.consolidate_labels(f, scene.layout)
+            corner_id += obs[:, 0].tolist()
+            camera_id += [cam.id] * len(obs)
+            pixel += f.corners[obs[:, 1]].tolist()
+            truthful += [pix2tid[tuple(p)] == cid for p, cid in zip(f.corners[obs[:, 1]].tolist(), obs[:, 0])]
+        order = np.lexsort((camera_id, corner_id))
+        corner_id, camera_id = np.array(corner_id)[order], np.array(camera_id)[order]
+        pixel, truthful = np.array(pixel)[order], np.array(truthful)[order]
         t0 = time.perf_counter()
-        cloud = rec.filter_mislabels(dict(per_corner), scene.rig, k)
+        cloud = rec.filter_mislabels(corner_id, camera_id, pixel, scene.rig, k)
         filter_seconds += time.perf_counter() - t0
-        for cid, obs_list in per_corner.items():
+        claims = dict(zip(*np.unique(corner_id, return_counts=True)))
+        for cid, cam_id, ok_label in zip(corner_id.tolist(), camera_id.tolist(), truthful):
             emitted = cloud.points.get(cid)
-            in_domain = len(obs_list) >= 2  # the filter's stated precondition
-            for o in obs_list:
-                survived = emitted is not None and o.camera_id in emitted.cameras
-                if truth_of[(o.corner_id, o.camera_id)]:
-                    if in_domain:
-                        n_correct += 1
-                        correct_removed += not survived
-                else:
-                    n_wrong += 1
-                    wrong_removed += not survived
+            in_domain = claims[cid] >= 2  # the filter's stated precondition
+            survived = emitted is not None and cam_id in emitted.cameras
+            if ok_label:
+                if in_domain:
+                    n_correct += 1
+                    correct_removed += not survived
+            else:
+                n_wrong += 1
+                wrong_removed += not survived
 
     removal_rate = wrong_removed / max(n_wrong, 1)
     false_rate = correct_removed / max(n_correct, 1)

@@ -53,8 +53,8 @@ def test_simulate_deterministic_bytes(tmp_path):
 def test_simulate_dropout_one_gives_empty_corner_lists(tmp_path):
     run_simulate(tmp_path, extra=("--set", "noise.dropout_prob=1.0"))
     for frame in read_detections(tmp_path / "detections.jsonl"):
-        assert frame.corners == []
-        assert frame.readings == []
+        assert len(frame.corners) == 0
+        assert frame.codes == []
 
 
 def test_mocap_seed_env_overrides_config(tmp_path, monkeypatch):
@@ -118,6 +118,56 @@ def test_reconstruct_bad_calibration_exits_4(tmp_path):
     run_simulate(tmp_path, frames=1)
     (tmp_path / "calibration.json").write_text("not json at all")
     assert main(["reconstruct", "--set", f"paths.output_dir={tmp_path}"]) == 4
+
+
+def reconstruct_edited(tmp_path, capsys, edit):
+    """Simulate one frame, let `edit(first_record, lines)` change the detection
+    file's lines, and reconstruct; returns the exit code and stderr."""
+    run_simulate(tmp_path, frames=1)
+    path = tmp_path / "detections.jsonl"
+    lines = path.read_text().splitlines()
+    first = json.loads(lines[0])
+    assert first["corners"] and first["readings"]
+    edit(first, lines)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    return main(["reconstruct", "--set", f"paths.output_dir={tmp_path}"]), capsys.readouterr().err
+
+
+def test_reconstruct_rejects_reading_index_out_of_range(tmp_path, capsys):
+    def edit(doc, lines):
+        doc["readings"][0]["idx"][2] = -1  # an array index would wrap to the last corner
+        lines[0] = json.dumps(doc)
+
+    rc, err = reconstruct_edited(tmp_path, capsys, edit)
+    assert rc == 2
+    assert "frame 0 camera 0: reading index -1 outside [0, " in err
+
+
+def test_reconstruct_rejects_non_finite_pixel(tmp_path, capsys):
+    def edit(doc, lines):
+        doc["corners"][3]["y"] = float("nan")
+        lines[0] = json.dumps(doc)
+
+    rc, err = reconstruct_edited(tmp_path, capsys, edit)
+    assert rc == 2
+    assert "frame 0 camera 0: non-finite pixel nan" in err
+
+
+def test_reconstruct_rejects_repeated_frame_camera_record(tmp_path, capsys):
+    rc, err = reconstruct_edited(tmp_path, capsys, lambda doc, lines: lines.append(lines[0]))
+    assert rc == 2
+    assert "frame 0 camera 0: repeated (frame, camera) record" in err
+
+
+def test_reconstruct_rejects_camera_missing_from_calibration(tmp_path, capsys):
+    def edit(doc, lines):
+        doc["cam"] = 999
+        lines[0] = json.dumps(doc)
+
+    rc, err = reconstruct_edited(tmp_path, capsys, edit)
+    assert rc == 2
+    assert "frame 0 camera 999: camera id 999 is not in the calibration" in err
 
 
 def test_reconstruct_deterministic_bytes(tmp_path):

@@ -1,12 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from suitcap.detection import (
-    CodeReading,
-    Corner2D,
     DetectionFrame,
     OracleNoiseConfig,
-    cluster_duplicates,
     cluster_frame,
     frame_from_json,
     frame_to_json,
@@ -17,62 +16,62 @@ from suitcap.detection import (
 from suitcap.simulator import compute_visibility, tube_scene
 
 
+def cluster(corners, conf, radius=3.0):
+    return cluster_frame(DetectionFrame(0, 0, corners, conf), radius)
+
+
 def test_cluster_keeps_higher_confidence():
-    corners = [Corner2D((10.0, 10.0), 0.9), Corner2D((10.7, 10.7), 0.4)]
-    out = cluster_duplicates(corners, radius=3.0)
-    assert len(out) == 1
-    assert out[0].confidence == 0.9
+    out = cluster([(10.0, 10.0), (10.7, 10.7)], [0.9, 0.4])
+    assert out.corner_conf.tolist() == [0.9]
 
 
 def test_cluster_keeps_distant_corners():
-    corners = [Corner2D((10.0, 10.0), 0.9), Corner2D((20.0, 10.0), 0.4)]
-    assert len(cluster_duplicates(corners, radius=3.0)) == 2
+    assert len(cluster([(10.0, 10.0), (20.0, 10.0)], [0.9, 0.4]).corners) == 2
 
 
 def test_cluster_tie_break_lower_index():
-    corners = [Corner2D((10.0, 10.0), 0.5), Corner2D((11.0, 10.0), 0.5)]
-    out = cluster_duplicates(corners, radius=3.0)
-    assert len(out) == 1
-    assert np.array_equal(out[0].position, np.array([10.0, 10.0]))
+    out = cluster([(10.0, 10.0), (11.0, 10.0)], [0.5, 0.5])
+    assert out.corners.tolist() == [[10.0, 10.0]]
 
 
-def _greedy_oracle(corners, radius):
-    """Independent O(n^2) greedy suppression over descending confidence."""
-    order = sorted(range(len(corners)), key=lambda i: (-corners[i].confidence, i))
+def _greedy_oracle(pos, conf, radius):
+    """Independent O(n^2) greedy suppression over descending confidence: the kept
+    indices, and each corner's nearest earlier-kept corner (itself when kept)."""
+    order = sorted(range(len(pos)), key=lambda i: (-conf[i], i))
     kept = []
+    winner = list(range(len(pos)))
     for i in order:
-        p = corners[i].position
-        if all(np.linalg.norm(p - corners[j].position) >= radius for j in kept):
+        d = [np.linalg.norm(pos[i] - pos[j]) for j in kept]
+        if all(x >= radius for x in d):
             kept.append(i)
-    return sorted(kept)
+        else:
+            winner[i] = kept[int(np.argmin(d))]
+    return sorted(kept), np.array(winner, dtype=int)
 
 
 def test_cluster_matches_greedy_oracle(rng):
     for _ in range(1000):
         n = int(rng.integers(0, 28))
-        corners = [
-            Corner2D(rng.uniform(0, 40, 2), float(rng.uniform(0, 1))) for _ in range(n)
-        ]
-        out = cluster_duplicates(corners, radius=3.0)
-        expected = [corners[i] for i in _greedy_oracle(corners, 3.0)]
-        assert len(out) == len(expected)
-        for a, b in zip(out, expected):
-            assert a is b
+        pos = rng.uniform(0, 40, (n, 2))
+        conf = rng.uniform(0, 1, n)
+        # readings over every corner, so the remap of each one is checked
+        quads = np.resize(np.arange(n), 4 * ((n + 3) // 4)).reshape(-1, 4)
+        out = cluster_frame(DetectionFrame(0, 0, pos, conf, quads, ["AA"] * len(quads), np.ones(len(quads))))
+        kept, winner = _greedy_oracle(pos, conf, 3.0)
+        assert np.array_equal(out.corners, pos[kept])
+        assert np.array_equal(out.corner_conf, conf[kept])
+        assert np.array_equal(out.quads, np.searchsorted(kept, winner)[quads])
 
 
 def test_cluster_idempotent(rng):
-    corners = [Corner2D(rng.uniform(0, 30, 2), float(rng.uniform(0, 1))) for _ in range(40)]
-    once = cluster_duplicates(corners, radius=3.0)
-    twice = cluster_duplicates(once, radius=3.0)
-    assert len(once) == len(twice)
-    for a, b in zip(once, twice):
-        assert a is b
+    once = cluster(rng.uniform(0, 30, (40, 2)), rng.uniform(0, 1, 40))
+    twice = cluster_frame(once, 3.0)
+    assert np.array_equal(once.corners, twice.corners)
+    assert np.array_equal(once.corner_conf, twice.corner_conf)
 
 
 def test_cluster_no_survivors_within_radius(rng):
-    corners = [Corner2D(rng.uniform(0, 25, 2), float(rng.uniform(0, 1))) for _ in range(60)]
-    out = cluster_duplicates(corners, radius=3.0)
-    pos = np.array([c.position for c in out])
+    pos = cluster(rng.uniform(0, 25, (60, 2)), rng.uniform(0, 1, 60)).corners
     d = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
     np.fill_diagonal(d, np.inf)
     assert d.min() >= 3.0
@@ -80,16 +79,16 @@ def test_cluster_no_survivors_within_radius(rng):
 
 def test_cluster_frame_remaps_readings():
     corners = [
-        Corner2D((10.0, 10.0), 0.9),
-        Corner2D((11.0, 10.0), 0.3),  # duplicate of corner 0
-        Corner2D((50.0, 10.0), 0.8),
-        Corner2D((50.0, 50.0), 0.8),
-        Corner2D((10.0, 50.0), 0.8),
+        (10.0, 10.0),
+        (11.0, 10.0),  # duplicate of corner 0
+        (50.0, 10.0),
+        (50.0, 50.0),
+        (10.0, 50.0),
     ]
-    frame = DetectionFrame(0, 0, corners, [CodeReading((1, 2, 3, 4), "AA", 1.0)])
+    frame = DetectionFrame(0, 0, corners, [0.9, 0.3, 0.8, 0.8, 0.8], [(1, 2, 3, 4)], ["AA"], [1.0])
     out = cluster_frame(frame, radius=3.0)
     assert len(out.corners) == 4
-    assert out.readings[0].quad == (0, 1, 2, 3)
+    assert out.quads.tolist() == [[0, 1, 2, 3]]
 
 
 def _tiny_scene():
@@ -110,11 +109,9 @@ def test_oracle_noiseless_matches_projections():
     ids = vis.visible_corners[cam.id]
     assert len(frame.corners) == len(ids)
     for k, cid in enumerate(ids):
-        assert np.array_equal(frame.corners[k].position, project(cam, pos[cid]))
-    assert len(frame.readings) == len(vis.visible_quads[cam.id])
+        assert np.array_equal(frame.corners[k], project(cam, pos[cid]))
     # with zero mislabel probability every reading carries the true code
-    for reading, (code, _) in zip(frame.readings, vis.visible_quads[cam.id]):
-        assert reading.code == code
+    assert frame.codes == [code for code, _ in vis.visible_quads[cam.id]]
 
 
 def test_oracle_labels_match_ground_truth_ids():
@@ -126,12 +123,10 @@ def test_oracle_labels_match_ground_truth_ids():
         0, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
         scene.layout, OracleNoiseConfig(seed=3),
     )
-    id_by_index = {}
-    for cid, k in zip(vis.visible_corners[cam.id], range(len(frame.corners))):
-        id_by_index[k] = int(cid)
-    for reading in frame.readings:
+    id_of_detection = np.asarray(vis.visible_corners[cam.id])
+    for quad, code in zip(frame.quads, frame.codes):
         for i_q in (1, 2, 3, 4):
-            assert scene.layout.label(reading.code, i_q) == id_by_index[reading.quad[i_q - 1]]
+            assert scene.layout.label(code, i_q) == id_of_detection[quad[i_q - 1]]
 
 
 def test_oracle_dropout_one_empties_frame():
@@ -143,8 +138,8 @@ def test_oracle_dropout_one_empties_frame():
         0, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
         scene.layout, OracleNoiseConfig(dropout_prob=1.0, seed=3),
     )
-    assert frame.corners == []
-    assert frame.readings == []
+    assert frame.corners.shape == (0, 2) and frame.corner_conf.shape == (0,)
+    assert frame.quads.shape == (0, 4) and frame.codes == []
 
 
 def test_oracle_noise_standard_deviation():
@@ -163,8 +158,7 @@ def test_oracle_noise_standard_deviation():
             scene.layout, noise,
         )
         uv, _ = project_many(cam, pos[vis.visible_corners[cam.id]])
-        for c, true_uv in zip(frame.corners, uv):
-            deltas.append(c.position - true_uv)
+        deltas.extend(frame.corners - uv)
         k += 1
     deltas = np.array(deltas[:10000])
     assert 0.49 < deltas[:, 0].std() < 0.51
@@ -180,12 +174,12 @@ def test_oracle_mislabel_emits_valid_different_code():
         0, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
         scene.layout, OracleNoiseConfig(mislabel_prob=1.0, seed=5),
     )
-    assert frame.readings
-    for reading in frame.readings:
-        assert reading.code in scene.layout.quad_table
+    assert frame.codes
+    for code in frame.codes:
+        assert code in scene.layout.quad_table
     # with mislabel probability 1 every reading differs from the truth
     codes_true = [c for c, _ in vis.visible_quads[cam.id]]
-    assert all(r.code != c for r, c in zip(frame.readings, codes_true))
+    assert all(c != t for c, t in zip(frame.codes, codes_true))
 
 
 def test_oracle_deterministic():
@@ -209,9 +203,8 @@ def test_noise_config_validation():
 def test_detection_file_roundtrip(tmp_path, rng):
     frames = []
     for k in range(3):
-        corners = [Corner2D(rng.uniform(0, 4000, 2), float(rng.uniform(0, 1))) for _ in range(7)]
-        readings = [CodeReading((0, 1, 2, 3), "A7", float(rng.uniform(0, 1)))]
-        frames.append(DetectionFrame(k, 2, corners, readings))
+        corners = rng.uniform(0, 4000, (7, 2))
+        frames.append(DetectionFrame(k, 2, corners, rng.uniform(0, 1, 7), [(0, 1, 2, 3)], ["A7"], [rng.uniform(0, 1)]))
     path = tmp_path / "det.jsonl"
     write_detections(frames, path)
     back = read_detections(path)
@@ -219,16 +212,31 @@ def test_detection_file_roundtrip(tmp_path, rng):
     for a, b in zip(frames, back):
         assert frame_to_json(a) == frame_to_json(b)
         assert a.frame_index == b.frame_index and a.camera_id == b.camera_id
-        for ca, cb in zip(a.corners, b.corners):
-            # confidences and positions survive verbatim (bit-exact)
-            assert ca.position[0] == cb.position[0] and ca.position[1] == cb.position[1]
-            assert ca.confidence == cb.confidence
+        # confidences and positions survive verbatim (bit-exact)
+        assert np.array_equal(a.corners, b.corners)
+        assert np.array_equal(a.corner_conf, b.corner_conf)
+        assert np.array_equal(a.quads, b.quads) and a.codes == b.codes
+        assert np.array_equal(a.code_conf, b.code_conf)
 
 
 def test_roundtrip_via_json_is_stable():
     frame = DetectionFrame(
-        5, 1, [Corner2D((1.2345678901234567, 2.1), 0.123456789123456789)],
-        [CodeReading((0, 0, 0, 0), "1A", 0.5)],
+        5, 1, [(1.2345678901234567, 2.1)], [0.123456789123456789], [(0, 0, 0, 0)], ["1A"], [0.5]
     )
     line = frame_to_json(frame)
     assert frame_to_json(frame_from_json(line)) == line
+
+
+def test_fractional_reading_index_rejected():
+    line = json.dumps(
+        {
+            "frame": 4,
+            "cam": 2,
+            "corners": [{"x": float(i), "y": 0.0, "conf": 1.0} for i in range(4)],
+            "readings": [{"idx": [0, 1.5, 2, 3], "code": "AA", "conf": 1.0}],
+        }
+    )
+    with pytest.raises(ValueError, match="frame 4 camera 2: reading index 1.5 is not an integer"):
+        frame_from_json(line)
+    # an integral float is the same index
+    assert frame_from_json(line.replace("1.5", "1.0")).quads.tolist() == [[0, 1, 2, 3]]

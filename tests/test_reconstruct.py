@@ -1,9 +1,12 @@
+import hashlib
+import itertools
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
-from suitcap.detection import CodeReading, Corner2D, DetectionFrame, OracleNoiseConfig, oracle_detect
-from suitcap.errors import ParallelRays
-from suitcap.geometry import project
+from suitcap.detection import DetectionFrame, OracleNoiseConfig, oracle_detect
+from suitcap.geometry import CameraArrays, project
 from suitcap.layout import SuitLayout
 from suitcap.reconstruct import (
     REASON_CONFLICT,
@@ -11,7 +14,6 @@ from suitcap.reconstruct import (
     REASON_RESIDUAL,
     REASON_TOO_FEW,
     DiscardRecord,
-    LabeledObservation,
     LabeledPointCloud,
     PointRecord,
     cloud_from_json,
@@ -19,11 +21,12 @@ from suitcap.reconstruct import (
     consolidate_labels,
     filter_mislabels,
     read_clouds,
+    reconstruct_frame,
     reconstruct_sequence,
     write_clouds,
 )
 from suitcap.simulator import compute_visibility, tube_scene
-from suitcap.triangulate import triangulate
+from suitcap.triangulate import project_cams, triangulate_points
 
 def square_layout():
     # two horizontally adjacent coded quads sharing corners 1 and 4
@@ -34,43 +37,70 @@ def square_layout():
     )
 
 
-def make_frame(readings, corners, cam=0, frame=0):
-    return DetectionFrame(frame, cam, corners, readings)
+def make_frame(quads, codes, n_corners=6, cam=0, frame=0):
+    corners = [(10.0 * i, 5.0) for i in range(n_corners)]
+    return DetectionFrame(frame, cam, corners, np.ones(n_corners), quads, codes, np.ones(len(codes)))
 
 
-def test_consolidate_agreeing_readings_give_source_two():
+def test_consolidate_agreeing_readings_label_shared_corners():
     layout = square_layout()
-    corners = [Corner2D((10.0 * i, 5.0)) for i in range(6)]
-    frame = make_frame(
-        [CodeReading((0, 1, 4, 3), "AA", 1.0), CodeReading((1, 2, 5, 4), "AB", 1.0)],
-        corners,
-    )
+    frame = make_frame([(0, 1, 4, 3), (1, 2, 5, 4)], ["AA", "AB"])
     obs, conflicts = consolidate_labels(frame, layout)
     assert not conflicts
-    by_id = {o.corner_id: o for o in obs}
-    assert set(by_id) == {0, 1, 2, 3, 4, 5}
-    assert by_id[1].source == 2 and by_id[4].source == 2
-    assert by_id[0].source == 1 and by_id[2].source == 1
+    # (corner_id, detection_index) rows in corner order; detections 1 and 4
+    # are shared by both readings, which agree on their labels
+    assert obs.tolist() == [[i, i] for i in range(6)]
 
 
 def test_consolidate_disagreement_drops_corner():
     layout = square_layout()
-    corners = [Corner2D((10.0 * i, 5.0)) for i in range(6)]
     # second reading claims the wrong code, so the shared detections disagree
-    frame = make_frame(
-        [CodeReading((0, 1, 4, 3), "AA", 1.0), CodeReading((1, 2, 5, 4), "AA", 1.0)],
-        corners,
-    )
+    frame = make_frame([(0, 1, 4, 3), (1, 2, 5, 4)], ["AA", "AA"])
     obs, conflicts = consolidate_labels(frame, layout)
     assert conflicts
-    assert any(c.reason == REASON_CONFLICT for c in conflicts)
+    assert all(c.reason == REASON_CONFLICT and c.camera_id == 0 for c in conflicts)
     # detections 1 and 4 (shared between the quads) received contradictory
     # labels and were dropped; the mislabeled quad's other detections survive
     # with wrong-but-consistent labels (the downstream filter's job)
-    by_detection = {tuple(o.pixel): o.corner_id for o in obs}
-    assert tuple(corners[1].position) not in by_detection
-    assert tuple(corners[4].position) not in by_detection
-    assert {o.corner_id for o in obs} == {0, 1, 3, 4}
+    assert 1 not in obs[:, 1] and 4 not in obs[:, 1]
+    assert obs[:, 0].tolist() == [0, 1, 3, 4]
+
+
+def _consolidate_reference(frame, layout):
+    """The per-detection loop that `consolidate_labels` vectorizes."""
+    proposals = defaultdict(list)
+    for quad, code in zip(frame.quads.tolist(), frame.codes):
+        if code in layout.quad_table:
+            for i_q in (1, 2, 3, 4):
+                proposals[quad[i_q - 1]].append(layout.label(code, i_q))
+    conflicts, by_id = [], defaultdict(list)
+    for det in sorted(proposals):
+        ids = sorted(set(proposals[det]))
+        if len(ids) != 1:
+            conflicts += ids
+            continue
+        by_id[ids[0]].append(det)
+    obs = []
+    for cid in sorted(by_id):
+        if len(by_id[cid]) != 1:
+            conflicts.append(cid)
+        else:
+            obs.append([cid, by_id[cid][0]])
+    return obs, conflicts
+
+
+def test_consolidate_matches_loop_reference(rng):
+    layout = square_layout()
+    codes = ["AA", "AB", "ZZ"]  # ZZ is not in the layout
+    for _ in range(500):
+        r = int(rng.integers(0, 5))
+        quads = rng.integers(0, 6, (r, 4))
+        frame = make_frame(quads, [codes[i] for i in rng.integers(0, 3, r)])
+        obs, conflicts = consolidate_labels(frame, layout)
+        ref_obs, ref_conflicts = _consolidate_reference(frame, layout)
+        assert obs.tolist() == ref_obs
+        assert [c.corner_id for c in conflicts] == ref_conflicts
+        assert all(c.reason == REASON_CONFLICT and c.camera_id == 0 for c in conflicts)
 
 
 def test_consolidate_noiseless_oracle_matches_truth():
@@ -84,29 +114,36 @@ def test_consolidate_noiseless_oracle_matches_truth():
     )
     obs, conflicts = consolidate_labels(frame, scene.layout)
     assert not conflicts
-    for o in obs:
-        assert np.abs(o.pixel - project(cam, pos[o.corner_id])).max() < 1e-12
+    assert len(obs)
+    for cid, det in obs:
+        assert np.abs(frame.corners[det] - project(cam, pos[cid])).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
 # triangulate
 
 
+def triangulate_one(rig, p, cams):
+    """Solve one point from exact projections in `cams`."""
+    pix = np.array([project(c, p) for c in cams])
+    arr = CameraArrays.from_rig(rig)
+    return triangulate_points(arr, np.zeros(len(cams), dtype=int), arr.rows_of([c.id for c in cams]), pix, 1)
+
+
+def assert_exact(res, p):
+    assert np.linalg.norm(res.points[0] - p) < 1e-6
+    assert res.converged[0] and not res.parallel[0]
+    assert res.obs_errors.max() < 1e-8
+
+
 def test_triangulate_two_cameras_exact(rig4):
     p = np.array([120.0, -40.0, 1030.0])
-    obs = [(c.id, project(c, p)) for c in rig4.cameras[:2]]
-    got, residuals, converged = triangulate(obs, rig4)
-    assert np.linalg.norm(got - p) < 1e-6
-    assert converged
-    assert all(v < 1e-8 for v in residuals.values())
+    assert_exact(triangulate_one(rig4, p, rig4.cameras[:2]), p)
 
 
 def test_triangulate_sixteen_cameras_exact(rig16):
     p = np.array([-80.0, 55.0, 1210.0])
-    obs = [(c.id, project(c, p)) for c in rig16]
-    got, residuals, converged = triangulate(obs, rig16)
-    assert np.linalg.norm(got - p) < 1e-6
-    assert all(v < 1e-8 for v in residuals.values())
+    assert_exact(triangulate_one(rig16, p, rig16.cameras), p)
 
 
 def test_triangulate_mixed_distortion_exact(mixed_rig, rng):
@@ -116,30 +153,19 @@ def test_triangulate_mixed_distortion_exact(mixed_rig, rng):
             p = rng.uniform([-600.0, -600.0, 500.0], [600.0, 600.0, 1500.0])
             first = int(rng.integers(0, 8))
             cams = [mixed_rig.cameras[(first + k) % 8] for k in range(n_cams)]
-            got, residuals, converged = triangulate([(c.id, project(c, p)) for c in cams], mixed_rig)
-            assert np.linalg.norm(got - p) < 1e-6
-            assert converged
-            assert all(v < 1e-8 for v in residuals.values())
+            assert_exact(triangulate_one(mixed_rig, p, cams), p)
 
 
-def test_triangulate_requires_two_distinct_cameras(rig4):
-    cam = rig4.cameras[0]
-    p = np.array([0.0, 0.0, 1000.0])
-    with pytest.raises(ValueError):
-        triangulate([(cam.id, project(cam, p)), (cam.id, project(cam, p))], rig4)
-
-
-def test_triangulate_parallel_rays_raise():
+def test_triangulate_parallel_rays_flagged():
     # two cameras at the same position looking the same way: identical rays
     from conftest import look_at_camera
     from suitcap.geometry import CameraRig
 
     a = look_at_camera(0, (3000.0, 0.0, 1000.0), (0, 0, 1000.0))
     b = look_at_camera(1, (3000.0, 0.0, 1000.0), (0, 0, 1000.0))
-    rig = CameraRig([a, b])
-    p = np.array([10.0, 5.0, 1000.0])
-    with pytest.raises(ParallelRays):
-        triangulate([(0, project(a, p)), (1, project(b, p))], rig)
+    res = triangulate_one(CameraRig([a, b]), np.array([10.0, 5.0, 1000.0]), [a, b])
+    assert res.parallel[0]
+    assert not res.converged[0]
 
 
 def test_lm_objective_never_worse_than_linear(rig4, rng):
@@ -208,14 +234,21 @@ def test_lm_matches_grid_search_oracle(rig4, rng):
 # filter_mislabels
 
 
-def obs_of(cid, cam, pixel, source=1):
-    return LabeledObservation(cid, cam, pixel, source)
+def obs_of(cid, cam, pixel):
+    return cid, cam, np.asarray(pixel, dtype=float)
+
+
+def filter_flat(per_corner, rig):
+    """The filter on per-corner observation lists, flattened and sorted as `reconstruct_frame` does."""
+    obs = sorted((o for obs in per_corner.values() for o in obs), key=lambda o: o[:2])
+    cid, cam, pix = zip(*obs)
+    return filter_mislabels(np.array(cid), np.array(cam), np.array(pix), rig)
 
 
 def test_filter_noiseless_removes_nothing(rig16):
     p = np.array([60.0, -30.0, 1100.0])
     per_corner = {7: [obs_of(7, c.id, project(c, p)) for c in rig16]}
-    cloud = filter_mislabels(per_corner, rig16)
+    cloud = filter_flat(per_corner, rig16)
     assert not cloud.discarded
     rec = cloud.points[7]
     assert np.linalg.norm(rec.position - p) < 1e-6
@@ -230,7 +263,7 @@ def test_filter_removes_single_mislabel(rig16, rng):
     for k, cam in enumerate(rig16.cameras[:6]):
         pix = project(cam, p if k != 3 else p_other) + rng.normal(0, 0.2, 2)
         obs.append(obs_of(7, cam.id, pix))
-    cloud = filter_mislabels({7: obs}, rig16)
+    cloud = filter_flat({7: obs}, rig16)
     assert 7 in cloud.points
     assert rig16.cameras[3].id not in cloud.points[7].cameras
     removed = [d for d in cloud.discarded if d.reason == REASON_MISLABEL]
@@ -246,7 +279,7 @@ def test_filter_drops_one_mislabel_on_mixed_distortion_rig(mixed_rig):
         k: [obs_of(k, c.id, project(c, elsewhere if c.id == k else p)) for c in mixed_rig]
         for k, p in truth.items()
     }
-    cloud = filter_mislabels(per_corner, mixed_rig)
+    cloud = filter_flat(per_corner, mixed_rig)
     assert cloud.discarded == [DiscardRecord(k, REASON_MISLABEL, k) for k in range(8)]
     for k, p in truth.items():
         rec = cloud.points[k]
@@ -267,7 +300,7 @@ def test_filter_two_cameras_absolute_threshold(rig4):
         obs_of(3, a.id, project(a, p)),
         obs_of(3, b.id, project(b, p) + 10.0 * perp),
     ]
-    cloud = filter_mislabels({3: obs}, rig4)
+    cloud = filter_flat({3: obs}, rig4)
     assert 3 not in cloud.points
     assert any(d.reason == REASON_RESIDUAL for d in cloud.discarded)
 
@@ -275,21 +308,22 @@ def test_filter_two_cameras_absolute_threshold(rig4):
 def test_filter_single_camera_discarded(rig4):
     p = np.array([0.0, 0.0, 1000.0])
     a = rig4.cameras[0]
-    cloud = filter_mislabels({5: [obs_of(5, a.id, project(a, p))]}, rig4)
+    cloud = filter_flat({5: [obs_of(5, a.id, project(a, p))]}, rig4)
     assert 5 not in cloud.points
     assert any(d.reason == REASON_TOO_FEW for d in cloud.discarded)
 
 
-def test_filter_camera_order_invariance(rig16, rng):
-    p = np.array([10.0, 20.0, 1050.0])
-    obs = [obs_of(2, c.id, project(c, p) + rng.normal(0, 0.4, 2)) for c in rig16]
-    cloud_a = filter_mislabels({2: list(obs)}, rig16)
-    rng2 = np.random.default_rng(5)
-    shuffled = list(obs)
-    rng2.shuffle(shuffled)
-    cloud_b = filter_mislabels({2: shuffled}, rig16)
-    assert np.array_equal(cloud_a.points[2].position, cloud_b.points[2].position)
-    assert cloud_a.points[2].cameras == cloud_b.points[2].cameras
+def test_filter_camera_order_invariance():
+    # a frame's cloud does not depend on the order of its camera records
+    scene = tube_scene(n_cameras=6, strips=3, codes_per_strip=6, seed=46)
+    frames = _simulate_detections(scene, 1, OracleNoiseConfig(pixel_sigma=0.4, mislabel_prob=0.05, seed=14))
+    shuffled = list(frames)
+    np.random.default_rng(5).shuffle(shuffled)
+    assert [f.camera_id for f in shuffled] != [f.camera_id for f in frames]
+    a = reconstruct_frame(frames, scene.rig, scene.layout)
+    b = reconstruct_frame(shuffled, scene.rig, scene.layout)
+    assert len(a.points) > 10
+    assert cloud_to_json(a) == cloud_to_json(b)
 
 
 def test_filter_emitted_points_satisfy_contract(rig16, rng):
@@ -299,7 +333,7 @@ def test_filter_emitted_points_satisfy_contract(rig16, rng):
         per_corner[cid] = [
             obs_of(cid, c.id, project(c, p) + rng.normal(0, 1.0, 2)) for c in rig16
         ]
-    cloud = filter_mislabels(per_corner, rig16)
+    cloud = filter_flat(per_corner, rig16)
     for rec in cloud.points.values():
         assert rec.mean_reproj_err <= 1.5
         assert len(rec.cameras) >= 2
@@ -307,7 +341,6 @@ def test_filter_emitted_points_satisfy_contract(rig16, rng):
 
 def test_filter_monotone_outlier_removal(rig16, rng):
     """Removing IQR outliers never increases the surviving mean error."""
-    diags = []
     per_corner = {}
     for cid in range(30):
         p = np.array([rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(800, 1200)])
@@ -315,11 +348,19 @@ def test_filter_monotone_outlier_removal(rig16, rng):
         if cid % 3 == 0:  # inject one gross outlier
             obs[5] = obs_of(cid, rig16.cameras[5].id, project(rig16.cameras[5], p) + np.array([40.0, -25.0]))
         per_corner[cid] = obs
-    filter_mislabels(per_corner, rig16, diagnostics=diags)
-    with_outliers = [d for d in diags if d.get("n_outliers", 0) > 0 and "mean_err_final" in d]
-    assert with_outliers, "the injected gross outliers must trigger IQR removals"
-    for d in with_outliers:
-        assert d["mean_err_final"] <= d["mean_err_best_pair"] + 1e-9
+    cloud = filter_flat(per_corner, rig16)
+    flagged = {d.corner_id for d in cloud.discarded if d.reason == REASON_MISLABEL} & set(cloud.points)
+    assert flagged, "the injected gross outliers must trigger IQR removals"
+    arr = CameraArrays.from_rig(rig16)
+    pairs = np.array(list(itertools.combinations(range(16), 2)))
+    n_pairs = len(pairs)
+    for cid in sorted(flagged):
+        pix = np.array([o[2] for o in per_corner[cid]])
+        # each camera pair's point, scored by its mean error over all 16 claiming cameras
+        res = triangulate_points(arr, np.repeat(np.arange(n_pairs), 2), pairs.ravel(), pix[pairs.ravel()], n_pairs)
+        uv, _ = project_cams(arr, np.tile(np.arange(16), n_pairs), np.repeat(res.points, 16, axis=0))
+        pair_mean = np.linalg.norm(uv - np.tile(pix, (n_pairs, 1)), axis=1).reshape(n_pairs, 16).mean(axis=1)
+        assert cloud.points[cid].mean_reproj_err <= pair_mean.min() + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -412,3 +453,16 @@ def test_cloud_file_roundtrips_per_camera_errors(tmp_path):
         assert len(a.per_camera_err) in (0, len(a.cameras))
         assert b.per_camera_err == a.per_camera_err
     assert '"errs"' not in path.read_text().splitlines()[-1]
+
+
+def test_noisy_tube_clouds_golden_digest(tmp_path):
+    """Pins the bytes of `write_clouds` on a scene where every discard reason occurs."""
+    scene = tube_scene(n_cameras=6, strips=4, codes_per_strip=8, seed=3)
+    noise = OracleNoiseConfig(pixel_sigma=0.5, dropout_prob=0.05, mislabel_prob=0.05, seed=3)
+    clouds = reconstruct_sequence(_simulate_detections(scene, 2, noise), scene.rig, scene.layout)
+    reasons = {d.reason for c in clouds for d in c.discarded}
+    assert reasons == {REASON_CONFLICT, REASON_MISLABEL, REASON_RESIDUAL, REASON_TOO_FEW}
+    path = tmp_path / "clouds.jsonl"
+    write_clouds(clouds, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "01e47caa7ef3d16591a2dd1519e0e03e64eea2ac434d4e32d2ca0f79af7c445b"
