@@ -41,6 +41,10 @@ class InsufficientSeeds(SuitcapError):
     """Template registration needs at least 10 seed correspondences."""
 
 
+class NotConverged(SuitcapError):
+    """An iterative solver reached its iteration cap before its stopping test."""
+
+
 class DivergedICP(SuitcapError):
     """Registration residual grew for several consecutive iterations."""
 

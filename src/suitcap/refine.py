@@ -23,12 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NotConverged
 from .geometry import quat_from_rotvec, quat_mul, quat_normalize, quat_to_rot
 from .layout import SuitLayout
 from .meshes import edge_graph, geodesic_to_sources
 from .skinning import SkinnedBodyModel, joint_transforms
 
 log = logging.getLogger(__name__)
+
+QP_MAX_ITERATIONS = 400  # active-set changes per weight QP
 
 __all__ = [
     "RefineConfig",
@@ -86,12 +89,13 @@ def geodesic_weights(layout: SuitLayout, rest_vertices, initial_weights, thresho
 # simplex-constrained per-vertex weight solve
 
 
-def simplex_qp(Q, c, forced_zero=None, max_iterations: int = 400):
+def simplex_qp(Q, c, forced_zero=None):
     """Minimize 1/2 w'Qw - c'w over the probability simplex (active-set method).
 
     `forced_zero` marks coordinates pinned to zero (unreachable joints). Q must
     be symmetric positive definite on the allowed coordinates; a relative ridge
-    is added for safety.
+    is added for safety. Raises `NotConverged` after `QP_MAX_ITERATIONS`
+    active-set changes.
     """
     Q = np.asarray(Q, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -105,7 +109,7 @@ def simplex_qp(Q, c, forced_zero=None, max_iterations: int = 400):
     w[allowed] = 1.0 / allowed.sum()
     free = w > 0
 
-    for _ in range(max_iterations):
+    for _ in range(QP_MAX_ITERATIONS):
         idx = np.where(free)[0]
         k = len(idx)
         KKT = np.empty((k + 1, k + 1))
@@ -127,8 +131,9 @@ def simplex_qp(Q, c, forced_zero=None, max_iterations: int = 400):
             s = w.sum()
             if s > 0:
                 w /= s
+            # on the free set Q w + nu = c, so a zero coordinate's price is grad_j + nu
             grad = Q @ w - c
-            lam = grad - nu
+            lam = grad + nu
             candidates = allowed & ~free
             if not candidates.any():
                 return w
@@ -148,7 +153,7 @@ def simplex_qp(Q, c, forced_zero=None, max_iterations: int = 400):
             free[j] = False
             if not free.any():
                 free[np.where(allowed)[0][0]] = True
-    return w
+    raise NotConverged(f"simplex QP over {M} coordinates took more than {QP_MAX_ITERATIONS} iterations")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -294,6 +295,44 @@ def test_fit_fits_each_models_poses_once(tmp_path, monkeypatch):
     ]) == 0
     assert len(fitted) == 2  # the initial and the refined model
     assert fitted[0] is not fitted[1]
+
+
+def test_fit_tube_golden_digest(tmp_path):
+    """Pins the bytes of `fit` from a perturbed, blurred init model over two noisy frames."""
+    from suitcap.layout import save_layout
+    from suitcap.simulator import animate_and_sample, tube_scene
+    from suitcap.skinning import save_model
+
+    scene = tube_scene(strips=4, codes_per_strip=8, seed=4)
+    truth = animate_and_sample(scene, 2)
+    rng = np.random.default_rng(4)
+    with open(tmp_path / "clouds.jsonl", "w", encoding="utf-8") as f:
+        for k, pos in enumerate(truth):
+            seen = np.flatnonzero(rng.random(len(pos)) >= 0.2)
+            noisy = pos[seen] + rng.normal(scale=0.3, size=(len(seen), 3))
+            points = [
+                {"id": int(i), "p": [float(v) for v in p], "cams": [], "err": 0.0}
+                for i, p in zip(seen, noisy)
+            ]
+            f.write(json.dumps({"frame": k, "points": points, "discarded": []}) + "\n")
+    save_layout(scene.layout, tmp_path / "layout.json")
+    save_model(scene.model, tmp_path / "init_model.json")
+    assert main([
+        "fit",
+        "--set", f"paths.output_dir={tmp_path}",
+        "--set", f"paths.init_model={tmp_path}/init_model.json",
+        "--set", "fit.perturb_joints=20.0",
+        "--set", "fit.blur_weights=2",
+        "--set", "refine.outer_iterations=2",
+    ]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("model.json", "report_fit_loss.csv")
+    }
+    assert digests == {
+        "model.json": "075b2fb579d338938b14177d2ecc22504fc719b398c96a114f0ef22fd39cab12",
+        "report_fit_loss.csv": "a639f9fa3006850b6204eaf8f2d7954db3a0c114e3f4d53d5185853b54f3ed2b",
+    }
 
 
 def test_fit_requires_model_or_template(tmp_path):
