@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import detection, inpaint, reconstruct, refine, registration, reporting, simulator
-from .errors import CalibrationError, ConfigError, DivergedICP, SingularKKT
+from .errors import CalibrationError, ConfigError, DivergedICP, InsufficientSeeds, LayoutError, SingularKKT
 from .geometry import load_calibration, save_calibration
 from .layout import load_layout, save_layout
-from .skinning import export_obj, load_model, save_model, skin_all
+from .skinning import export_obj, load_model, save_model
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -279,9 +279,8 @@ def cmd_fit(cfg) -> int:
         model0.weights = _blur_weights(model0.weights, layout)
 
     # one pose-only fit of the initial model serves the printed rms and the histogram
-    fit0 = refine.fit_poses(model0, clouds)
-    e0 = _pose_fit_errors(model0, clouds, fit0)
-    before_rms = float(np.sqrt(fit0[2] / max(e0.size, 1)))
+    e0 = refine.fit_poses(model0, clouds)[2]
+    before_rms = float(np.sqrt(np.sum(e0 * e0) / max(e0.size, 1)))
     rcfg = refine.RefineConfig(
         lambda_g=float(cfg["refine"]["lambda_g"]),
         lambda_j=float(cfg["refine"]["lambda_j"]),
@@ -298,8 +297,7 @@ def cmd_fit(cfg) -> int:
     after_rms = result.fit_rms_trace[-1]
     rows = [[i, l] for i, l in enumerate(result.loss_trace)]
     reporting.write_csv(str(prefix) + "_fit_loss.csv", ["outer_iteration", "loss"], rows)
-    e1 = _pose_fit_errors(result.model, clouds, refine.fit_poses(result.model, clouds))
-    _write_fit_histograms(str(prefix), e0, e1)
+    _write_fit_histograms(str(prefix), e0, refine.fit_poses(result.model, clouds)[2])
     mono = all(nxt <= prev + 1e-9 for prev, nxt in zip(result.loss_trace, result.loss_trace[1:]))
     print(f"fitting rms: before {before_rms:.4f} mm -> after {after_rms:.4f} mm")
     print(f"loss trace non-increasing: {mono}")
@@ -317,18 +315,6 @@ def _blur_weights(W, layout):
     np.add.at(deg, valid[:, 1], 1.0)
     out = acc / deg[:, None]
     return out / out.sum(axis=1, keepdims=True)
-
-
-def _pose_fit_errors(model, clouds, fit) -> np.ndarray:
-    """Per-observation distances (mm) of `model` under `fit`, its `refine.fit_poses` result."""
-    m = model.copy()
-    m.pose_quats, m.root_translations, _ = fit
-    errs = []
-    for k, cloud in enumerate(clouds):
-        ids, pts = cloud.observed(m.n_vertices)
-        v = skin_all(m, k)[ids]
-        errs.extend(np.linalg.norm(v - pts, axis=1))
-    return np.array(errs)
 
 
 def _write_fit_histograms(prefix, e0, e1) -> None:
@@ -470,7 +456,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, ValueError, KeyError) as e:
+    except (ConfigError, LayoutError, InsufficientSeeds, ValueError, KeyError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except CalibrationError as e:

@@ -49,10 +49,6 @@ class DivergedICP(SuitcapError):
     """Registration residual grew for several consecutive iterations."""
 
 
-class DisconnectedMesh(SuitcapError):
-    """Mesh has components unreachable from required sources."""
-
-
 class SingularKKT(SuitcapError):
     """The constrained solve is rank-deficient beyond the documented fallback."""
 

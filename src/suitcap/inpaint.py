@@ -72,11 +72,6 @@ class DisplacementField:
 
     X: np.ndarray  # (K, N, 3)
 
-    @property
-    def stacked(self) -> np.ndarray:
-        """The (K*N, 3) stacked view used by the constrained solve."""
-        return self.X.reshape(-1, 3)
-
 
 @dataclass
 class Constraints:

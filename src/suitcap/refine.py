@@ -32,6 +32,10 @@ from .skinning import SkinnedBodyModel, joint_transforms
 log = logging.getLogger(__name__)
 
 QP_MAX_ITERATIONS = 400  # active-set changes per weight QP
+POSE_ITERATIONS = 12  # Gauss-Newton iterations per frame of refine's pose block
+JOINT_ITERATIONS = 6  # Gauss-Newton iterations of refine's joint block
+FIT_POSES_ITERATIONS = 20  # Gauss-Newton iterations per frame of `fit_poses`
+GEODESIC_SUPPORT = 1e-6  # initial weight above which a vertex is a geodesic source
 
 __all__ = [
     "RefineConfig",
@@ -52,8 +56,6 @@ class RefineConfig:
     outer_iterations: int = 100
     convergence_tol: float = 1e-5
     prune_top: int = 4
-    pose_iterations: int = 12
-    joint_iterations: int = 6
 
     def __post_init__(self):
         if min(self.lambda_g, self.lambda_j, self.outer_iterations, self.convergence_tol) <= 0:
@@ -72,15 +74,15 @@ class RefineResult:
 # geodesic regularizer weights
 
 
-def geodesic_weights(layout: SuitLayout, rest_vertices, initial_weights, threshold: float = 1e-6):
+def geodesic_weights(layout: SuitLayout, rest_vertices, initial_weights):
     """g[i, j]: mesh geodesic from vertex i to the nearest vertex with initial
-    weight above `threshold` for joint j; +inf where joint j is unreachable."""
+    weight above `GEODESIC_SUPPORT` for joint j; +inf where joint j is unreachable."""
     rest_vertices = np.asarray(rest_vertices, dtype=float)
     W0 = np.asarray(initial_weights, dtype=float)
     graph = edge_graph(rest_vertices, layout.edges(), n_vertices=len(rest_vertices))
     g = np.empty_like(W0)
     for j in range(W0.shape[1]):
-        sources = np.where(W0[:, j] > threshold)[0]
+        sources = np.where(W0[:, j] > GEODESIC_SUPPORT)[0]
         g[:, j] = geodesic_to_sources(graph, sources)
     return g
 
@@ -154,6 +156,42 @@ def simplex_qp(Q, c, forced_zero=None):
             if not free.any():
                 free[np.where(allowed)[0][0]] = True
     raise NotConverged(f"simplex QP over {M} coordinates took more than {QP_MAX_ITERATIONS} iterations")
+
+
+# ---------------------------------------------------------------------------
+# damped Gauss-Newton loop shared by the pose and joint blocks
+
+
+def _damped_gauss_newton(x, cost, normal_equations, retract, iterations):
+    """Minimize `cost` from `x` with damped steps that never raise it; returns the final x.
+
+    `normal_equations(x)` gives (H, g) and `retract(x, delta)` applies a step.
+    Stops at a vanishing gradient, a negligible decrease or 8 rejected tries.
+    """
+    c = cost(x)
+    lam = 1e-4
+    for _ in range(iterations):
+        H, g = normal_equations(x)
+        if np.linalg.norm(g) < 1e-12 * (1.0 + c):
+            break
+        for _ in range(8):
+            Hd = H + lam * np.diag(np.maximum(np.diag(H), 1e-12))
+            try:
+                delta = np.linalg.solve(Hd, -g)
+            except np.linalg.LinAlgError:
+                delta = np.linalg.lstsq(Hd, -g, rcond=None)[0]
+            x_new = retract(x, delta)
+            c_new = cost(x_new)
+            if c_new <= c:
+                x, c, decrease = x_new, c_new, c - c_new
+                lam = max(lam / 3.0, 1e-12)
+                break
+            lam *= 4.0
+        else:
+            break
+        if decrease <= 1e-12 * (c + 1e-30):
+            break
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -237,118 +275,71 @@ def pose_residual_jacobian(model: SkinnedBodyModel, quats, root_t, vertex_ids, t
     return r, Jac
 
 
-def _fit_pose_frame(model, quats, root_t, vertex_ids, targets, iterations):
-    """Damped Gauss-Newton pose fit for one frame; only accepts decreasing steps."""
+def _fit_pose(model, quats, root_t, vertex_ids, targets, iterations):
+    """Damped Gauss-Newton on one frame's pose: per-joint tangents plus root translation."""
     M = model.n_joints
-    quats = quat_normalize(np.asarray(quats, dtype=float).copy())
-    root_t = np.asarray(root_t, dtype=float).copy()
 
-    def sse(q, t):
-        _, v = _skin_ids(model, joint_transforms(model, q, t), vertex_ids)
-        d = v - targets
-        return float(np.sum(d * d))
+    def cost(pose):
+        return _fit_sse(model, [(vertex_ids, targets, *pose)])
 
-    cost = sse(quats, root_t)
-    lam = 1e-4
-    for _ in range(iterations):
-        r, J = pose_residual_jacobian(model, quats, root_t, vertex_ids, targets)
-        Jf = J.reshape(-1, 3 * M + 3)
-        rf = r.reshape(-1)
-        g = Jf.T @ rf
-        if np.linalg.norm(g) < 1e-12 * (1.0 + cost):
-            break
-        H = Jf.T @ Jf
-        stepped = False
-        for _ in range(8):
-            Hd = H + lam * np.diag(np.maximum(np.diag(H), 1e-12))
-            try:
-                delta = np.linalg.solve(Hd, -g)
-            except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(Hd, -g, rcond=None)[0]
-            dq = quat_from_rotvec(delta[: 3 * M].reshape(M, 3))
-            q_new = quat_normalize(quat_mul(dq, quats))
-            t_new = root_t + delta[3 * M :]
-            c_new = sse(q_new, t_new)
-            if c_new <= cost:
-                decrease = cost - c_new
-                quats, root_t, cost = q_new, t_new, c_new
-                lam = max(lam / 3.0, 1e-12)
-                stepped = True
-                if decrease <= 1e-12 * (cost + 1e-30):
-                    stepped = False  # converged to float floor
-                break
-            lam *= 4.0
-        if not stepped:
-            break
-    return quats, root_t, cost
+    def normal_equations(pose):
+        r, J = pose_residual_jacobian(model, *pose, vertex_ids, targets)
+        J = J.reshape(-1, 3 * M + 3)
+        return J.T @ J, J.T @ r.reshape(-1)
+
+    def retract(pose, delta):
+        dq = quat_from_rotvec(delta[: 3 * M].reshape(M, 3))
+        return quat_normalize(quat_mul(dq, pose[0])), pose[1] + delta[3 * M :]
+
+    pose = (quat_normalize(quats), np.array(root_t, dtype=float))
+    return _damped_gauss_newton(pose, cost, normal_equations, retract, iterations)
 
 
 # ---------------------------------------------------------------------------
 # joint block
 
 
-def _fit_joints(model, frames_obs, lambda_j, joints0, total_obs, iterations):
-    """Damped Gauss-Newton on joint positions with the l2 prior to J0.
+def _joint_normal_equations(model, frames_obs, lambda_j, joints0, total_obs):
+    """Gauss-Newton normal equations (H, g) of the joint loss at `model.joints`.
 
     d v_i / d j_m = (sum_{j in subtree(m)} w_ij) * Rp_m (I - R_m) per frame, so
-    the normal equations assemble from subtree weight sums and per-joint 3x3
-    blocks.
+    they assemble from subtree weight sums and per-joint 3x3 blocks.
     """
     M = model.n_joints
     sub = _subtree_matrix(model.parents)
-    joints = model.joints.copy()
-    lam = 1e-4
+    H = np.zeros((3 * M, 3 * M))
+    g = np.zeros(3 * M)
+    for ids, pts, q, t in frames_obs:
+        G, R_local, Rp, _ = _chain_context(model, q, t)
+        D = np.einsum("mij,mjk->mik", Rp, np.eye(3)[None] - R_local)  # (M, 3, 3)
+        Wsub = model.weights[ids] @ sub  # (n, M)
+        _, v = _skin_ids(model, G, ids)
+        r = v - pts
+        S = Wsub.T @ Wsub  # (M, M) sum over obs of Wsub_im Wsub_im'
+        DtD = np.einsum("mik,lij->mlkj", D, D)  # D_m' D_l as (M, M, 3, 3)
+        H += (S[:, :, None, None] * DtD).transpose(0, 2, 1, 3).reshape(3 * M, 3 * M)
+        rw = Wsub.T @ r  # (M, 3)
+        g += np.einsum("mik,mi->mk", D, rw).reshape(3 * M)
+    H = 2.0 * H / total_obs + 2.0 * lambda_j * np.eye(3 * M)
+    g = 2.0 * g / total_obs + 2.0 * lambda_j * (model.joints - joints0).reshape(3 * M)
+    return H, g
 
-    def total_fit(j_pos):
-        saved = model.joints
-        model.joints = j_pos
-        sse = 0.0
-        for ids, pts, q, t in frames_obs:
-            _, v = _skin_ids(model, joint_transforms(model, q, t), ids)
-            sse += float(np.sum((v - pts) ** 2))
-        model.joints = saved
-        return sse
 
-    def loss_of(j_pos):
-        return total_fit(j_pos) / total_obs + lambda_j * float(np.sum((j_pos - joints0) ** 2))
+def _fit_joints(model, frames_obs, lambda_j, joints0, total_obs):
+    """Damped Gauss-Newton on `model.joints` with the l2 prior to J0."""
 
-    cost = loss_of(joints)
-    for _ in range(iterations):
-        H = np.zeros((3 * M, 3 * M))
-        g = np.zeros(3 * M)
-        saved = model.joints
+    def loss(joints):
         model.joints = joints
-        for ids, pts, q, t in frames_obs:
-            G, R_local, Rp, _ = _chain_context(model, q, t)
-            D = np.einsum("mij,mjk->mik", Rp, np.eye(3)[None] - R_local)  # (M, 3, 3)
-            Wsub = model.weights[ids] @ sub  # (n, M)
-            _, v = _skin_ids(model, G, ids)
-            r = v - pts
-            S = Wsub.T @ Wsub  # (M, M) sum over obs of Wsub_im Wsub_im'
-            DtD = np.einsum("mik,lij->mlkj", D, D)  # D_m' D_l as (M, M, 3, 3)
-            H += (S[:, :, None, None] * DtD).transpose(0, 2, 1, 3).reshape(3 * M, 3 * M)
-            rw = Wsub.T @ r  # (M, 3)
-            g += np.einsum("mik,mi->mk", D, rw).reshape(3 * M)
-        model.joints = saved
-        H = 2.0 * H / total_obs + 2.0 * lambda_j * np.eye(3 * M)
-        g = 2.0 * g / total_obs + 2.0 * lambda_j * (joints - joints0).reshape(3 * M)
-        if np.linalg.norm(g) < 1e-12 * (1.0 + cost):
-            break
-        stepped = False
-        for _ in range(8):
-            Hd = H + lam * np.diag(np.maximum(np.diag(H), 1e-12))
-            delta = np.linalg.solve(Hd, -g)
-            j_new = joints + delta.reshape(M, 3)
-            c_new = loss_of(j_new)
-            if c_new <= cost:
-                joints, cost = j_new, c_new
-                lam = max(lam / 3.0, 1e-12)
-                stepped = True
-                break
-            lam *= 4.0
-        if not stepped:
-            break
-    return joints
+        return _fit_sse(model, frames_obs) / total_obs + lambda_j * float(np.sum((joints - joints0) ** 2))
+
+    def normal_equations(joints):
+        model.joints = joints
+        return _joint_normal_equations(model, frames_obs, lambda_j, joints0, total_obs)
+
+    def retract(joints, delta):
+        return joints + delta.reshape(joints.shape)
+
+    model.joints = _damped_gauss_newton(model.joints.copy(), loss, normal_equations, retract, JOINT_ITERATIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +356,15 @@ def _prepare_frames(model, clouds):
     return frames_obs
 
 
+def _residuals(model, ids, pts, q, t):
+    """Skinned positions of vertices `ids` at pose (q, t) minus their observations `pts`."""
+    _, v = _skin_ids(model, joint_transforms(model, q, t), ids)
+    return v - pts
+
+
 def _fit_sse(model, frames_obs):
-    sse = 0.0
-    for ids, pts, q, t in frames_obs:
-        _, v = _skin_ids(model, joint_transforms(model, q, t), ids)
-        sse += float(np.sum((v - pts) ** 2))
-    return sse
+    """Sum of squared residuals over (ids, pts, q, t) frames."""
+    return sum((float(np.sum(_residuals(model, *fo) ** 2)) for fo in frames_obs), 0.0)
 
 
 def _total_loss(model, frames_obs, g_geo, joints0, cfg, total_obs):
@@ -415,14 +409,13 @@ def refine(
         # (1) poses, each frame independently
         for fo in frames_obs:
             ids, pts, q, t = fo
-            q_new, t_new, _ = _fit_pose_frame(model, q, t, ids, pts, cfg.pose_iterations)
-            fo[2], fo[3] = q_new, t_new
+            fo[2], fo[3] = _fit_pose(model, q, t, ids, pts, POSE_ITERATIONS)
 
         # (2) weights, each vertex independently
         _solve_weights(model, frames_obs, g_geo, cfg.lambda_g, total_obs)
 
         # (3) joints
-        model.joints = _fit_joints(model, frames_obs, cfg.lambda_j, joints0, total_obs, cfg.joint_iterations)
+        _fit_joints(model, frames_obs, cfg.lambda_j, joints0, total_obs)
 
         # (4) rest positions
         _solve_rest(model, frames_obs)
@@ -493,23 +486,24 @@ def _prune_weights(model, top):
 # evaluation helpers
 
 
-def fit_poses(model: SkinnedBodyModel, clouds, iterations: int = 20):
-    """Fit per-frame poses with shape frozen; returns (quats (K,M,4), roots (K,3), sse)."""
-    quats = []
-    roots = []
-    sse = 0.0
+def fit_poses(model: SkinnedBodyModel, clouds):
+    """Fit per-frame poses with shape frozen; returns (quats (K,M,4), roots (K,3), distances).
+
+    `distances` holds each observation's distance (mm) at its fitted pose, in
+    frame and then vertex order.
+    """
+    quats, roots, dists = [], [], []
     q0, t0 = model.identity_pose()
     for cloud in clouds:
         ids, pts = cloud.observed(model.n_vertices)
-        q, t, c = _fit_pose_frame(model, q0, t0, ids, pts, iterations)
+        q, t = _fit_pose(model, q0, t0, ids, pts, FIT_POSES_ITERATIONS)
         quats.append(q)
         roots.append(t)
-        sse += c
-    return np.array(quats), np.array(roots), sse
+        dists.append(np.linalg.norm(_residuals(model, ids, pts, q, t), axis=1))
+    return np.array(quats), np.array(roots), np.concatenate(dists) if dists else np.zeros(0)
 
 
-def fitting_rms(model: SkinnedBodyModel, clouds, iterations: int = 20) -> float:
+def fitting_rms(model: SkinnedBodyModel, clouds) -> float:
     """Held-out fitting error: RMS distance after pose-only fits (shape frozen)."""
-    _, _, sse = fit_poses(model, clouds, iterations)
-    n = sum(len(c.observed(model.n_vertices)[0]) for c in clouds)
-    return float(np.sqrt(sse / max(n, 1)))
+    d = fit_poses(model, clouds)[2]
+    return float(np.sqrt(np.sum(d * d) / max(d.size, 1)))

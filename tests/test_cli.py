@@ -171,6 +171,16 @@ def test_reconstruct_rejects_camera_missing_from_calibration(tmp_path, capsys):
     assert "frame 0 camera 999: camera id 999 is not in the calibration" in err
 
 
+def test_reconstruct_layout_without_faces_exits_2(tmp_path, capsys):
+    run_simulate(tmp_path, frames=1)
+    layout = json.loads((tmp_path / "layout.json").read_text())
+    del layout["faces"]
+    (tmp_path / "layout.json").write_text(json.dumps(layout))
+    capsys.readouterr()
+    assert main(["reconstruct", "--set", f"paths.output_dir={tmp_path}"]) == 2
+    assert "configuration error: malformed layout file" in capsys.readouterr().err
+
+
 def test_reconstruct_deterministic_bytes(tmp_path):
     run_simulate(tmp_path, frames=2, extra=("--set", "noise.pixel_sigma=0.3"))
     run_reconstruct(tmp_path)
@@ -330,8 +340,8 @@ def test_fit_tube_golden_digest(tmp_path):
         for name in ("model.json", "report_fit_loss.csv")
     }
     assert digests == {
-        "model.json": "075b2fb579d338938b14177d2ecc22504fc719b398c96a114f0ef22fd39cab12",
-        "report_fit_loss.csv": "a639f9fa3006850b6204eaf8f2d7954db3a0c114e3f4d53d5185853b54f3ed2b",
+        "model.json": "7a512e72baeb654825ebd08165395ce39b2531051532e307e3754cab7a9617c2",
+        "report_fit_loss.csv": "53a928096d080096fd9b4af32723bc62c0b4367dabeebb3e5cdedddd79cd6b1c",
     }
 
 
@@ -341,14 +351,13 @@ def test_fit_requires_model_or_template(tmp_path):
     assert main(["fit", "--set", f"paths.output_dir={tmp_path}"]) == 2
 
 
-def test_fit_from_template_and_seeds(tmp_path):
+def _write_template_and_seeds(tmp_path, n_seeds):
+    """Template of the simulated tube scene plus `n_seeds` seed correspondences from frame 0."""
     from suitcap.meshes import closest_point_on_triangles
     from suitcap.reconstruct import read_clouds as read
     from suitcap.registration import TemplateModel, save_template
     from suitcap.simulator import tube_scene
 
-    run_simulate(tmp_path, frames=4)
-    run_reconstruct(tmp_path)
     scene = tube_scene(n_cameras=8, strips=4, codes_per_strip=8, seed=0)
     template = TemplateModel(
         scene.model.rest_vertices, scene.triangles, scene.model.joints,
@@ -358,12 +367,33 @@ def test_fit_from_template_and_seeds(tmp_path):
 
     clouds = read(tmp_path / "clouds.jsonl")
     seed_entries = []
-    for cid in sorted(clouds[0].points)[:14]:
+    for cid in sorted(clouds[0].points)[:n_seeds]:
         p = clouds[0].points[cid].position
         cp, cb = closest_point_on_triangles(p, template.vertices[template.triangles])
         t = int(np.argmin(np.linalg.norm(cp - p, axis=1)))
         seed_entries.append({"id": int(cid), "tri": t, "bary": [float(v) for v in cb[t]]})
     (tmp_path / "seeds.json").write_text(json.dumps(seed_entries))
+    return scene
+
+
+def test_fit_with_fewer_than_ten_seeds_exits_2(tmp_path, capsys):
+    run_simulate(tmp_path, frames=1)
+    run_reconstruct(tmp_path)
+    _write_template_and_seeds(tmp_path, 9)
+    capsys.readouterr()
+    assert main([
+        "fit",
+        "--set", f"paths.output_dir={tmp_path}",
+        "--set", f"paths.template={tmp_path}/template.json",
+        "--set", f"paths.seeds={tmp_path}/seeds.json",
+    ]) == 2
+    assert "configuration error: got 9 seed correspondences, need >= 10" in capsys.readouterr().err
+
+
+def test_fit_from_template_and_seeds(tmp_path):
+    run_simulate(tmp_path, frames=4)
+    run_reconstruct(tmp_path)
+    scene = _write_template_and_seeds(tmp_path, 14)
 
     assert main([
         "fit",

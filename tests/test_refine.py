@@ -107,7 +107,6 @@ def test_refine_config_validation():
 def test_joint_step_gradient_matches_finite_differences():
     import suitcap.refine as rf
     from suitcap.simulator import truth_clouds, tube_scene
-    from suitcap.skinning import joint_transforms
 
     scene = tube_scene(strips=3, codes_per_strip=6, seed=33, animation_strength=1.0)
     K = 5
@@ -120,32 +119,14 @@ def test_joint_step_gradient_matches_finite_differences():
     total_obs = sum(len(f[0]) for f in frames_obs)
     joints0 = truth.joints.copy()
     lam_j = 1.0
+    _, g = rf._joint_normal_equations(model, frames_obs, lam_j, joints0, total_obs)
 
     def loss(jp):
-        saved = model.joints
-        model.joints = jp
-        sse = 0.0
-        for ids, pts, q, t in frames_obs:
-            G = joint_transforms(model, q, t)
-            y = np.einsum("mij,nj->nmi", G[:, :3, :3], model.rest_vertices[ids]) + G[:, :3, 3]
-            v = np.einsum("nm,nmi->ni", model.weights[ids], y)
-            sse += float(np.sum((v - pts) ** 2))
-        model.joints = saved
-        return sse / total_obs + lam_j * float(np.sum((jp - joints0) ** 2))
+        m = model.copy()
+        m.joints = jp
+        return rf._fit_sse(m, frames_obs) / total_obs + lam_j * float(np.sum((jp - joints0) ** 2))
 
     M = model.n_joints
-    sub = rf._subtree_matrix(model.parents)
-    g = np.zeros(3 * M)
-    for ids, pts, q, t in frames_obs:
-        G, R_local, Rp, _ = rf._chain_context(model, q, t)
-        D = np.einsum("mij,mjk->mik", Rp, np.eye(3)[None] - R_local)
-        W = model.weights[ids]
-        Wsub = W @ sub
-        y = np.einsum("mij,nj->nmi", G[:, :3, :3], model.rest_vertices[ids]) + G[:, :3, 3]
-        r = np.einsum("nm,nmi->ni", W, y) - pts
-        g += np.einsum("mik,mi->mk", D, Wsub.T @ r).reshape(3 * M)
-    g = 2.0 * g / total_obs + 2.0 * lam_j * (model.joints - joints0).reshape(3 * M)
-
     h = 1e-6
     gfd = np.zeros(3 * M)
     for m in range(M):
