@@ -304,11 +304,10 @@ def _assert_simplex_kkt(Q, c, forced, w):
 
 
 def test_simplex_qp_meets_kkt_on_random_problems(monkeypatch):
-    # Problems 121, 427, 458, 658, 1275, 1309, 1579, 1615 and 1852 are among
-    # those where pricing with grad - nu stops at a worse objective (1615:
-    # -0.3393 against the optimum -0.4066); with that sign 824 of the 2,000
-    # calls also ran to 400 iterations. The correct sign needs at most 13, so a
-    # cap of 40 leaves a wide margin and still catches any call near 400.
+    # Pricing an inactive coordinate with grad - nu instead of grad + nu stops
+    # problem 1615 at -0.3393 (optimum -0.4066) and runs 824 of these calls
+    # into a 400-iteration cap. The correct price needs at most 13 iterations
+    # here, so a cap of 40 still catches any call that heads for 400.
     monkeypatch.setattr(refine_module, "QP_MAX_ITERATIONS", 40)
     for i, (Q, c, forced) in enumerate(_random_simplex_qps()):
         w = simplex_qp(Q, c, forced_zero=forced)
