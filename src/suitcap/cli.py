@@ -250,6 +250,13 @@ def _write_reconstruct_report(cfg, paths, clouds) -> None:
 
 def cmd_fit(cfg) -> int:
     paths = _paths(cfg)
+    rcfg = refine.RefineConfig(
+        lambda_g=float(cfg["refine"]["lambda_g"]),
+        lambda_j=float(cfg["refine"]["lambda_j"]),
+        outer_iterations=int(cfg["refine"]["outer_iterations"]),
+        convergence_tol=float(cfg["refine"]["convergence_tol"]),
+        prune_top=int(cfg["refine"]["prune_top"]),
+    )
     layout = load_layout(paths["layout"])
     clouds = reconstruct.read_clouds(paths["clouds"])
     rng = np.random.default_rng(int(cfg["seed"]))
@@ -281,13 +288,6 @@ def cmd_fit(cfg) -> int:
     # one pose-only fit of the initial model serves the printed rms and the histogram
     e0 = refine.fit_poses(model0, clouds)[2]
     before_rms = float(np.sqrt(np.sum(e0 * e0) / max(e0.size, 1)))
-    rcfg = refine.RefineConfig(
-        lambda_g=float(cfg["refine"]["lambda_g"]),
-        lambda_j=float(cfg["refine"]["lambda_j"]),
-        outer_iterations=int(cfg["refine"]["outer_iterations"]),
-        convergence_tol=float(cfg["refine"]["convergence_tol"]),
-        prune_top=int(cfg["refine"]["prune_top"]),
-    )
     result = refine.refine(model0, clouds, layout, rcfg)
     paths["model"].parent.mkdir(parents=True, exist_ok=True)
     save_model(result.model, paths["model"])

@@ -53,7 +53,6 @@ class PointRecord:
     position: np.ndarray
     cameras: tuple
     mean_reproj_err: float
-    converged: bool = True
     per_camera_err: tuple = ()  # pixels, aligned with `cameras`; empty when unknown
 
 
@@ -208,7 +207,6 @@ def filter_mislabels(
             position=res.points[i],
             cameras=tuple(cameras[b0:b1]),
             mean_reproj_err=mean_err,
-            converged=bool(res.converged[i]),
             per_camera_err=tuple(obs_errors[b0:b1]),
         )
     return cloud

@@ -60,6 +60,8 @@ class RefineConfig:
     def __post_init__(self):
         if min(self.lambda_g, self.lambda_j, self.outer_iterations, self.convergence_tol) <= 0:
             raise ValueError("refine parameters must be positive")
+        if self.prune_top < 0:
+            raise ValueError(f"refine.prune_top must be >= 0 (0 keeps every weight), got {self.prune_top}")
 
 
 @dataclass
@@ -204,7 +206,8 @@ def _skin_ids(model, G, ids):
     Returns the per-joint transformed rest positions y (n, M, 3) and their
     weight blend v (n, 3).
     """
-    y = np.einsum("mij,nj->nmi", G[:, :3, :3], model.rest_vertices[ids]) + G[:, :3, 3]
+    # a contiguous copy of the rotations takes einsum's fast path with the same bits
+    y = np.einsum("mij,nj->nmi", np.ascontiguousarray(G[:, :3, :3]), model.rest_vertices[ids]) + G[:, :3, 3]
     return y, np.einsum("nm,nmi->ni", model.weights[ids], y)
 
 
@@ -251,24 +254,19 @@ def pose_residual_jacobian(model: SkinnedBodyModel, quats, root_t, vertex_ids, t
     r = v - targets
 
     wy = W[:, :, None] * y                      # (n, M, 3)
-    s = np.einsum("njc,jm->nmc", wy, sub)       # sum over subtree(m) of w_ij y_ij
+    s = np.matmul(sub.T, wy)                    # sum over subtree(m) of w_ij y_ij
     Wsub = W @ sub                              # (n, M)
-    arm = s - Wsub[:, :, None] * centers[None, :, :]
+    ax, ay, az = (s[..., c] - Wsub * centers[:, c] for c in range(3))  # lever arm, (n, M) each
 
+    # block (i, m) is -[arm]_x Rp_m, written column by column as two-term cross products
     n = len(vertex_ids)
     Jac = np.zeros((n, 3, 3 * M + 3))
-    ax = arm[..., 0]
-    ay = arm[..., 1]
-    az = arm[..., 2]
-    skew = np.zeros((n, M, 3, 3))
-    skew[:, :, 0, 1] = -az
-    skew[:, :, 0, 2] = ay
-    skew[:, :, 1, 0] = az
-    skew[:, :, 1, 2] = -ax
-    skew[:, :, 2, 0] = -ay
-    skew[:, :, 2, 1] = ax
-    blocks = -np.einsum("nmij,mjk->nmik", skew, Rp)
-    Jac[:, :, : 3 * M] = blocks.transpose(0, 2, 1, 3).reshape(n, 3, 3 * M)
+    blocks = Jac[:, :, : 3 * M].reshape(n, 3, M, 3)  # a view: blocks[i, :, m] = Jac[i, :, 3m:3m+3]
+    for k in range(3):
+        px, py, pz = Rp[:, 0, k], Rp[:, 1, k], Rp[:, 2, k]  # column k of each Rp_m
+        blocks[:, 0, :, k] = az * py - ay * pz
+        blocks[:, 1, :, k] = ax * pz - az * px
+        blocks[:, 2, :, k] = ay * px - ax * py
     Jac[:, 0, 3 * M + 0] = 1.0
     Jac[:, 1, 3 * M + 1] = 1.0
     Jac[:, 2, 3 * M + 2] = 1.0
@@ -463,7 +461,7 @@ def _solve_rest(model, frames_obs):
     seen = np.zeros(N, dtype=bool)
     for ids, pts, q, t in frames_obs:
         G = joint_transforms(model, q, t)
-        lin = np.einsum("nm,mij->nij", model.weights[ids], G[:, :3, :3])
+        lin = np.einsum("nm,mij->nij", model.weights[ids], np.ascontiguousarray(G[:, :3, :3]))
         tr = model.weights[ids] @ G[:, :3, 3]
         H[ids] += np.einsum("nij,nik->njk", lin, lin)
         b[ids] += np.einsum("nij,ni->nj", lin, pts - tr)

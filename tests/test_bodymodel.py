@@ -401,6 +401,72 @@ def test_pose_jacobian_matches_central_differences(rng):
 
 
 # ---------------------------------------------------------------------------
+# pose kernels against their einsum forms (bitwise)
+
+
+def _skin_ids_oracle(model, G, ids):
+    """`refine._skin_ids` as an einsum over the strided rotation slice of G."""
+    y = np.einsum("mij,nj->nmi", G[:, :3, :3], model.rest_vertices[ids]) + G[:, :3, 3]
+    return y, np.einsum("nm,nmi->ni", model.weights[ids], y)
+
+
+def _pose_jacobian_oracle(model, quats, root_t, ids, targets):
+    """`pose_residual_jacobian` with each 3x3 block as -skew(arm) @ Rp in one einsum."""
+    n, M = len(ids), model.n_joints
+    G, _, Rp, centers = refine_module._chain_context(model, quats, root_t)
+    sub = refine_module._subtree_matrix(model.parents)
+    W = model.weights[ids]
+    y, v = _skin_ids_oracle(model, G, ids)
+    s = np.einsum("njc,jm->nmc", W[:, :, None] * y, sub)
+    arm = s - (W @ sub)[:, :, None] * centers[None, :, :]
+    ax, ay, az = arm[..., 0], arm[..., 1], arm[..., 2]
+    skew = np.zeros((n, M, 3, 3))
+    skew[:, :, 0, 1] = -az
+    skew[:, :, 0, 2] = ay
+    skew[:, :, 1, 0] = az
+    skew[:, :, 1, 2] = -ax
+    skew[:, :, 2, 0] = -ay
+    skew[:, :, 2, 1] = ax
+    blocks = -np.einsum("nmij,mjk->nmik", skew, Rp)
+    Jac = np.zeros((n, 3, 3 * M + 3))
+    Jac[:, :, : 3 * M] = blocks.transpose(0, 2, 1, 3).reshape(n, 3, 3 * M)
+    Jac[:, :, 3 * M :] = np.eye(3)
+    return v - targets, Jac
+
+
+def _stick_figure_model():
+    from suitcap.simulator import (
+        STICK_FIGURE_BONES,
+        STICK_FIGURE_JOINTS,
+        STICK_FIGURE_PARENTS,
+        build_tube_body,
+    )
+
+    return build_tube_body(STICK_FIGURE_JOINTS, STICK_FIGURE_PARENTS, STICK_FIGURE_BONES)[1]
+
+
+@pytest.mark.parametrize("make_model", [chain_model, _stick_figure_model], ids=["chain", "stick_figure"])
+def test_pose_kernels_match_einsum_oracles_bitwise(make_model):
+    # the kernels reorder no sum, so they must give the oracles' values exactly; array_equal,
+    # because an exactly zero block entry can be +0.0 in the kernel where the oracle has -0.0
+    model = make_model()
+    M, N = model.n_joints, model.n_vertices
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        quats = quat_normalize(rng.normal(size=(M, 4)))
+        root_t = rng.uniform(-300, 300, 3)
+        ids = np.sort(rng.choice(N, rng.integers(1, N + 1), replace=False))
+        targets = rng.uniform(-1000, 1000, (len(ids), 3))
+        G = joint_transforms(model, quats, root_t)  # callers pass it whole: G[:, :3, :3] is strided
+        for got, want in zip(refine_module._skin_ids(model, G, ids), _skin_ids_oracle(model, G, ids)):
+            assert np.array_equal(got, want)
+        r, J = pose_residual_jacobian(model, quats, root_t, ids, targets)
+        r_ref, J_ref = _pose_jacobian_oracle(model, quats, root_t, ids, targets)
+        assert np.array_equal(r, r_ref)
+        assert np.array_equal(J, J_ref)
+
+
+# ---------------------------------------------------------------------------
 # model files
 
 

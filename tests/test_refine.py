@@ -102,6 +102,10 @@ def test_refine_config_validation():
         RefineConfig(lambda_g=-1.0)
     with pytest.raises(ValueError):
         RefineConfig(outer_iterations=0)
+    # a negative count would zero every weight after the last outer iteration
+    with pytest.raises(ValueError, match="prune_top"):
+        RefineConfig(prune_top=-1)
+    RefineConfig(prune_top=0)  # 0 switches pruning off
 
 
 def test_joint_step_gradient_matches_finite_differences():
