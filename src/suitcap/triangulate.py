@@ -80,6 +80,18 @@ def normalized_coords(arr: CameraArrays, cam_idx, pixels):
     return res
 
 
+def _sums(index, values, n):
+    """Per-point sums of the rows of `values` (B, ...), one `np.bincount` per column.
+
+    `bincount` adds each point's rows in row order, so a sum's bits depend only
+    on the order of its point's rows, never on the other points in the batch.
+    """
+    out = np.empty((n,) + values.shape[1:])
+    for k in np.ndindex(values.shape[1:]):
+        out[(slice(None), *k)] = np.bincount(index, weights=values[(slice(None), *k)], minlength=n)
+    return out
+
+
 def linear_initialization(arr: CameraArrays, point_index, cam_idx, pixels, n_points):
     """Linear-LS triangulation (normalized DLT rows, per-point normal equations)."""
     nc = normalized_coords(arr, cam_idx, pixels)
@@ -90,11 +102,17 @@ def linear_initialization(arr: CameraArrays, point_index, cam_idx, pixels, n_poi
     a2 = nc[:, 1, None] * R[:, 2, :] - R[:, 1, :]
     b2 = t[:, 1] - nc[:, 1] * t[:, 2]
 
-    AtA = np.zeros((n_points, 3, 3))
-    Atb = np.zeros((n_points, 3))
-    for a, b in ((a1, b1), (a2, b2)):
-        np.add.at(AtA, point_index, a[:, :, None] * a[:, None, :])
-        np.add.at(Atb, point_index, a * b[:, None])
+    # each sum runs over the a1 rows, then the a2 rows; one weight column at a
+    # time keeps the temporaries at (2B,)
+    index = np.concatenate([point_index, point_index])
+    AtA = np.empty((n_points, 3, 3))
+    Atb = np.empty((n_points, 3))
+    for j in range(3):
+        for k in range(j, 3):
+            w = np.concatenate([a1[:, j] * a1[:, k], a2[:, j] * a2[:, k]])
+            AtA[:, j, k] = AtA[:, k, j] = np.bincount(index, weights=w, minlength=n_points)
+        w = np.concatenate([a1[:, j] * b1, a2[:, j] * b2])
+        Atb[:, j] = np.bincount(index, weights=w, minlength=n_points)
     # tiny Tikhonov keeps near-parallel geometry solvable; such points are flagged upstream
     AtA += 1e-12 * np.trace(AtA, axis1=1, axis2=2)[:, None, None] * np.eye(3)
     try:
@@ -112,8 +130,7 @@ def ray_spread_flags(arr: CameraArrays, point_index, cam_idx, pixels, n_points):
     d_cam = np.concatenate([nc, np.ones((len(nc), 1))], axis=1)
     d = np.einsum("bji,bj->bi", arr.R[cam_idx], d_cam)
     d /= np.linalg.norm(d, axis=1, keepdims=True)
-    mean = np.zeros((n_points, 3))
-    np.add.at(mean, point_index, d)
+    mean = _sums(point_index, d, n_points)
     counts = np.bincount(point_index, minlength=n_points).astype(float)
     mean /= np.maximum(counts, 1.0)[:, None]
     mean_norm = np.linalg.norm(mean, axis=1)
@@ -135,11 +152,9 @@ class TriangulationResult:
 
 def _point_costs(point_index, n_points, residuals, depths):
     sq = np.sum(residuals * residuals, axis=1)
-    cost = np.zeros(n_points)
-    np.add.at(cost, point_index, sq)
-    all_in_front = np.ones(n_points, dtype=bool)
-    np.logical_and.at(all_in_front, point_index, depths > 0)
-    cost[~all_in_front] = np.inf
+    cost = np.bincount(point_index, weights=sq, minlength=n_points)
+    # `~(depths > 0)` also holds for a NaN depth, which must price its point at inf
+    cost[point_index[~(depths > 0)]] = np.inf
     return cost
 
 
@@ -157,58 +172,58 @@ def triangulate_points(arr: CameraArrays, point_index, cam_idx, pixels, n_points
     lam = np.full(n_points, 1e-3)
     converged = np.zeros(n_points, dtype=bool)
     active = ~parallel & np.isfinite(cost)
-
-    counts = np.bincount(point_index, minlength=n_points)
     eye = np.eye(3)
 
     for _ in range(MAX_ITERATIONS):
-        if not np.any(active):
+        # work on the still-active points only, renumbered 0..a-1, and their rows
+        ai = np.flatnonzero(active)
+        if len(ai) == 0:
             break
-        uv, z, J = project_jacobian(arr, cam_idx, p[point_index])
-        r = uv - pixels
-        g = np.zeros((n_points, 3))
-        H = np.zeros((n_points, 3, 3))
-        gr = np.einsum("bij,bi->bj", J, r)
-        Hs = np.einsum("bij,bik->bjk", J, J)
-        np.add.at(g, point_index, gr)
-        np.add.at(H, point_index, Hs)
+        rows = np.flatnonzero(active[point_index])
+        local = (np.cumsum(active) - 1)[point_index[rows]]
+        uv, z, J = project_jacobian(arr, cam_idx[rows], p[ai][local])
+        r = uv - pixels[rows]
+        g = _sums(local, np.einsum("bij,bi->bj", J, r), len(ai))
+        H = _sums(local, np.einsum("bij,bik->bjk", J, J), len(ai))
 
         grad_ok = np.linalg.norm(2.0 * g, axis=1) < GRADIENT_TOL
-        newly = active & grad_ok
-        converged[newly] = True
-        active &= ~grad_ok
-        if not np.any(active):
+        converged[ai[grad_ok]] = True
+        active[ai[grad_ok]] = False
+        if grad_ok.all():
             break
+        keep = ~grad_ok
+        ai, g, H = ai[keep], g[keep], H[keep]
+        in_kept = keep[local]
+        rows = rows[in_kept]
+        local = (np.cumsum(keep) - 1)[local[in_kept]]
 
-        ai = np.where(active)[0]
-        Ha = H[ai] + lam[ai, None, None] * (H[ai] * eye) + 1e-15 * eye
+        Ha = H + lam[ai, None, None] * (H * eye) + 1e-15 * eye
         try:
-            delta = np.linalg.solve(Ha, -g[ai][..., None])[..., 0]
+            delta = np.linalg.solve(Ha, -g[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            delta = np.stack([np.linalg.lstsq(Ha[k], -g[ai[k]], rcond=None)[0] for k in range(len(ai))])
+            delta = np.stack([np.linalg.lstsq(Ha[k], -g[k], rcond=None)[0] for k in range(len(ai))])
 
-        trial = p.copy()
-        trial[ai] += delta
-        uv_t, z_t = project_cams(arr, cam_idx, trial[point_index])
-        cost_t = _point_costs(point_index, n_points, uv_t - pixels, z_t)
+        trial = p[ai] + delta
+        uv_t, z_t = project_cams(arr, cam_idx[rows], trial[local])
+        cost_t = _point_costs(local, len(ai), uv_t - pixels[rows], z_t)
 
+        cost_a = cost[ai]
         with np.errstate(invalid="ignore"):
-            decrease = cost - cost_t
-        improved = active & np.isfinite(cost_t) & (cost_t <= cost)
-        negligible = improved & (decrease <= 1e-14 * (cost + 1e-30))
-        p[improved] = trial[improved]
-        cost[improved] = cost_t[improved]
-        lam[improved] = np.maximum(lam[improved] / 3.0, 1e-12)
-        worsened = active & ~improved
-        lam[worsened] *= 4.0
+            decrease = cost_a - cost_t
+        improved = np.isfinite(cost_t) & (cost_t <= cost_a)
+        negligible = improved & (decrease <= 1e-14 * (cost_a + 1e-30))
+        up = ai[improved]
+        p[up] = trial[improved]
+        cost[up] = cost_t[improved]
+        lam[up] = np.maximum(lam[up] / 3.0, 1e-12)
+        lam[ai[~improved]] *= 4.0
         # runaway damping or float-floor improvements: no further progress possible
-        stuck = worsened & (lam > 1e10)
-        active &= ~(stuck | negligible)
+        stuck = ~improved & (lam[ai] > 1e10)
+        active[ai[stuck | negligible]] = False
 
     uv, z = project_cams(arr, cam_idx, p[point_index])
     obs_err = np.linalg.norm(uv - pixels, axis=1)
-    mean_err = np.zeros(n_points)
-    np.add.at(mean_err, point_index, obs_err)
-    mean_err /= np.maximum(counts, 1)
+    counts = np.bincount(point_index, minlength=n_points)
+    mean_err = np.bincount(point_index, weights=obs_err, minlength=n_points) / np.maximum(counts, 1)
     converged[parallel] = False
     return TriangulationResult(p, converged, parallel, obs_err, mean_err)

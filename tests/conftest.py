@@ -63,12 +63,16 @@ def rig16():
 DIST = np.array([-0.11, 0.03, 0.0007, -0.0004, 0.004])
 
 
-@pytest.fixture
-def mixed_rig():
+def mixed_ring_rig():
     """Eight ring cameras: the even ones distorted with DIST, the odd ones pinhole."""
     pinhole = ring_rig(8)
     distorted = ring_rig(8, dist=DIST)
     return CameraRig([d if i % 2 == 0 else p for i, (d, p) in enumerate(zip(distorted, pinhole))])
+
+
+@pytest.fixture
+def mixed_rig():
+    return mixed_ring_rig()
 
 
 @pytest.fixture

@@ -4,6 +4,9 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from conftest import mixed_ring_rig, ring_rig
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suitcap.detection import DetectionFrame, OracleNoiseConfig, oracle_detect
 from suitcap.geometry import CameraArrays, project
@@ -26,7 +29,19 @@ from suitcap.reconstruct import (
     write_clouds,
 )
 from suitcap.simulator import compute_visibility, tube_scene
-from suitcap.triangulate import project_cams, triangulate_points
+from suitcap.triangulate import (
+    GRADIENT_TOL,
+    MAX_ITERATIONS,
+    MIN_RAY_ANGLE_DEG,
+    TriangulationResult,
+    _point_costs,
+    linear_initialization,
+    normalized_coords,
+    project_cams,
+    project_jacobian,
+    ray_spread_flags,
+    triangulate_points,
+)
 
 def square_layout():
     # two horizontally adjacent coded quads sharing corners 1 and 4
@@ -228,6 +243,226 @@ def test_lm_matches_grid_search_oracle(rig4, rng):
             best = grid[int(np.argmin(costs))]
         grid_err = np.linalg.norm(best - p)
         assert lm_err <= 2.0 * grid_err + 0.02
+
+
+# The add.at forms that triangulate.py used before its sums became per-column
+# np.bincount calls and its LM loop moved onto the active points' rows. Both
+# add in row order, so the kernels must reproduce these oracles bit for bit.
+
+
+def _linear_initialization_add_at(arr, point_index, cam_idx, pixels, n_points):
+    nc = normalized_coords(arr, cam_idx, pixels)
+    R = arr.R[cam_idx]
+    t = arr.t[cam_idx]
+    a1 = nc[:, 0, None] * R[:, 2, :] - R[:, 0, :]
+    b1 = t[:, 0] - nc[:, 0] * t[:, 2]
+    a2 = nc[:, 1, None] * R[:, 2, :] - R[:, 1, :]
+    b2 = t[:, 1] - nc[:, 1] * t[:, 2]
+
+    AtA = np.zeros((n_points, 3, 3))
+    Atb = np.zeros((n_points, 3))
+    for a, b in ((a1, b1), (a2, b2)):
+        np.add.at(AtA, point_index, a[:, :, None] * a[:, None, :])
+        np.add.at(Atb, point_index, a * b[:, None])
+    AtA += 1e-12 * np.trace(AtA, axis1=1, axis2=2)[:, None, None] * np.eye(3)
+    try:
+        return np.linalg.solve(AtA, Atb[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.empty((n_points, 3))
+        for i in range(n_points):
+            out[i] = np.linalg.lstsq(AtA[i], Atb[i], rcond=None)[0]
+        return out
+
+
+def _ray_spread_flags_add_at(arr, point_index, cam_idx, pixels, n_points):
+    nc = normalized_coords(arr, cam_idx, pixels)
+    d_cam = np.concatenate([nc, np.ones((len(nc), 1))], axis=1)
+    d = np.einsum("bji,bj->bi", arr.R[cam_idx], d_cam)
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    mean = np.zeros((n_points, 3))
+    np.add.at(mean, point_index, d)
+    counts = np.bincount(point_index, minlength=n_points).astype(float)
+    mean /= np.maximum(counts, 1.0)[:, None]
+    mean_norm = np.linalg.norm(mean, axis=1)
+    dev = np.zeros(n_points)
+    cosang = np.clip(np.sum(d * mean[point_index], axis=1) / np.maximum(mean_norm[point_index], 1e-30), -1, 1)
+    np.maximum.at(dev, point_index, np.arccos(cosang))
+    return 2.0 * dev < np.radians(MIN_RAY_ANGLE_DEG)
+
+
+def _point_costs_add_at(point_index, n_points, residuals, depths):
+    sq = np.sum(residuals * residuals, axis=1)
+    cost = np.zeros(n_points)
+    np.add.at(cost, point_index, sq)
+    all_in_front = np.ones(n_points, dtype=bool)
+    np.logical_and.at(all_in_front, point_index, depths > 0)
+    cost[~all_in_front] = np.inf
+    return cost
+
+
+def _triangulate_points_add_at(arr, point_index, cam_idx, pixels, n_points):
+    """LM over every observation row in each iteration, summed with add.at."""
+    parallel = _ray_spread_flags_add_at(arr, point_index, cam_idx, pixels, n_points)
+    p = _linear_initialization_add_at(arr, point_index, cam_idx, pixels, n_points)
+
+    uv, z = project_cams(arr, cam_idx, p[point_index])
+    cost = _point_costs_add_at(point_index, n_points, uv - pixels, z)
+    lam = np.full(n_points, 1e-3)
+    converged = np.zeros(n_points, dtype=bool)
+    active = ~parallel & np.isfinite(cost)
+
+    counts = np.bincount(point_index, minlength=n_points)
+    eye = np.eye(3)
+
+    for _ in range(MAX_ITERATIONS):
+        if not np.any(active):
+            break
+        uv, z, J = project_jacobian(arr, cam_idx, p[point_index])
+        r = uv - pixels
+        g = np.zeros((n_points, 3))
+        H = np.zeros((n_points, 3, 3))
+        np.add.at(g, point_index, np.einsum("bij,bi->bj", J, r))
+        np.add.at(H, point_index, np.einsum("bij,bik->bjk", J, J))
+
+        grad_ok = np.linalg.norm(2.0 * g, axis=1) < GRADIENT_TOL
+        converged[active & grad_ok] = True
+        active &= ~grad_ok
+        if not np.any(active):
+            break
+
+        ai = np.where(active)[0]
+        Ha = H[ai] + lam[ai, None, None] * (H[ai] * eye) + 1e-15 * eye
+        try:
+            delta = np.linalg.solve(Ha, -g[ai][..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            delta = np.stack([np.linalg.lstsq(Ha[k], -g[ai[k]], rcond=None)[0] for k in range(len(ai))])
+
+        trial = p.copy()
+        trial[ai] += delta
+        uv_t, z_t = project_cams(arr, cam_idx, trial[point_index])
+        cost_t = _point_costs_add_at(point_index, n_points, uv_t - pixels, z_t)
+
+        with np.errstate(invalid="ignore"):
+            decrease = cost - cost_t
+        improved = active & np.isfinite(cost_t) & (cost_t <= cost)
+        negligible = improved & (decrease <= 1e-14 * (cost + 1e-30))
+        p[improved] = trial[improved]
+        cost[improved] = cost_t[improved]
+        lam[improved] = np.maximum(lam[improved] / 3.0, 1e-12)
+        worsened = active & ~improved
+        lam[worsened] *= 4.0
+        stuck = worsened & (lam > 1e10)
+        active &= ~(stuck | negligible)
+
+    uv, z = project_cams(arr, cam_idx, p[point_index])
+    obs_err = np.linalg.norm(uv - pixels, axis=1)
+    mean_err = np.zeros(n_points)
+    np.add.at(mean_err, point_index, obs_err)
+    mean_err /= np.maximum(counts, 1)
+    converged[parallel] = False
+    return TriangulationResult(p, converged, parallel, obs_err, mean_err)
+
+
+LM_RIGS = {"rig4": ring_rig(4), "rig16": ring_rig(16), "mixed": mixed_ring_rig()}
+
+
+def _lm_batch(rig, rng, n_points, noise_px):
+    """A random triangulation batch, its rows shuffled so point_index is unsorted.
+
+    Points are ordinary (inside the ring), seen by one camera, or far away:
+    either down one camera's axis, seen by it and its ring neighbours, or in a
+    random direction, which some of its cameras see from behind. Far rays are
+    near-parallel, some below MIN_RAY_ANGLE_DEG.
+    """
+    arr = CameraArrays.from_rig(rig)
+    n_cams = len(arr.R)
+    center = np.array([0.0, 0.0, 1000.0])
+    point_index, cam_idx, pts = [], [], []
+    for i in range(n_points):
+        kind = rng.integers(4)
+        k = 1 if kind == 1 else int(rng.integers(2, n_cams + 1))
+        cams = rng.choice(n_cams, size=k, replace=False)
+        distance = 10 ** rng.uniform(4, 7)
+        if kind == 2:
+            k = min(k, 3)
+            cams = (cams[0] + np.arange(k)) % n_cams
+            p = center + arr.R[cams[0], 2] * distance + rng.normal(0.0, 300.0, 3)
+        elif kind == 3:
+            direction = rng.normal(size=3)
+            p = center + direction / np.linalg.norm(direction) * distance
+        else:
+            p = rng.uniform([-600.0, -600.0, 500.0], [600.0, 600.0, 1500.0])
+        point_index += [i] * k
+        cam_idx += list(cams)
+        pts += [p] * k
+    point_index, cam_idx = np.array(point_index), np.array(cam_idx)
+    pixels, _ = project_cams(arr, cam_idx, np.array(pts))
+    pixels += rng.normal(0.0, noise_px, pixels.shape)
+    order = rng.permutation(len(point_index))
+    return arr, point_index[order], cam_idx[order], pixels[order]
+
+
+# a far point that a distorted camera sees far off its axis squares past the
+# float range in the gradient norm, in the oracle as in the kernel
+OVERFLOW_OK = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+
+def _result_bytes(res):
+    return [np.ascontiguousarray(getattr(res, name)).tobytes() for name in TriangulationResult.__dataclass_fields__]
+
+
+@OVERFLOW_OK
+@pytest.mark.parametrize("noise_px", [0.3, 5.0])
+@pytest.mark.parametrize("rig_name", sorted(LM_RIGS))
+def test_lm_kernels_match_add_at_oracles_bitwise(rig_name, noise_px):
+    rng = np.random.default_rng([7, len(rig_name), int(noise_px * 10)])
+    for _ in range(25):
+        n = int(rng.integers(1, 60))
+        arr, point_index, cam_idx, pixels = _lm_batch(LM_RIGS[rig_name], rng, n, noise_px)
+        args = (arr, point_index, cam_idx, pixels, n)
+        assert linear_initialization(*args).tobytes() == _linear_initialization_add_at(*args).tobytes()
+        assert np.array_equal(ray_spread_flags(*args), _ray_spread_flags_add_at(*args))
+        assert _result_bytes(triangulate_points(*args)) == _result_bytes(_triangulate_points_add_at(*args))
+        # a NaN depth prices its point at inf, as a depth at or behind the camera does
+        residuals = rng.normal(0.0, 3.0, pixels.shape)
+        depths = rng.choice([np.nan, -1.0, 0.0, 1.0, 2.0, 3.0], len(point_index))
+        want = _point_costs_add_at(point_index, n, residuals, depths)
+        assert _point_costs(point_index, n, residuals, depths).tobytes() == want.tobytes()
+
+
+@OVERFLOW_OK
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rig_name=st.sampled_from(sorted(LM_RIGS)),
+    noise_px=st.sampled_from([0.0, 0.3, 5.0]),
+    n=st.integers(1, 40),
+)
+def test_lm_point_alone_equals_point_in_batch(seed, rig_name, noise_px, n):
+    """Renumbering the active points must not couple them: each solves as if alone."""
+    rng = np.random.default_rng(seed)
+    arr, point_index, cam_idx, pixels = _lm_batch(LM_RIGS[rig_name], rng, n, noise_px)
+    batch = triangulate_points(arr, point_index, cam_idx, pixels, n)
+    for i in rng.choice(n, size=min(n, 3), replace=False):
+        rows = np.flatnonzero(point_index == i)
+        alone = triangulate_points(arr, np.zeros(len(rows), dtype=int), cam_idx[rows], pixels[rows], 1)
+        assert alone.points.tobytes() == batch.points[i].tobytes()
+        assert alone.converged[0] == batch.converged[i] and alone.parallel[0] == batch.parallel[i]
+        assert alone.obs_errors.tobytes() == batch.obs_errors[rows].tobytes()
+        assert alone.mean_error.tobytes() == batch.mean_error[i : i + 1].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rig_name=st.sampled_from(sorted(LM_RIGS)),
+    point=st.tuples(st.floats(-600, 600), st.floats(-600, 600), st.floats(500, 1500)),
+    cams=st.data(),
+)
+def test_noiseless_project_triangulate_round_trip(rig_name, point, cams):
+    """Exact projections into three or more ring cameras (never collinear) give the point back."""
+    rig = LM_RIGS[rig_name]
+    ids = cams.draw(st.lists(st.sampled_from([c.id for c in rig]), min_size=3, unique=True))
+    assert_exact(triangulate_one(rig, np.array(point), [rig.camera(i) for i in ids]), np.array(point))
 
 
 # ---------------------------------------------------------------------------
