@@ -335,6 +335,10 @@ def cmd_inpaint(cfg) -> int:
     layout = load_layout(paths["layout"])
     model = load_model(paths["model"])
     clouds = reconstruct.read_clouds(paths["clouds"])
+    # the temporal term takes neighbouring clouds for neighbouring frames
+    for prev, cloud in zip(clouds, clouds[1:]):
+        if cloud.frame_index != prev.frame_index + 1:
+            raise ConfigError(f"{paths['clouds']}: frame {cloud.frame_index} follows frame {prev.frame_index}")
 
     if model.n_frames != len(clouds):
         quats, roots, _ = refine.fit_poses(model, clouds)
@@ -343,10 +347,10 @@ def cmd_inpaint(cfg) -> int:
     L = inpaint.build_spatial_laplacian(layout, model.rest_vertices)
     constraints = inpaint.unpose_observations(model, clouds)
     plan = inpaint.WindowPlan(int(cfg["window"]["length"]), int(cfg["window"]["overlap"]))
-    field = inpaint.solve_sequence(L, constraints, plan, float(cfg["window"]["w_temporal"]))
+    X = inpaint.solve_sequence(L, constraints, plan, float(cfg["window"]["w_temporal"]))
 
     K = len(clouds)
-    positions = np.stack([inpaint.complete_mesh(model, field, k) for k in range(K)])
+    positions = np.stack([inpaint.complete_mesh(model, X, k) for k in range(K)])
     anim_path = paths["animation"]
     anim_path.parent.mkdir(parents=True, exist_ok=True)
     if str(anim_path).endswith(".bin"):
@@ -360,10 +364,10 @@ def cmd_inpaint(cfg) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for k, cloud in enumerate(clouds):
-        observed = len(cloud.observed(model.n_vertices)[0])
+        observed = sum(i < model.n_vertices for i in cloud.points)
         rows.append([k, observed, model.n_vertices - observed])
     reporting.write_csv(str(prefix) + "_inpaint.csv", ["frame", "observed", "filled"], rows)
-    n_windows = len(plan.starts(K)) if K > plan.window_length else 1
+    n_windows = len(plan.starts(K))
     print(f"inpainted {K} frames ({n_windows} window{'s' if n_windows != 1 else ''})")
     return 0
 

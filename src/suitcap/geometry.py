@@ -240,7 +240,6 @@ class CameraArrays:
     cy: np.ndarray
     skew: np.ndarray
     dist: np.ndarray       # (C, 5)
-    centers: np.ndarray    # (C, 3) camera centers in world
     ids: np.ndarray        # (C,) camera ids
     any_distortion: bool
 
@@ -261,7 +260,6 @@ class CameraArrays:
             cy=K[:, 1, 2],
             skew=K[:, 0, 1],
             dist=dist,
-            centers=np.einsum("cji,cj->ci", R, -t),
             ids=np.array([c.id for c in cams], dtype=int),
             any_distortion=bool(np.any(dist != 0.0)),
         )

@@ -21,7 +21,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .errors import SingularBlend, SingularKKT
+from .errors import SingularKKT
 from .layout import SuitLayout
 from .meshes import triangulate_faces
 from .skinning import SkinnedBodyModel, joint_transforms, skin_with_transforms, unskin_with_transforms
@@ -33,7 +33,6 @@ COT_CLAMP = 1e4
 
 __all__ = [
     "WindowPlan",
-    "DisplacementField",
     "Constraints",
     "unpose_observations",
     "build_spatial_laplacian",
@@ -67,13 +66,6 @@ class WindowPlan:
 
 
 @dataclass
-class DisplacementField:
-    """Rest-pose displacements, frame-major: X[k, i] is vertex i's offset at frame k."""
-
-    X: np.ndarray  # (K, N, 3)
-
-
-@dataclass
 class Constraints:
     """Observed entries of the displacement field: X[frame_idx, vertex_idx] = targets."""
 
@@ -81,7 +73,6 @@ class Constraints:
     vertex_idx: np.ndarray
     targets: np.ndarray
     n_frames: int
-    n_vertices: int
     skipped: list = field(default_factory=list)
 
     def in_window(self, start: int, stop: int) -> "Constraints":
@@ -91,7 +82,6 @@ class Constraints:
             self.vertex_idx[m],
             self.targets[m],
             stop - start,
-            self.n_vertices,
         )
 
 
@@ -100,8 +90,8 @@ def unpose_observations(model: SkinnedBodyModel, clouds) -> Constraints:
 
     For observation p of vertex i at frame k the target is
     unskin(p) - rest_i. Observations whose blended transform is singular are
-    skipped and recorded. Hole-closing (never-observed) vertices are never
-    constrained.
+    skipped, logged and recorded as (frame, vertex) in `skipped`.
+    Hole-closing (never-observed) vertices are never constrained.
     """
     frame_idx = []
     vertex_idx = []
@@ -111,22 +101,12 @@ def unpose_observations(model: SkinnedBodyModel, clouds) -> Constraints:
         ids, pts = cloud.observed(model.n_vertices)
         constrained = ~model.never_observed[ids]
         ids, pts = ids[constrained], pts[constrained]
-        if len(ids) == 0:
-            continue
         G = joint_transforms(model, model.pose_quats[k], model.root_translations[k])
-        try:
-            rest_pts = unskin_with_transforms(model, G, ids, pts)
-            ok = np.ones(len(ids), dtype=bool)
-        except SingularBlend:
-            rest_pts = np.empty((len(ids), 3))
-            ok = np.zeros(len(ids), dtype=bool)
-            for j, (i, p) in enumerate(zip(ids, pts)):
-                try:
-                    rest_pts[j] = unskin_with_transforms(model, G, [i], p.reshape(1, 3))[0]
-                    ok[j] = True
-                except SingularBlend:
-                    skipped.append((k, int(i)))
-                    logger.warning("singular blend at frame %d vertex %d; observation skipped", k, i)
+        rest_pts, singular = unskin_with_transforms(model, G, ids, pts)
+        for i in ids[singular].tolist():
+            skipped.append((k, i))
+            logger.warning("singular blend at frame %d vertex %d; observation skipped", k, i)
+        ok = ~singular
         frame_idx.extend([k] * int(ok.sum()))
         vertex_idx.extend(int(i) for i in ids[ok])
         targets.extend(rest_pts[ok] - model.rest_vertices[ids[ok]])
@@ -135,7 +115,6 @@ def unpose_observations(model: SkinnedBodyModel, clouds) -> Constraints:
         np.array(vertex_idx, dtype=int),
         np.array(targets, dtype=float).reshape(-1, 3),
         len(clouds),
-        model.n_vertices,
         skipped,
     )
 
@@ -209,7 +188,6 @@ def solve_window(
     L: sparse.spmatrix,
     constraints: Constraints,
     w_temporal: float = DEFAULT_TEMPORAL_WEIGHT,
-    n_frames: int | None = None,
 ):
     """Solve the quadratic for one window on its unobserved entries only.
 
@@ -222,7 +200,7 @@ def solve_window(
     component seen in fewer than min(F, 2) frames, a duplicate (frame, vertex)
     constraint, or a failed factorization.
     """
-    F = n_frames if n_frames is not None else constraints.n_frames
+    F = constraints.n_frames
     N = L.shape[0]
     if len(constraints.frame_idx) == 0:
         raise SingularKKT("window has no constraints")
@@ -280,25 +258,20 @@ def solve_sequence(
     constraints: Constraints,
     plan: WindowPlan | None = None,
     w_temporal: float = DEFAULT_TEMPORAL_WEIGHT,
-) -> DisplacementField:
-    """Windowed solve with smooth overlap blending.
+) -> np.ndarray:
+    """Windowed solve with smooth overlap blending: the (K, N, 3) displacements.
 
-    Sequences not exceeding one window length are solved in a single pass that
-    is bitwise identical to `solve_window`.
+    A sequence no longer than one window is one window, so its result is
+    bitwise identical to `solve_window`'s.
     """
     plan = plan or WindowPlan()
     K = constraints.n_frames
-    if K <= plan.window_length:
-        X, _ = solve_window(L, constraints, w_temporal, n_frames=K)
-        return DisplacementField(X)
-
-    N = L.shape[0]
-    out = np.zeros((K, N, 3))
+    out = np.zeros((K, L.shape[0], 3))
     weights_new = plan.blend_weights()
     prev_end = None
     for s in plan.starts(K):
         stop = min(s + plan.window_length, K)
-        Xw, _ = solve_window(L, constraints.in_window(s, stop), w_temporal, n_frames=stop - s)
+        Xw, _ = solve_window(L, constraints.in_window(s, stop), w_temporal)
         if prev_end is None:
             out[s:stop] = Xw
         else:
@@ -307,13 +280,16 @@ def solve_sequence(
             out[s : s + overlap_len] = (1.0 - w) * out[s : s + overlap_len] + w * Xw[:overlap_len]
             out[s + overlap_len : stop] = Xw[overlap_len:]
         prev_end = stop
-    return DisplacementField(out)
+    return out
 
 
-def complete_mesh(model: SkinnedBodyModel, displacements: DisplacementField, frame: int):
-    """Forward-skin the displaced rest pose: full mesh positions at one frame."""
+def complete_mesh(model: SkinnedBodyModel, displacements: np.ndarray, frame: int):
+    """Forward-skin the displaced rest pose: full mesh positions at one frame.
+
+    `displacements` is the (K, N, 3) result of `solve_sequence`.
+    """
     G = joint_transforms(model, model.pose_quats[frame], model.root_translations[frame])
-    rest_k = model.rest_vertices + displacements.X[frame]
+    rest_k = model.rest_vertices + displacements[frame]
     return skin_with_transforms(model, G, rest_override=rest_k)
 
 

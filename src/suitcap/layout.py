@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphabetExhausted, BadCornerIndex, LayoutError, UnknownCode, UnknownCorner
+from .meshes import mesh_edges
 
 DEFAULT_SYMBOLS = "1234567ABCDEFGJKLMPQRTUVY"
 
@@ -124,12 +125,7 @@ class SuitLayout:
 
     def edges(self):
         """Unique undirected mesh edges as a sorted (E, 2) int array."""
-        es = set()
-        for f in self.faces:
-            for i in range(len(f)):
-                a, b = f[i], f[(i + 1) % len(f)]
-                es.add((a, b) if a < b else (b, a))
-        return np.array(sorted(es), dtype=int).reshape(-1, 2)
+        return mesh_edges(self.faces)
 
 
 def generate_synthetic_layout(

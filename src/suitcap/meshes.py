@@ -71,11 +71,11 @@ def vertex_normals(vertices, triangles):
     return n / lens
 
 
-def edge_graph(vertices, edges, n_vertices=None):
+def edge_graph(vertices, edges):
     """Sparse symmetric graph of Euclidean edge lengths."""
     v = np.asarray(vertices, dtype=float)
     e = np.asarray(edges, dtype=int)
-    n = n_vertices or len(v)
+    n = len(v)
     w = np.linalg.norm(v[e[:, 0]] - v[e[:, 1]], axis=1)
     g = coo_matrix(
         (np.concatenate([w, w]), (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]))),

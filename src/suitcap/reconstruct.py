@@ -104,14 +104,7 @@ def consolidate_labels(frame: DetectionFrame, layout: SuitLayout):
     return obs, conflicts
 
 
-def filter_mislabels(
-    corner_id,
-    camera_id,
-    pixel,
-    rig: CameraRig,
-    frame_index: int = 0,
-    arr: CameraArrays | None = None,
-) -> LabeledPointCloud:
+def filter_mislabels(corner_id, camera_id, pixel, rig: CameraRig, frame_index: int = 0) -> LabeledPointCloud:
     """Pairwise-search mislabel filter with the 1.5 x IQR rule.
 
     Takes one frame's labeled observations as flat arrays, sorted by
@@ -123,7 +116,7 @@ def filter_mislabels(
     test. With exactly two cameras the IQR step is skipped and only the
     absolute test applies.
     """
-    arr = arr or CameraArrays.from_rig(rig)
+    arr = CameraArrays.from_rig(rig)
     corner_id = np.asarray(corner_id, dtype=int)
     camera_id = np.asarray(camera_id, dtype=int)
     pixel = np.asarray(pixel, dtype=float).reshape(-1, 2)
@@ -217,7 +210,6 @@ def reconstruct_frame(
     rig: CameraRig,
     layout: SuitLayout,
     cluster_radius: float = 3.0,
-    arr: CameraArrays | None = None,
 ) -> LabeledPointCloud:
     """All per-camera detections of one time step -> labeled point cloud."""
     if not frames:
@@ -236,7 +228,7 @@ def reconstruct_frame(
         pixel.append(f.corners[obs[:, 1]])
     corner_id, camera_id, pixel = (np.concatenate(a) for a in (corner_id, camera_id, pixel))
     order = np.lexsort((camera_id, corner_id))
-    cloud = filter_mislabels(corner_id[order], camera_id[order], pixel[order], rig, frame_index, arr=arr)
+    cloud = filter_mislabels(corner_id[order], camera_id[order], pixel[order], rig, frame_index)
     cloud.discarded = sorted(
         conflicts + cloud.discarded,
         key=lambda d: (d.corner_id, d.reason, -1 if d.camera_id is None else d.camera_id),
@@ -255,13 +247,12 @@ def reconstruct_sequence(
     No state is carried between frames; per-frame failures are recorded in the
     clouds rather than aborting the stream.
     """
-    arr = CameraArrays.from_rig(rig)
     by_frame: dict[int, list[DetectionFrame]] = defaultdict(list)
     for f in frames:
         by_frame[f.frame_index].append(f)
     clouds = []
     for k in sorted(by_frame):
-        clouds.append(reconstruct_frame(by_frame[k], rig, layout, cluster_radius, arr=arr))
+        clouds.append(reconstruct_frame(by_frame[k], rig, layout, cluster_radius))
     return clouds
 
 

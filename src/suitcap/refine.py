@@ -81,7 +81,7 @@ def geodesic_weights(layout: SuitLayout, rest_vertices, initial_weights):
     weight above `GEODESIC_SUPPORT` for joint j; +inf where joint j is unreachable."""
     rest_vertices = np.asarray(rest_vertices, dtype=float)
     W0 = np.asarray(initial_weights, dtype=float)
-    graph = edge_graph(rest_vertices, layout.edges(), n_vertices=len(rest_vertices))
+    graph = edge_graph(rest_vertices, layout.edges())
     g = np.empty_like(W0)
     for j in range(W0.shape[1]):
         sources = np.where(W0[:, j] > GEODESIC_SUPPORT)[0]
@@ -350,9 +350,7 @@ def _prepare_frames(model, clouds):
     frames_obs = []
     for k, cloud in enumerate(clouds):
         ids, pts = cloud.observed(model.n_vertices)
-        q = model.pose_quats[k] if k < model.n_frames else model.identity_pose()[0]
-        t = model.root_translations[k] if k < model.n_frames else np.zeros(3)
-        frames_obs.append([ids, pts, q.copy(), t.copy()])
+        frames_obs.append([ids, pts, model.pose_quats[k].copy(), model.root_translations[k].copy()])
     return frames_obs
 
 

@@ -264,20 +264,11 @@ STICK_FIGURE_BONES = [
 ]
 
 
-def stick_figure_scene(
-    n_cameras: int = 16,
-    seed: int = 0,
-    breathing_amplitude: float = 0.0,
-    breathing_period: float = 100.0,
-    animation_strength: float = 1.0,
-    bones=None,
-) -> SyntheticScene:
-    """Full 16-joint capsule-chain body wrapped with roughly 1.5k coded corners."""
+def _body_scene(joints, parents, bones, n_cameras, seed, breathing_amplitude, breathing_period, **motion):
+    """Tube body, random joint animation and breathing field; `motion` goes to JointAnimation.random."""
     rng = np.random.default_rng(seed)
-    layout, model, tube_of = build_tube_body(
-        STICK_FIGURE_JOINTS, STICK_FIGURE_PARENTS, bones or STICK_FIGURE_BONES
-    )
-    animation = JointAnimation.random(model.n_joints, rng, strength=animation_strength)
+    layout, model, tube_of = build_tube_body(joints, parents, bones)
+    animation = JointAnimation.random(model.n_joints, rng, **motion)
     amp, dirs = _breathing_field(model, layout, breathing_amplitude)
     return SyntheticScene(
         model=model,
@@ -289,6 +280,20 @@ def stick_figure_scene(
         breathing_period=breathing_period,
         seed=seed,
         vertex_tube=tube_of,
+    )
+
+
+def stick_figure_scene(
+    n_cameras: int = 16,
+    seed: int = 0,
+    breathing_amplitude: float = 0.0,
+    breathing_period: float = 100.0,
+    animation_strength: float = 1.0,
+) -> SyntheticScene:
+    """Full 16-joint capsule-chain body wrapped with roughly 1.5k coded corners."""
+    return _body_scene(
+        STICK_FIGURE_JOINTS, STICK_FIGURE_PARENTS, STICK_FIGURE_BONES, n_cameras, seed,
+        breathing_amplitude, breathing_period, strength=animation_strength,
     )
 
 
@@ -303,25 +308,13 @@ def tube_scene(
     animation_strength: float = 1.0,
 ) -> SyntheticScene:
     """Single articulated cylinder: a 3-joint chain wrapped with one corner grid."""
-    rng = np.random.default_rng(seed)
     joints = np.array([[0, 0, 600], [0, 0, 1000], [0, 0, 1400]], dtype=float)
     parents = np.array([-1, 0, 1])
-    layout, model, tube_of = build_tube_body(
-        joints, parents, [(0, 1, radius, strips, codes_per_strip // 2 or 1),
-                          (1, 2, radius, strips, codes_per_strip // 2 or 1)]
-    )
-    animation = JointAnimation.random(model.n_joints, rng, strength=animation_strength, root_sway=30.0)
-    amp, dirs = _breathing_field(model, layout, breathing_amplitude)
-    return SyntheticScene(
-        model=model,
-        layout=layout,
-        rig=build_default_rig(n_cameras),
-        animation=animation,
-        breathing_amplitude=amp,
-        breathing_dirs=dirs,
-        breathing_period=breathing_period,
-        seed=seed,
-        vertex_tube=tube_of,
+    tube = (radius, strips, codes_per_strip // 2 or 1)
+    bones = [(0, 1, *tube), (1, 2, *tube)]
+    return _body_scene(
+        joints, parents, bones, n_cameras, seed,
+        breathing_amplitude, breathing_period, strength=animation_strength, root_sway=30.0,
     )
 
 

@@ -181,18 +181,25 @@ def unskin_points(model: SkinnedBodyModel, frame: int, vertex_ids, points):
         If any vertex's blended matrix has |det| <= 1e-9.
     """
     G = joint_transforms(model, model.pose_quats[frame], model.root_translations[frame])
-    return unskin_with_transforms(model, G, vertex_ids, points)
+    vertex_ids = np.asarray(vertex_ids, dtype=int)
+    rest, singular = unskin_with_transforms(model, G, vertex_ids, points)
+    if singular.any():
+        raise SingularBlend(f"blended transform singular for vertices {vertex_ids[singular].tolist()}")
+    return rest
 
 
 def unskin_with_transforms(model: SkinnedBodyModel, G, vertex_ids, points):
+    """Rest-space points through the blended inverses, and a mask of singular rows.
+
+    A row whose blended matrix has |det| <= 1e-9 is marked in the mask and is NaN.
+    """
     vertex_ids = np.asarray(vertex_ids, dtype=int)
     pts = np.asarray(points, dtype=float).reshape(len(vertex_ids), 3)
     lin, tr = blend_transforms(model, G, vertex_ids)
-    det = np.linalg.det(lin)
-    if np.any(np.abs(det) <= 1e-9):
-        bad = vertex_ids[np.abs(det) <= 1e-9]
-        raise SingularBlend(f"blended transform singular for vertices {bad.tolist()}")
-    return np.linalg.solve(lin, (pts - tr)[..., None])[..., 0]
+    singular = np.abs(np.linalg.det(lin)) <= 1e-9
+    rest = np.full_like(pts, np.nan)
+    rest[~singular] = np.linalg.solve(lin[~singular], (pts - tr)[~singular, :, None])[..., 0]
+    return rest, singular
 
 
 def unskin(model: SkinnedBodyModel, frame: int, vertex: int, point):

@@ -295,7 +295,7 @@ def test_criterion_6_inpaint_qp_oracle(rng):
                 fi.append(k)
                 vi.append(i)
                 tg.append(rng.uniform(-3, 3, 3))
-    cons = ip.Constraints(np.array(fi), np.array(vi), np.array(tg).reshape(-1, 3), F, N)
+    cons = ip.Constraints(np.array(fi), np.array(vi), np.array(tg).reshape(-1, 3), F)
     X, _ = ip.solve_window(L, cons)
 
     # generic dense equality-constrained QP oracle via an SVD null-space basis
@@ -327,10 +327,10 @@ def test_criterion_6_inpaint_qp_oracle(rng):
                 fi2.append(k)
                 vi2.append(i)
                 tg2.append(np.array([np.sin(k / 9.0), np.cos(k / 17.0), 0.01 * i]))
-    cons2 = ip.Constraints(np.array(fi2), np.array(vi2), np.array(tg2).reshape(-1, 3), K2, N)
+    cons2 = ip.Constraints(np.array(fi2), np.array(vi2), np.array(tg2).reshape(-1, 3), K2)
     seq = ip.solve_sequence(L, cons2, ip.WindowPlan(150, 50))
-    win, _ = ip.solve_window(L, cons2, n_frames=K2)
-    bitwise = np.array_equal(seq.X, win)
+    win, _ = ip.solve_window(L, cons2)
+    bitwise = np.array_equal(seq, win)
 
     ok = max_dev < 1e-7 and rel <= 1e-8 and bitwise
     report(
@@ -366,7 +366,7 @@ def test_criterion_7_hole_filling(rng):
     L = ip.build_spatial_laplacian(scene.layout, model.rest_vertices)
     cons = ip.unpose_observations(model, clouds)
     windowed = ip.solve_sequence(L, cons, ip.WindowPlan(150, 50))
-    dense, _ = ip.solve_window(L, cons, n_frames=K)
+    dense, _ = ip.solve_window(L, cons)
 
     def hidden_rms(field_X):
         errs = []
@@ -381,7 +381,7 @@ def test_criterion_7_hole_filling(rng):
                 errs.append(np.linalg.norm(full[i] - pos[i]))
         return float(np.sqrt(np.mean(np.square(errs))))
 
-    rms_w = hidden_rms(windowed.X)
+    rms_w = hidden_rms(windowed)
     rms_d = hidden_rms(dense)
     ok = rms_w <= 2.0 * rms_d
     report(

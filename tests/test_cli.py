@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from suitcap.cli import main
 from suitcap.detection import read_detections
@@ -434,6 +435,27 @@ def test_inpaint_binary_and_counts(tmp_path, capsys):
     rows = (tmp_path / "report_inpaint.csv").read_text().splitlines()
     assert rows[0] == "frame,observed,filled"
     assert len(rows) == 7
+
+
+@pytest.mark.parametrize(
+    "order, bad",
+    [([0, 1, 3], 3), ([0, 1, 1, 2], 1), ([0, 2, 1, 3], 2)],
+    ids=["missing", "repeated", "out-of-order"],
+)
+def test_inpaint_rejects_non_consecutive_frames(tmp_path, capsys, order, bad):
+    run_simulate(tmp_path, frames=4)
+    run_reconstruct(tmp_path)
+    _write_init_model(tmp_path)
+    path = tmp_path / "clouds.jsonl"
+    lines = path.read_text().splitlines()
+    path.write_text("".join(lines[k] + "\n" for k in order))
+    assert main([
+        "inpaint",
+        "--set", f"paths.output_dir={tmp_path}",
+        "--set", f"paths.model={tmp_path}/init_model.json",
+    ]) == 2
+    assert f"frame {bad} follows" in capsys.readouterr().err
+    assert not (tmp_path / "animation.bin").exists()
 
 
 def test_inpaint_obj_sequence(tmp_path):

@@ -5,7 +5,6 @@ from scipy.linalg import null_space
 from suitcap.errors import SingularKKT
 from suitcap.inpaint import (
     Constraints,
-    DisplacementField,
     WindowPlan,
     build_spatial_laplacian,
     complete_mesh,
@@ -76,6 +75,41 @@ def test_unpose_generative_roundtrip(posed_scene, rng):
         clouds.append(cloud)
     cons = unpose_observations(model, clouds)
     assert np.abs(cons.targets - bump[cons.vertex_idx]).max() < 1e-8
+
+
+def test_unpose_skips_singular_blend_and_keeps_other_targets(rng, caplog):
+    # vertex 0 blends R(pi about x) half-half with the identity at frame 1:
+    # diag(1, 0, 0), singular; every other blend stays invertible
+    from suitcap.geometry import quat_from_rotvec
+    from suitcap.skinning import SkinnedBodyModel
+
+    n = 6
+    W = np.tile([0.2, 0.8], (n, 1))
+    W[0] = 0.5
+    identity = quat_from_rotvec(np.zeros(3))
+    flip = quat_from_rotvec(np.array([np.pi, 0.0, 0.0]))
+    quats = np.stack([[identity, identity], [flip, identity]])
+    model = SkinnedBodyModel(
+        rng.uniform(-50, 50, (n, 3)), np.zeros((2, 3)), np.array([-1, -1]), W, quats, np.zeros((2, 3))
+    )
+    clouds = []
+    for k in range(2):
+        cloud = LabeledPointCloud(k)
+        for i, p in enumerate(rng.uniform(-50, 50, (n, 3))):
+            cloud.points[i] = PointRecord(p, (0, 1), 0.0)
+        clouds.append(cloud)
+
+    with caplog.at_level("WARNING", logger="suitcap.inpaint"):
+        cons = unpose_observations(model, clouds)
+    assert cons.skipped == [(1, 0)]
+    assert "singular blend at frame 1 vertex 0" in caplog.text
+
+    del clouds[1].points[0]
+    ref = unpose_observations(model, clouds)
+    assert ref.skipped == []
+    assert np.array_equal(cons.frame_idx, ref.frame_idx)
+    assert np.array_equal(cons.vertex_idx, ref.vertex_idx)
+    assert cons.targets.tobytes() == ref.targets.tobytes()
 
 
 def test_unpose_skips_never_observed(posed_scene):
@@ -182,7 +216,7 @@ def small_problem(rng, n_frames=3, observed_fraction=0.6, n_strips=2, codes=3):
                 vertex_idx.append(i)
                 targets.append(rng.uniform(-3, 3, 3))
     cons = Constraints(
-        np.array(frame_idx), np.array(vertex_idx), np.array(targets).reshape(-1, 3), n_frames, n
+        np.array(frame_idx), np.array(vertex_idx), np.array(targets).reshape(-1, 3), n_frames
     )
     return layout, L, cons
 
@@ -193,7 +227,7 @@ def test_fully_constrained_window_returns_targets(rng):
     K = 3
     fi, vi = np.meshgrid(np.arange(K), np.arange(n), indexing="ij")
     targets = rng.uniform(-2, 2, (K * n, 3))
-    cons = Constraints(fi.ravel(), vi.ravel(), targets, K, n)
+    cons = Constraints(fi.ravel(), vi.ravel(), targets, K)
     X, zeroed = solve_window(L, cons)
     assert not zeroed
     assert np.array_equal(X.reshape(-1, 3), targets)  # observed entries are assigned, not solved for
@@ -201,7 +235,7 @@ def test_fully_constrained_window_returns_targets(rng):
 
 def test_zero_constraints_give_zero_field(rng):
     layout, L, cons = small_problem(rng)
-    cons = Constraints(cons.frame_idx, cons.vertex_idx, np.zeros_like(cons.targets), 3, L.shape[0])
+    cons = Constraints(cons.frame_idx, cons.vertex_idx, np.zeros_like(cons.targets), 3)
     X, _ = solve_window(L, cons)
     assert np.abs(X).max() < 1e-10
 
@@ -262,7 +296,7 @@ def test_single_frame_is_pure_spatial_hole_fill(rng):
     n = L.shape[0]
     observed = np.arange(0, n, 2)
     targets = rng.uniform(-2, 2, (len(observed), 3))
-    cons = Constraints(np.zeros(len(observed), dtype=int), observed, targets, 1, n)
+    cons = Constraints(np.zeros(len(observed), dtype=int), observed, targets, 1)
     X, _ = solve_window(L, cons)
     # classic Laplacian hole fill: L_ff x_f = -L_fo x_o per coordinate
     free = np.array([i for i in range(n) if i not in set(observed.tolist())])
@@ -282,7 +316,7 @@ def test_unconstrained_component_zeroed(rng):
     rest = rng.uniform(0, 10, (8, 3))
     L = build_spatial_laplacian(layout, rest)
     cons = Constraints(
-        np.array([0, 1, 2]), np.array([0, 1, 2]), rng.uniform(-1, 1, (3, 3)), 3, 8
+        np.array([0, 1, 2]), np.array([0, 1, 2]), rng.uniform(-1, 1, (3, 3)), 3
     )
     X, zeroed = solve_window(L, cons)
     assert zeroed  # the 4..7 component has no constraints
@@ -296,7 +330,6 @@ def test_duplicate_constraints_raise(rng):
         np.append(cons.vertex_idx, cons.vertex_idx[0]),
         np.vstack([cons.targets, cons.targets[:1] + 1.0]),
         cons.n_frames,
-        cons.n_vertices,
     )
     with pytest.raises(SingularKKT, match="duplicate"):
         solve_window(L, dup)
@@ -309,7 +342,7 @@ def test_component_constrained_in_one_frame_raises(rng, n_frames):
     layout = generate_synthetic_layout(2, 3)
     n = layout.n_corners
     L = build_spatial_laplacian(layout, rng.uniform(0, 60, (n, 3)))
-    cons = Constraints(np.zeros(n, dtype=int), np.arange(n), rng.uniform(-1, 1, (n, 3)), n_frames, n)
+    cons = Constraints(np.zeros(n, dtype=int), np.arange(n), rng.uniform(-1, 1, (n, 3)), n_frames)
     with pytest.raises(SingularKKT, match=r"component 0 is constrained only in frames \[0\] of"):
         solve_window(L, cons)
 
@@ -317,7 +350,7 @@ def test_component_constrained_in_one_frame_raises(rng, n_frames):
 def test_two_frame_window_constrained_in_both_frames_solves(rng):
     layout, L, _ = small_problem(rng)
     n = L.shape[0]
-    cons = Constraints(np.array([0, 1]), np.array([0, n - 1]), rng.uniform(-1, 1, (2, 3)), 2, n)
+    cons = Constraints(np.array([0, 1]), np.array([0, n - 1]), rng.uniform(-1, 1, (2, 3)), 2)
     X, _ = solve_window(L, cons)
     assert np.all(np.isfinite(X))
     assert np.array_equal(X[[0, 1], [0, n - 1]], cons.targets)
@@ -328,19 +361,21 @@ def test_empty_window_raises():
     rest = np.random.default_rng(0).uniform(0, 10, (layout.n_corners, 3))
     L = build_spatial_laplacian(layout, rest)
     with pytest.raises(SingularKKT):
-        solve_window(L, Constraints(np.array([], int), np.array([], int), np.zeros((0, 3)), 3, L.shape[0]))
+        solve_window(L, Constraints(np.array([], int), np.array([], int), np.zeros((0, 3)), 3))
 
 
 # ---------------------------------------------------------------------------
 # sequence solve and blending
 
 
-def test_short_sequence_equals_single_window(rng):
-    layout, L, cons = small_problem(rng, n_frames=3)
-    plan = WindowPlan(150, 50)
+@pytest.mark.parametrize("n_frames", [3, 12])  # 12 frames: exactly one window
+def test_short_sequence_equals_single_window(rng, n_frames):
+    layout, L, cons = small_problem(rng, n_frames=n_frames)
+    plan = WindowPlan(12, 4)
+    assert plan.starts(n_frames) == [0]
     seq = solve_sequence(L, cons, plan)
-    win, _ = solve_window(L, cons, n_frames=3)
-    assert np.array_equal(seq.X, win)  # bitwise
+    win, _ = solve_window(L, cons)
+    assert np.array_equal(seq, win)  # bitwise
 
 
 def test_k120_equals_unwindowed_bitwise(rng):
@@ -356,10 +391,10 @@ def test_k120_equals_unwindowed_bitwise(rng):
                 fi.append(k)
                 vi.append(i)
                 tg.append(np.sin(k / 10.0) * np.ones(3) + rest[i] * 0.001)
-    cons = Constraints(np.array(fi), np.array(vi), np.array(tg).reshape(-1, 3), K, n)
+    cons = Constraints(np.array(fi), np.array(vi), np.array(tg).reshape(-1, 3), K)
     seq = solve_sequence(L, cons, WindowPlan(150, 50))
-    win, _ = solve_window(L, cons, n_frames=K)
-    assert np.array_equal(seq.X, win)
+    win, _ = solve_window(L, cons)
+    assert np.array_equal(seq, win)
 
 
 def test_blend_weights_partition_of_unity():
@@ -385,15 +420,15 @@ def test_windowed_sequence_matches_dense_and_stays_smooth(rng):
             fi.append(k)
             vi.append(i)
             tg.append(np.array([np.sin(k / 25.0), np.cos(k / 40.0), 0.01 * i]))
-    cons = Constraints(np.array(fi), np.array(vi), np.array(tg).reshape(-1, 3), K, n)
+    cons = Constraints(np.array(fi), np.array(vi), np.array(tg).reshape(-1, 3), K)
     seq = solve_sequence(L, cons, WindowPlan(150, 50))
-    dense, _ = solve_window(L, cons, n_frames=K)
+    dense, _ = solve_window(L, cons)
 
     # observed entries equal their targets everywhere, including overlaps
-    err = np.abs(seq.X[cons.frame_idx, cons.vertex_idx] - cons.targets).max()
+    err = np.abs(seq[cons.frame_idx, cons.vertex_idx] - cons.targets).max()
     assert err < 1e-8 * (1.0 + np.abs(cons.targets).max())
 
-    jumps_windowed = np.abs(np.diff(seq.X[:, hidden, :], axis=0)).max()
+    jumps_windowed = np.abs(np.diff(seq[:, hidden, :], axis=0)).max()
     jumps_dense = np.abs(np.diff(dense[:, hidden, :], axis=0)).max()
     assert jumps_windowed <= jumps_dense + 1e-6
 
@@ -406,8 +441,7 @@ def test_complete_mesh_zero_displacement_is_pure_lbs(posed_scene):
     scene, model = posed_scene
     from suitcap.skinning import skin_all
 
-    field = DisplacementField(np.zeros((2, model.n_vertices, 3)))
-    got = complete_mesh(model, field, 1)
+    got = complete_mesh(model, np.zeros((2, model.n_vertices, 3)), 1)
     assert np.abs(got - skin_all(model, 1)).max() < 1e-12
 
 
@@ -416,9 +450,9 @@ def test_complete_mesh_reproduces_observations(posed_scene):
     clouds = truth_clouds(scene, 3)
     L = build_spatial_laplacian(scene.layout, model.rest_vertices)
     cons = unpose_observations(model, clouds)
-    field = solve_sequence(L, cons, WindowPlan(150, 50))
+    X = solve_sequence(L, cons, WindowPlan(150, 50))
     for k, cloud in enumerate(clouds):
-        full = complete_mesh(model, field, k)
+        full = complete_mesh(model, X, k)
         for cid, rec in cloud.points.items():
             assert np.linalg.norm(full[cid] - rec.position) < 1e-6
 

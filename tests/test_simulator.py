@@ -78,7 +78,8 @@ def test_samples_respect_generative_roundtrip(rng):
         pos = scene.positions(k)
         G = joint_transforms(model, model.pose_quats[k], model.root_translations[k])
         ids = np.arange(model.n_vertices)
-        rest_back = unskin_with_transforms(model, G, ids, pos)
+        rest_back, singular = unskin_with_transforms(model, G, ids, pos)
+        assert not singular.any()
         expected = model.rest_vertices + scene.rest_displacements(k)
         assert np.abs(rest_back - expected).max() < 1e-9
 
