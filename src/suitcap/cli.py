@@ -175,23 +175,11 @@ def cmd_simulate(cfg) -> int:
                 n_corner_obs += len(frame.corners)
                 n_readings += len(frame.codes)
                 det_f.write(detection.frame_to_json(frame) + "\n")
-            truth_f.write(_truth_line(k, pos, vis) + "\n")
+            truth_f.write(reconstruct.cloud_to_json(simulator.truth_cloud(k, pos, vis, min_cameras=1)) + "\n")
     print(f"simulated {n_frames} frames x {len(scene.rig)} cameras")
     print(f"corners: {scene.layout.n_corners} on suit, {n_corner_obs} detections")
     print(f"codes: {len(scene.layout.codes)} on suit, {n_readings} readings")
     return 0
-
-
-def _truth_line(k, pos, vis) -> str:
-    counts: dict[int, list] = {}
-    for cam_id, ids in vis.visible_corners.items():
-        for cid in ids:
-            counts.setdefault(int(cid), []).append(int(cam_id))
-    points = [
-        {"id": cid, "p": [float(v) for v in pos[cid]], "cams": sorted(cams), "err": 0.0}
-        for cid, cams in sorted(counts.items())
-    ]
-    return json.dumps({"frame": k, "truth": True, "points": points, "discarded": []})
 
 
 def cmd_reconstruct(cfg) -> int:
@@ -274,6 +262,8 @@ def cmd_fit(cfg) -> int:
             clouds[0], template, seeds, layout, extra_clouds=clouds[1:6]
         )
         model0 = result.model
+        status = "converged" if result.converged else f"stopped at its {registration.ICP_ITERATIONS}-iteration cap"
+        print(f"registration {status}: mean residual {result.mean_residuals[-1]:.4f} mm")
     else:
         raise ConfigError("fit needs either paths.init_model or paths.template + paths.seeds")
 

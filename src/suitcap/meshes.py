@@ -93,7 +93,7 @@ def geodesic_to_sources(graph, sources):
 
 
 def closest_point_on_triangles(p, tri_pts):
-    """Closest point to `p` on each triangle of `tri_pts` (T, 3, 3).
+    """Closest point to `p` (3,), or to row t of `p` (T, 3), on each triangle t of `tri_pts` (T, 3, 3).
 
     Returns (points (T, 3), barycentric (T, 3)). Vectorized version of the
     standard region-based point-triangle test.

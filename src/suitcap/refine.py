@@ -27,7 +27,7 @@ from .errors import NotConverged
 from .geometry import quat_from_rotvec, quat_mul, quat_normalize, quat_to_rot
 from .layout import SuitLayout
 from .meshes import edge_graph, geodesic_to_sources
-from .skinning import SkinnedBodyModel, joint_transforms
+from .skinning import SkinnedBodyModel, blend_transforms, joint_transforms
 
 log = logging.getLogger(__name__)
 
@@ -460,9 +460,7 @@ def _solve_rest(model, frames_obs):
     b = np.zeros((N, 3))
     seen = np.zeros(N, dtype=bool)
     for ids, pts, q, t in frames_obs:
-        G = joint_transforms(model, q, t)
-        lin = np.einsum("nm,mij->nij", model.weights[ids], np.ascontiguousarray(G[:, :3, :3]))
-        tr = model.weights[ids] @ G[:, :3, 3]
+        lin, tr = blend_transforms(model, joint_transforms(model, q, t), ids)
         H[ids] += np.einsum("nij,nik->njk", lin, lin)
         b[ids] += np.einsum("nij,ni->nj", lin, pts - tr)
         seen[ids] = True

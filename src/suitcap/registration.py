@@ -24,9 +24,13 @@ from .errors import DivergedICP, InsufficientSeeds
 from .geometry import quat_from_rotvec
 from .layout import SuitLayout
 from .meshes import closest_point_on_triangles, mesh_edges
-from .skinning import SkinnedBodyModel, joint_transforms
+from .skinning import SkinnedBodyModel, joint_transforms, skin_with_transforms
 
 __all__ = ["TemplateModel", "register_icp", "RegistrationResult"]
+
+FIT_PRIOR = 1e-3          # weight of the zero prior on every fit parameter
+CLOSEST_CANDIDATES = 48   # triangles, nearest by centroid, searched per query point
+ICP_ITERATIONS = 50       # closest-point passes before registration stops unconverged
 
 
 @dataclass
@@ -58,6 +62,7 @@ class RegistrationResult:
     correspondences: dict      # corner_id -> (triangle index, (3,) barycentric)
     mean_residuals: list       # per ICP iteration, mm
     registered: np.ndarray     # bool per layout vertex
+    converged: bool            # the closest-point assignment repeated before ICP_ITERATIONS
 
 
 def save_template(template: TemplateModel, path) -> None:
@@ -96,29 +101,19 @@ def load_template(path) -> TemplateModel:
 
 
 class _TemplateFit:
-    """Pose + root translation + per-joint log-scale deformation of the template."""
+    """Pose, root translation and per-joint log-scale (4M + 3 parameters) deformation of the template."""
 
     def __init__(self, template: TemplateModel):
         self.t = template
-        skeleton_weights = np.zeros((1, template.n_joints))
-        skeleton_weights[0, 0] = 1.0
-        self._chain = SkinnedBodyModel(
-            rest_vertices=np.zeros((1, 3)),
-            joints=template.joints,
-            parents=template.parents,
-            weights=skeleton_weights,
-        )
+        # TemplateModel accepts rows that sum to 1 within 1e-6; the skinned model asks for 1e-9
+        W = template.weights / template.weights.sum(axis=1, keepdims=True)
+        self.model = SkinnedBodyModel(template.vertices, template.joints, template.parents, W)
 
-    def n_params(self, with_scale=True):
-        m = self.t.n_joints
-        return 3 * m + 3 + (m if with_scale else 0)
-
-    def unpack(self, params, with_scale=True):
+    def unpack(self, params):
         m = self.t.n_joints
         rotvecs = params[: 3 * m].reshape(m, 3)
         root_t = params[3 * m : 3 * m + 3]
-        log_s = params[3 * m + 3 :] if with_scale else np.zeros(m)
-        return rotvecs, root_t, np.exp(log_s)
+        return rotvecs, root_t, np.exp(params[3 * m + 3 :])
 
     def scaled_rest(self, scales, vertex_ids=None):
         """Per-joint scaling about each joint, blended by the template weights."""
@@ -129,21 +124,16 @@ class _TemplateFit:
         scaled = self.t.joints[None, :, :] + scales[None, :, None] * offs
         return np.einsum("nm,nmi->ni", W, scaled)
 
-    def deform(self, params, vertex_ids=None, with_scale=True):
-        rotvecs, root_t, scales = self.unpack(params, with_scale)
-        quats = quat_from_rotvec(rotvecs)
-        G = joint_transforms(self._chain, quats, root_t)
-        ids = slice(None) if vertex_ids is None else vertex_ids
-        W = self.t.weights[ids]
+    def deform(self, params, vertex_ids=None):
+        rotvecs, root_t, scales = self.unpack(params)
+        G = joint_transforms(self.model, quat_from_rotvec(rotvecs), root_t)
         rest = self.scaled_rest(scales, vertex_ids)
-        lin = np.einsum("nm,mij->nij", W, G[:, :3, :3])
-        tr = W @ G[:, :3, 3]
-        return np.einsum("nij,nj->ni", lin, rest) + tr
+        return skin_with_transforms(self.model, G, vertex_ids, rest_override=rest)
 
-    def surface_points(self, params, tris, bary, with_scale=True):
+    def surface_points(self, params, tris, bary):
         tri_vs = self.t.triangles[np.asarray(tris, dtype=int)]
         verts, inverse = np.unique(tri_vs, return_inverse=True)
-        dv = self.deform(params, vertex_ids=verts, with_scale=with_scale)
+        dv = self.deform(params, vertex_ids=verts)
         rows = inverse.reshape(tri_vs.shape)
         out = np.zeros((len(tri_vs), 3))
         for c in range(3):
@@ -151,38 +141,27 @@ class _TemplateFit:
         return out
 
 
-def _fit_params(fit: _TemplateFit, params0, tris, bary, targets, with_scale=True, prior=1e-3):
+def _fit_params(fit: _TemplateFit, params0, tris, bary, targets):
     """Least-squares template fit to surface correspondences with weak priors."""
-    n_params = fit.n_params(with_scale)
-    params0 = np.asarray(params0, dtype=float)[:n_params]
 
     def residuals(p):
-        r = (fit.surface_points(p, tris, bary, with_scale) - targets).ravel()
-        return np.concatenate([r, prior * p])
+        r = (fit.surface_points(p, tris, bary) - targets).ravel()
+        return np.concatenate([r, FIT_PRIOR * p])
 
-    sol = least_squares(residuals, params0, method="lm", max_nfev=300)
-    return sol.x
+    return least_squares(residuals, params0, method="lm", max_nfev=300).x
 
 
-def _closest_on_surface(points, surface_vertices, triangles, k_candidates=48):
+def _closest_on_surface(points, surface_vertices, triangles):
     """(tri, bary, distance) of the closest surface point for each query point."""
-    centroids = surface_vertices[triangles].mean(axis=1)
-    tree = cKDTree(centroids)
-    k = min(k_candidates, len(triangles))
-    _, cand = tree.query(points, k=k)
-    cand = cand.reshape(len(points), -1)
-    tris = np.empty(len(points), dtype=int)
-    bary = np.empty((len(points), 3))
-    dist = np.empty(len(points))
-    for i, p in enumerate(points):
-        tri_pts = surface_vertices[triangles[cand[i]]]
-        cp, cb = closest_point_on_triangles(p, tri_pts)
-        d = np.linalg.norm(cp - p, axis=1)
-        j = int(np.argmin(d))
-        tris[i] = cand[i][j]
-        bary[i] = cb[j]
-        dist[i] = d[j]
-    return tris, bary, dist
+    k = min(CLOSEST_CANDIDATES, len(triangles))
+    _, cand = cKDTree(surface_vertices[triangles].mean(axis=1)).query(points, k=k)
+    cand = cand.reshape(len(points), k)
+    queries = np.repeat(points, k, axis=0)
+    cp, cb = closest_point_on_triangles(queries, surface_vertices[triangles[cand.ravel()]])
+    d = np.linalg.norm(cp - queries, axis=1).reshape(len(points), k)
+    rows = np.arange(len(points))
+    j = np.argmin(d, axis=1)
+    return cand[rows, j], cb.reshape(len(points), k, 3)[rows, j], d[rows, j]
 
 
 def register_icp(
@@ -191,7 +170,6 @@ def register_icp(
     seeds: dict,
     layout: SuitLayout,
     extra_clouds=(),
-    max_iterations: int = 50,
 ) -> RegistrationResult:
     """Build the initial body model by registering corners to the template.
 
@@ -221,15 +199,14 @@ def register_icp(
     tris = np.array([seeds[i][0] for i in seed_ids], dtype=int)
     bary = np.array([seeds[i][1] for i in seed_ids], dtype=float)
     targets = np.array([cloud.points[i].position for i in seed_ids])
-    params = _fit_params(fit, np.zeros(fit.n_params()), tris, bary, targets)
+    params = _fit_params(fit, np.zeros(4 * template.n_joints + 3), tris, bary, targets)
 
     obs_ids, obs_pts = cloud.observed()
 
-    correspondences: dict[int, tuple[int, np.ndarray]] = {}
     mean_residuals: list[float] = []
     prev_assign = None
     grew = 0
-    for _ in range(max_iterations):
+    for _ in range(ICP_ITERATIONS):
         deformed = fit.deform(params)
         tri_a, bary_a, dist = _closest_on_surface(obs_pts, deformed, template.triangles)
         mean_residuals.append(float(dist.mean()))
@@ -240,14 +217,15 @@ def register_icp(
         else:
             grew = 0
         assign = tri_a.tolist()
-        if assign == prev_assign:
+        converged = assign == prev_assign
+        if converged:
             break
         prev_assign = assign
         params = _fit_params(fit, params, tri_a, bary_a, obs_pts)
-    for i, cid in enumerate(obs_ids):
-        correspondences[int(cid)] = (int(tri_a[i]), bary_a[i])
+    correspondences = {int(cid): (int(t), b) for cid, t, b in zip(obs_ids, tri_a, bary_a)}
 
-    # register corners revealed by subsequent frames (pose-only refits)
+    # register corners revealed by subsequent frames: refit pose and scales to
+    # each frame's known corners, then project its new corners onto the surface
     for extra in extra_clouds:
         ids, pts = extra.observed()
         new = np.array([i not in correspondences for i in ids.tolist()], dtype=bool)
@@ -259,11 +237,10 @@ def register_icp(
         frame_params = _fit_params(fit, params, k_tris, k_bary, pts[~new])
         deformed = fit.deform(frame_params)
         tri_n, bary_n, _ = _closest_on_surface(pts[new], deformed, template.triangles)
-        for i, cid in enumerate(ids[new].tolist()):
-            correspondences[cid] = (int(tri_n[i]), bary_n[i])
+        correspondences.update((cid, (int(t), b)) for cid, t, b in zip(ids[new].tolist(), tri_n, bary_n))
 
     model, registered = _build_model(fit, params, correspondences, template, layout)
-    return RegistrationResult(model, correspondences, mean_residuals, registered)
+    return RegistrationResult(model, correspondences, mean_residuals, registered, converged)
 
 
 def _build_model(fit, params, correspondences, template, layout: SuitLayout):

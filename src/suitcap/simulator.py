@@ -32,6 +32,7 @@ __all__ = [
     "animate_and_sample",
     "compute_visibility",
     "truth_clouds",
+    "truth_cloud",
 ]
 
 
@@ -453,27 +454,25 @@ def _unoccluded(scene, origins, targets, own_tube, tube_boxes, tube_packs):
 
 def truth_clouds(scene: SyntheticScene, n_frames: int, min_cameras: int = 2):
     """Per-frame ground-truth clouds of corners visible in at least `min_cameras`."""
-    from .reconstruct import LabeledPointCloud, PointRecord
-
     clouds = []
     for k in range(n_frames):
         pos = scene.positions(k)
-        vis = compute_visibility(scene, k, positions=pos)
-        counts = np.zeros(scene.model.n_vertices, dtype=int)
-        cam_sets: dict[int, list] = {}
-        for cam_id, ids in vis.visible_corners.items():
-            counts[ids] += 1
-            for cid in ids:
-                cam_sets.setdefault(int(cid), []).append(cam_id)
-        cloud = LabeledPointCloud(k)
-        for cid in np.where(counts >= min_cameras)[0]:
-            cloud.points[int(cid)] = PointRecord(
-                position=pos[cid].copy(),
-                cameras=tuple(sorted(cam_sets[int(cid)])),
-                mean_reproj_err=0.0,
-            )
-        clouds.append(cloud)
+        clouds.append(truth_cloud(k, pos, compute_visibility(scene, k, positions=pos), min_cameras))
     return clouds
+
+
+def truth_cloud(k: int, positions, vis: VisibilityRecord, min_cameras: int):
+    """Ground-truth cloud of frame k: the corners that `vis` puts in at least `min_cameras`, by id."""
+    from .reconstruct import LabeledPointCloud, PointRecord
+
+    cams: dict[int, list] = {}
+    for cam_id, ids in vis.visible_corners.items():
+        for cid in ids.tolist():
+            cams.setdefault(cid, []).append(cam_id)
+    cloud = LabeledPointCloud(k)
+    for cid in sorted(cid for cid, seen_by in cams.items() if len(seen_by) >= min_cameras):
+        cloud.points[cid] = PointRecord(positions[cid].copy(), tuple(sorted(cams[cid])), 0.0)
+    return cloud
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,19 @@ def test_simulate_deterministic_bytes(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_simulate_truth_lines_are_truth_clouds(tmp_path):
+    """Each truth line is the point-cloud line of the corners that at least one camera sees."""
+    from suitcap.cli import DEFAULT_CONFIG
+    from suitcap.reconstruct import cloud_to_json
+    from suitcap.simulator import scene_from_spec, truth_clouds
+
+    run_simulate(tmp_path, frames=3)
+    spec = dict(DEFAULT_CONFIG["scene"], preset="tube", strips=4, codes_per_strip=8, n_cameras=8, seed=0)
+    clouds = truth_clouds(scene_from_spec(spec), 3, min_cameras=1)
+    lines = (tmp_path / "truth.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines == [cloud_to_json(c) for c in clouds]
+
+
 def test_simulate_dropout_one_gives_empty_corner_lists(tmp_path):
     run_simulate(tmp_path, extra=("--set", "noise.dropout_prob=1.0"))
     for frame in read_detections(tmp_path / "detections.jsonl"):
@@ -341,8 +354,8 @@ def test_fit_tube_golden_digest(tmp_path):
         for name in ("model.json", "report_fit_loss.csv")
     }
     assert digests == {
-        "model.json": "7a512e72baeb654825ebd08165395ce39b2531051532e307e3754cab7a9617c2",
-        "report_fit_loss.csv": "53a928096d080096fd9b4af32723bc62c0b4367dabeebb3e5cdedddd79cd6b1c",
+        "model.json": "0bf061af10169728b5e174444bd461d21f6e4619aca7f8b7265196824270cbd0",
+        "report_fit_loss.csv": "e1d3d744ed5c529e0c644130487bc14921d600ea0523135ed0cbc5732ba00fbd",
     }
 
 
@@ -391,11 +404,12 @@ def test_fit_with_fewer_than_ten_seeds_exits_2(tmp_path, capsys):
     assert "configuration error: got 9 seed correspondences, need >= 10" in capsys.readouterr().err
 
 
-def test_fit_from_template_and_seeds(tmp_path):
+def test_fit_from_template_and_seeds(tmp_path, capsys):
     run_simulate(tmp_path, frames=4)
     run_reconstruct(tmp_path)
     scene = _write_template_and_seeds(tmp_path, 14)
 
+    capsys.readouterr()
     assert main([
         "fit",
         "--set", f"paths.output_dir={tmp_path}",
@@ -403,11 +417,42 @@ def test_fit_from_template_and_seeds(tmp_path):
         "--set", f"paths.seeds={tmp_path}/seeds.json",
         "--set", "refine.outer_iterations=8",
     ]) == 0
+    assert "registration converged: mean residual 1.0094 mm" in capsys.readouterr().out
     assert (tmp_path / "model.json").exists()
     from suitcap.skinning import load_model
 
     model = load_model(tmp_path / "model.json")
     assert model.n_vertices == scene.layout.total_vertices
+
+
+def test_fit_reports_registration_at_its_cap(tmp_path, capsys, monkeypatch):
+    from suitcap import registration
+
+    run_simulate(tmp_path, frames=2)
+    run_reconstruct(tmp_path)
+    _write_template_and_seeds(tmp_path, 14)
+    results = []
+    register_icp = registration.register_icp
+
+    def recording(*args, **kwargs):
+        results.append(register_icp(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(registration, "ICP_ITERATIONS", 1)
+    monkeypatch.setattr(registration, "register_icp", recording)
+    capsys.readouterr()
+    assert main([
+        "fit",
+        "--set", f"paths.output_dir={tmp_path}",
+        "--set", f"paths.template={tmp_path}/template.json",
+        "--set", f"paths.seeds={tmp_path}/seeds.json",
+        "--set", "refine.outer_iterations=1",
+    ]) == 0
+    (result,) = results
+    assert result.converged is False
+    assert len(result.mean_residuals) == 1
+    line = f"registration stopped at its 1-iteration cap: mean residual {result.mean_residuals[0]:.4f} mm"
+    assert line in capsys.readouterr().out
 
 
 def test_inpaint_binary_and_counts(tmp_path, capsys):

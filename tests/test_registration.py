@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
+from scipy.spatial import cKDTree
+
 from suitcap.errors import InsufficientSeeds
-from suitcap.meshes import vertex_normals
+from suitcap.meshes import closest_point_on_triangles, vertex_normals
 from suitcap.reconstruct import LabeledPointCloud, PointRecord
-from suitcap.registration import TemplateModel, load_template, register_icp, save_template
-from suitcap.simulator import truth_clouds, tube_scene
+from suitcap.registration import (
+    TemplateModel,
+    _closest_on_surface,
+    load_template,
+    register_icp,
+    save_template,
+)
+from suitcap.simulator import stick_figure_scene, truth_clouds, tube_scene
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +112,72 @@ def test_template_file_roundtrip(template_scene, tmp_path):
     assert np.array_equal(back.joints, template.joints)
     assert np.array_equal(back.parents, template.parents)
     assert np.array_equal(back.weights, template.weights)
+
+
+def test_template_weights_within_template_tolerance_register(template_scene, rng):
+    """Rows that sum to 1 within TemplateModel's 1e-6 register, though the skinned model asks for 1e-9."""
+    scene, exact = template_scene
+    signs = np.where(np.arange(len(exact.weights)) % 2 == 0, 1.0, -1.0)
+    template = TemplateModel(
+        exact.vertices, exact.triangles, exact.joints, exact.parents,
+        exact.weights * (1.0 + 5e-7 * signs)[:, None],
+    )
+    assert np.abs(np.abs(template.weights.sum(axis=1) - 1.0) - 5e-7).max() < 1e-12
+    cloud, tris, bary, _ = surface_cloud(template, rng, scene.layout.n_corners)
+    seeds = {i: (int(tris[i]), bary[i]) for i in range(12)}
+    res = register_icp(cloud, template, seeds, scene.layout)
+    assert res.converged
+    assert res.mean_residuals[-1] < 1e-3  # mm
+
+
+def _closest_by_point(points, surface_vertices, triangles, k):
+    """Per-point candidate search: the loop that `_closest_on_surface` batches, kept as its oracle."""
+    centroids = surface_vertices[triangles].mean(axis=1)
+    _, cand = cKDTree(centroids).query(points, k=k)
+    cand = cand.reshape(len(points), -1)
+    tris = np.empty(len(points), dtype=int)
+    bary = np.empty((len(points), 3))
+    dist = np.empty(len(points))
+    for i, p in enumerate(points):
+        cp, cb = closest_point_on_triangles(p, surface_vertices[triangles[cand[i]]])
+        d = np.linalg.norm(cp - p, axis=1)
+        j = int(np.argmin(d))
+        tris[i] = cand[i][j]
+        bary[i] = cb[j]
+        dist[i] = d[j]
+    return tris, bary, dist
+
+
+def _stick_figure_surface():
+    scene = stick_figure_scene(seed=0)
+    return scene.model.rest_vertices, scene.triangles
+
+
+def _few_triangles_surface():
+    scene = tube_scene(strips=4, codes_per_strip=8, seed=4)
+    return scene.model.rest_vertices, scene.triangles[:30]
+
+
+def _one_triangle_surface():
+    return np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [0.0, 80.0, 0.0]]), np.array([[0, 1, 2]])
+
+
+@pytest.mark.parametrize(
+    "surface, k",
+    [(_stick_figure_surface, 48), (_few_triangles_surface, 30), (_one_triangle_surface, 1)],
+    ids=["stick_figure", "few_triangles", "one_triangle"],
+)
+def test_closest_on_surface_matches_per_point_oracle_bitwise(surface, k):
+    vertices, triangles = surface()
+    rng = np.random.default_rng(601)
+    n = 1301
+    tris = rng.integers(0, len(triangles), n)
+    bary = rng.dirichlet([1.0, 1.0, 1.0], n)
+    points = np.einsum("nc,nci->ni", bary, vertices[triangles[tris]]) + rng.normal(scale=5.0, size=(n, 3))
+
+    got = _closest_on_surface(points, vertices, triangles)
+    want = _closest_by_point(points, vertices, triangles, k)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
