@@ -253,11 +253,9 @@ def cmd_fit(cfg) -> int:
         model0 = load_model(paths["init_model"])
     elif paths["template"] is not None and paths["seeds"] is not None:
         template = registration.load_template(paths["template"])
-        with open(paths["seeds"], "r", encoding="utf-8") as f:
-            seeds = {
-                int(e["id"]): (int(e["tri"]), np.array(e["bary"], dtype=float))
-                for e in json.load(f)
-            }
+        seeds = registration.load_seeds(paths["seeds"], template)
+        if not clouds:
+            raise ConfigError(f"{paths['clouds']}: no frames to register the template to")
         result = registration.register_icp(
             clouds[0], template, seeds, layout, extra_clouds=clouds[1:6]
         )

@@ -45,6 +45,7 @@ __all__ = [
     "fit_poses",
     "fitting_rms",
     "simplex_qp",
+    "damped_gauss_newton",
     "pose_residual_jacobian",
 ]
 
@@ -161,13 +162,14 @@ def simplex_qp(Q, c, forced_zero=None):
 
 
 # ---------------------------------------------------------------------------
-# damped Gauss-Newton loop shared by the pose and joint blocks
+# damped Gauss-Newton loop shared by the pose and joint blocks and registration's template fit
 
 
-def _damped_gauss_newton(x, cost, normal_equations, retract, iterations):
+def damped_gauss_newton(x, cost, normal_equations, retract, iterations):
     """Minimize `cost` from `x` with damped steps that never raise it; returns the final x.
 
     `normal_equations(x)` gives (H, g) and `retract(x, delta)` applies a step.
+    A trial whose cost is not finite is rejected like one that raises the cost.
     Stops at a vanishing gradient, a negligible decrease or 8 rejected tries.
     """
     c = cost(x)
@@ -183,8 +185,9 @@ def _damped_gauss_newton(x, cost, normal_equations, retract, iterations):
             except np.linalg.LinAlgError:
                 delta = np.linalg.lstsq(Hd, -g, rcond=None)[0]
             x_new = retract(x, delta)
-            c_new = cost(x_new)
-            if c_new <= c:
+            with np.errstate(over="ignore", invalid="ignore"):
+                c_new = cost(x_new)
+            if np.isfinite(c_new) and c_new <= c:
                 x, c, decrease = x_new, c_new, c - c_new
                 lam = max(lam / 3.0, 1e-12)
                 break
@@ -292,7 +295,7 @@ def _fit_pose(model, quats, root_t, vertex_ids, targets, iterations):
         return quat_normalize(quat_mul(dq, pose[0])), pose[1] + delta[3 * M :]
 
     pose = (quat_normalize(quats), np.array(root_t, dtype=float))
-    return _damped_gauss_newton(pose, cost, normal_equations, retract, iterations)
+    return damped_gauss_newton(pose, cost, normal_equations, retract, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +342,7 @@ def _fit_joints(model, frames_obs, lambda_j, joints0, total_obs):
     def retract(joints, delta):
         return joints + delta.reshape(joints.shape)
 
-    model.joints = _damped_gauss_newton(model.joints.copy(), loss, normal_equations, retract, JOINT_ITERATIONS)
+    model.joints = damped_gauss_newton(model.joints.copy(), loss, normal_equations, retract, JOINT_ITERATIONS)
 
 
 # ---------------------------------------------------------------------------

@@ -12,25 +12,25 @@ positions and weights over the suit mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 from scipy.spatial import cKDTree
 
-from .errors import DivergedICP, InsufficientSeeds
-from .geometry import quat_from_rotvec
+from .errors import ConfigError, DivergedICP, InsufficientSeeds
+from .geometry import quat_from_rotvec, quat_mul, quat_normalize
 from .layout import SuitLayout
 from .meshes import closest_point_on_triangles, mesh_edges
-from .skinning import SkinnedBodyModel, joint_transforms, skin_with_transforms
+from .refine import damped_gauss_newton, pose_residual_jacobian
+from .skinning import SkinnedBodyModel, blend_transforms, joint_transforms, skin_with_transforms
 
 __all__ = ["TemplateModel", "register_icp", "RegistrationResult"]
 
-FIT_PRIOR = 1e-3          # weight of the zero prior on every fit parameter
 CLOSEST_CANDIDATES = 48   # triangles, nearest by centroid, searched per query point
 ICP_ITERATIONS = 50       # closest-point passes before registration stops unconverged
+FIT_ITERATIONS = 50       # damped Gauss-Newton iterations per template fit
 
 
 @dataclass
@@ -82,38 +82,63 @@ def save_template(template: TemplateModel, path) -> None:
 
 
 def load_template(path) -> TemplateModel:
+    """Read a template file; raises ConfigError naming the file and entry of an index out of range."""
     import json
 
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     verts = np.array(doc["verts"], dtype=float)
     joints = np.array(doc["joints"], dtype=float)
-    W = np.zeros((len(verts), len(joints)))
-    for i, j, w in doc["weights"]:
+    tris = np.array(doc["tris"], dtype=int).reshape(-1, 3)
+    parents = np.array(doc["parents"], dtype=int)
+    V, M = len(verts), len(joints)
+    bad = np.flatnonzero(((tris < 0) | (tris >= V)).any(axis=1))
+    if bad.size:
+        raise ConfigError(f"{path}: tris[{bad[0]}] = {tris[bad[0]].tolist()} has a vertex outside 0..{V - 1}")
+    if len(parents) != M or np.any((parents < -1) | (parents >= M)):
+        raise ConfigError(f"{path}: parents {parents.tolist()} must hold one index in -1..{M - 1} per joint")
+    W = np.zeros((V, M))
+    for k, (i, j, w) in enumerate(doc["weights"]):
+        if not (0 <= int(i) < V and 0 <= int(j) < M):
+            raise ConfigError(f"{path}: weights[{k}] = [{i}, {j}, {w}] is outside {V} vertices x {M} joints")
         W[int(i), int(j)] = w
-    return TemplateModel(
-        vertices=verts,
-        triangles=np.array(doc["tris"], dtype=int),
-        joints=joints,
-        parents=np.array(doc["parents"], dtype=int),
-        weights=W,
-    )
+    return TemplateModel(vertices=verts, triangles=tris, joints=joints, parents=parents, weights=W)
+
+
+def load_seeds(path, template: TemplateModel) -> dict:
+    """Read seed correspondences {corner id: (triangle, (3,) barycentric)} of `template`.
+
+    The file is a JSON list of {"id", "tri", "bary"} entries. Raises ConfigError
+    naming the file and entry when one is malformed, its `tri` is not a
+    triangle of the template, or its `bary` is not three finite numbers.
+    """
+    import json
+
+    with open(path, "r", encoding="utf-8") as f:
+        entries = json.load(f)
+    n_tris = len(template.triangles)
+    seeds = {}
+    for k, e in enumerate(entries):
+        try:
+            cid, tri, bary = int(e["id"]), int(e["tri"]), np.array(e["bary"], dtype=float)
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"{path}: seed entry {k} is not an {{id, tri, bary}} object: {err}") from err
+        if not 0 <= tri < n_tris:
+            raise ConfigError(f"{path}: seed entry {k} (id {cid}): tri {tri} is outside 0..{n_tris - 1}")
+        if bary.shape != (3,) or not np.isfinite(bary).all():
+            raise ConfigError(f"{path}: seed entry {k} (id {cid}): bary must be 3 finite numbers, got {e['bary']}")
+        seeds[cid] = (tri, bary)
+    return seeds
 
 
 class _TemplateFit:
-    """Pose, root translation and per-joint log-scale (4M + 3 parameters) deformation of the template."""
+    """Deformation of the template by a state (quats (M, 4), root translation (3,), log-scales (M,))."""
 
     def __init__(self, template: TemplateModel):
         self.t = template
         # TemplateModel accepts rows that sum to 1 within 1e-6; the skinned model asks for 1e-9
         W = template.weights / template.weights.sum(axis=1, keepdims=True)
         self.model = SkinnedBodyModel(template.vertices, template.joints, template.parents, W)
-
-    def unpack(self, params):
-        m = self.t.n_joints
-        rotvecs = params[: 3 * m].reshape(m, 3)
-        root_t = params[3 * m : 3 * m + 3]
-        return rotvecs, root_t, np.exp(params[3 * m + 3 :])
 
     def scaled_rest(self, scales, vertex_ids=None):
         """Per-joint scaling about each joint, blended by the template weights."""
@@ -124,31 +149,54 @@ class _TemplateFit:
         scaled = self.t.joints[None, :, :] + scales[None, :, None] * offs
         return np.einsum("nm,nmi->ni", W, scaled)
 
-    def deform(self, params, vertex_ids=None):
-        rotvecs, root_t, scales = self.unpack(params)
-        G = joint_transforms(self.model, quat_from_rotvec(rotvecs), root_t)
-        rest = self.scaled_rest(scales, vertex_ids)
+    def deform(self, state, vertex_ids=None):
+        quats, root_t, log_scales = state
+        G = joint_transforms(self.model, quats, root_t)
+        rest = self.scaled_rest(np.exp(log_scales), vertex_ids)
         return skin_with_transforms(self.model, G, vertex_ids, rest_override=rest)
 
-    def surface_points(self, params, tris, bary):
-        tri_vs = self.t.triangles[np.asarray(tris, dtype=int)]
-        verts, inverse = np.unique(tri_vs, return_inverse=True)
-        dv = self.deform(params, vertex_ids=verts)
-        rows = inverse.reshape(tri_vs.shape)
-        out = np.zeros((len(tri_vs), 3))
-        for c in range(3):
-            out += bary[:, c : c + 1] * dv[rows[:, c]]
-        return out
 
+def _fit_params(fit: _TemplateFit, state, tris, bary, targets):
+    """Damped Gauss-Newton fit of the template state to surface correspondences.
 
-def _fit_params(fit: _TemplateFit, params0, tris, bary, targets):
-    """Least-squares template fit to surface correspondences with weak priors."""
+    The residuals are the barycentric surface points minus their targets. The
+    Jacobian of a triangle vertex n is refine's pose Jacobian at the scaled rest
+    plus one log-scale column per joint m, lin_n W_nm s_m (x_n - j_m); the
+    surface rows combine those of their triangle's vertices.
+    """
+    M, n = fit.t.n_joints, len(tris)
+    verts, inverse = np.unique(fit.t.triangles[tris], return_inverse=True)
+    # (n, len(verts)) barycentric weights of each surface point's triangle vertices
+    B = csr_matrix((bary.ravel(), (np.repeat(np.arange(n), 3), inverse.ravel())), shape=(n, len(verts)))
+    # W_nm (x_n - j_m), the log-scale lever of joint m at vertex n before s_m and lin_n
+    lever = fit.t.weights[verts][:, :, None] * (fit.t.vertices[verts][:, None, :] - fit.t.joints)
+    zero_targets = np.zeros((len(verts), 3))  # so pose_residual_jacobian returns the skinned vertices
 
-    def residuals(p):
-        r = (fit.surface_points(p, tris, bary) - targets).ravel()
-        return np.concatenate([r, FIT_PRIOR * p])
+    def on_surface(values):
+        """Per-vertex rows (len(verts), ...) combined into surface rows (n, ...)."""
+        return (B @ values.reshape(len(verts), -1)).reshape((n,) + values.shape[1:])
 
-    return least_squares(residuals, params0, method="lm", max_nfev=300).x
+    def cost(state):
+        return float(np.sum((on_surface(fit.deform(state, verts)) - targets) ** 2))
+
+    def normal_equations(state):
+        quats, root_t, log_scales = state
+        scales = np.exp(log_scales)
+        model = replace(fit.model, rest_vertices=fit.scaled_rest(scales))
+        v, J_pose = pose_residual_jacobian(model, quats, root_t, verts, zero_targets)
+        lin, _ = blend_transforms(model, joint_transforms(model, quats, root_t), verts)
+        J_scale = np.einsum("nij,nmj->nim", lin, scales[:, None] * lever)
+        J = on_surface(np.concatenate([J_pose, J_scale], axis=2)).reshape(-1, 4 * M + 3)
+        r = (on_surface(v) - targets).reshape(-1)
+        return J.T @ J, J.T @ r
+
+    def retract(state, delta):
+        quats, root_t, log_scales = state
+        dq = quat_from_rotvec(delta[: 3 * M].reshape(M, 3))
+        root_step, scale_step = delta[3 * M : 3 * M + 3], delta[3 * M + 3 :]
+        return quat_normalize(quat_mul(dq, quats)), root_t + root_step, log_scales + scale_step
+
+    return damped_gauss_newton(state, cost, normal_equations, retract, FIT_ITERATIONS)
 
 
 def _closest_on_surface(points, surface_vertices, triangles):
@@ -199,7 +247,8 @@ def register_icp(
     tris = np.array([seeds[i][0] for i in seed_ids], dtype=int)
     bary = np.array([seeds[i][1] for i in seed_ids], dtype=float)
     targets = np.array([cloud.points[i].position for i in seed_ids])
-    params = _fit_params(fit, np.zeros(4 * template.n_joints + 3), tris, bary, targets)
+    state = (*fit.model.identity_pose(), np.zeros(template.n_joints))
+    state = _fit_params(fit, state, tris, bary, targets)
 
     obs_ids, obs_pts = cloud.observed()
 
@@ -207,7 +256,7 @@ def register_icp(
     prev_assign = None
     grew = 0
     for _ in range(ICP_ITERATIONS):
-        deformed = fit.deform(params)
+        deformed = fit.deform(state)
         tri_a, bary_a, dist = _closest_on_surface(obs_pts, deformed, template.triangles)
         mean_residuals.append(float(dist.mean()))
         if len(mean_residuals) > 1 and mean_residuals[-1] > mean_residuals[-2] + 1e-12:
@@ -221,7 +270,7 @@ def register_icp(
         if converged:
             break
         prev_assign = assign
-        params = _fit_params(fit, params, tri_a, bary_a, obs_pts)
+        state = _fit_params(fit, state, tri_a, bary_a, obs_pts)
     correspondences = {int(cid): (int(t), b) for cid, t, b in zip(obs_ids, tri_a, bary_a)}
 
     # register corners revealed by subsequent frames: refit pose and scales to
@@ -234,19 +283,18 @@ def register_icp(
         known = ids[~new].tolist()
         k_tris = np.array([correspondences[i][0] for i in known], dtype=int)
         k_bary = np.array([correspondences[i][1] for i in known], dtype=float)
-        frame_params = _fit_params(fit, params, k_tris, k_bary, pts[~new])
-        deformed = fit.deform(frame_params)
+        frame_state = _fit_params(fit, state, k_tris, k_bary, pts[~new])
+        deformed = fit.deform(frame_state)
         tri_n, bary_n, _ = _closest_on_surface(pts[new], deformed, template.triangles)
         correspondences.update((cid, (int(t), b)) for cid, t, b in zip(ids[new].tolist(), tri_n, bary_n))
 
-    model, registered = _build_model(fit, params, correspondences, template, layout)
+    model, registered = _build_model(fit, state, correspondences, template, layout)
     return RegistrationResult(model, correspondences, mean_residuals, registered, converged)
 
 
-def _build_model(fit, params, correspondences, template, layout: SuitLayout):
+def _build_model(fit, state, correspondences, template, layout: SuitLayout):
     """Barycentric transport of registered corners to the scaled template rest pose."""
-    _, _, scales = fit.unpack(params)
-    rest_template = fit.scaled_rest(scales)
+    rest_template = fit.scaled_rest(np.exp(state[2]))
 
     n_total = layout.total_vertices
     M = template.n_joints
@@ -300,9 +348,6 @@ def _harmonic_fill(layout: SuitLayout, rest, W, registered):
     Lfo = L[np.ix_(free, fixed)]
     rhs = -Lfo @ np.concatenate([rest[fixed], W[fixed]], axis=1)
     sol = spsolve(Lff, rhs)
-    sol = np.atleast_2d(sol)
-    if sol.shape[0] != len(free):
-        sol = sol.reshape(len(free), -1)
     rest[free] = sol[:, :3]
     W[free] = sol[:, 3:]
     return rest, W

@@ -404,6 +404,61 @@ def test_fit_with_fewer_than_ten_seeds_exits_2(tmp_path, capsys):
     assert "configuration error: got 9 seed correspondences, need >= 10" in capsys.readouterr().err
 
 
+# (file, edit of its JSON document given the template's, start of the expected error after the file name)
+BAD_REGISTRATION_INPUTS = {
+    "seed-tri-negative": ("seeds.json", lambda d, t: d[0].update(tri=-1), "seed entry 0 "),
+    "seed-tri-past-end": ("seeds.json", lambda d, t: d[0].update(tri=len(t["tris"])), "seed entry 0 "),
+    "seed-bary-two-values": ("seeds.json", lambda d, t: d[0].update(bary=[0.5, 0.5]), "seed entry 0 "),
+    "seed-bary-nan": ("seeds.json", lambda d, t: d[3].update(bary=[float("nan"), 0.5, 0.5]), "seed entry 3 "),
+    "seed-without-tri": ("seeds.json", lambda d, t: d[1].pop("tri"), "seed entry 1 "),
+    "template-tri-negative": ("template.json", lambda d, t: d["tris"][5].__setitem__(1, -1), "tris[5] "),
+    "template-tri-past-end": (
+        "template.json", lambda d, t: d["tris"][0].__setitem__(2, len(t["verts"])), "tris[0] "
+    ),
+    "template-weight-row-past-end": (
+        "template.json", lambda d, t: d["weights"].append([len(t["verts"]), 0, 0.0]), "weights["
+    ),
+    "template-parent-past-end": (
+        "template.json", lambda d, t: d["parents"].__setitem__(1, len(t["joints"])), "parents "
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REGISTRATION_INPUTS))
+def test_fit_rejects_bad_seeds_and_template_files(tmp_path, capsys, case):
+    run_simulate(tmp_path, frames=1)
+    run_reconstruct(tmp_path)
+    _write_template_and_seeds(tmp_path, 14)
+    name, edit, entry = BAD_REGISTRATION_INPUTS[case]
+    template = json.loads((tmp_path / "template.json").read_text())
+    doc = json.loads((tmp_path / name).read_text())
+    edit(doc, template)
+    (tmp_path / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([
+        "fit",
+        "--set", f"paths.output_dir={tmp_path}",
+        "--set", f"paths.template={tmp_path}/template.json",
+        "--set", f"paths.seeds={tmp_path}/seeds.json",
+    ]) == 2
+    assert f"configuration error: {tmp_path / name}: {entry}" in capsys.readouterr().err
+
+
+def test_fit_from_template_with_empty_clouds_exits_2(tmp_path, capsys):
+    run_simulate(tmp_path, frames=1)
+    run_reconstruct(tmp_path)
+    _write_template_and_seeds(tmp_path, 14)
+    (tmp_path / "clouds.jsonl").write_text("")
+    capsys.readouterr()
+    assert main([
+        "fit",
+        "--set", f"paths.output_dir={tmp_path}",
+        "--set", f"paths.template={tmp_path}/template.json",
+        "--set", f"paths.seeds={tmp_path}/seeds.json",
+    ]) == 2
+    assert f"configuration error: {tmp_path / 'clouds.jsonl'}: no frames" in capsys.readouterr().err
+
+
 def test_fit_from_template_and_seeds(tmp_path, capsys):
     run_simulate(tmp_path, frames=4)
     run_reconstruct(tmp_path)

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from suitcap.refine import RefineConfig, fitting_rms, refine
+from suitcap.refine import RefineConfig, damped_gauss_newton, fitting_rms, refine
 from suitcap.simulator import truth_clouds, tube_scene
 
 
@@ -141,3 +143,28 @@ def test_joint_step_gradient_matches_finite_differences():
             jm[m, a] -= h
             gfd[3 * m + a] = (loss(jp) - loss(jm)) / (2 * h)
     assert np.abs(g - gfd).max() / (np.abs(gfd).max() + 1e-12) < 1e-6
+
+
+@pytest.mark.parametrize("far", ["inf", "nan"])
+def test_gauss_newton_rejects_non_finite_trial_costs(far):
+    """A first step past the radius where the cost stops being finite is rejected without a
+    RuntimeWarning, and the damped retries still reach the minimum."""
+    radius = 4.0
+    trials = []
+
+    def cost(x):
+        trials.append(float(x[0]))
+        wall = np.exp(1e6 * (abs(x[0]) - radius))  # 0 inside the radius, overflows to inf just past it
+        if far == "nan":
+            wall = wall * 0.0  # inf * 0 is nan
+        return float(np.arctan(x[0] - 1.0) ** 2 + wall)
+
+    def normal_equations(x):
+        J = 1.0 / (1.0 + (x[0] - 1.0) ** 2)
+        return np.array([[J * J]]), np.array([J * np.arctan(x[0] - 1.0)])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = damped_gauss_newton(np.array([-1.0]), cost, normal_equations, lambda x, d: x + d, 50)
+    assert trials[1] > radius + 0.5  # the undamped Gauss-Newton step overshoots the radius
+    assert abs(x[0] - 1.0) < 1e-9

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from scipy.spatial import cKDTree
 
+import suitcap
+from suitcap import registration
 from suitcap.errors import InsufficientSeeds
+from suitcap.geometry import quat_from_rotvec
 from suitcap.meshes import closest_point_on_triangles, vertex_normals
 from suitcap.reconstruct import LabeledPointCloud, PointRecord
 from suitcap.registration import (
@@ -181,3 +189,53 @@ def test_closest_on_surface_matches_per_point_oracle_bitwise(surface, k):
         assert g.shape == w.shape
         assert g.dtype == w.dtype
         assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: tube_scene(strips=6, codes_per_strip=10, seed=9), lambda: stick_figure_scene(seed=0)],
+    ids=["tube", "stick_figure"],
+)
+def test_template_fit_normal_equations_match_central_differences(build, monkeypatch):
+    """The template fit's (J'J, J'r) against J from central differences through its retraction."""
+    scene = build()
+    m = scene.model
+    template = TemplateModel(m.rest_vertices, scene.triangles, m.joints, m.parents, m.weights)
+    rng = np.random.default_rng(12)
+    M, n = template.n_joints, 200
+    tris = rng.integers(0, len(template.triangles), n)
+    bary = rng.dirichlet([1.0, 1.0, 1.0], n)
+    targets = np.einsum("nc,nci->ni", bary, template.vertices[template.triangles[tris]])
+    targets += rng.normal(scale=20.0, size=(n, 3))
+    state = (quat_from_rotvec(rng.normal(scale=0.3, size=(M, 3))), rng.normal(scale=30.0, size=3),
+             rng.normal(scale=0.2, size=M))
+
+    handed = {}
+
+    def driver(x, cost, normal_equations, retract, iterations):
+        handed.update(normal_equations=normal_equations, retract=retract)
+        return x
+
+    monkeypatch.setattr(registration, "damped_gauss_newton", driver)
+    fit = registration._TemplateFit(template)
+    registration._fit_params(fit, state, tris, bary, targets)
+    H, g = handed["normal_equations"](state)
+
+    def residuals(s):
+        return (np.einsum("nc,nci->ni", bary, fit.deform(s)[template.triangles[tris]]) - targets).ravel()
+
+    h = 1e-5
+    J = np.column_stack([
+        (residuals(handed["retract"](state, h * e)) - residuals(handed["retract"](state, -h * e))) / (2 * h)
+        for e in np.eye(4 * M + 3)
+    ])
+    assert H.shape == (4 * M + 3, 4 * M + 3)
+    assert np.abs(H - J.T @ J).max() < 1e-6 * np.abs(J.T @ J).max()
+    assert np.abs(g - J.T @ residuals(state)).max() < 1e-6 * np.abs(J.T @ residuals(state)).max()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(suitcap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, suitcap.cli; sys.exit(3 if 'scipy.optimize' in sys.modules else 0)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
