@@ -1,8 +1,9 @@
 """Batch pipeline driver: simulate | reconstruct | fit | inpaint | eval | export-mesh.
 
 Configuration comes from a JSON file plus `--set key.path=value` overrides
-(flags win); the environment variable MOCAP_SEED overrides the configured
-seed. Identical configuration and seed produce byte-identical outputs.
+(flags win); a key that DEFAULT_CONFIG does not hold is a configuration error.
+The environment variable MOCAP_SEED overrides the configured seed. Identical
+configuration and seed produce byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 unreadable
 calibration, 5 registration divergence, 6 constrained-solve failure.
@@ -78,6 +79,17 @@ def _deep_update(base: dict, extra: dict) -> dict:
     return base
 
 
+def _unknown_key(doc: dict, known):
+    """Dotted name of the first key in `doc` that `known` does not hold, else None."""
+    for k, v in doc.items():
+        if not isinstance(known, dict) or k not in known:
+            return k
+        inner = _unknown_key(v, known[k]) if isinstance(v, dict) else None
+        if inner is not None:
+            return f"{k}.{inner}"
+    return None
+
+
 def _apply_set(cfg: dict, assignment: str) -> None:
     if "=" not in assignment:
         raise ConfigError(f"--set expects key.path=value, got {assignment!r}")
@@ -86,13 +98,9 @@ def _apply_set(cfg: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = cfg
-    parts = key.split(".")
-    for p in parts[:-1]:
-        node = node.setdefault(p, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"cannot descend into {p!r} of --set {key}")
-    node[parts[-1]] = value
+    for p in reversed(key.split(".")):
+        value = {p: value}
+    _deep_update(cfg, value)
 
 
 def load_config(args) -> dict:
@@ -110,6 +118,9 @@ def load_config(args) -> dict:
             raise ConfigError(f"MOCAP_SEED must be an integer: {e}") from e
     for assignment in args.set or []:
         _apply_set(cfg, assignment)
+    unknown = _unknown_key(cfg, DEFAULT_CONFIG)
+    if unknown is not None:
+        raise ConfigError(f"unknown configuration key {unknown!r}")
     if args.workers is not None:
         cfg["workers"] = args.workers
     return cfg

@@ -1,4 +1,4 @@
-"""The camera model: quaternions, calibrated cameras and the one projection kernel.
+"""The camera model: quaternions, calibrated cameras and the projection kernel.
 
 Conventions used throughout the package:
 
@@ -8,9 +8,11 @@ Conventions used throughout the package:
 * distortion is the 5-coefficient radial-tangential model (k1, k2, p1, p2, k3);
   all-zero coefficients give a pure pinhole camera.
 
-`project_cams` is the only world-to-pixel map and `distort_normalized` the only
-forward distortion polynomial; simulation, triangulation, the mislabel filter
-and evaluation all project through them.
+`distort_normalized` is the only forward distortion polynomial. Simulation, the
+mislabel filter, evaluation and the costs of LM triangulation project through
+`project_cams`, which divides by depth as x / z. `triangulate.project_jacobian`,
+which gives LM its residuals and gradient, computes the same pixels as
+x * (1 / z), so its residuals can differ from `project_cams`' in the last bit.
 """
 
 from __future__ import annotations

@@ -93,9 +93,10 @@ def unpose_observations(model: SkinnedBodyModel, clouds) -> Constraints:
     skipped, logged and recorded as (frame, vertex) in `skipped`.
     Hole-closing (never-observed) vertices are never constrained.
     """
-    frame_idx = []
-    vertex_idx = []
-    targets = []
+    # per-frame arrays, each list led by an empty one so that no frames still concatenate
+    frame_idx = [np.zeros(0, dtype=int)]
+    vertex_idx = [np.zeros(0, dtype=int)]
+    targets = [np.zeros((0, 3))]
     skipped = []
     for k, cloud in enumerate(clouds):
         ids, pts = cloud.observed(model.n_vertices)
@@ -107,13 +108,13 @@ def unpose_observations(model: SkinnedBodyModel, clouds) -> Constraints:
             skipped.append((k, i))
             logger.warning("singular blend at frame %d vertex %d; observation skipped", k, i)
         ok = ~singular
-        frame_idx.extend([k] * int(ok.sum()))
-        vertex_idx.extend(int(i) for i in ids[ok])
-        targets.extend(rest_pts[ok] - model.rest_vertices[ids[ok]])
+        frame_idx.append(np.full(np.count_nonzero(ok), k))
+        vertex_idx.append(ids[ok])
+        targets.append(rest_pts[ok] - model.rest_vertices[ids[ok]])
     return Constraints(
-        np.array(frame_idx, dtype=int),
-        np.array(vertex_idx, dtype=int),
-        np.array(targets, dtype=float).reshape(-1, 3),
+        np.concatenate(frame_idx),
+        np.concatenate(vertex_idx),
+        np.concatenate(targets),
         len(clouds),
         skipped,
     )

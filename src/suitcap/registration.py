@@ -12,7 +12,9 @@ positions and weights over the suit mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+import json
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -26,7 +28,7 @@ from .meshes import closest_point_on_triangles, mesh_edges
 from .refine import damped_gauss_newton, pose_residual_jacobian
 from .skinning import SkinnedBodyModel, blend_transforms, joint_transforms, skin_with_transforms
 
-__all__ = ["TemplateModel", "register_icp", "RegistrationResult"]
+__all__ = ["register_icp", "RegistrationResult"]
 
 CLOSEST_CANDIDATES = 48   # triangles, nearest by centroid, searched per query point
 ICP_ITERATIONS = 50       # closest-point passes before registration stops unconverged
@@ -34,57 +36,35 @@ FIT_ITERATIONS = 50       # damped Gauss-Newton iterations per template fit
 
 
 @dataclass
-class TemplateModel:
-    vertices: np.ndarray   # (V, 3)
-    triangles: np.ndarray  # (F, 3)
-    joints: np.ndarray     # (M, 3)
-    parents: np.ndarray    # (M,)
-    weights: np.ndarray    # (V, M) row-stochastic
-
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
-        self.triangles = np.asarray(self.triangles, dtype=int).reshape(-1, 3)
-        self.joints = np.asarray(self.joints, dtype=float).reshape(-1, 3)
-        self.parents = np.asarray(self.parents, dtype=int).reshape(-1)
-        self.weights = np.asarray(self.weights, dtype=float)
-        rows = self.weights.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-6):
-            raise ValueError("template weights must be row-stochastic")
-
-    @property
-    def n_joints(self):
-        return len(self.joints)
-
-
-@dataclass
 class RegistrationResult:
     model: SkinnedBodyModel
-    correspondences: dict      # corner_id -> (triangle index, (3,) barycentric)
     mean_residuals: list       # per ICP iteration, mm
     registered: np.ndarray     # bool per layout vertex
     converged: bool            # the closest-point assignment repeated before ICP_ITERATIONS
 
 
-def save_template(template: TemplateModel, path) -> None:
-    import json
-
-    ii, jj = np.nonzero(template.weights)
+def save_template(template, path) -> None:
+    """Write a template (model, (F, 3) triangles); the model's poses are not stored."""
+    model, triangles = template
+    ii, jj = np.nonzero(model.weights)
     doc = {
-        "verts": [[float(v) for v in row] for row in template.vertices],
-        "tris": [[int(v) for v in row] for row in template.triangles],
-        "joints": [[float(v) for v in row] for row in template.joints],
-        "parents": [int(p) for p in template.parents],
-        "weights": [[int(i), int(j), float(template.weights[i, j])] for i, j in zip(ii, jj)],
+        "verts": [[float(v) for v in row] for row in model.rest_vertices],
+        "tris": [[int(v) for v in row] for row in triangles],
+        "joints": [[float(v) for v in row] for row in model.joints],
+        "parents": [int(p) for p in model.parents],
+        "weights": [[int(i), int(j), float(model.weights[i, j])] for i, j in zip(ii, jj)],
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f)
         f.write("\n")
 
 
-def load_template(path) -> TemplateModel:
-    """Read a template file; raises ConfigError naming the file and entry of an index out of range."""
-    import json
+def load_template(path):
+    """Read a template file as (SkinnedBodyModel, (F, 3) triangles), each weight row divided by its sum.
 
+    Raises ConfigError naming the file and the entry or row of an index out of
+    range, a weight below -1e-12 or a row sum off 1 by more than 1e-6.
+    """
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     verts = np.array(doc["verts"], dtype=float)
@@ -102,21 +82,26 @@ def load_template(path) -> TemplateModel:
         if not (0 <= int(i) < V and 0 <= int(j) < M):
             raise ConfigError(f"{path}: weights[{k}] = [{i}, {j}, {w}] is outside {V} vertices x {M} joints")
         W[int(i), int(j)] = w
-    return TemplateModel(vertices=verts, triangles=tris, joints=joints, parents=parents, weights=W)
+    negative = np.flatnonzero((W < -1e-12).any(axis=1))
+    if negative.size:
+        raise ConfigError(f"{path}: weight row {negative[0]} has a negative weight {float(W[negative[0]].min())}")
+    rows = W.sum(axis=1)
+    off = np.flatnonzero(~(np.abs(rows - 1.0) <= 1e-6))  # a NaN sum is off too
+    if off.size:
+        raise ConfigError(f"{path}: weight row {off[0]} sums to {float(rows[off[0]])}, not 1 within 1e-6")
+    return SkinnedBodyModel(verts, joints, parents, W / rows[:, None]), tris
 
 
-def load_seeds(path, template: TemplateModel) -> dict:
+def load_seeds(path, template) -> dict:
     """Read seed correspondences {corner id: (triangle, (3,) barycentric)} of `template`.
 
     The file is a JSON list of {"id", "tri", "bary"} entries. Raises ConfigError
     naming the file and entry when one is malformed, its `tri` is not a
     triangle of the template, or its `bary` is not three finite numbers.
     """
-    import json
-
     with open(path, "r", encoding="utf-8") as f:
         entries = json.load(f)
-    n_tris = len(template.triangles)
+    n_tris = len(template[1])
     seeds = {}
     for k, e in enumerate(entries):
         try:
@@ -131,61 +116,53 @@ def load_seeds(path, template: TemplateModel) -> dict:
     return seeds
 
 
-class _TemplateFit:
-    """Deformation of the template by a state (quats (M, 4), root translation (3,), log-scales (M,))."""
-
-    def __init__(self, template: TemplateModel):
-        self.t = template
-        # TemplateModel accepts rows that sum to 1 within 1e-6; the skinned model asks for 1e-9
-        W = template.weights / template.weights.sum(axis=1, keepdims=True)
-        self.model = SkinnedBodyModel(template.vertices, template.joints, template.parents, W)
-
-    def scaled_rest(self, scales, vertex_ids=None):
-        """Per-joint scaling about each joint, blended by the template weights."""
-        ids = slice(None) if vertex_ids is None else vertex_ids
-        x = self.t.vertices[ids]
-        W = self.t.weights[ids]
-        offs = x[:, None, :] - self.t.joints[None, :, :]
-        scaled = self.t.joints[None, :, :] + scales[None, :, None] * offs
-        return np.einsum("nm,nmi->ni", W, scaled)
-
-    def deform(self, state, vertex_ids=None):
-        quats, root_t, log_scales = state
-        G = joint_transforms(self.model, quats, root_t)
-        rest = self.scaled_rest(np.exp(log_scales), vertex_ids)
-        return skin_with_transforms(self.model, G, vertex_ids, rest_override=rest)
+def _scaled_rest(model: SkinnedBodyModel, log_scales):
+    """The rest vertices scaled by exp(log_scales) about each joint, blended by the weights."""
+    offs = model.rest_vertices[:, None, :] - model.joints[None, :, :]
+    scaled = model.joints[None, :, :] + np.exp(log_scales)[None, :, None] * offs
+    return np.einsum("nm,nmi->ni", model.weights, scaled)
 
 
-def _fit_params(fit: _TemplateFit, state, tris, bary, targets):
+def _deform(model: SkinnedBodyModel, state):
+    """The model's vertices at a state (quats (M, 4), root translation (3,), log-scales (M,))."""
+    quats, root_t, log_scales = state
+    G = joint_transforms(model, quats, root_t)
+    return skin_with_transforms(model, G, rest_override=_scaled_rest(model, log_scales))
+
+
+def _fit_params(model: SkinnedBodyModel, state, corners, bary, targets):
     """Damped Gauss-Newton fit of the template state to surface correspondences.
 
-    The residuals are the barycentric surface points minus their targets. The
-    Jacobian of a triangle vertex n is refine's pose Jacobian at the scaled rest
-    plus one log-scale column per joint m, lin_n W_nm s_m (x_n - j_m); the
-    surface rows combine those of their triangle's vertices.
+    Surface point n lies on the triangle of vertices `corners[n]` at
+    barycentric `bary[n]`. The residuals are the surface points minus their
+    targets. The fit works on the sub-model of the triangles' vertices only.
+    The Jacobian of a vertex is refine's pose Jacobian at the scaled rest plus
+    one log-scale column per joint m, lin_n W_nm s_m (x_n - j_m); the surface
+    rows combine those of their triangle's vertices.
     """
-    M, n = fit.t.n_joints, len(tris)
-    verts, inverse = np.unique(fit.t.triangles[tris], return_inverse=True)
+    M, n = model.n_joints, len(corners)
+    verts, inverse = np.unique(corners, return_inverse=True)
+    sub = SkinnedBodyModel(model.rest_vertices[verts], model.joints, model.parents, model.weights[verts])
+    scaled = copy.copy(sub)  # shares sub's arrays; its rest vertices are set to the scaled rest per state
     # (n, len(verts)) barycentric weights of each surface point's triangle vertices
     B = csr_matrix((bary.ravel(), (np.repeat(np.arange(n), 3), inverse.ravel())), shape=(n, len(verts)))
     # W_nm (x_n - j_m), the log-scale lever of joint m at vertex n before s_m and lin_n
-    lever = fit.t.weights[verts][:, :, None] * (fit.t.vertices[verts][:, None, :] - fit.t.joints)
-    zero_targets = np.zeros((len(verts), 3))  # so pose_residual_jacobian returns the skinned vertices
+    lever = sub.weights[:, :, None] * (sub.rest_vertices[:, None, :] - sub.joints)
+    ids, zero_targets = np.arange(len(verts)), np.zeros((len(verts), 3))  # residuals = skinned vertices
 
     def on_surface(values):
         """Per-vertex rows (len(verts), ...) combined into surface rows (n, ...)."""
         return (B @ values.reshape(len(verts), -1)).reshape((n,) + values.shape[1:])
 
     def cost(state):
-        return float(np.sum((on_surface(fit.deform(state, verts)) - targets) ** 2))
+        return float(np.sum((on_surface(_deform(sub, state)) - targets) ** 2))
 
     def normal_equations(state):
         quats, root_t, log_scales = state
-        scales = np.exp(log_scales)
-        model = replace(fit.model, rest_vertices=fit.scaled_rest(scales))
-        v, J_pose = pose_residual_jacobian(model, quats, root_t, verts, zero_targets)
-        lin, _ = blend_transforms(model, joint_transforms(model, quats, root_t), verts)
-        J_scale = np.einsum("nij,nmj->nim", lin, scales[:, None] * lever)
+        scaled.rest_vertices = _scaled_rest(sub, log_scales)
+        v, J_pose = pose_residual_jacobian(scaled, quats, root_t, ids, zero_targets)
+        lin, _ = blend_transforms(sub, joint_transforms(sub, quats, root_t))
+        J_scale = np.einsum("nij,nmj->nim", lin, np.exp(log_scales)[:, None] * lever)
         J = on_surface(np.concatenate([J_pose, J_scale], axis=2)).reshape(-1, 4 * M + 3)
         r = (on_surface(v) - targets).reshape(-1)
         return J.T @ J, J.T @ r
@@ -214,7 +191,7 @@ def _closest_on_surface(points, surface_vertices, triangles):
 
 def register_icp(
     cloud,
-    template: TemplateModel,
+    template,
     seeds: dict,
     layout: SuitLayout,
     extra_clouds=(),
@@ -225,6 +202,8 @@ def register_icp(
     ----------
     cloud : LabeledPointCloud
         Rest-like frame with most corners observed.
+    template : (SkinnedBodyModel, (F, 3) int array)
+        The template body and its surface triangles, as `load_template` returns them.
     seeds : dict corner_id -> (triangle index, (3,) barycentric)
         At least 10 hand-picked correspondences initializing the fit.
     extra_clouds : iterable of LabeledPointCloud
@@ -239,7 +218,7 @@ def register_icp(
     """
     if len(seeds) < 10:
         raise InsufficientSeeds(f"got {len(seeds)} seed correspondences, need >= 10")
-    fit = _TemplateFit(template)
+    model, triangles = template
 
     seed_ids = sorted(i for i in seeds if i in cloud.points)
     if len(seed_ids) < 10:
@@ -247,8 +226,8 @@ def register_icp(
     tris = np.array([seeds[i][0] for i in seed_ids], dtype=int)
     bary = np.array([seeds[i][1] for i in seed_ids], dtype=float)
     targets = np.array([cloud.points[i].position for i in seed_ids])
-    state = (*fit.model.identity_pose(), np.zeros(template.n_joints))
-    state = _fit_params(fit, state, tris, bary, targets)
+    state = (*model.identity_pose(), np.zeros(model.n_joints))
+    state = _fit_params(model, state, triangles[tris], bary, targets)
 
     obs_ids, obs_pts = cloud.observed()
 
@@ -256,8 +235,7 @@ def register_icp(
     prev_assign = None
     grew = 0
     for _ in range(ICP_ITERATIONS):
-        deformed = fit.deform(state)
-        tri_a, bary_a, dist = _closest_on_surface(obs_pts, deformed, template.triangles)
+        tri_a, bary_a, dist = _closest_on_surface(obs_pts, _deform(model, state), triangles)
         mean_residuals.append(float(dist.mean()))
         if len(mean_residuals) > 1 and mean_residuals[-1] > mean_residuals[-2] + 1e-12:
             grew += 1
@@ -270,7 +248,7 @@ def register_icp(
         if converged:
             break
         prev_assign = assign
-        state = _fit_params(fit, state, tri_a, bary_a, obs_pts)
+        state = _fit_params(model, state, triangles[tri_a], bary_a, obs_pts)
     correspondences = {int(cid): (int(t), b) for cid, t, b in zip(obs_ids, tri_a, bary_a)}
 
     # register corners revealed by subsequent frames: refit pose and scales to
@@ -283,30 +261,28 @@ def register_icp(
         known = ids[~new].tolist()
         k_tris = np.array([correspondences[i][0] for i in known], dtype=int)
         k_bary = np.array([correspondences[i][1] for i in known], dtype=float)
-        frame_state = _fit_params(fit, state, k_tris, k_bary, pts[~new])
-        deformed = fit.deform(frame_state)
-        tri_n, bary_n, _ = _closest_on_surface(pts[new], deformed, template.triangles)
+        frame_state = _fit_params(model, state, triangles[k_tris], k_bary, pts[~new])
+        tri_n, bary_n, _ = _closest_on_surface(pts[new], _deform(model, frame_state), triangles)
         correspondences.update((cid, (int(t), b)) for cid, t, b in zip(ids[new].tolist(), tri_n, bary_n))
 
-    model, registered = _build_model(fit, state, correspondences, template, layout)
-    return RegistrationResult(model, correspondences, mean_residuals, registered, converged)
+    body, registered = _build_model(model, triangles, state, correspondences, layout)
+    return RegistrationResult(body, mean_residuals, registered, converged)
 
 
-def _build_model(fit, state, correspondences, template, layout: SuitLayout):
+def _build_model(model, triangles, state, correspondences, layout: SuitLayout):
     """Barycentric transport of registered corners to the scaled template rest pose."""
-    rest_template = fit.scaled_rest(np.exp(state[2]))
+    rest_template = _scaled_rest(model, state[2])
 
     n_total = layout.total_vertices
-    M = template.n_joints
     rest = np.zeros((n_total, 3))
-    W = np.zeros((n_total, M))
+    W = np.zeros((n_total, model.n_joints))
     registered = np.zeros(n_total, dtype=bool)
     for cid, (tri, bary) in correspondences.items():
         if cid >= n_total:
             continue
-        vs = template.triangles[tri]
+        vs = triangles[tri]
         rest[cid] = bary @ rest_template[vs]
-        W[cid] = bary @ template.weights[vs]
+        W[cid] = bary @ model.weights[vs]
         registered[cid] = True
 
     if not registered.all():
@@ -319,14 +295,14 @@ def _build_model(fit, state, correspondences, template, layout: SuitLayout):
 
     never = np.zeros(n_total, dtype=bool)
     never[layout.n_corners :] = True
-    model = SkinnedBodyModel(
+    body = SkinnedBodyModel(
         rest_vertices=rest,
-        joints=template.joints.copy(),
-        parents=template.parents.copy(),
+        joints=model.joints.copy(),
+        parents=model.parents.copy(),
         weights=W,
         never_observed=never,
     )
-    return model, registered
+    return body, registered
 
 
 def _harmonic_fill(layout: SuitLayout, rest, W, registered):

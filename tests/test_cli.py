@@ -99,6 +99,21 @@ def test_set_overrides_config_file(tmp_path):
     assert len(frames) == 1 * 8  # --set wins over the config file
 
 
+def test_unknown_set_key_exits_2(tmp_path, capsys):
+    assert main(["simulate", "--set", f"paths.output_dir={tmp_path}", "--set", "refine.lamda_g=5"]) == 2
+    assert "configuration error: unknown configuration key 'refine.lamda_g'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_unknown_config_file_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5, "window": {"lenght": 3}}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--set", f"paths.output_dir={out}"]) == 2
+    assert "configuration error: unknown configuration key 'window.lenght'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_scene_preset_exits_2(tmp_path):
     code = main(["simulate", "--set", f"paths.output_dir={tmp_path}", "--set", "scene.preset=bogus"])
     assert code == 2
@@ -369,21 +384,17 @@ def _write_template_and_seeds(tmp_path, n_seeds):
     """Template of the simulated tube scene plus `n_seeds` seed correspondences from frame 0."""
     from suitcap.meshes import closest_point_on_triangles
     from suitcap.reconstruct import read_clouds as read
-    from suitcap.registration import TemplateModel, save_template
+    from suitcap.registration import save_template
     from suitcap.simulator import tube_scene
 
     scene = tube_scene(n_cameras=8, strips=4, codes_per_strip=8, seed=0)
-    template = TemplateModel(
-        scene.model.rest_vertices, scene.triangles, scene.model.joints,
-        scene.model.parents, scene.model.weights,
-    )
-    save_template(template, tmp_path / "template.json")
+    save_template((scene.model, scene.triangles), tmp_path / "template.json")
 
     clouds = read(tmp_path / "clouds.jsonl")
     seed_entries = []
     for cid in sorted(clouds[0].points)[:n_seeds]:
         p = clouds[0].points[cid].position
-        cp, cb = closest_point_on_triangles(p, template.vertices[template.triangles])
+        cp, cb = closest_point_on_triangles(p, scene.model.rest_vertices[scene.triangles])
         t = int(np.argmin(np.linalg.norm(cp - p, axis=1)))
         seed_entries.append({"id": int(cid), "tri": t, "bary": [float(v) for v in cb[t]]})
     (tmp_path / "seeds.json").write_text(json.dumps(seed_entries))
@@ -420,6 +431,12 @@ BAD_REGISTRATION_INPUTS = {
     ),
     "template-parent-past-end": (
         "template.json", lambda d, t: d["parents"].__setitem__(1, len(t["joints"])), "parents "
+    ),
+    "template-weight-row-sum": (
+        "template.json", lambda d, t: d["weights"][0].__setitem__(2, d["weights"][0][2] + 2e-6), "weight row 0 sums "
+    ),
+    "template-weight-negative": (
+        "template.json", lambda d, t: d["weights"][0].__setitem__(2, -0.25), "weight row 0 has a negative "
     ),
 }
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import types
@@ -30,4 +31,22 @@ def test_benchmark_span_names_resolve():
     spans = [(module, attr) for entries in layertrace.SPANS.values() for module, attr, _, _ in entries]
     assert len(spans) > 20
     missing = [(m, a) for m, a in spans if not hasattr(importlib.import_module(m), a)]
+    assert not missing
+
+
+def test_benchmark_workloads_names_resolve():
+    # running the benchmark's workloads module from source (nothing is written next
+    # to it) resolves its package imports; the cli/simulator attributes it calls by
+    # name are checked here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    source = path.read_text(encoding="utf-8")
+    exec(compile(source, str(path), "exec"), types.ModuleType("workloads").__dict__)
+    used = {
+        (f"suitcap.{node.value.id}", node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in ("cli", "simulator")
+    }
+    assert len(used) > 3
+    missing = [(m, a) for m, a in sorted(used) if not hasattr(importlib.import_module(m), a)]
     assert not missing

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from suitcap.geometry import quat_from_rotvec
 from suitcap.meshes import closest_point_on_triangles, vertex_normals
 from suitcap.reconstruct import LabeledPointCloud, PointRecord
 from suitcap.registration import (
-    TemplateModel,
     _closest_on_surface,
     load_template,
     register_icp,
@@ -27,20 +27,14 @@ from suitcap.simulator import stick_figure_scene, truth_clouds, tube_scene
 @pytest.fixture(scope="module")
 def template_scene():
     scene = tube_scene(strips=6, codes_per_strip=10, seed=9)
-    template = TemplateModel(
-        vertices=scene.model.rest_vertices,
-        triangles=scene.triangles,
-        joints=scene.model.joints,
-        parents=scene.model.parents,
-        weights=scene.model.weights,
-    )
-    return scene, template
+    return scene, (scene.model, scene.triangles)
 
 
 def surface_cloud(template, rng, n_pts, frame=0):
-    tris = rng.integers(0, len(template.triangles), n_pts)
+    model, triangles = template
+    tris = rng.integers(0, len(triangles), n_pts)
     bary = rng.dirichlet([1.0, 1.0, 1.0], n_pts)
-    pts = np.einsum("nc,nci->ni", bary, template.vertices[template.triangles[tris]])
+    pts = np.einsum("nc,nci->ni", bary, model.rest_vertices[triangles[tris]])
     cloud = LabeledPointCloud(frame)
     for i in range(n_pts):
         cloud.points[i] = PointRecord(pts[i], (0, 1), 0.0)
@@ -61,8 +55,9 @@ def test_registration_with_normal_noise(template_scene, rng):
     scene, template = template_scene
     n = scene.layout.n_corners
     cloud, tris, bary, pts = surface_cloud(template, rng, n)
-    normals = vertex_normals(template.vertices, template.triangles)
-    vn = np.einsum("nc,nci->ni", bary, normals[template.triangles[tris]])
+    model, triangles = template
+    normals = vertex_normals(model.rest_vertices, triangles)
+    vn = np.einsum("nc,nci->ni", bary, normals[triangles[tris]])
     vn /= np.linalg.norm(vn, axis=1, keepdims=True)
     offsets = rng.normal(0.0, 1.0, n)
     for i in range(n):
@@ -97,9 +92,10 @@ def test_hidden_corners_registered_from_later_frames(template_scene, rng):
 
     seed_ids = sorted(full0.points)[:15]
     seeds = {}
+    surface = scene.model.rest_vertices[scene.triangles]
     for cid in seed_ids:
         p = full0.points[cid].position
-        cp, cb = closest_point_on_triangles(p, template.vertices[template.triangles])
+        cp, cb = closest_point_on_triangles(p, surface)
         t = int(np.argmin(np.linalg.norm(cp - p, axis=1)))
         seeds[cid] = (t, cb[t])
     res = register_icp(full0, template, seeds, scene.layout, extra_clouds=clouds[1:])
@@ -111,31 +107,37 @@ def test_hidden_corners_registered_from_later_frames(template_scene, rng):
 
 
 def test_template_file_roundtrip(template_scene, tmp_path):
-    _, template = template_scene
+    _, (model, triangles) = template_scene
     path = tmp_path / "template.json"
-    save_template(template, path)
-    back = load_template(path)
-    assert np.array_equal(back.vertices, template.vertices)
-    assert np.array_equal(back.triangles, template.triangles)
-    assert np.array_equal(back.joints, template.joints)
-    assert np.array_equal(back.parents, template.parents)
-    assert np.array_equal(back.weights, template.weights)
+    save_template((model, triangles), path)
+    back, back_triangles = load_template(path)
+    assert np.array_equal(back.rest_vertices, model.rest_vertices)
+    assert np.array_equal(back_triangles, triangles)
+    assert np.array_equal(back.joints, model.joints)
+    assert np.array_equal(back.parents, model.parents)
+    assert np.array_equal(back.weights, model.weights)
 
 
-def test_template_weights_within_template_tolerance_register(template_scene, rng):
-    """Rows that sum to 1 within TemplateModel's 1e-6 register, though the skinned model asks for 1e-9."""
-    scene, exact = template_scene
-    signs = np.where(np.arange(len(exact.weights)) % 2 == 0, 1.0, -1.0)
-    template = TemplateModel(
-        exact.vertices, exact.triangles, exact.joints, exact.parents,
-        exact.weights * (1.0 + 5e-7 * signs)[:, None],
-    )
-    assert np.abs(np.abs(template.weights.sum(axis=1) - 1.0) - 5e-7).max() < 1e-12
-    cloud, tris, bary, _ = surface_cloud(template, rng, scene.layout.n_corners)
+def test_template_weights_within_template_tolerance_register(template_scene, rng, tmp_path):
+    """Rows that sum to 1 within the template's 1e-6 are normalized once and register exactly."""
+    scene, (exact, triangles) = template_scene
+    signs = np.where(np.arange(exact.n_vertices) % 2 == 0, 1.0, -1.0)
+    path = tmp_path / "template.json"
+    save_template((exact, triangles), path)
+    doc = json.loads(path.read_text())
+    doc["weights"] = [[i, j, w * (1.0 + 5e-7 * signs[i])] for i, j, w in doc["weights"]]
+    path.write_text(json.dumps(doc))
+    rows = np.zeros(exact.n_vertices)
+    np.add.at(rows, [i for i, _, _ in doc["weights"]], [w for _, _, w in doc["weights"]])
+    assert np.abs(np.abs(rows - 1.0) - 5e-7).max() < 1e-12
+    template = load_template(path)
+    assert np.abs(template[0].weights.sum(axis=1) - 1.0).max() < 1e-12
+    cloud, tris, bary, pts = surface_cloud(template, rng, scene.layout.n_corners)
     seeds = {i: (int(tris[i]), bary[i]) for i in range(12)}
     res = register_icp(cloud, template, seeds, scene.layout)
     assert res.converged
-    assert res.mean_residuals[-1] < 1e-3  # mm
+    assert res.mean_residuals[-1] < 1e-6  # mm
+    assert np.abs(res.model.rest_vertices[: len(pts)] - pts).max() < 1e-6  # mm
 
 
 def _closest_by_point(points, surface_vertices, triangles, k):
@@ -199,13 +201,12 @@ def test_closest_on_surface_matches_per_point_oracle_bitwise(surface, k):
 def test_template_fit_normal_equations_match_central_differences(build, monkeypatch):
     """The template fit's (J'J, J'r) against J from central differences through its retraction."""
     scene = build()
-    m = scene.model
-    template = TemplateModel(m.rest_vertices, scene.triangles, m.joints, m.parents, m.weights)
+    model = scene.model
     rng = np.random.default_rng(12)
-    M, n = template.n_joints, 200
-    tris = rng.integers(0, len(template.triangles), n)
+    M, n = model.n_joints, 200
+    corners = scene.triangles[rng.integers(0, len(scene.triangles), n)]
     bary = rng.dirichlet([1.0, 1.0, 1.0], n)
-    targets = np.einsum("nc,nci->ni", bary, template.vertices[template.triangles[tris]])
+    targets = np.einsum("nc,nci->ni", bary, model.rest_vertices[corners])
     targets += rng.normal(scale=20.0, size=(n, 3))
     state = (quat_from_rotvec(rng.normal(scale=0.3, size=(M, 3))), rng.normal(scale=30.0, size=3),
              rng.normal(scale=0.2, size=M))
@@ -217,12 +218,11 @@ def test_template_fit_normal_equations_match_central_differences(build, monkeypa
         return x
 
     monkeypatch.setattr(registration, "damped_gauss_newton", driver)
-    fit = registration._TemplateFit(template)
-    registration._fit_params(fit, state, tris, bary, targets)
+    registration._fit_params(model, state, corners, bary, targets)
     H, g = handed["normal_equations"](state)
 
     def residuals(s):
-        return (np.einsum("nc,nci->ni", bary, fit.deform(s)[template.triangles[tris]]) - targets).ravel()
+        return (np.einsum("nc,nci->ni", bary, registration._deform(model, s)[corners]) - targets).ravel()
 
     h = 1e-5
     J = np.column_stack([
