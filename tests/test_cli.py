@@ -374,6 +374,80 @@ def test_fit_tube_golden_digest(tmp_path):
     }
 
 
+def test_inpaint_tube_golden_digest(tmp_path):
+    """Pins the bytes of `inpaint` over six frames of shuffled points, some beyond the model."""
+    from suitcap.layout import save_layout
+    from suitcap.simulator import animate_and_sample, tube_scene
+    from suitcap.skinning import save_model
+
+    scene = tube_scene(strips=4, codes_per_strip=8, seed=4)
+    truth = animate_and_sample(scene, 6)
+    n = len(truth[0])
+    rng = np.random.default_rng(5)
+    with open(tmp_path / "clouds.jsonl", "w", encoding="utf-8") as f:
+        for k, pos in enumerate(truth):
+            seen = np.flatnonzero(rng.random(n) >= 0.2)
+            ids = np.concatenate([seen, [n + 1, n + 3]])  # ids past the model's vertices
+            points = [
+                {
+                    "id": int(i),
+                    "p": [float(v) for v in (pos[i] if i < n else rng.normal(size=3))],
+                    "cams": [int(c) for c in np.sort(rng.choice(8, 2, replace=False))],
+                    "err": 0.0,
+                }
+                for i in rng.permutation(ids)
+            ]
+            f.write(json.dumps({"frame": k, "points": points, "discarded": []}) + "\n")
+    save_layout(scene.layout, tmp_path / "layout.json")
+    save_model(scene.model, tmp_path / "model.json")
+    assert main([
+        "inpaint",
+        "--set", f"paths.output_dir={tmp_path}",
+        "--set", "window.length=4",
+        "--set", "window.overlap=2",
+    ]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("animation.bin", "report_inpaint.csv")
+    }
+    assert digests == {
+        "animation.bin": "d565320dca9541eaa1ccc39aa6811faa32f835503897d169b85317d117630649",
+        "report_inpaint.csv": "a020f52f7de9f5854444a863b5d59657dbf386e6c2b42ff96c1e586d9394af5a",
+    }
+
+
+def test_eval_tube_golden_digest(tmp_path):
+    """Pins the bytes of `eval`'s report against a truth file that misses some points and a frame."""
+    from suitcap.simulator import animate_and_sample, tube_scene
+
+    truth = animate_and_sample(tube_scene(strips=4, codes_per_strip=8, seed=4), 4)
+    rng = np.random.default_rng(6)
+    with open(tmp_path / "clouds.jsonl", "w", encoding="utf-8") as fc, open(
+        tmp_path / "truth.jsonl", "w", encoding="utf-8"
+    ) as ft:
+        for k, pos in enumerate(truth):
+            points = []
+            for i in np.flatnonzero(rng.random(len(pos)) >= 0.2):
+                cams = np.sort(rng.choice(8, rng.integers(2, 6), replace=False))
+                errs = rng.gamma(2.0, 0.2, size=len(cams))
+                points.append({
+                    "id": int(i),
+                    "p": [float(v) for v in pos[i] + rng.normal(scale=0.5, size=3)],
+                    "cams": [int(c) for c in cams],
+                    "err": float(errs.mean()),
+                    "errs": [float(e) for e in errs],
+                })
+            discarded = [{"id": 1, "reason": "TooFewCameras"}, {"id": 2, "reason": "MislabelSuspect", "cam": 3}]
+            fc.write(json.dumps({"frame": k, "points": points, "discarded": discarded}) + "\n")
+            if k < 3:  # the last frame has no truth
+                kept = np.flatnonzero(rng.random(len(pos)) >= 0.1)
+                truth_points = [{"id": int(i), "p": [float(v) for v in pos[i]], "cams": [], "err": 0.0} for i in kept]
+                ft.write(json.dumps({"frame": k, "points": truth_points, "discarded": []}) + "\n")
+    assert main(["eval", "--set", f"paths.output_dir={tmp_path}"]) == 0
+    digest = hashlib.sha256((tmp_path / "report_eval.json").read_bytes()).hexdigest()
+    assert digest == "6e42459d0b3a1d681d4687c8cb1e3727c6fd2649b87261b8393a946d4bf2c4cd"
+
+
 def test_fit_requires_model_or_template(tmp_path):
     run_simulate(tmp_path, frames=1)
     run_reconstruct(tmp_path)
