@@ -79,14 +79,20 @@ def _deep_update(base: dict, extra: dict) -> dict:
     return base
 
 
-def _unknown_key(doc: dict, known):
-    """Dotted name of the first key in `doc` that `known` does not hold, else None."""
+def _unknown_key(doc: dict, known, prefix: str = ""):
+    """Dotted name of the first key in `doc` that `known` does not hold, else None.
+
+    Raises ConfigError, naming the key, for a section of `known` that `doc`
+    sets to something other than an object.
+    """
     for k, v in doc.items():
         if not isinstance(known, dict) or k not in known:
-            return k
-        inner = _unknown_key(v, known[k]) if isinstance(v, dict) else None
+            return prefix + k
+        if isinstance(known[k], dict) and not isinstance(v, dict):
+            raise ConfigError(f"configuration key {prefix + k!r} is a section and takes an object, not {v!r}")
+        inner = _unknown_key(v, known[k], f"{prefix}{k}.") if isinstance(v, dict) else None
         if inner is not None:
-            return f"{k}.{inner}"
+            return inner
     return None
 
 
@@ -363,7 +369,7 @@ def cmd_inpaint(cfg) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for k, cloud in enumerate(clouds):
-        observed = sum(i < model.n_vertices for i in cloud.points)
+        observed = np.count_nonzero(cloud.ids < model.n_vertices)
         rows.append([k, observed, model.n_vertices - observed])
     reporting.write_csv(str(prefix) + "_inpaint.csv", ["frame", "observed", "filled"], rows)
     n_windows = len(plan.starts(K))
@@ -374,16 +380,15 @@ def cmd_inpaint(cfg) -> int:
 def cmd_eval(cfg) -> int:
     paths = _paths(cfg)
     clouds = reconstruct.read_clouds(paths["clouds"])
-    errors = []
     for cloud in clouds:
-        for cid, rec in cloud.points.items():
-            if len(rec.per_camera_err) != len(rec.cameras):
-                raise ConfigError(
-                    f"{paths['clouds']}: frame {cloud.frame_index} point {cid} has "
-                    f"{len(rec.per_camera_err)} per-camera errors for {len(rec.cameras)} cameras"
-                )
-            errors.extend(rec.per_camera_err)
-    errors = np.array(errors, dtype=float)
+        if not np.array_equal(cloud.err_offsets, cloud.cam_offsets):
+            n_errs, n_cams = np.diff(cloud.err_offsets), np.diff(cloud.cam_offsets)
+            r = np.flatnonzero(n_errs != n_cams)[0]
+            raise ConfigError(
+                f"{paths['clouds']}: frame {cloud.frame_index} point {cloud.ids[r]} has "
+                f"{n_errs[r]} per-camera errors for {n_cams[r]} cameras"
+            )
+    errors = np.concatenate([np.zeros(0)] + [c.errs for c in clouds])
 
     report = {
         "observations": int(errors.size),
@@ -393,13 +398,13 @@ def cmd_eval(cfg) -> int:
     truth_path = paths["truth"]
     if truth_path is not None and truth_path.exists():
         truth = {c.frame_index: c for c in reconstruct.read_clouds(truth_path)}
-        d3 = [
-            float(np.linalg.norm(rec.position - truth[c.frame_index].points[cid].position))
-            for c in clouds
-            if c.frame_index in truth
-            for cid, rec in c.points.items()
-            if cid in truth[c.frame_index].points
-        ]
+        d3 = []
+        for c in clouds:
+            if c.frame_index in truth:
+                t = truth[c.frame_index]
+                _, mine, theirs = np.intersect1d(c.ids, t.ids, assume_unique=True, return_indices=True)
+                # one norm per row: the row-wise norm of the whole array can differ in the last bit
+                d3 += [float(np.linalg.norm(d)) for d in c.positions[mine] - t.positions[theirs]]
         if d3:
             d3 = np.array(d3)
             report["error_3d_mm"] = {

@@ -13,10 +13,12 @@ import itertools
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .detection import DetectionFrame, cluster_frame
+from .errors import ConfigError
 from .geometry import CameraArrays, CameraRig, project_cams
 from .layout import SuitLayout
 from .triangulate import linear_initialization, triangulate_points
@@ -32,6 +34,7 @@ __all__ = [
     "DiscardRecord",
     "PointRecord",
     "LabeledPointCloud",
+    "CloudArrays",
     "consolidate_labels",
     "filter_mislabels",
     "reconstruct_frame",
@@ -69,6 +72,31 @@ class LabeledPointCloud:
             ids = ids[ids < n_vertices]
         positions = np.array([self.points[i].position for i in ids.tolist()], dtype=float)
         return ids, positions.reshape(-1, 3)
+
+
+@dataclass
+class CloudArrays:
+    """One frame of a point-cloud file, read into arrays; point rows are in id order.
+
+    Point r has cameras `cams[cam_offsets[r]:cam_offsets[r + 1]]` and
+    per-camera errors `errs[err_offsets[r]:err_offsets[r + 1]]`, which are
+    empty when the file gives none and otherwise aligned with its cameras.
+    """
+
+    frame_index: int
+    ids: np.ndarray          # (k,) strictly increasing
+    positions: np.ndarray    # (k, 3)
+    mean_err: np.ndarray     # (k,) px
+    cam_offsets: np.ndarray  # (k + 1,)
+    cams: np.ndarray
+    err_offsets: np.ndarray  # (k + 1,)
+    errs: np.ndarray         # px
+    discarded: list[DiscardRecord]
+
+    def observed(self, n_vertices: int | None = None):
+        """Sorted ids of the points below `n_vertices` (all when None), and their (k, 3) positions."""
+        k = len(self.ids) if n_vertices is None else int(np.searchsorted(self.ids, n_vertices))
+        return self.ids[:k], self.positions[:k]
 
 
 def consolidate_labels(frame: DetectionFrame, layout: SuitLayout):
@@ -283,19 +311,108 @@ def cloud_to_json(cloud: LabeledPointCloud) -> str:
     return json.dumps({"frame": cloud.frame_index, "points": points, "discarded": discarded})
 
 
-def cloud_from_json(line: str) -> LabeledPointCloud:
-    doc = json.loads(line)
-    cloud = LabeledPointCloud(int(doc["frame"]))
-    for p in doc["points"]:
-        cloud.points[int(p["id"])] = PointRecord(
-            position=np.array(p["p"], dtype=float),
-            cameras=tuple(p["cams"]),
-            mean_reproj_err=float(p["err"]),
-            per_camera_err=tuple(p.get("errs", ())),
+def cloud_from_json(line: str, where: str = "point-cloud line") -> CloudArrays:
+    """Parse one point-cloud line into arrays sorted by id.
+
+    Raises `ConfigError`, prefixed with `where`, for a line that is not a JSON
+    object with "frame", "points" and "discarded"; a point without "id", "p",
+    "cams" or "err"; a "p" that is not 3 finite numbers; an "errs" that is
+    present but not as long as "cams"; and a negative or repeated id.
+    """
+    try:
+        doc = json.loads(line)
+        frame_index, pts, discards = int(doc["frame"]), doc["points"], doc["discarded"]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: not a point-cloud line ({type(e).__name__}: {e})") from None
+    if not isinstance(pts, list) or not isinstance(discards, list):
+        raise ConfigError(f"{where}: 'points' and 'discarded' must be lists")
+    k = len(pts)
+    ids = _column(pts, "id", np.int64, where)
+    ps = _fields(pts, "p", where)
+    bad = np.flatnonzero(_lengths(ps, "p", where) != 3)
+    if bad.size:
+        raise ConfigError(f"{where}: points[{bad[0]}] 'p' is not 3 numbers")
+    positions = _numbers(itertools.chain.from_iterable(ps), float, 3 * k, where, "p").reshape(k, 3)
+    bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{where}: points[{bad[0]}] 'p' is not 3 finite numbers")
+    mean_err = _column(pts, "err", float, where)
+    cams = _fields(pts, "cams", where)
+    n_cams = _lengths(cams, "cams", where)
+    errs = list(map(dict.get, pts, itertools.repeat("errs"), itertools.repeat(())))
+    n_errs = _lengths(errs, "errs", where)
+    bad = np.flatnonzero((n_errs != n_cams) & (n_errs > 0))
+    if bad.size:
+        r = bad[0]
+        raise ConfigError(
+            f"{where}: points[{r}] 'errs' has {n_errs[r]} per-camera errors for {n_cams[r]} cameras"
         )
-    for d in doc["discarded"]:
-        cloud.discarded.append(DiscardRecord(int(d["id"]), d["reason"], d.get("cam")))
-    return cloud
+    cam_offsets, err_offsets = _offsets(n_cams), _offsets(n_errs)
+    cams = _numbers(itertools.chain.from_iterable(cams), np.int64, cam_offsets[-1], where, "cams")
+    errs = _numbers(itertools.chain.from_iterable(errs), float, err_offsets[-1], where, "errs")
+
+    if np.any(ids[1:] <= ids[:-1]):
+        order = np.argsort(ids, kind="stable")
+        ids, positions, mean_err = ids[order], positions[order], mean_err[order]
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if repeated.size:
+            raise ConfigError(f"{where}: id {repeated[0]} repeated")
+        cam_offsets, cams = _csr_take(cam_offsets, cams, order)
+        err_offsets, errs = _csr_take(err_offsets, errs, order)
+    if k and ids[0] < 0:
+        raise ConfigError(f"{where}: id {ids[0]} is negative")
+
+    discarded = []
+    for r, d in enumerate(discards):
+        if not isinstance(d, dict) or "id" not in d or "reason" not in d:
+            raise ConfigError(f"{where}: discarded[{r}] needs 'id' and 'reason'")
+        discarded.append(DiscardRecord(int(d["id"]), d["reason"], d.get("cam")))
+    return CloudArrays(frame_index, ids, positions, mean_err, cam_offsets, cams, err_offsets, errs, discarded)
+
+
+def _fields(pts, key, where) -> list:
+    """Every point's `key`; ConfigError naming the first point that has none."""
+    try:
+        return list(map(itemgetter(key), pts))
+    except (KeyError, TypeError):
+        r = next(r for r, p in enumerate(pts) if not isinstance(p, dict) or key not in p)
+        raise ConfigError(f"{where}: points[{r}] has no {key!r}") from None
+
+
+def _column(pts, key, dtype, where) -> np.ndarray:
+    """Every point's number `key` as an array."""
+    try:
+        return np.fromiter(map(itemgetter(key), pts), dtype, len(pts))
+    except (KeyError, TypeError, ValueError):
+        return _numbers(_fields(pts, key, where), dtype, len(pts), where, key)  # raises the reason
+
+
+def _lengths(values, key, where) -> np.ndarray:
+    try:
+        return np.fromiter(map(len, values), np.int64, len(values))
+    except TypeError:
+        r = next(r for r, v in enumerate(values) if not isinstance(v, (list, tuple)))
+        raise ConfigError(f"{where}: points[{r}] {key!r} is not a list") from None
+
+
+def _numbers(values, dtype, count, where, key) -> np.ndarray:
+    try:
+        return np.fromiter(values, dtype, int(count))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: a point's {key!r} holds a non-number ({e})") from None
+
+
+def _offsets(lengths) -> np.ndarray:
+    out = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _csr_take(offsets, values, order):
+    """CSR rows `order` of (offsets, values), as new (offsets, values)."""
+    lengths = np.diff(offsets)[order]
+    new = _offsets(lengths)
+    return new, values[np.repeat(offsets[:-1][order] - new[:-1], lengths) + np.arange(new[-1])]
 
 
 def write_clouds(clouds, path) -> None:
@@ -304,10 +421,15 @@ def write_clouds(clouds, path) -> None:
             f.write(cloud_to_json(c) + "\n")
 
 
-def read_clouds(path) -> list[LabeledPointCloud]:
+def read_clouds(path) -> list[CloudArrays]:
+    """Parse a point-cloud file, one `CloudArrays` per non-blank line.
+
+    Raises `ConfigError` naming the file, the line and the field for a
+    malformed line (see `cloud_from_json`).
+    """
     out = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             if line.strip():
-                out.append(cloud_from_json(line))
+                out.append(cloud_from_json(line, f"{path}: line {n}"))
     return out

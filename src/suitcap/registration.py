@@ -200,13 +200,13 @@ def register_icp(
 
     Parameters
     ----------
-    cloud : LabeledPointCloud
+    cloud : CloudArrays or LabeledPointCloud
         Rest-like frame with most corners observed.
     template : (SkinnedBodyModel, (F, 3) int array)
         The template body and its surface triangles, as `load_template` returns them.
     seeds : dict corner_id -> (triangle index, (3,) barycentric)
         At least 10 hand-picked correspondences initializing the fit.
-    extra_clouds : iterable of LabeledPointCloud
+    extra_clouds : iterable of CloudArrays or LabeledPointCloud
         Later frames used to register corners unobserved in the initial frame.
 
     Raises
@@ -220,16 +220,15 @@ def register_icp(
         raise InsufficientSeeds(f"got {len(seeds)} seed correspondences, need >= 10")
     model, triangles = template
 
-    seed_ids = sorted(i for i in seeds if i in cloud.points)
-    if len(seed_ids) < 10:
+    obs_ids, obs_pts = cloud.observed()
+    seen = np.isin(obs_ids, list(seeds))
+    if np.count_nonzero(seen) < 10:
         raise InsufficientSeeds("fewer than 10 seeds are observed in the initial frame")
+    seed_ids = obs_ids[seen].tolist()
     tris = np.array([seeds[i][0] for i in seed_ids], dtype=int)
     bary = np.array([seeds[i][1] for i in seed_ids], dtype=float)
-    targets = np.array([cloud.points[i].position for i in seed_ids])
     state = (*model.identity_pose(), np.zeros(model.n_joints))
-    state = _fit_params(model, state, triangles[tris], bary, targets)
-
-    obs_ids, obs_pts = cloud.observed()
+    state = _fit_params(model, state, triangles[tris], bary, obs_pts[seen])
 
     mean_residuals: list[float] = []
     prev_assign = None

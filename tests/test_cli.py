@@ -114,6 +114,20 @@ def test_unknown_config_file_key_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_section_set_to_scalar_exits_2(tmp_path, capsys):
+    assert main(["simulate", "--set", f"paths.output_dir={tmp_path}", "--set", "paths=5"]) == 2
+    assert "configuration error: configuration key 'paths' is a section" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_config_file_section_set_to_scalar_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"paths": 5}))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "configuration error: configuration key 'paths' is a section" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_unknown_scene_preset_exits_2(tmp_path):
     code = main(["simulate", "--set", f"paths.output_dir={tmp_path}", "--set", "scene.preset=bogus"])
     assert code == 2
@@ -263,6 +277,51 @@ def test_eval_rejects_errors_misaligned_with_cameras(tmp_path, capsys):
     path.write_text(json.dumps(doc) + "\n")
     assert main(["eval", "--set", f"paths.output_dir={tmp_path}"]) == 2
     assert "per-camera errors" in capsys.readouterr().err
+
+
+def test_eval_rejects_point_without_errors(tmp_path, capsys):
+    run_simulate(tmp_path, frames=1)
+    run_reconstruct(tmp_path)
+    path = tmp_path / "clouds.jsonl"
+    doc = json.loads(path.read_text())
+    point = doc["points"][4]
+    del point["errs"]
+    path.write_text(json.dumps(doc) + "\n")
+    assert main(["eval", "--set", f"paths.output_dir={tmp_path}"]) == 2
+    message = f"frame 0 point {point['id']} has 0 per-camera errors for {len(point['cams'])} cameras"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p.pop("id"), "points[1] has no 'id'"),
+        (lambda p: p.pop("p"), "points[1] has no 'p'"),
+        (lambda p: p.pop("cams"), "points[1] has no 'cams'"),
+        (lambda p: p.pop("err"), "points[1] has no 'err'"),
+        (lambda p: p.update(p=[1.0, 2.0]), "points[1] 'p' is not 3 numbers"),
+        (lambda p: p.update(p=[1.0, 2.0, 3.0, 4.0]), "points[1] 'p' is not 3 numbers"),
+        (lambda p: p.update(p=5.0), "points[1] 'p' is not a list"),
+        (lambda p: p.update(p=[1.0, None, 3.0]), "points[1] 'p' is not 3 finite numbers"),
+        (lambda p: p.update(p=[1.0, "x", 3.0]), "a point's 'p' holds a non-number"),
+        (lambda p: p.update(errs=[0.1]), "points[1] 'errs' has 1 per-camera errors for 2 cameras"),
+        (lambda p: p.update(id=3), "id 3 repeated"),
+        (lambda p: p.update(id=-1), "id -1 is negative"),
+    ],
+    ids=[
+        "no-id", "no-p", "no-cams", "no-err", "p-two", "p-four", "p-scalar", "p-null", "p-string",
+        "errs-length", "repeated-id", "negative-id",
+    ],
+)
+def test_eval_rejects_malformed_cloud_line(tmp_path, capsys, edit, message):
+    points = [{"id": i, "p": [float(i), 0.0, 1.0], "cams": [0, 1], "err": 0.1, "errs": [0.1, 0.1]} for i in (3, 5, 8)]
+    good = json.dumps({"frame": 0, "points": points, "discarded": []})
+    edit(points[1])
+    bad = json.dumps({"frame": 1, "points": points, "discarded": []})
+    path = tmp_path / "clouds.jsonl"
+    path.write_text(good + "\n" + bad + "\n")
+    assert main(["eval", "--set", f"paths.output_dir={tmp_path}"]) == 2
+    assert f"configuration error: {path}: line 2: {message}" in capsys.readouterr().err
 
 
 def _write_init_model(tmp_path):
@@ -466,8 +525,8 @@ def _write_template_and_seeds(tmp_path, n_seeds):
 
     clouds = read(tmp_path / "clouds.jsonl")
     seed_entries = []
-    for cid in sorted(clouds[0].points)[:n_seeds]:
-        p = clouds[0].points[cid].position
+    ids, positions = clouds[0].observed()
+    for cid, p in zip(ids[:n_seeds], positions):
         cp, cb = closest_point_on_triangles(p, scene.model.rest_vertices[scene.triangles])
         t = int(np.argmin(np.linalg.norm(cp - p, axis=1)))
         seed_entries.append({"id": int(cid), "tri": t, "bary": [float(v) for v in cb[t]]})
@@ -621,8 +680,8 @@ def test_inpaint_binary_and_counts(tmp_path, capsys):
     assert positions.shape[0] == 6
     clouds = read_clouds(tmp_path / "clouds.jsonl")
     # observed vertices reproduce the triangulated positions (float32 storage)
-    for cid, rec in clouds[0].points.items():
-        assert np.linalg.norm(positions[0, cid] - rec.position) < 1e-2
+    ids, observed = clouds[0].observed()
+    assert np.linalg.norm(positions[0, ids] - observed, axis=1).max() < 1e-2
     rows = (tmp_path / "report_inpaint.csv").read_text().splitlines()
     assert rows[0] == "frame,observed,filled"
     assert len(rows) == 7

@@ -1,11 +1,12 @@
 import hashlib
 import itertools
+import json
 from collections import defaultdict
 
 import numpy as np
 import pytest
 from conftest import mixed_ring_rig, ring_rig
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from suitcap.detection import DetectionFrame, OracleNoiseConfig, oracle_detect
@@ -652,6 +653,27 @@ def test_sequence_deterministic():
     assert [cloud_to_json(x) for x in a] == [cloud_to_json(x) for x in b]
 
 
+def assert_read_back(a: LabeledPointCloud, b):
+    """The arrays `b` that reading back the written cloud `a` gives hold the same bits."""
+    ids = sorted(a.points)
+    recs = [a.points[i] for i in ids]
+    assert b.frame_index == a.frame_index
+    assert b.ids.tolist() == ids
+    assert b.positions.tobytes() == np.array([r.position for r in recs], dtype=float).tobytes()
+    assert b.mean_err.tobytes() == np.array([r.mean_reproj_err for r in recs], dtype=float).tobytes()
+    for r, rec in enumerate(recs):
+        assert b.cams[b.cam_offsets[r]:b.cam_offsets[r + 1]].tolist() == list(rec.cameras)
+        errs = b.errs[b.err_offsets[r]:b.err_offsets[r + 1]]
+        assert errs.tobytes() == np.array(rec.per_camera_err, dtype=float).tobytes()
+    assert [(d.corner_id, d.reason, d.camera_id) for d in b.discarded] == [
+        (d.corner_id, d.reason, d.camera_id) for d in a.discarded
+    ]
+    for n in [None, *range(max(ids, default=0) + 2)]:
+        (ia, pa), (ib, pb) = a.observed(n), b.observed(n)
+        assert ib.tobytes() == ia.tobytes()
+        assert pb.shape == pa.shape and pb.tobytes() == pa.tobytes()
+
+
 def test_cloud_file_roundtrip(tmp_path):
     scene = tube_scene(n_cameras=6, strips=3, codes_per_strip=6, seed=44)
     frames = _simulate_detections(scene, 2, OracleNoiseConfig(pixel_sigma=0.3, seed=12))
@@ -659,19 +681,12 @@ def test_cloud_file_roundtrip(tmp_path):
     path = tmp_path / "clouds.jsonl"
     write_clouds(clouds, path)
     back = read_clouds(path)
-    assert [c.frame_index for c in back] == [c.frame_index for c in clouds]
+    assert len(back) == len(clouds)
     for a, b in zip(clouds, back):
-        assert set(a.points) == set(b.points)
-        for cid in a.points:
-            assert np.array_equal(a.points[cid].position, b.points[cid].position)
-            assert a.points[cid].cameras == b.points[cid].cameras
-            assert a.points[cid].mean_reproj_err == b.points[cid].mean_reproj_err
-        assert [(d.corner_id, d.reason, d.camera_id) for d in a.discarded] == [
-            (d.corner_id, d.reason, d.camera_id) for d in b.discarded
-        ]
-    # json round trip is stable line by line
-    for a in clouds:
-        assert cloud_to_json(cloud_from_json(cloud_to_json(a))) == cloud_to_json(a)
+        assert_read_back(a, b)
+    # a line parses to the same arrays as the file
+    line = path.read_text().splitlines()[1]
+    assert_read_back(clouds[1], cloud_from_json(line))
 
 
 def test_cloud_file_roundtrips_per_camera_errors(tmp_path):
@@ -682,12 +697,51 @@ def test_cloud_file_roundtrips_per_camera_errors(tmp_path):
     path = tmp_path / "clouds.jsonl"
     write_clouds(clouds, path)
     back = read_clouds(path)
-    recs = [(a.points[cid], b.points[cid]) for a, b in zip(clouds, back) for cid in a.points]
-    assert len(recs) > 10
-    for a, b in recs:
-        assert len(a.per_camera_err) in (0, len(a.cameras))
-        assert b.per_camera_err == a.per_camera_err
+    assert sum(len(c.points) for c in clouds) > 10
+    for a, b in zip(clouds, back):
+        assert all(len(rec.per_camera_err) in (0, len(rec.cameras)) for rec in a.points.values())
+        assert_read_back(a, b)
+    assert back[1].err_offsets.tolist() == [0, 0]
     assert '"errs"' not in path.read_text().splitlines()[-1]
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _clouds(draw):
+    """A written LabeledPointCloud: any ids, with or without per-camera errors, and discards."""
+    points = {}
+    for cid in draw(st.lists(st.integers(0, 60), unique=True, max_size=8)):
+        cams = draw(st.lists(st.integers(0, 40), max_size=4))
+        errs = draw(st.lists(_finite, min_size=len(cams), max_size=len(cams))) if draw(st.booleans()) else []
+        points[cid] = PointRecord(np.array(draw(st.tuples(_finite, _finite, _finite))), tuple(cams), draw(_finite), tuple(errs))
+    discards = draw(st.lists(st.builds(
+        DiscardRecord,
+        st.integers(0, 60),
+        st.sampled_from([REASON_CONFLICT, REASON_MISLABEL, REASON_RESIDUAL, REASON_TOO_FEW]),
+        st.none() | st.integers(0, 40),
+    ), max_size=3))
+    return LabeledPointCloud(draw(st.integers(0, 10**6)), points, discards)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(clouds=st.lists(_clouds(), max_size=4), shuffle=st.randoms(use_true_random=False))
+def test_written_clouds_read_back_bitwise(tmp_path, clouds, shuffle):
+    """write_clouds then read_clouds keeps every id, bit, camera, error and discard, from
+    points in any order in the file; observed(n) equals the written cloud's for every n."""
+    path = tmp_path / "clouds.jsonl"
+    write_clouds(clouds, path)
+    lines = []
+    for line in path.read_text().splitlines():
+        doc = json.loads(line)
+        shuffle.shuffle(doc["points"])
+        lines.append(json.dumps(doc) + "\n")
+    path.write_text("".join(lines))
+    back = read_clouds(path)
+    assert len(back) == len(clouds)
+    for a, b in zip(clouds, back):
+        assert_read_back(a, b)
 
 
 def test_noisy_tube_clouds_golden_digest(tmp_path):
