@@ -89,7 +89,7 @@ def _unknown_key(doc: dict, known, prefix: str = ""):
         if not isinstance(known, dict) or k not in known:
             return prefix + k
         if isinstance(known[k], dict) and not isinstance(v, dict):
-            raise ConfigError(f"configuration key {prefix + k!r} is a section and takes an object, not {v!r}")
+            raise ConfigError(f"configuration key {prefix + k!r} is a section, not {v!r}")
         inner = _unknown_key(v, known[k], f"{prefix}{k}.") if isinstance(v, dict) else None
         if inner is not None:
             return inner

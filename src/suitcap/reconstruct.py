@@ -317,7 +317,8 @@ def cloud_from_json(line: str, where: str = "point-cloud line") -> CloudArrays:
     Raises `ConfigError`, prefixed with `where`, for a line that is not a JSON
     object with "frame", "points" and "discarded"; a point without "id", "p",
     "cams" or "err"; a "p" that is not 3 finite numbers; an "errs" that is
-    present but not as long as "cams"; and a negative or repeated id.
+    present but not as long as "cams"; a negative or repeated id; and a
+    discard without an integer "id" and a "reason".
     """
     try:
         doc = json.loads(line)
@@ -364,9 +365,10 @@ def cloud_from_json(line: str, where: str = "point-cloud line") -> CloudArrays:
 
     discarded = []
     for r, d in enumerate(discards):
-        if not isinstance(d, dict) or "id" not in d or "reason" not in d:
-            raise ConfigError(f"{where}: discarded[{r}] needs 'id' and 'reason'")
-        discarded.append(DiscardRecord(int(d["id"]), d["reason"], d.get("cam")))
+        try:
+            discarded.append(DiscardRecord(int(d["id"]), d["reason"], d.get("cam")))
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError(f"{where}: discarded[{r}] needs an integer 'id' and a 'reason'") from None
     return CloudArrays(frame_index, ids, positions, mean_err, cam_offsets, cams, err_offsets, errs, discarded)
 
 

@@ -295,31 +295,37 @@ def test_eval_rejects_point_without_errors(tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda p: p.pop("id"), "points[1] has no 'id'"),
-        (lambda p: p.pop("p"), "points[1] has no 'p'"),
-        (lambda p: p.pop("cams"), "points[1] has no 'cams'"),
-        (lambda p: p.pop("err"), "points[1] has no 'err'"),
-        (lambda p: p.update(p=[1.0, 2.0]), "points[1] 'p' is not 3 numbers"),
-        (lambda p: p.update(p=[1.0, 2.0, 3.0, 4.0]), "points[1] 'p' is not 3 numbers"),
-        (lambda p: p.update(p=5.0), "points[1] 'p' is not a list"),
-        (lambda p: p.update(p=[1.0, None, 3.0]), "points[1] 'p' is not 3 finite numbers"),
-        (lambda p: p.update(p=[1.0, "x", 3.0]), "a point's 'p' holds a non-number"),
-        (lambda p: p.update(errs=[0.1]), "points[1] 'errs' has 1 per-camera errors for 2 cameras"),
-        (lambda p: p.update(id=3), "id 3 repeated"),
-        (lambda p: p.update(id=-1), "id -1 is negative"),
+        (lambda d: d["points"][1].pop("id"), "points[1] has no 'id'"),
+        (lambda d: d["points"][1].pop("p"), "points[1] has no 'p'"),
+        (lambda d: d["points"][1].pop("cams"), "points[1] has no 'cams'"),
+        (lambda d: d["points"][1].pop("err"), "points[1] has no 'err'"),
+        (lambda d: d["points"][1].update(p=[1.0, 2.0]), "points[1] 'p' is not 3 numbers"),
+        (lambda d: d["points"][1].update(p=[1.0, 2.0, 3.0, 4.0]), "points[1] 'p' is not 3 numbers"),
+        (lambda d: d["points"][1].update(p=5.0), "points[1] 'p' is not a list"),
+        (lambda d: d["points"][1].update(p=[1.0, None, 3.0]), "points[1] 'p' is not 3 finite numbers"),
+        (lambda d: d["points"][1].update(p=[1.0, "x", 3.0]), "a point's 'p' holds a non-number"),
+        (lambda d: d["points"][1].update(errs=[0.1]), "points[1] 'errs' has 1 per-camera errors for 2 cameras"),
+        (lambda d: d["points"][1].update(id=3), "id 3 repeated"),
+        (lambda d: d["points"][1].update(id=-1), "id -1 is negative"),
+        (
+            lambda d: d["discarded"].append({"id": "x", "reason": "TooFewCameras"}),
+            "discarded[0] needs an integer 'id'",
+        ),
     ],
     ids=[
         "no-id", "no-p", "no-cams", "no-err", "p-two", "p-four", "p-scalar", "p-null", "p-string",
-        "errs-length", "repeated-id", "negative-id",
+        "errs-length", "repeated-id", "negative-id", "discard-id",
     ],
 )
 def test_eval_rejects_malformed_cloud_line(tmp_path, capsys, edit, message):
-    points = [{"id": i, "p": [float(i), 0.0, 1.0], "cams": [0, 1], "err": 0.1, "errs": [0.1, 0.1]} for i in (3, 5, 8)]
-    good = json.dumps({"frame": 0, "points": points, "discarded": []})
-    edit(points[1])
-    bad = json.dumps({"frame": 1, "points": points, "discarded": []})
+    points = [
+        {"id": i, "p": [float(i), 0.0, 1.0], "cams": [0, 1], "err": 0.1, "errs": [0.1, 0.1]} for i in (3, 5, 8)
+    ]
+    good = {"frame": 0, "points": points, "discarded": []}
+    bad = json.loads(json.dumps(dict(good, frame=1)))
+    edit(bad)
     path = tmp_path / "clouds.jsonl"
-    path.write_text(good + "\n" + bad + "\n")
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     assert main(["eval", "--set", f"paths.output_dir={tmp_path}"]) == 2
     assert f"configuration error: {path}: line 2: {message}" in capsys.readouterr().err
 
@@ -496,11 +502,16 @@ def test_eval_tube_golden_digest(tmp_path):
                     "err": float(errs.mean()),
                     "errs": [float(e) for e in errs],
                 })
-            discarded = [{"id": 1, "reason": "TooFewCameras"}, {"id": 2, "reason": "MislabelSuspect", "cam": 3}]
+            discarded = [
+                {"id": 1, "reason": "TooFewCameras"},
+                {"id": 2, "reason": "MislabelSuspect", "cam": 3},
+            ]
             fc.write(json.dumps({"frame": k, "points": points, "discarded": discarded}) + "\n")
             if k < 3:  # the last frame has no truth
                 kept = np.flatnonzero(rng.random(len(pos)) >= 0.1)
-                truth_points = [{"id": int(i), "p": [float(v) for v in pos[i]], "cams": [], "err": 0.0} for i in kept]
+                truth_points = [
+                    {"id": int(i), "p": [float(v) for v in pos[i]], "cams": [], "err": 0.0} for i in kept
+                ]
                 ft.write(json.dumps({"frame": k, "points": truth_points, "discarded": []}) + "\n")
     assert main(["eval", "--set", f"paths.output_dir={tmp_path}"]) == 0
     digest = hashlib.sha256((tmp_path / "report_eval.json").read_bytes()).hexdigest()

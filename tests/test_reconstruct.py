@@ -715,7 +715,8 @@ def _clouds(draw):
     for cid in draw(st.lists(st.integers(0, 60), unique=True, max_size=8)):
         cams = draw(st.lists(st.integers(0, 40), max_size=4))
         errs = draw(st.lists(_finite, min_size=len(cams), max_size=len(cams))) if draw(st.booleans()) else []
-        points[cid] = PointRecord(np.array(draw(st.tuples(_finite, _finite, _finite))), tuple(cams), draw(_finite), tuple(errs))
+        position = np.array(draw(st.tuples(_finite, _finite, _finite)))
+        points[cid] = PointRecord(position, tuple(cams), draw(_finite), tuple(errs))
     discards = draw(st.lists(st.builds(
         DiscardRecord,
         st.integers(0, 60),
