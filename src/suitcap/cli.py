@@ -109,6 +109,12 @@ def _apply_set(cfg: dict, assignment: str) -> None:
     _deep_update(cfg, value)
 
 
+def _check_keys(cfg: dict) -> None:
+    unknown = _unknown_key(cfg, DEFAULT_CONFIG)
+    if unknown is not None:
+        raise ConfigError(f"unknown configuration key {unknown!r}")
+
+
 def load_config(args) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if args.config:
@@ -122,11 +128,12 @@ def load_config(args) -> dict:
             cfg["seed"] = int(os.environ["MOCAP_SEED"])
         except ValueError as e:
             raise ConfigError(f"MOCAP_SEED must be an integer: {e}") from e
+    # checked after each step: a later `--set` into a section that an earlier
+    # step replaced by a scalar would rebuild the section from that one key
+    _check_keys(cfg)
     for assignment in args.set or []:
         _apply_set(cfg, assignment)
-    unknown = _unknown_key(cfg, DEFAULT_CONFIG)
-    if unknown is not None:
-        raise ConfigError(f"unknown configuration key {unknown!r}")
+        _check_keys(cfg)
     if args.workers is not None:
         cfg["workers"] = args.workers
     return cfg
@@ -212,19 +219,15 @@ def cmd_reconstruct(cfg) -> int:
                 f"camera id {f.camera_id} is not in the calibration"
             )
 
-    workers = int(cfg["workers"]) or 1
-    radius = float(cfg["cluster_radius"])
-    keys = sorted({f.frame_index for f in frames})
-    if workers > 1 and len(keys) > 1:
-        worker_of = {k: i % workers for i, k in enumerate(keys)}
-        chunks = [[f for f in frames if worker_of[f.frame_index] == i] for i in range(workers)]
+    # one job per frame, in frame order; a pool hands each worker one run of consecutive frames
+    groups = reconstruct.group_frames(frames)
+    workers = min(int(cfg["workers"]) or 1, len(groups))
+    jobs = (reconstruct.reconstruct_frame, groups, repeat(rig), repeat(layout), repeat(float(cfg["cluster_radius"])))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                reconstruct.reconstruct_sequence, chunks, repeat(rig), repeat(layout), repeat(radius)
-            )
-            clouds = sorted((c for chunk in results for c in chunk), key=lambda c: c.frame_index)
+            clouds = list(pool.map(*jobs, chunksize=-(-len(groups) // workers)))
     else:
-        clouds = reconstruct.reconstruct_sequence(frames, rig, layout, radius)
+        clouds = list(map(*jobs))
 
     paths["clouds"].parent.mkdir(parents=True, exist_ok=True)
     reconstruct.write_clouds(clouds, paths["clouds"])
@@ -377,9 +380,20 @@ def cmd_inpaint(cfg) -> int:
     return 0
 
 
+def _read_distinct_frames(path) -> list:
+    """`read_clouds(path)`; ConfigError naming the file and the first frame index that repeats."""
+    clouds = reconstruct.read_clouds(path)
+    seen = set()
+    for cloud in clouds:
+        if cloud.frame_index in seen:
+            raise ConfigError(f"{path}: frame {cloud.frame_index} appears more than once")
+        seen.add(cloud.frame_index)
+    return clouds
+
+
 def cmd_eval(cfg) -> int:
     paths = _paths(cfg)
-    clouds = reconstruct.read_clouds(paths["clouds"])
+    clouds = _read_distinct_frames(paths["clouds"])
     for cloud in clouds:
         if not np.array_equal(cloud.err_offsets, cloud.cam_offsets):
             n_errs, n_cams = np.diff(cloud.err_offsets), np.diff(cloud.cam_offsets)
@@ -397,7 +411,7 @@ def cmd_eval(cfg) -> int:
     edges, counts = reporting.log_histogram(errors)
     truth_path = paths["truth"]
     if truth_path is not None and truth_path.exists():
-        truth = {c.frame_index: c for c in reconstruct.read_clouds(truth_path)}
+        truth = {c.frame_index: c for c in _read_distinct_frames(truth_path)}
         d3 = []
         for c in clouds:
             if c.frame_index in truth:

@@ -8,11 +8,11 @@ Conventions used throughout the package:
 * distortion is the 5-coefficient radial-tangential model (k1, k2, p1, p2, k3);
   all-zero coefficients give a pure pinhole camera.
 
-`distort_normalized` is the only forward distortion polynomial. Simulation, the
-mislabel filter, evaluation and the costs of LM triangulation project through
-`project_cams`, which divides by depth as x / z. `triangulate.project_jacobian`,
-which gives LM its residuals and gradient, computes the same pixels as
-x * (1 / z), so its residuals can differ from `project_cams`' in the last bit.
+One kernel maps world points to pixels: it divides by depth as x / z, then
+distorts with `distort_normalized` and applies the intrinsics. `project_cams`
+(simulation, the mislabel filter, evaluation, LM's costs) and `project_jacobian`
+(LM's residuals and gradient) share it, so their pixels agree bit for bit.
+`normalized_coords` maps observed pixels back through `undistort_normalized`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ __all__ = [
     "CameraRig",
     "CameraArrays",
     "project_cams",
+    "project_jacobian",
+    "normalized_coords",
     "project",
     "project_many",
     "reprojection_error",
@@ -213,10 +215,8 @@ def distort_normalized(xn, dist):
 
 
 def undistort_normalized(xd, dist, iterations: int = 12):
-    """Invert the distortion polynomial by fixed-point iteration."""
-    if not np.any(np.asarray(dist) != 0.0):
-        return np.asarray(xd, dtype=float)
-    k1, k2, p1, p2, k3 = dist
+    """Invert the distortion polynomial by fixed-point iteration; `dist` as in `distort_normalized`."""
+    k1, k2, p1, p2, k3 = np.moveaxis(np.asarray(dist), -1, 0)
     xd = np.asarray(xd, dtype=float)
     x = xd[..., 0].copy()
     y = xd[..., 1].copy()
@@ -278,21 +278,72 @@ class CameraArrays:
         return rows
 
 
-def project_cams(arr: CameraArrays, cam_idx, pts):
-    """Project pts[b] through camera cam_idx[b]; returns ((B,2) pixels, (B,) depth).
-
-    Does not raise on non-positive depth; callers mask on the returned depth.
-    """
+def _camera_normalized(arr: CameraArrays, cam_idx, pts):
+    """Rotate pts[b] into camera cam_idx[b] and divide by depth: ((B,2) x / z, (B,) z, (B,3,3) R)."""
     R = arr.R[cam_idx]
     pc = np.einsum("bij,bj->bi", R, pts) + arr.t[cam_idx]
     z = pc[:, 2]
     with np.errstate(invalid="ignore", divide="ignore"):
         xn = pc[:, :2] / z[:, None]
+    return xn, z, R
+
+
+def _to_pixels(arr: CameraArrays, cam_idx, xn):
+    """Distort (B, 2) normalized coordinates and apply the intrinsics of camera cam_idx[b]."""
     if arr.any_distortion:
         xn = distort_normalized(xn, arr.dist[cam_idx])
     u = arr.fx[cam_idx] * xn[:, 0] + arr.skew[cam_idx] * xn[:, 1] + arr.cx[cam_idx]
     v = arr.fy[cam_idx] * xn[:, 1] + arr.cy[cam_idx]
-    return np.stack([u, v], axis=-1), z
+    return np.stack([u, v], axis=-1)
+
+
+def project_cams(arr: CameraArrays, cam_idx, pts):
+    """Project pts[b] through camera cam_idx[b]; returns ((B,2) pixels, (B,) depth).
+
+    Does not raise on non-positive depth; callers mask on the returned depth.
+    """
+    xn, z, _ = _camera_normalized(arr, cam_idx, pts)
+    return _to_pixels(arr, cam_idx, xn), z
+
+
+def project_jacobian(arr: CameraArrays, cam_idx, pts):
+    """`project_cams` plus the (B, 2, 3) Jacobian of the pixels with respect to the world point."""
+    xn, z, R = _camera_normalized(arr, cam_idx, pts)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        inv_z = 1.0 / z
+
+    # d(normalized)/d(camera point)
+    dn = np.zeros((len(z), 2, 3))
+    dn[:, 0, 0] = dn[:, 1, 1] = inv_z
+    dn[:, :, 2] = -xn * inv_z[:, None]
+
+    if arr.any_distortion:
+        x, y = xn[:, 0], xn[:, 1]
+        k1, k2, p1, p2, k3 = arr.dist[cam_idx].T
+        r2 = x * x + y * y
+        radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+        dr = k1 + r2 * (2 * k2 + 3 * k3 * r2)
+        dd = np.empty((len(z), 2, 2))
+        dd[:, 0, 0] = radial + 2 * x * x * dr + 2 * p1 * y + 6 * p2 * x
+        dd[:, 0, 1] = dd[:, 1, 0] = 2 * x * y * dr + 2 * p1 * x + 2 * p2 * y
+        dd[:, 1, 1] = radial + 2 * y * y * dr + 6 * p1 * y + 2 * p2 * x
+        dn = dd @ dn
+
+    # rows of K act on the distorted normalized coords, then chain through R
+    Jn = np.empty_like(dn)
+    Jn[:, 0] = arr.fx[cam_idx][:, None] * dn[:, 0] + arr.skew[cam_idx][:, None] * dn[:, 1]
+    Jn[:, 1] = arr.fy[cam_idx][:, None] * dn[:, 1]
+    return _to_pixels(arr, cam_idx, xn), z, Jn @ R
+
+
+def normalized_coords(arr: CameraArrays, cam_idx, pixels):
+    """Undistorted normalized image coordinates of observed pixels."""
+    yn = (pixels[:, 1] - arr.cy[cam_idx]) / arr.fy[cam_idx]
+    xn = (pixels[:, 0] - arr.cx[cam_idx] - arr.skew[cam_idx] * yn) / arr.fx[cam_idx]
+    out = np.stack([xn, yn], axis=-1)
+    if not arr.any_distortion:
+        return out
+    return undistort_normalized(out, arr.dist[cam_idx])
 
 
 def project_many(camera: Camera, points):

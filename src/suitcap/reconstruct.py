@@ -39,6 +39,7 @@ __all__ = [
     "filter_mislabels",
     "reconstruct_frame",
     "reconstruct_sequence",
+    "group_frames",
     "write_clouds",
     "read_clouds",
 ]
@@ -270,18 +271,20 @@ def reconstruct_sequence(
     layout: SuitLayout,
     cluster_radius: float = 3.0,
 ) -> list[LabeledPointCloud]:
-    """Group a detection stream by frame index and reconstruct each independently.
+    """Reconstruct each group of `group_frames(frames)` independently.
 
     No state is carried between frames; per-frame failures are recorded in the
     clouds rather than aborting the stream.
     """
+    return [reconstruct_frame(group, rig, layout, cluster_radius) for group in group_frames(frames)]
+
+
+def group_frames(frames) -> list[list[DetectionFrame]]:
+    """A detection stream's per-camera frames grouped by frame index, in rising index order."""
     by_frame: dict[int, list[DetectionFrame]] = defaultdict(list)
     for f in frames:
         by_frame[f.frame_index].append(f)
-    clouds = []
-    for k in sorted(by_frame):
-        clouds.append(reconstruct_frame(by_frame[k], rig, layout, cluster_radius))
-    return clouds
+    return [by_frame[k] for k in sorted(by_frame)]
 
 
 # ---------------------------------------------------------------------------

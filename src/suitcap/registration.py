@@ -26,7 +26,7 @@ from .geometry import quat_from_rotvec, quat_mul, quat_normalize
 from .layout import SuitLayout
 from .meshes import closest_point_on_triangles, mesh_edges
 from .refine import damped_gauss_newton, pose_residual_jacobian
-from .skinning import SkinnedBodyModel, blend_transforms, joint_transforms, skin_with_transforms
+from .skinning import SkinnedBodyModel, blend_transforms, joint_transforms, skin_with_transforms, weights_from_entries
 
 __all__ = ["register_icp", "RegistrationResult"]
 
@@ -77,11 +77,7 @@ def load_template(path):
         raise ConfigError(f"{path}: tris[{bad[0]}] = {tris[bad[0]].tolist()} has a vertex outside 0..{V - 1}")
     if len(parents) != M or np.any((parents < -1) | (parents >= M)):
         raise ConfigError(f"{path}: parents {parents.tolist()} must hold one index in -1..{M - 1} per joint")
-    W = np.zeros((V, M))
-    for k, (i, j, w) in enumerate(doc["weights"]):
-        if not (0 <= int(i) < V and 0 <= int(j) < M):
-            raise ConfigError(f"{path}: weights[{k}] = [{i}, {j}, {w}] is outside {V} vertices x {M} joints")
-        W[int(i), int(j)] = w
+    W = weights_from_entries(doc["weights"], V, M, path)
     negative = np.flatnonzero((W < -1e-12).any(axis=1))
     if negative.size:
         raise ConfigError(f"{path}: weight row {negative[0]} has a negative weight {float(W[negative[0]].min())}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularBlend
+from .errors import ConfigError, SingularBlend
 from .geometry import quat_to_rot
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "unskin_points",
     "save_model",
     "load_model",
+    "weights_from_entries",
     "export_obj",
 ]
 
@@ -231,15 +232,28 @@ def save_model(model: SkinnedBodyModel, path) -> None:
         f.write("\n")
 
 
+def weights_from_entries(entries, n_vertices: int, n_joints: int, path) -> np.ndarray:
+    """(V, M) weights from a file's `[i, j, w]` entries.
+
+    Raises ConfigError naming the file and the entry of an index outside V x M.
+    """
+    W = np.zeros((n_vertices, n_joints))
+    for k, (i, j, w) in enumerate(entries):
+        if not (0 <= int(i) < n_vertices and 0 <= int(j) < n_joints):
+            raise ConfigError(
+                f"{path}: weights[{k}] = [{i}, {j}, {w}] is outside {n_vertices} vertices x {n_joints} joints"
+            )
+        W[int(i), int(j)] = w
+    return W
+
+
 def load_model(path) -> SkinnedBodyModel:
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     rest = np.array(doc["rest"], dtype=float)
     joints = np.array(doc["joints"], dtype=float)
     parents = np.array(doc["parents"], dtype=int)
-    W = np.zeros((len(rest), len(joints)))
-    for i, j, w in doc["weights"]:
-        W[int(i), int(j)] = w
+    W = weights_from_entries(doc["weights"], len(rest), len(joints), path)
     n_joints = len(joints)
     quats = []
     roots = []

@@ -13,71 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraArrays, distort_normalized, project_cams, undistort_normalized
+from .geometry import CameraArrays, normalized_coords, project_cams, project_jacobian
 
 GRADIENT_TOL = 1e-10
 MAX_ITERATIONS = 100
 MIN_RAY_ANGLE_DEG = 0.1
 
 __all__ = ["TriangulationResult", "triangulate_points"]
-
-
-def project_jacobian(arr: CameraArrays, cam_idx, pts):
-    """Projection plus its (B, 2, 3) Jacobian with respect to the world point."""
-    R = arr.R[cam_idx]
-    pc = np.einsum("bij,bj->bi", R, pts) + arr.t[cam_idx]
-    z = pc[:, 2]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        inv_z = 1.0 / z
-    x = pc[:, 0] * inv_z
-    y = pc[:, 1] * inv_z
-
-    # d(normalized)/d(camera point)
-    dn = np.zeros((len(z), 2, 3))
-    dn[:, 0, 0] = inv_z
-    dn[:, 0, 2] = -x * inv_z
-    dn[:, 1, 1] = inv_z
-    dn[:, 1, 2] = -y * inv_z
-
-    if arr.any_distortion:
-        dist = arr.dist[cam_idx]
-        k1, k2, p1, p2, k3 = (dist[:, i] for i in range(5))
-        r2 = x * x + y * y
-        radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-        dr = k1 + r2 * (2 * k2 + 3 * k3 * r2)
-        dd = np.empty((len(z), 2, 2))
-        dd[:, 0, 0] = radial + 2 * x * x * dr + 2 * p1 * y + 6 * p2 * x
-        dd[:, 0, 1] = 2 * x * y * dr + 2 * p1 * x + 2 * p2 * y
-        dd[:, 1, 0] = 2 * x * y * dr + 2 * p1 * x + 2 * p2 * y
-        dd[:, 1, 1] = radial + 2 * y * y * dr + 6 * p1 * y + 2 * p2 * x
-        dn = dd @ dn
-        x, y = distort_normalized(np.stack([x, y], axis=-1), dist).T
-
-    fx = arr.fx[cam_idx]
-    fy = arr.fy[cam_idx]
-    sk = arr.skew[cam_idx]
-    u = fx * x + sk * y + arr.cx[cam_idx]
-    v = fy * y + arr.cy[cam_idx]
-    # rows of K act on the distorted normalized coords, then chain through R
-    Jn = np.empty_like(dn)
-    Jn[:, 0] = fx[:, None] * dn[:, 0] + sk[:, None] * dn[:, 1]
-    Jn[:, 1] = fy[:, None] * dn[:, 1]
-    J = Jn @ R
-    return np.stack([u, v], axis=-1), z, J
-
-
-def normalized_coords(arr: CameraArrays, cam_idx, pixels):
-    """Undistorted normalized image coordinates of observed pixels."""
-    yn = (pixels[:, 1] - arr.cy[cam_idx]) / arr.fy[cam_idx]
-    xn = (pixels[:, 0] - arr.cx[cam_idx] - arr.skew[cam_idx] * yn) / arr.fx[cam_idx]
-    out = np.stack([xn, yn], axis=-1)
-    if not arr.any_distortion:
-        return out
-    res = np.empty_like(out)
-    for c in np.unique(cam_idx):
-        m = cam_idx == c
-        res[m] = undistort_normalized(out[m], arr.dist[c])
-    return res
 
 
 def _sums(index, values, n):

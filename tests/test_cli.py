@@ -117,6 +117,9 @@ def test_unknown_config_file_key_exits_2(tmp_path, capsys):
 def test_section_set_to_scalar_exits_2(tmp_path, capsys):
     assert main(["simulate", "--set", f"paths.output_dir={tmp_path}", "--set", "paths=5"]) == 2
     assert "configuration error: configuration key 'paths' is a section" in capsys.readouterr().err
+    # a later --set into the replaced section must not rebuild it from its one key
+    assert main(["simulate", "--set", "paths=5", "--set", f"paths.output_dir={tmp_path / 'o'}"]) == 2
+    assert "configuration error: configuration key 'paths' is a section" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -290,6 +293,22 @@ def test_eval_rejects_point_without_errors(tmp_path, capsys):
     assert main(["eval", "--set", f"paths.output_dir={tmp_path}"]) == 2
     message = f"frame 0 point {point['id']} has 0 per-camera errors for {len(point['cams'])} cameras"
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["truth.jsonl", "clouds.jsonl"])
+def test_eval_rejects_repeated_frame(tmp_path, capsys, name):
+    run_simulate(tmp_path, frames=2)
+    run_reconstruct(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    # frame 0 first 5 mm off, then exact: keeping either line alone would hide the other
+    off = json.loads(lines[0])
+    for point in off["points"]:
+        point["p"][0] += 5.0
+    path.write_text(json.dumps(off) + "\n" + "".join(line + "\n" for line in lines))
+    assert main(["eval", "--set", f"paths.output_dir={tmp_path}"]) == 2
+    assert f"configuration error: {path}: frame 0 appears more than once" in capsys.readouterr().err
+    assert not (tmp_path / "report_eval.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -573,6 +592,7 @@ BAD_REGISTRATION_INPUTS = {
     "template-weight-row-past-end": (
         "template.json", lambda d, t: d["weights"].append([len(t["verts"]), 0, 0.0]), "weights["
     ),
+    "template-weight-row-negative": ("template.json", lambda d, t: d["weights"].append([-1, 0, 0.0]), "weights["),
     "template-parent-past-end": (
         "template.json", lambda d, t: d["parents"].__setitem__(1, len(t["joints"])), "parents "
     ),
@@ -603,6 +623,27 @@ def test_fit_rejects_bad_seeds_and_template_files(tmp_path, capsys, case):
         "--set", f"paths.seeds={tmp_path}/seeds.json",
     ]) == 2
     assert f"configuration error: {tmp_path / name}: {entry}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [lambda m: [len(m["rest"]), 0, 0.5], lambda m: [-1, 0, 0.5], lambda m: [3, len(m["joints"]), 0.5]],
+    ids=["vertex-past-end", "vertex-negative", "joint-past-end"],
+)
+def test_fit_rejects_model_weight_outside_model(tmp_path, capsys, entry):
+    run_simulate(tmp_path, frames=1)
+    run_reconstruct(tmp_path)
+    _write_init_model(tmp_path)
+    path = tmp_path / "init_model.json"
+    doc = json.loads(path.read_text())
+    i, j, w = entry(doc)
+    doc["weights"].append([i, j, w])
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["fit", "--set", f"paths.output_dir={tmp_path}", "--set", f"paths.init_model={path}"]) == 2
+    k = len(doc["weights"]) - 1
+    assert f"configuration error: {path}: weights[{k}] = [{i}, {j}, {w}] is outside" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_fit_from_template_with_empty_clouds_exits_2(tmp_path, capsys):
