@@ -15,6 +15,7 @@ import argparse
 import copy
 import json
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
@@ -339,41 +340,70 @@ def _write_fit_histograms(prefix, e0, e1) -> None:
 
 
 def cmd_inpaint(cfg) -> int:
+    """One pass over the clouds: each frame is checked, unposed and counted as it
+    is read, each window is solved once its frames are in, and each frame is
+    skinned and written once its blend is final. The animation is written under
+    a sibling name and renamed on success, so a failed run leaves none."""
     paths = _paths(cfg)
     layout = load_layout(paths["layout"])
     model = load_model(paths["model"])
-    clouds = reconstruct.read_clouds(paths["clouds"])
-    # the temporal term takes neighbouring clouds for neighbouring frames
-    for prev, cloud in zip(clouds, clouds[1:]):
-        if cloud.frame_index != prev.frame_index + 1:
-            raise ConfigError(f"{paths['clouds']}: frame {cloud.frame_index} follows frame {prev.frame_index}")
-
-    if model.n_frames != len(clouds):
-        quats, roots, _ = refine.fit_poses(model, clouds)
-        model.pose_quats, model.root_translations = quats, roots
-
+    clouds_path = paths["clouds"]
+    K = reconstruct.count_clouds(clouds_path)
+    refit = model.n_frames != K
+    if refit:  # filled in frame by frame as the clouds arrive
+        model.pose_quats = np.zeros((K, len(model.joints), 4))
+        model.root_translations = np.zeros((K, 3))
     L = inpaint.build_spatial_laplacian(layout, model.rest_vertices)
-    constraints = inpaint.unpose_observations(model, clouds)
     plan = inpaint.WindowPlan(int(cfg["window"]["length"]), int(cfg["window"]["overlap"]))
-    X = inpaint.solve_sequence(L, constraints, plan, float(cfg["window"]["w_temporal"]))
+    observed = []
 
-    K = len(clouds)
-    positions = np.stack([inpaint.complete_mesh(model, X, k) for k in range(K)])
+    def frames():
+        prev = None
+        for k, cloud in enumerate(reconstruct.iter_clouds(clouds_path)):
+            # the temporal term takes neighbouring clouds for neighbouring frames
+            if prev is not None and cloud.frame_index != prev + 1:
+                raise ConfigError(f"{clouds_path}: frame {cloud.frame_index} follows frame {prev}")
+            if k == K:
+                raise ConfigError(f"{clouds_path}: more than the {K} frames counted before reading")
+            prev = cloud.frame_index
+            if refit:
+                quats, roots, _ = refine.fit_poses(model, [cloud])
+                model.pose_quats[k], model.root_translations[k] = quats[0], roots[0]
+            observed.append(np.count_nonzero(cloud.ids < model.n_vertices))
+            yield inpaint.unpose_observations(model, [cloud], k)
+        if len(observed) != K:
+            raise ConfigError(f"{clouds_path}: {len(observed)} frames read, {K} counted before reading")
+
+    displacements = inpaint.solve_frames(L, frames(), plan, float(cfg["window"]["w_temporal"]))
     anim_path = paths["animation"]
     anim_path.parent.mkdir(parents=True, exist_ok=True)
-    if str(anim_path).endswith(".bin"):
-        inpaint.write_animation_binary(anim_path, positions)
-    else:
-        anim_path.mkdir(parents=True, exist_ok=True)
-        for k in range(K):
-            export_obj(positions[k], layout.faces, anim_path / f"frame_{k:05d}.obj")
+    binary = str(anim_path).endswith(".bin")
+    partial = anim_path.with_name(anim_path.name + ".partial")
+    try:
+        if binary:
+            with open(partial, "wb") as f:
+                f.write(inpaint.animation_header(K, model.n_vertices))
+                for k, d in enumerate(displacements):
+                    inpaint.write_animation_binary(f, inpaint.complete_mesh(model, d, k))
+            os.replace(partial, anim_path)
+        else:
+            partial.mkdir(exist_ok=True)
+            for k, d in enumerate(displacements):
+                export_obj(inpaint.complete_mesh(model, d, k), layout.faces, partial / f"frame_{k:05d}.obj")
+            anim_path.mkdir(exist_ok=True)
+            for frame in partial.iterdir():
+                os.replace(frame, anim_path / frame.name)
+            partial.rmdir()
+    except BaseException:
+        if binary:
+            partial.unlink(missing_ok=True)
+        else:
+            shutil.rmtree(partial, ignore_errors=True)
+        raise
 
     prefix = paths["report_prefix"]
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for k, cloud in enumerate(clouds):
-        observed = np.count_nonzero(cloud.ids < model.n_vertices)
-        rows.append([k, observed, model.n_vertices - observed])
+    rows = [[k, n, model.n_vertices - n] for k, n in enumerate(observed)]
     reporting.write_csv(str(prefix) + "_inpaint.csv", ["frame", "observed", "filled"], rows)
     n_windows = len(plan.starts(K))
     print(f"inpainted {K} frames ({n_windows} window{'s' if n_windows != 1 else ''})")

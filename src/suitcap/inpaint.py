@@ -7,7 +7,8 @@ a spatio-temporal quadratic: the cotangent Laplacian of the rest mesh applied
 per frame plus a weighted per-vertex acceleration penalty. Observed entries
 keep their values exactly; only the unobserved ones are unknowns, so each
 window is one sparse symmetric positive-definite solve. Long sequences are
-solved in overlapping windows whose overlaps are blended smoothly.
+solved in overlapping windows whose overlaps are blended smoothly; frames
+stream in and out, so a take is held at most one window at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 from scipy import sparse
@@ -37,7 +39,7 @@ __all__ = [
     "unpose_observations",
     "build_spatial_laplacian",
     "solve_window",
-    "solve_sequence",
+    "solve_frames",
     "complete_mesh",
     "spatiotemporal_objective",
 ]
@@ -75,30 +77,23 @@ class Constraints:
     n_frames: int
     skipped: list = field(default_factory=list)
 
-    def in_window(self, start: int, stop: int) -> "Constraints":
-        m = (self.frame_idx >= start) & (self.frame_idx < stop)
-        return Constraints(
-            self.frame_idx[m] - start,
-            self.vertex_idx[m],
-            self.targets[m],
-            stop - start,
-        )
 
-
-def unpose_observations(model: SkinnedBodyModel, clouds) -> Constraints:
+def unpose_observations(model: SkinnedBodyModel, clouds, first_frame: int = 0) -> Constraints:
     """Map observed corners to rest-pose displacement targets.
 
-    For observation p of vertex i at frame k the target is
-    unskin(p) - rest_i. Observations whose blended transform is singular are
-    skipped, logged and recorded as (frame, vertex) in `skipped`.
-    Hole-closing (never-observed) vertices are never constrained.
+    `clouds` are the model's pose frames `first_frame`, `first_frame + 1`, ...;
+    the constraints count frames from the first cloud. For observation p of
+    vertex i at frame k the target is unskin(p) - rest_i. Observations whose
+    blended transform is singular are skipped, logged and recorded as
+    (pose frame, vertex) in `skipped`. Hole-closing (never-observed) vertices
+    are never constrained.
     """
     # per-frame arrays, each list led by an empty one so that no frames still concatenate
     frame_idx = [np.zeros(0, dtype=int)]
     vertex_idx = [np.zeros(0, dtype=int)]
     targets = [np.zeros((0, 3))]
     skipped = []
-    for k, cloud in enumerate(clouds):
+    for k, cloud in enumerate(clouds, first_frame):
         ids, pts = cloud.observed(model.n_vertices)
         constrained = ~model.never_observed[ids]
         ids, pts = ids[constrained], pts[constrained]
@@ -108,7 +103,7 @@ def unpose_observations(model: SkinnedBodyModel, clouds) -> Constraints:
             skipped.append((k, i))
             logger.warning("singular blend at frame %d vertex %d; observation skipped", k, i)
         ok = ~singular
-        frame_idx.append(np.full(np.count_nonzero(ok), k))
+        frame_idx.append(np.full(np.count_nonzero(ok), k - first_frame))
         vertex_idx.append(ids[ok])
         targets.append(rest_pts[ok] - model.rest_vertices[ids[ok]])
     return Constraints(
@@ -163,14 +158,18 @@ def build_spatial_laplacian(layout_or_faces, rest_vertices) -> sparse.csr_matrix
     return L.tocsr()
 
 
-def _second_difference(n_frames: int) -> sparse.csr_matrix:
-    """Interior-frame acceleration operator; empty for fewer than 3 frames."""
-    if n_frames < 3:
-        return sparse.csr_matrix((0, n_frames))
-    rows = np.repeat(np.arange(n_frames - 2), 3)
-    cols = (np.arange(n_frames - 2)[:, None] + np.array([0, 1, 2])[None, :]).ravel()
-    vals = np.tile([1.0, -2.0, 1.0], n_frames - 2)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n_frames - 2, n_frames))
+def _temporal_band(n_frames: int) -> np.ndarray:
+    """(F, 5) band of SᵀS for the interior-frame acceleration operator S.
+
+    Column 2 + d holds (SᵀS)[k, k + d]; every entry inside the matrix is a
+    nonzero integer, and all entries are zero below three frames.
+    """
+    band = np.zeros((n_frames, 5))
+    c = (1.0, -2.0, 1.0)
+    for a in range(3):
+        for b in range(3):
+            band[a : n_frames - 2 + a, b - a + 2] += c[a] * c[b]
+    return band
 
 
 def spatiotemporal_objective(L, X, w_temporal: float = DEFAULT_TEMPORAL_WEIGHT) -> float:
@@ -183,6 +182,85 @@ def spatiotemporal_objective(L, X, w_temporal: float = DEFAULT_TEMPORAL_WEIGHT) 
         acc = X[:-2] - 2.0 * X[1:-1] + X[2:]
         total += w_temporal * float(np.sum(acc * acc))
     return total
+
+
+def _ranges(starts, lengths) -> np.ndarray:
+    """The concatenated ranges starts[r] : starts[r] + lengths[r]."""
+    run = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum(), dtype=starts.dtype) + np.repeat(starts - run, lengths)
+
+
+def _with_diagonal(Ls):
+    """Canonical `Ls` with an explicit zero on each diagonal entry it lacks."""
+    n = Ls.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(Ls.indptr))
+    has = np.zeros(n, dtype=bool)
+    has[rows[Ls.indices == rows]] = True
+    missing = np.flatnonzero(~has)
+    if not len(missing):
+        return Ls
+    data = np.concatenate([Ls.data, np.zeros(len(missing))])
+    ij = (np.concatenate([rows, missing]), np.concatenate([Ls.indices, missing]))
+    return sparse.coo_matrix((data, ij), shape=Ls.shape).tocsr()
+
+
+def _free_blocks(Ls, n_frames: int, free, known, w_temporal: float):
+    """Rows `free` of the window's Q = I_F ⊗ Ls + w·SᵀS ⊗ I, assembled without Q.
+
+    Unknown (k, i) of the (F, Ns) window is row and column k·Ns + i, and `Ls`
+    is canonical CSR. Returns the columns `free` as canonical CSC (Q_ff) and
+    the columns `known`, numbered in `known`'s order and stored in row-major
+    column order, as CSR (Q_fc). Both carry the bits, order and explicit
+    entries of the blocks sliced from the sparse sum, which keeps no zero from
+    three frames on.
+    """
+    Ns = Ls.shape[0]
+    # bounds every flat index and every entry count below
+    itype = np.int32 if n_frames * (Ls.nnz + 5 * Ns) < 2**31 else np.int64
+    temporal = n_frames >= 3
+    if temporal:
+        Ls = _with_diagonal(Ls)
+    k, i = np.divmod(free.astype(itype), Ns)
+    deg = np.diff(Ls.indptr)[i]
+    # row r holds the temporal entries of frames k - 2 and k - 1, the spatial
+    # row of frame k, then the temporal entries of frames k + 1 and k + 2
+    before = np.minimum(k, 2) if temporal else np.zeros_like(k)
+    after = np.minimum(n_frames - 1 - k, 2) if temporal else np.zeros_like(k)
+    start = np.zeros(len(free) + 1, dtype=itype)
+    np.cumsum(before + deg + after, out=start[1:])
+    cols = np.empty(start[-1], dtype=itype)
+    vals = np.empty(start[-1])
+
+    e = _ranges(Ls.indptr[i], deg)
+    at = _ranges(start[:-1] + before, deg)
+    cols[at] = np.repeat(k * Ns, deg) + Ls.indices[e]
+    vals[at] = Ls.data[e]
+    if temporal:
+        band = _temporal_band(n_frames)
+        diag = at[Ls.indices[e] == np.repeat(i, deg)]
+        vals[diag] = vals[diag] + w_temporal * band[k, 2]
+        for d in (-2, -1, 1, 2):
+            r = np.flatnonzero((k + d >= 0) & (k + d < n_frames))
+            at = start[r] + before[r] + (d if d < 0 else deg[r] + d - 1)
+            cols[at] = (k[r] + d) * Ns + i[r]
+            vals[at] = w_temporal * band[k[r], d + 2]
+        keep = vals != 0
+        if not keep.all():
+            start = np.concatenate([[0], np.cumsum(keep, dtype=itype)])[start]
+            cols, vals = cols[keep], vals[keep]
+
+    slot = np.empty(n_frames * Ns, dtype=itype)
+    slot[free] = np.arange(len(free))
+    slot[known] = np.arange(len(known))
+    is_free = np.zeros(n_frames * Ns, dtype=bool)
+    is_free[free] = True
+    to_free = is_free[cols]
+
+    def block(m, n_cols):
+        indptr = np.concatenate([[0], np.cumsum(m, dtype=itype)])[start]
+        return sparse.csr_matrix((vals[m], slot[cols[m]], indptr), shape=(len(free), n_cols))
+
+    return block(to_free, len(free)).tocsc(), block(~to_free, len(known))
 
 
 def solve_window(
@@ -225,11 +303,6 @@ def solve_window(
     Ns = len(active_vertices)
     Ls = L[np.ix_(active_vertices, active_vertices)].tocsr()
 
-    S = _second_difference(F)
-    Q = sparse.kron(sparse.identity(F, format="csr"), Ls, format="csr")
-    if S.shape[0]:
-        Q = Q + w_temporal * sparse.kron(S.T @ S, sparse.identity(Ns, format="csr"), format="csr")
-
     known = constraints.frame_idx * Ns + np.searchsorted(active_vertices, constraints.vertex_idx)
     is_free = np.ones(F * Ns, dtype=bool)
     is_free[known] = False
@@ -237,75 +310,91 @@ def solve_window(
     if len(free) + len(known) != F * Ns:
         raise SingularKKT("duplicate (frame, vertex) constraints")
 
-    x = np.empty((F * Ns, 3))
+    X = np.zeros((F, N, 3))
+    # the active block's unknowns, row k·Ns + i; X itself when every vertex is active
+    x = X.reshape(F * N, 3) if Ns == N else np.empty((F * Ns, 3))
     x[known] = constraints.targets
     if len(free):
-        Q_f = Q[free]
+        Q_ff, Q_fc = _free_blocks(Ls, F, free, known, w_temporal)
         try:
-            lu = splu(Q_f[:, free].tocsc())
+            lu = splu(Q_ff)
         except RuntimeError as e:
             raise SingularKKT(f"factorization of the free block failed: {e}") from e
-        x[free] = lu.solve(-(Q_f[:, known] @ constraints.targets))
+        x[free] = lu.solve(-(Q_fc @ constraints.targets))
         if not np.all(np.isfinite(x[free])):
             raise SingularKKT("solve produced non-finite values (rank deficient)")
-
-    X = np.zeros((F, N, 3))
-    X[:, active_vertices] = x.reshape(F, Ns, 3)
+    if Ns < N:
+        X[:, active_vertices] = x.reshape(F, Ns, 3)
     return X, zeroed
 
 
-def solve_sequence(
+def _stack(frames) -> Constraints:
+    """One window's constraints from its frames' single-frame constraints."""
+    return Constraints(
+        np.repeat(np.arange(len(frames)), [len(c.vertex_idx) for c in frames]),
+        np.concatenate([np.zeros(0, dtype=int)] + [c.vertex_idx for c in frames]),
+        np.concatenate([np.zeros((0, 3))] + [c.targets for c in frames]),
+        len(frames),
+    )
+
+
+def solve_frames(
     L: sparse.spmatrix,
-    constraints: Constraints,
+    frames,
     plan: WindowPlan | None = None,
     w_temporal: float = DEFAULT_TEMPORAL_WEIGHT,
-) -> np.ndarray:
-    """Windowed solve with smooth overlap blending: the (K, N, 3) displacements.
+):
+    """Windowed solve with smooth overlap blending over a stream of frames.
 
-    A sequence no longer than one window is one window, so its result is
-    bitwise identical to `solve_window`'s.
+    `frames` yields each frame's single-frame constraints in order, such as
+    `unpose_observations(model, [cloud], k)`. Yields each frame's (N, 3)
+    displacements once no later window overlaps it, so one window of
+    constraints and one overlap of blended displacements are held at a time.
+    A take no longer than one window is one window, bitwise identical to
+    `solve_window`'s.
     """
     plan = plan or WindowPlan()
-    K = constraints.n_frames
-    out = np.zeros((K, L.shape[0], 3))
-    weights_new = plan.blend_weights()
-    prev_end = None
-    for s in plan.starts(K):
-        stop = min(s + plan.window_length, K)
-        Xw, _ = solve_window(L, constraints.in_window(s, stop), w_temporal)
-        if prev_end is None:
-            out[s:stop] = Xw
-        else:
-            overlap_len = prev_end - s
-            w = weights_new[:overlap_len, None, None]
-            out[s : s + overlap_len] = (1.0 - w) * out[s : s + overlap_len] + w * Xw[:overlap_len]
-            out[s + overlap_len : stop] = Xw[overlap_len:]
-        prev_end = stop
-    return out
+    step = plan.window_length - plan.overlap
+    blend = plan.blend_weights()[:, None, None]
+    frames = iter(frames)
+    window = []  # constraints of the frames from the window's first on
+    tail = None  # blended displacements of the frames the window overlaps
+    while True:
+        window += islice(frames, plan.window_length - len(window))
+        Xw, _ = solve_window(L, _stack(window), w_temporal)
+        if tail is not None:
+            Xw[: plan.overlap] = (1.0 - blend) * tail + blend * Xw[: plan.overlap]
+        following = next(frames, None) if len(window) == plan.window_length else None
+        if following is None:
+            yield from Xw
+            return
+        yield from Xw[:step]
+        tail = Xw[step:].copy()
+        window = window[step:] + [following]
 
 
-def complete_mesh(model: SkinnedBodyModel, displacements: np.ndarray, frame: int):
+def complete_mesh(model: SkinnedBodyModel, displacement: np.ndarray, frame: int):
     """Forward-skin the displaced rest pose: full mesh positions at one frame.
 
-    `displacements` is the (K, N, 3) result of `solve_sequence`.
+    `displacement` is that frame's (N, 3) result of `solve_frames`.
     """
     G = joint_transforms(model, model.pose_quats[frame], model.root_translations[frame])
-    rest_k = model.rest_vertices + displacements[frame]
-    return skin_with_transforms(model, G, rest_override=rest_k)
+    return skin_with_transforms(model, G, rest_override=model.rest_vertices + displacement)
 
 
 # ---------------------------------------------------------------------------
 # completed-animation export
 
 
-def write_animation_binary(path, positions) -> None:
-    """Binary stream: one JSON header line, then float32 frame-major positions."""
-    positions = np.asarray(positions, dtype=np.float32)
-    K, N, _ = positions.shape
-    header = json.dumps({"K": int(K), "N": int(N), "dtype": "float32", "layout": "frame_major"})
-    with open(path, "wb") as f:
-        f.write(header.encode("utf-8") + b"\n")
-        f.write(positions.tobytes(order="C"))
+def animation_header(n_frames: int, n_vertices: int) -> bytes:
+    """The JSON header line of a binary animation of `n_frames` frames."""
+    header = {"K": int(n_frames), "N": int(n_vertices), "dtype": "float32", "layout": "frame_major"}
+    return json.dumps(header).encode("utf-8") + b"\n"
+
+
+def write_animation_binary(f, positions) -> None:
+    """Append (N, 3) or (k, N, 3) positions to the open binary animation `f` as float32, frame-major."""
+    f.write(np.asarray(positions, dtype=np.float32).tobytes(order="C"))
 
 
 def read_animation_binary(path):

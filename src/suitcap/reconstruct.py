@@ -41,7 +41,9 @@ __all__ = [
     "reconstruct_sequence",
     "group_frames",
     "write_clouds",
+    "iter_clouds",
     "read_clouds",
+    "count_clouds",
 ]
 
 
@@ -426,15 +428,24 @@ def write_clouds(clouds, path) -> None:
             f.write(cloud_to_json(c) + "\n")
 
 
-def read_clouds(path) -> list[CloudArrays]:
-    """Parse a point-cloud file, one `CloudArrays` per non-blank line.
+def iter_clouds(path):
+    """Parse a point-cloud file line by line: one `CloudArrays` per non-blank line.
 
-    Raises `ConfigError` naming the file, the line and the field for a
-    malformed line (see `cloud_from_json`).
+    Raises `ConfigError` naming the file, the line and the field when it
+    reaches a malformed line (see `cloud_from_json`).
     """
-    out = []
     with open(path, "r", encoding="utf-8") as f:
         for n, line in enumerate(f, 1):
-            if line.strip():
-                out.append(cloud_from_json(line, f"{path}: line {n}"))
-    return out
+            if not line.isspace():
+                yield cloud_from_json(line, f"{path}: line {n}")
+
+
+def read_clouds(path) -> list[CloudArrays]:
+    """Every frame of a point-cloud file (`iter_clouds`), parsed before it returns."""
+    return list(iter_clouds(path))
+
+
+def count_clouds(path) -> int:
+    """How many frames `iter_clouds(path)` yields, counted without parsing a line."""
+    with open(path, "r", encoding="utf-8") as f:
+        return sum(not line.isspace() for line in f)

@@ -261,8 +261,12 @@ def load_model(path) -> SkinnedBodyModel:
         arr = np.asarray(flat, dtype=float)
         quats.append(arr[: n_joints * 4].reshape(n_joints, 4))
         roots.append(arr[n_joints * 4 :])
+    never_observed = doc.get("never_observed", [])
+    for k, i in enumerate(never_observed):
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(rest):
+            raise ConfigError(f"{path}: never_observed[{k}] = {i} is not a vertex index below {len(rest)}")
     never = np.zeros(len(rest), dtype=bool)
-    never[np.array(doc.get("never_observed", []), dtype=int)] = True
+    never[np.array(never_observed, dtype=int)] = True
     return SkinnedBodyModel(
         rest,
         joints,

@@ -328,7 +328,11 @@ def test_criterion_6_inpaint_qp_oracle(rng):
                 vi2.append(i)
                 tg2.append(np.array([np.sin(k / 9.0), np.cos(k / 17.0), 0.01 * i]))
     cons2 = ip.Constraints(np.array(fi2), np.array(vi2), np.array(tg2).reshape(-1, 3), K2)
-    seq = ip.solve_sequence(L, cons2, ip.WindowPlan(150, 50))
+    frames = (
+        ip.Constraints(np.zeros(np.sum(m), dtype=int), cons2.vertex_idx[m], cons2.targets[m], 1)
+        for m in (cons2.frame_idx == k for k in range(K2))
+    )
+    seq = np.stack(list(ip.solve_frames(L, frames, ip.WindowPlan(150, 50))))
     win, _ = ip.solve_window(L, cons2)
     bitwise = np.array_equal(seq, win)
 
@@ -365,7 +369,8 @@ def test_criterion_7_hole_filling(rng):
 
     L = ip.build_spatial_laplacian(scene.layout, model.rest_vertices)
     cons = ip.unpose_observations(model, clouds)
-    windowed = ip.solve_sequence(L, cons, ip.WindowPlan(150, 50))
+    frames = (ip.unpose_observations(model, [c], k) for k, c in enumerate(clouds))
+    windowed = np.stack(list(ip.solve_frames(L, frames, ip.WindowPlan(150, 50))))
     dense, _ = ip.solve_window(L, cons)
 
     def hidden_rms(field_X):

@@ -646,6 +646,24 @@ def test_fit_rejects_model_weight_outside_model(tmp_path, capsys, entry):
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.mark.parametrize("entry", [80, -1, 1.5], ids=["past-end", "negative", "not-an-integer"])
+def test_model_rejects_never_observed_outside_model(tmp_path, capsys, entry):
+    from suitcap.layout import save_layout
+    from suitcap.simulator import tube_scene
+
+    _write_init_model(tmp_path)
+    save_layout(tube_scene(n_cameras=8, strips=4, codes_per_strip=8, seed=0).layout, tmp_path / "layout.json")
+    path = tmp_path / "init_model.json"
+    doc = json.loads(path.read_text())
+    assert len(doc["rest"]) == 80
+    doc["never_observed"] = [3, entry]
+    path.write_text(json.dumps(doc))
+    assert main(["export-mesh", "--set", f"paths.output_dir={tmp_path}", "--set", f"paths.model={path}"]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {path}: never_observed[1] = {entry} is not a vertex index below 80" in err
+    assert not (tmp_path / "rest_mesh.obj").exists()
+
+
 def test_fit_from_template_with_empty_clouds_exits_2(tmp_path, capsys):
     run_simulate(tmp_path, frames=1)
     run_reconstruct(tmp_path)
@@ -739,25 +757,98 @@ def test_inpaint_binary_and_counts(tmp_path, capsys):
     assert len(rows) == 7
 
 
+def _write_tube_take(out, frames, n_poses=None):
+    """A tube take's truth clouds, each missing a fifth of its points, with its layout and a
+    model posed for `n_poses` frames (unposed when None). Returns the cloud lines by frame."""
+    from suitcap.layout import save_layout
+    from suitcap.simulator import animate_and_sample, tube_scene
+    from suitcap.skinning import save_model
+
+    scene = tube_scene(strips=4, codes_per_strip=8, seed=4)
+    truth = animate_and_sample(scene, frames)
+    rng = np.random.default_rng(7)
+    lines = []
+    for k, pos in enumerate(truth):
+        points = [
+            {"id": int(i), "p": [float(v) for v in pos[i]], "cams": [0, 1], "err": 0.0}
+            for i in np.flatnonzero(rng.random(len(pos)) >= 0.2)
+        ]
+        lines.append(json.dumps({"frame": k, "points": points, "discarded": []}) + "\n")
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "clouds.jsonl").write_text("".join(lines))
+    save_layout(scene.layout, out / "layout.json")
+    save_model(scene.model if n_poses is None else scene.posed_model(n_poses), out / "model.json")
+    return lines
+
+
+WINDOW_4_2 = ("--set", "window.length=4", "--set", "window.overlap=2")
+
+
 @pytest.mark.parametrize(
-    "order, bad",
-    [([0, 1, 3], 3), ([0, 1, 1, 2], 1), ([0, 2, 1, 3], 2)],
-    ids=["missing", "repeated", "out-of-order"],
+    "order, posed, extra, message",
+    [
+        ([0, 1, 3], False, (), "frame 3 follows frame 1"),
+        ([0, 1, 1, 2], False, (), "frame 1 follows frame 1"),
+        ([0, 2, 1, 3], False, (), "frame 2 follows frame 0"),
+        # frame 9 missing from 12 lines, found after three windows were solved and frames written
+        ([*range(9), 10, 11, 12], True, WINDOW_4_2, "frame 10 follows frame 8"),
+        ([*range(9), 10, 11, 12], True, WINDOW_4_2 + ("--set", "paths.animation={out}/anim_objs"), "frame 10 follows"),
+    ],
+    ids=["missing", "repeated", "out-of-order", "gap-after-windows", "gap-after-windows-obj"],
 )
-def test_inpaint_rejects_non_consecutive_frames(tmp_path, capsys, order, bad):
-    run_simulate(tmp_path, frames=4)
-    run_reconstruct(tmp_path)
-    _write_init_model(tmp_path)
-    path = tmp_path / "clouds.jsonl"
-    lines = path.read_text().splitlines()
-    path.write_text("".join(lines[k] + "\n" for k in order))
-    assert main([
-        "inpaint",
-        "--set", f"paths.output_dir={tmp_path}",
-        "--set", f"paths.model={tmp_path}/init_model.json",
-    ]) == 2
-    assert f"frame {bad} follows" in capsys.readouterr().err
-    assert not (tmp_path / "animation.bin").exists()
+def test_inpaint_rejects_non_consecutive_frames(tmp_path, capsys, monkeypatch, order, posed, extra, message):
+    from suitcap import inpaint
+
+    # a posed model has poses for every line, so that only the reading finds the gap
+    lines = _write_tube_take(tmp_path, 13, n_poses=len(order) if posed else None)
+    (tmp_path / "clouds.jsonl").write_text("".join(lines[k] for k in order))
+    solved = []
+    real = inpaint.solve_window
+    monkeypatch.setattr(inpaint, "solve_window", lambda *a: solved.append(1) or real(*a))
+    args = ["inpaint", "--set", f"paths.output_dir={tmp_path}", *(x.format(out=tmp_path) for x in extra)]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert len(solved) == (3 if posed else 0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clouds.jsonl", "layout.json", "model.json"]
+
+
+@pytest.mark.parametrize("animation", ["animation.bin", "anim_objs"])
+def test_inpaint_rejects_malformed_last_line(tmp_path, capsys, animation):
+    lines = _write_tube_take(tmp_path, 12, n_poses=12)
+    (tmp_path / "clouds.jsonl").write_text("".join(lines[:-1]) + lines[-1][:-40] + "\n")
+    args = ["inpaint", "--set", f"paths.output_dir={tmp_path}", "--set", f"paths.animation={tmp_path / animation}"]
+    assert main([*args, *WINDOW_4_2]) == 2
+    assert f"{tmp_path / 'clouds.jsonl'}: line 12: not a point-cloud line" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clouds.jsonl", "layout.json", "model.json"]
+
+
+def test_inpaint_skips_blank_lines(tmp_path):
+    """Whitespace-only lines are not frames: the header's frame count and every byte stay."""
+    outputs = {}
+    for name, blank in (("plain", ""), ("blank", "\n  \t\n")):
+        lines = _write_tube_take(tmp_path / name, 6, n_poses=6)
+        (tmp_path / name / "clouds.jsonl").write_text(blank + blank.join(lines) + blank)
+        assert main(["inpaint", "--set", f"paths.output_dir={tmp_path / name}", *WINDOW_4_2]) == 0
+        outputs[name] = [(tmp_path / name / f).read_bytes() for f in ("animation.bin", "report_inpaint.csv")]
+    assert outputs["blank"] == outputs["plain"]
+
+
+def test_inpaint_memory_is_bounded_by_one_window(tmp_path):
+    """The traced peak of a 96-frame take stays within 1.25x that of a 24-frame one."""
+    import tracemalloc
+
+    peaks = {}
+    for frames in (24, 96):
+        out = tmp_path / str(frames)
+        _write_tube_take(out, frames, n_poses=frames)
+        tracemalloc.start()
+        try:
+            assert main(["inpaint", "--set", f"paths.output_dir={out}", "--set", "window.length=12",
+                         "--set", "window.overlap=4"]) == 0
+            peaks[frames] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[96] <= 1.25 * peaks[24], peaks
 
 
 def test_inpaint_obj_sequence(tmp_path):

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import null_space
 
+from suitcap import inpaint
 from suitcap.errors import SingularKKT
 from suitcap.inpaint import (
     Constraints,
     WindowPlan,
+    animation_header,
     build_spatial_laplacian,
     complete_mesh,
     read_animation_binary,
-    solve_sequence,
+    solve_frames,
     solve_window,
     spatiotemporal_objective,
     unpose_observations,
@@ -364,8 +367,130 @@ def test_empty_window_raises():
         solve_window(L, Constraints(np.array([], int), np.array([], int), np.zeros((0, 3)), 3))
 
 
+def second_difference(n_frames):
+    """Interior-frame acceleration operator S; empty for fewer than 3 frames."""
+    if n_frames < 3:
+        return sparse.csr_matrix((0, n_frames))
+    rows = np.repeat(np.arange(n_frames - 2), 3)
+    cols = (np.arange(n_frames - 2)[:, None] + np.array([0, 1, 2])[None, :]).ravel()
+    vals = np.tile([1.0, -2.0, 1.0], n_frames - 2)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n_frames - 2, n_frames))
+
+
+def kron_blocks(Ls, n_frames, free, known, w_temporal):
+    """Oracle: Q_ff and Q_fc sliced from Q = I_F ⊗ Ls + w·SᵀS ⊗ I built with two krons."""
+    S = second_difference(n_frames)
+    Q = sparse.kron(sparse.identity(n_frames, format="csr"), Ls, format="csr")
+    if S.shape[0]:
+        Q = Q + w_temporal * sparse.kron(S.T @ S, sparse.identity(Ls.shape[0], format="csr"), format="csr")
+    Q_f = Q[free]
+    return Q_f[:, free].tocsc(), Q_f[:, known]
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 7])
+@pytest.mark.parametrize("w_temporal", [100.0, 0.0])
+@pytest.mark.parametrize("shuffled", [False, True], ids=["frame-major", "shuffled"])
+def test_free_blocks_equal_kron_blocks(rng, monkeypatch, n_frames, w_temporal, shuffled):
+    # a tube, a quad strip that no constraint touches (the window zeroes it) and a
+    # vertex in no face, observed in the first and last frames only
+    scene = tube_scene(strips=4, codes_per_strip=8, seed=int(rng.integers(1000)))
+    strip = generate_synthetic_layout(1, 3)
+    n = scene.model.n_vertices
+    lone = n + strip.n_corners
+    faces = list(scene.layout.faces) + [tuple(int(v) + n for v in f) for f in strip.faces]
+    rest = np.vstack([scene.model.rest_vertices, rng.uniform(0, 40, (strip.n_corners + 1, 3))])
+    L = build_spatial_laplacian(faces, rest)
+    observed = np.zeros((n_frames, lone + 1), dtype=bool)
+    observed[:, :n] = rng.random((n_frames, n)) < 0.6
+    observed[[0, -1], lone] = True
+    fi, vi = np.nonzero(observed)
+    order = rng.permutation(len(fi)) if shuffled else np.arange(len(fi))
+    cons = Constraints(fi[order], vi[order], rng.uniform(-3, 3, (len(fi), 3)), n_frames)
+
+    calls = []
+
+    def recorded(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    real = inpaint._free_blocks
+    monkeypatch.setattr(inpaint, "_free_blocks", recorded)
+    try:
+        X, zeroed = solve_window(L, cons, w_temporal)
+        assert len(zeroed) == 1 and np.abs(X[:, n:lone]).max() == 0.0
+    except SingularKKT:
+        # without the temporal term nothing fills the lone vertex between its observations
+        assert w_temporal == 0.0 and n_frames >= 3
+    ((args, blocks),) = calls
+    assert args[0].shape == (n + 1, n + 1)
+    for got, want in zip(blocks, kron_blocks(*args)):
+        assert got.format == want.format and got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # sequence solve and blending
+
+
+def frames_of(cons):
+    """A take's constraints as the stream of single-frame constraints `solve_frames` reads."""
+    for k in range(cons.n_frames):
+        m = cons.frame_idx == k
+        yield Constraints(np.zeros(np.count_nonzero(m), dtype=int), cons.vertex_idx[m], cons.targets[m], 1)
+
+
+def solve_sequence(L, cons, plan):
+    """The streamed solve as one (K, N, 3) array."""
+    return np.stack(list(solve_frames(L, frames_of(cons), plan)))
+
+
+def whole_take_blend(L, cons, plan, w_temporal=100.0):
+    """Oracle: every window cut from the whole take's constraints and blended into one (K, N, 3) array."""
+    K = cons.n_frames
+    out = np.zeros((K, L.shape[0], 3))
+    weights_new = plan.blend_weights()
+    prev_end = None
+    for s in plan.starts(K):
+        stop = min(s + plan.window_length, K)
+        m = (cons.frame_idx >= s) & (cons.frame_idx < stop)
+        window = Constraints(cons.frame_idx[m] - s, cons.vertex_idx[m], cons.targets[m], stop - s)
+        Xw, _ = solve_window(L, window, w_temporal)
+        if prev_end is None:
+            out[s:stop] = Xw
+        else:
+            overlap_len = prev_end - s
+            w = weights_new[:overlap_len, None, None]
+            out[s : s + overlap_len] = (1.0 - w) * out[s : s + overlap_len] + w * Xw[:overlap_len]
+            out[s + overlap_len : stop] = Xw[overlap_len:]
+        prev_end = stop
+    return out
+
+
+@pytest.mark.parametrize(
+    "plan, n_frames, n_windows",
+    [(WindowPlan(12, 8), 30, 6), (WindowPlan(12, 4), 20, 2), (WindowPlan(12, 4), 13, 2), (WindowPlan(12, 4), 10, 1)],
+    ids=["overlap-longer-than-step", "take-ends-with-a-window", "one-frame-past-a-window", "one-window"],
+)
+def test_streamed_windows_equal_whole_take_blend(rng, plan, n_frames, n_windows):
+    assert len(plan.starts(n_frames)) == n_windows
+    layout, L, cons = small_problem(rng, n_frames=n_frames)
+    expected = whole_take_blend(L, cons, plan)
+    consumed = 0
+
+    def counted():
+        nonlocal consumed
+        for c in frames_of(cons):
+            consumed += 1
+            yield c
+
+    got = []
+    for k, X in enumerate(solve_frames(L, counted(), plan)):
+        # a frame leaves as soon as no later window reaches it: one window and one frame read ahead at most
+        assert consumed <= k + plan.window_length + 1
+        got.append(X.copy())
+    assert np.array_equal(np.stack(got), expected)  # bitwise
 
 
 @pytest.mark.parametrize("n_frames", [3, 12])  # 12 frames: exactly one window
@@ -441,7 +566,7 @@ def test_complete_mesh_zero_displacement_is_pure_lbs(posed_scene):
     scene, model = posed_scene
     from suitcap.skinning import skin_all
 
-    got = complete_mesh(model, np.zeros((2, model.n_vertices, 3)), 1)
+    got = complete_mesh(model, np.zeros((model.n_vertices, 3)), 1)
     assert np.abs(got - skin_all(model, 1)).max() < 1e-12
 
 
@@ -449,10 +574,10 @@ def test_complete_mesh_reproduces_observations(posed_scene):
     scene, model = posed_scene
     clouds = truth_clouds(scene, 3)
     L = build_spatial_laplacian(scene.layout, model.rest_vertices)
-    cons = unpose_observations(model, clouds)
-    X = solve_sequence(L, cons, WindowPlan(150, 50))
+    frames = (unpose_observations(model, [c], k) for k, c in enumerate(clouds))
+    X = list(solve_frames(L, frames, WindowPlan(150, 50)))
     for k, cloud in enumerate(clouds):
-        full = complete_mesh(model, X, k)
+        full = complete_mesh(model, X[k], k)
         for cid, rec in cloud.points.items():
             assert np.linalg.norm(full[cid] - rec.position) < 1e-6
 
@@ -460,7 +585,11 @@ def test_complete_mesh_reproduces_observations(posed_scene):
 def test_animation_binary_roundtrip(tmp_path, rng):
     positions = rng.uniform(-100, 100, (4, 7, 3)).astype(np.float32)
     path = tmp_path / "anim.bin"
-    write_animation_binary(path, positions)
+    with open(path, "wb") as f:
+        f.write(animation_header(4, 7))
+        write_animation_binary(f, positions[:1])
+        for frame in positions[1:]:
+            write_animation_binary(f, frame)
     back = read_animation_binary(path)
     assert back.shape == (4, 7, 3)
     assert np.array_equal(back, positions)
