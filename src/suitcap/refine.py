@@ -203,17 +203,15 @@ def damped_gauss_newton(x, cost, normal_equations, retract, iterations):
 # pose block
 
 
-def _skin_ids(model, G, ids):
-    """Skin vertices `ids` under joint transforms G (M, 4, 4).
+def _skin_ids(G, rest, W):
+    """Skin rest positions `rest` (n, 3) with weight rows `W` (n, M) under joint transforms G (M, 4, 4).
 
-    Returns the per-joint transformed rest positions y (n, M, 3) and their
-    weight blend v (n, 3).
+    Returns the per-joint transformed rest positions y (n, M, 3), from one
+    GEMM over all joints, and their weight blend v (n, 3).
     """
-    # contiguous copies of the rotations and translations: einsum's fast path and a
-    # faster broadcast add, with the same bits as the strided slices
-    R = np.ascontiguousarray(G[:, :3, :3])
-    y = np.einsum("mij,nj->nmi", R, model.rest_vertices[ids]) + np.ascontiguousarray(G[:, :3, 3])
-    return y, np.einsum("nm,nmi->ni", model.weights[ids], y)
+    M = len(G)
+    y = (rest @ G[:, :3, :3].reshape(3 * M, 3).T + G[:, :3, 3].reshape(3 * M)).reshape(len(rest), M, 3)
+    return y, np.matmul(W[:, None, :], y)[:, 0]
 
 
 def _subtree_matrix(parents):
@@ -240,13 +238,21 @@ def _chain_context(model, quats, root_t):
     return G, R_local, Rp, centers
 
 
+def _lever_arms(y, W, Wsub, sub, centers):
+    """Lever arm a_im = sum_{j in subtree(m)} w_ij (y_ij - c_m) of joint m at vertex i, (n, M, 3).
+
+    `y` comes from `_skin_ids`, `Wsub` is `W @ sub` and `centers` the joints' world positions.
+    """
+    return np.matmul(sub.T, W[:, :, None] * y) - Wsub[:, :, None] * centers
+
+
 def pose_residual_jacobian(model: SkinnedBodyModel, quats, root_t, vertex_ids, targets):
     """Residuals v_i - p_i and their Jacobian w.r.t. (per-joint tangent, root translation).
 
     The tangent of joint m perturbs its local rotation on the left
     (R_m <- Exp(d) R_m); the world-space effect on a blended vertex is
-    sum_{j in subtree(m)} w_ij (Rp_m d) x (G_j v_i - c_m), giving the closed
-    form used here.
+    sum_{j in subtree(m)} w_ij (Rp_m d) x (G_j v_i - c_m) = (Rp_m d) x a_im,
+    giving the closed form used here.
     """
     vertex_ids = np.asarray(vertex_ids, dtype=int)
     targets = np.asarray(targets, dtype=float).reshape(len(vertex_ids), 3)
@@ -255,13 +261,10 @@ def pose_residual_jacobian(model: SkinnedBodyModel, quats, root_t, vertex_ids, t
     sub = _subtree_matrix(model.parents)
 
     W = model.weights[vertex_ids]  # (n, M)
-    y, v = _skin_ids(model, G, vertex_ids)
+    y, v = _skin_ids(G, model.rest_vertices[vertex_ids], W)
     r = v - targets
-
-    wy = W[:, :, None] * y                      # (n, M, 3)
-    s = np.matmul(sub.T, wy)                    # sum over subtree(m) of w_ij y_ij
-    Wsub = W @ sub                              # (n, M)
-    ax, ay, az = (s[..., c] - Wsub * centers[:, c] for c in range(3))  # lever arm, (n, M) each
+    arms = _lever_arms(y, W, W @ sub, sub, centers)
+    ax, ay, az = arms[..., 0], arms[..., 1], arms[..., 2]
 
     # block (i, m) is -[arm]_x Rp_m, written column by column as two-term cross products
     n = len(vertex_ids)
@@ -278,17 +281,54 @@ def pose_residual_jacobian(model: SkinnedBodyModel, quats, root_t, vertex_ids, t
     return r, Jac
 
 
+def _pose_normal_equations(arms, r, Rp):
+    """J'J and J'r of `pose_residual_jacobian` from the lever arms (n, M, 3), without forming J.
+
+    Block (i, m) of J is -[a_im]_x Rp_m and the root block is I, so with
+    S_ml = sum_i a_im a_il' (one GEMM over the (n, 3M) arms):
+    H_ml = Rp_m' (tr(S_ml) I - S_ml') Rp_l, H_m,root = Rp_m' [sum_i a_im]_x,
+    H_root,root = n I, g_m = Rp_m' sum_i a_im x r_i and g_root = sum_i r_i.
+    """
+    n, M, _ = arms.shape
+    A = arms.reshape(n, 3 * M)
+    RpT = Rp.transpose(0, 2, 1)
+    S = (A.T @ A).reshape(M, 3, M, 3).transpose(0, 2, 1, 3)  # S[m, l] = sum_i a_im a_il'
+    B = np.trace(S, axis1=2, axis2=3)[:, :, None, None] * np.eye(3) - S.transpose(0, 1, 3, 2)
+    H = np.empty((3 * M + 3, 3 * M + 3))
+    H[: 3 * M, : 3 * M] = (RpT[:, None] @ B @ Rp[None]).transpose(0, 2, 1, 3).reshape(3 * M, 3 * M)
+    H[: 3 * M, 3 * M :] = (RpT @ _skew(A.sum(axis=0).reshape(M, 3))).reshape(3 * M, 3)
+    H[3 * M :, : 3 * M] = H[: 3 * M, 3 * M :].T
+    H[3 * M :, 3 * M :] = n * np.eye(3)
+    C = (A.T @ r).reshape(M, 3, 3)  # C[m] = sum_i a_im r_i'
+    cross = np.stack([C[:, 1, 2] - C[:, 2, 1], C[:, 2, 0] - C[:, 0, 2], C[:, 0, 1] - C[:, 1, 0]], axis=1)
+    g = np.concatenate([(RpT @ cross[:, :, None]).reshape(3 * M), r.sum(axis=0)])
+    return H, g
+
+
+def _skew(a):
+    """[a]_x for each row of a (k, 3), as (k, 3, 3)."""
+    K = np.zeros((len(a), 3, 3))
+    K[:, 0, 1], K[:, 0, 2], K[:, 1, 2] = -a[:, 2], a[:, 1], -a[:, 0]
+    K[:, 1, 0], K[:, 2, 0], K[:, 2, 1] = a[:, 2], -a[:, 1], a[:, 0]
+    return K
+
+
 def _fit_pose(model, quats, root_t, vertex_ids, targets, iterations):
     """Damped Gauss-Newton on one frame's pose: per-joint tangents plus root translation."""
     M = model.n_joints
+    # fixed within the solve: the observed vertices' rest positions, weights and subtree weight sums
+    rest, W = model.rest_vertices[vertex_ids], model.weights[vertex_ids]
+    sub = _subtree_matrix(model.parents)
+    Wsub = W @ sub
 
     def cost(pose):
-        return _fit_sse(model, [(vertex_ids, targets, *pose)])
+        _, v = _skin_ids(joint_transforms(model, *pose), rest, W)
+        return float(np.sum((v - targets) ** 2))
 
     def normal_equations(pose):
-        r, J = pose_residual_jacobian(model, *pose, vertex_ids, targets)
-        J = J.reshape(-1, 3 * M + 3)
-        return J.T @ J, J.T @ r.reshape(-1)
+        G, _, Rp, centers = _chain_context(model, *pose)
+        y, v = _skin_ids(G, rest, W)
+        return _pose_normal_equations(_lever_arms(y, W, Wsub, sub, centers), v - targets, Rp)
 
     def retract(pose, delta):
         dq = quat_from_rotvec(delta[: 3 * M].reshape(M, 3))
@@ -315,8 +355,9 @@ def _joint_normal_equations(model, frames_obs, lambda_j, joints0, total_obs):
     for ids, pts, q, t in frames_obs:
         G, R_local, Rp, _ = _chain_context(model, q, t)
         D = np.einsum("mij,mjk->mik", Rp, np.eye(3)[None] - R_local)  # (M, 3, 3)
-        Wsub = model.weights[ids] @ sub  # (n, M)
-        _, v = _skin_ids(model, G, ids)
+        W = model.weights[ids]
+        Wsub = W @ sub  # (n, M)
+        _, v = _skin_ids(G, model.rest_vertices[ids], W)
         r = v - pts
         S = Wsub.T @ Wsub  # (M, M) sum over obs of Wsub_im Wsub_im'
         DtD = np.einsum("mik,lij->mlkj", D, D)  # D_m' D_l as (M, M, 3, 3)
@@ -359,7 +400,7 @@ def _prepare_frames(model, clouds):
 
 def _residuals(model, ids, pts, q, t):
     """Skinned positions of vertices `ids` at pose (q, t) minus their observations `pts`."""
-    _, v = _skin_ids(model, joint_transforms(model, q, t), ids)
+    _, v = _skin_ids(joint_transforms(model, q, t), model.rest_vertices[ids], model.weights[ids])
     return v - pts
 
 
@@ -444,9 +485,9 @@ def _solve_weights(model, frames_obs, g_geo, lambda_g, total_obs):
     cacc = np.zeros((N, M))
     seen = np.zeros(N, dtype=bool)
     for ids, pts, q, t in frames_obs:
-        y, _ = _skin_ids(model, joint_transforms(model, q, t), ids)
-        Qacc[ids] += np.einsum("nmi,nli->nml", y, y)
-        cacc[ids] += np.einsum("nmi,ni->nm", y, pts)
+        y, _ = _skin_ids(joint_transforms(model, q, t), model.rest_vertices[ids], model.weights[ids])
+        Qacc[ids] += np.matmul(y, y.transpose(0, 2, 1))
+        cacc[ids] += np.matmul(y, pts[:, :, None])[:, :, 0]
         seen[ids] = True
 
     scale = 2.0 / total_obs

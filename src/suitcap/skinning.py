@@ -248,16 +248,32 @@ def weights_from_entries(entries, n_vertices: int, n_joints: int, path) -> np.nd
 
 
 def load_model(path) -> SkinnedBodyModel:
+    """Read a model file written by `save_model`.
+
+    Raises ConfigError naming the file, and the entry where there is one, for
+    a parent count other than M, a parent that is neither -1 nor a joint
+    index, a pose whose length is not 4M + 3, a weight outside the model or
+    a `never_observed` index that is not a vertex.
+    """
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     rest = np.array(doc["rest"], dtype=float)
     joints = np.array(doc["joints"], dtype=float)
-    parents = np.array(doc["parents"], dtype=int)
-    W = weights_from_entries(doc["weights"], len(rest), len(joints), path)
     n_joints = len(joints)
+    if len(doc["parents"]) != n_joints:
+        raise ConfigError(f"{path}: {len(doc['parents'])} parents for {n_joints} joints")
+    for k, p in enumerate(doc["parents"]):
+        if isinstance(p, bool) or not isinstance(p, int) or not -1 <= p < n_joints:
+            raise ConfigError(f"{path}: parents[{k}] = {p} is neither -1 nor a joint index below {n_joints}")
+    parents = np.array(doc["parents"], dtype=int)
+    W = weights_from_entries(doc["weights"], len(rest), n_joints, path)
     quats = []
     roots = []
-    for flat in doc["poses"]:
+    for k, flat in enumerate(doc["poses"]):
+        if len(flat) != 4 * n_joints + 3:
+            raise ConfigError(
+                f"{path}: poses[{k}] has {len(flat)} values, not 4 x {n_joints} joints + 3 = {4 * n_joints + 3}"
+            )
         arr = np.asarray(flat, dtype=float)
         quats.append(arr[: n_joints * 4].reshape(n_joints, 4))
         roots.append(arr[n_joints * 4 :])

@@ -401,7 +401,7 @@ def test_pose_jacobian_matches_central_differences(rng):
 
 
 # ---------------------------------------------------------------------------
-# pose kernels against their einsum forms (bitwise)
+# pose kernels against their einsum forms
 
 
 def _skin_ids_oracle(model, G, ids):
@@ -411,12 +411,15 @@ def _skin_ids_oracle(model, G, ids):
 
 
 def _pose_jacobian_oracle(model, quats, root_t, ids, targets):
-    """`pose_residual_jacobian` with each 3x3 block as -skew(arm) @ Rp in one einsum."""
+    """`pose_residual_jacobian` with each 3x3 block as -skew(arm) @ Rp in one einsum.
+
+    It skins with `refine._skin_ids` itself, so that the block assembly is compared bit for bit.
+    """
     n, M = len(ids), model.n_joints
     G, _, Rp, centers = refine_module._chain_context(model, quats, root_t)
     sub = refine_module._subtree_matrix(model.parents)
     W = model.weights[ids]
-    y, v = _skin_ids_oracle(model, G, ids)
+    y, v = refine_module._skin_ids(G, model.rest_vertices[ids], W)
     s = np.einsum("njc,jm->nmc", W[:, :, None] * y, sub)
     arm = s - (W @ sub)[:, :, None] * centers[None, :, :]
     ax, ay, az = arm[..., 0], arm[..., 1], arm[..., 2]
@@ -447,7 +450,9 @@ def _stick_figure_model():
 
 @pytest.mark.parametrize("make_model", [chain_model, _stick_figure_model], ids=["chain", "stick_figure"])
 def test_pose_kernels_match_einsum_oracles_bitwise(make_model):
-    # the kernels reorder no sum, so they must give the oracles' values exactly; array_equal,
+    # `_skin_ids` is one GEMM over all joints and a batched matmul blend, which sum in another
+    # order than the einsums: equal to 1e-14 of the largest value. The Jacobian's block assembly
+    # reorders no sum, so given the same skinning it must equal the oracle's exactly; array_equal,
     # because an exactly zero block entry can be +0.0 in the kernel where the oracle has -0.0
     model = make_model()
     M, N = model.n_joints, model.n_vertices
@@ -458,12 +463,50 @@ def test_pose_kernels_match_einsum_oracles_bitwise(make_model):
         ids = np.sort(rng.choice(N, rng.integers(1, N + 1), replace=False))
         targets = rng.uniform(-1000, 1000, (len(ids), 3))
         G = joint_transforms(model, quats, root_t)  # callers pass it whole: G[:, :3, :3] is strided
-        for got, want in zip(refine_module._skin_ids(model, G, ids), _skin_ids_oracle(model, G, ids)):
-            assert np.array_equal(got, want)
+        skinned = refine_module._skin_ids(G, model.rest_vertices[ids], model.weights[ids])
+        for got, want in zip(skinned, _skin_ids_oracle(model, G, ids)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         r, J = pose_residual_jacobian(model, quats, root_t, ids, targets)
         r_ref, J_ref = _pose_jacobian_oracle(model, quats, root_t, ids, targets)
         assert np.array_equal(r, r_ref)
         assert np.array_equal(J, J_ref)
+
+
+def _pose_solve_normal_equations(monkeypatch, model, ids, targets):
+    """The `normal_equations(pose)` that `refine._fit_pose` hands to the Gauss-Newton driver."""
+    captured = []
+    monkeypatch.setattr(refine_module, "damped_gauss_newton", lambda x, cost, ne, retract, it: captured.append(ne))
+    q0, t0 = model.identity_pose()
+    refine_module._fit_pose(model, q0, t0, ids, targets, 1)
+    monkeypatch.undo()
+    return captured[0]
+
+
+@pytest.mark.parametrize("make_model", [chain_model, _stick_figure_model], ids=["chain", "stick_figure"])
+def test_pose_normal_equations_match_jacobian(monkeypatch, make_model):
+    # the pose solve assembles H and g from lever arms; they must be J'J and J'r of the explicit Jacobian
+    model = make_model()
+    M, N = model.n_joints, model.n_vertices
+    rng = np.random.default_rng(2025)
+    for size in (0, 1, None):
+        for _ in range(50):
+            n = rng.integers(2, N + 1) if size is None else size
+            ids = np.sort(rng.choice(N, n, replace=False))
+            targets = rng.uniform(-1000, 1000, (n, 3))
+            normal_equations = _pose_solve_normal_equations(monkeypatch, model, ids, targets)
+            quats = quat_normalize(rng.normal(size=(M, 4)))
+            root_t = rng.uniform(-300, 300, 3)
+            H, g = normal_equations((quats, root_t))
+            r, J = pose_residual_jacobian(model, quats, root_t, ids, targets)
+            J = J.reshape(-1, 3 * M + 3)
+            H_ref, g_ref = J.T @ J, J.T @ r.reshape(-1)
+            assert np.abs(H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
+            assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+            if n == 0:  # nothing to fit: a zero gradient, and the driver keeps the starting pose
+                assert not g.any()
+                q, t = refine_module._fit_pose(model, quats, root_t, ids, targets, refine_module.POSE_ITERATIONS)
+                assert np.array_equal(q, quat_normalize(quats))
+                assert np.array_equal(t, root_t)
 
 
 # ---------------------------------------------------------------------------

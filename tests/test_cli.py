@@ -453,8 +453,8 @@ def test_fit_tube_golden_digest(tmp_path):
         for name in ("model.json", "report_fit_loss.csv")
     }
     assert digests == {
-        "model.json": "0bf061af10169728b5e174444bd461d21f6e4619aca7f8b7265196824270cbd0",
-        "report_fit_loss.csv": "e1d3d744ed5c529e0c644130487bc14921d600ea0523135ed0cbc5732ba00fbd",
+        "model.json": "80b7e220a17d0ae3b2c8c27113b72528aa394f097b9c043436edc1ae29ef9ff3",
+        "report_fit_loss.csv": "d9ddd088f64c3066ef4b02fdf96a37c1be3f729466c5339010ed90fe5525bf6d",
     }
 
 
@@ -643,6 +643,42 @@ def test_fit_rejects_model_weight_outside_model(tmp_path, capsys, entry):
     assert main(["fit", "--set", f"paths.output_dir={tmp_path}", "--set", f"paths.init_model={path}"]) == 2
     k = len(doc["weights"]) - 1
     assert f"configuration error: {path}: weights[{k}] = [{i}, {j}, {w}] is outside" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+IDENTITY_POSE_3 = [1.0, 0.0, 0.0, 0.0] * 3 + [0.0, 0.0, 0.0]  # the tube model's 3 joints plus a root translation
+BAD_MODEL_ENTRIES = {
+    "parent-below-root": (
+        lambda d: d["parents"].__setitem__(2, -2), "parents[2] = -2 is neither -1 nor a joint index below 3"
+    ),
+    "parent-past-end": (
+        lambda d: d["parents"].__setitem__(2, 3), "parents[2] = 3 is neither -1 nor a joint index below 3"
+    ),
+    "parents-short": (lambda d: d["parents"].pop(), "2 parents for 3 joints"),
+    "pose-short": (
+        lambda d: d.__setitem__("poses", [IDENTITY_POSE_3, IDENTITY_POSE_3[:-1]]),
+        "poses[1] has 14 values, not 4 x 3 joints + 3 = 15",
+    ),
+    "pose-long": (
+        lambda d: d.__setitem__("poses", [IDENTITY_POSE_3 + [0.0]]), "poses[0] has 16 values, not 4 x 3 joints + 3 = 15"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODEL_ENTRIES))
+def test_fit_rejects_model_parent_or_pose_outside_model(tmp_path, capsys, case):
+    run_simulate(tmp_path, frames=1)
+    run_reconstruct(tmp_path)
+    _write_init_model(tmp_path)
+    path = tmp_path / "init_model.json"
+    doc = json.loads(path.read_text())
+    edit, message = BAD_MODEL_ENTRIES[case]
+    assert doc["parents"] == [-1, 0, 1]
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["fit", "--set", f"paths.output_dir={tmp_path}", "--set", f"paths.init_model={path}"]) == 2
+    assert f"configuration error: {path}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "model.json").exists()
 
 
