@@ -353,7 +353,7 @@ def cmd_inpaint(cfg) -> int:
     if refit:  # filled in frame by frame as the clouds arrive
         model.pose_quats = np.zeros((K, len(model.joints), 4))
         model.root_translations = np.zeros((K, 3))
-    L = inpaint.build_spatial_laplacian(layout, model.rest_vertices)
+    L = inpaint.build_spatial_laplacian(layout.faces, model.rest_vertices)
     plan = inpaint.WindowPlan(int(cfg["window"]["length"]), int(cfg["window"]["overlap"]))
     observed = []
 

@@ -5,10 +5,6 @@ class SuitcapError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NonPositiveDepth(SuitcapError):
-    """A 3D point is at or behind the camera plane."""
-
-
 class CalibrationError(SuitcapError):
     """Calibration file is malformed or uses an unsupported camera model."""
 
@@ -25,16 +21,8 @@ class BadCornerIndex(LayoutError):
     """Corner position index outside 1..4."""
 
 
-class UnknownCorner(LayoutError):
-    """Corner ID not present in the layout."""
-
-
 class AlphabetExhausted(LayoutError):
     """Requested more codes than the alphabet can produce."""
-
-
-class SingularBlend(SuitcapError):
-    """Blended skinning matrix is not invertible for this vertex/pose."""
 
 
 class InsufficientSeeds(SuitcapError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, NonPositiveDepth
+from .errors import CalibrationError
 
 __all__ = [
     "Camera",
@@ -31,9 +31,7 @@ __all__ = [
     "project_cams",
     "project_jacobian",
     "normalized_coords",
-    "project",
     "project_many",
-    "reprojection_error",
     "distort_normalized",
     "undistort_normalized",
     "quat_to_rot",
@@ -350,27 +348,6 @@ def project_many(camera: Camera, points):
     """Project (N, 3) world points through one camera with `project_cams`."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     return project_cams(CameraArrays.from_rig([camera]), np.zeros(len(pts), dtype=int), pts)
-
-
-def project(camera: Camera, point):
-    """Project one world point to distorted pixel coordinates.
-
-    Raises
-    ------
-    NonPositiveDepth
-        If the point is at or behind the camera plane.
-    """
-    uv, z = project_many(camera, np.asarray(point, dtype=float).reshape(1, 3))
-    if z[0] <= 0:
-        raise NonPositiveDepth(f"point has depth {z[0]:.6g} in camera {camera.id}")
-    return uv[0]
-
-
-def reprojection_error(camera: Camera, point, observation) -> float:
-    """Euclidean pixel distance between the projection of `point` and `observation`."""
-    uv = project(camera, point)
-    d = uv - np.asarray(observation, dtype=float).reshape(2)
-    return float(np.hypot(d[0], d[1]))
 
 
 # ---------------------------------------------------------------------------

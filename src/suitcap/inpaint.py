@@ -24,7 +24,6 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import SingularKKT
-from .layout import SuitLayout
 from .meshes import triangulate_faces
 from .skinning import SkinnedBodyModel, joint_transforms, skin_with_transforms, unskin_with_transforms
 
@@ -115,13 +114,12 @@ def unpose_observations(model: SkinnedBodyModel, clouds, first_frame: int = 0) -
     )
 
 
-def build_spatial_laplacian(layout_or_faces, rest_vertices) -> sparse.csr_matrix:
+def build_spatial_laplacian(faces, rest_vertices) -> sparse.csr_matrix:
     """Cotangent-weighted Laplacian of the rest mesh, PSD with constants in its null space.
 
     Quads are split along their shorter rest-pose diagonal. Cotangents of
     degenerate triangles are clamped to |cot| <= 1e4 and logged.
     """
-    faces = layout_or_faces.faces if isinstance(layout_or_faces, SuitLayout) else layout_or_faces
     V = np.asarray(rest_vertices, dtype=float)
     tris = triangulate_faces(faces, V)
     n = len(V)
@@ -379,7 +377,7 @@ def complete_mesh(model: SkinnedBodyModel, displacement: np.ndarray, frame: int)
     `displacement` is that frame's (N, 3) result of `solve_frames`.
     """
     G = joint_transforms(model, model.pose_quats[frame], model.root_translations[frame])
-    return skin_with_transforms(model, G, rest_override=model.rest_vertices + displacement)
+    return skin_with_transforms(model, G, model.rest_vertices + displacement)
 
 
 # ---------------------------------------------------------------------------

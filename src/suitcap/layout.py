@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphabetExhausted, BadCornerIndex, LayoutError, UnknownCode, UnknownCorner
+from .errors import AlphabetExhausted, BadCornerIndex, LayoutError, UnknownCode
 from .meshes import mesh_edges
 
 DEFAULT_SYMBOLS = "1234567ABCDEFGJKLMPQRTUVY"
@@ -72,7 +72,6 @@ class SuitLayout:
         self.quad_table = {str(c): tuple(int(v) for v in q) for c, q in quad_table.items()}
         self.faces = [tuple(int(v) for v in f) for f in faces]
         self.codes = sorted(self.quad_table)
-        self._corner_codes: dict[int, tuple[str, ...]] = {}
         self._validate()
 
     # -- construction helpers ------------------------------------------------
@@ -91,7 +90,6 @@ class SuitLayout:
         for c, codes in seen.items():
             if len(codes) > 2:
                 raise LayoutError(f"corner {c} adjacent to {len(codes)} codes (max 2)")
-            self._corner_codes[c] = tuple(sorted(codes))
         n_total = self.n_corners + self.extra_vertices
         for f in self.faces:
             if len(f) < 3:
@@ -106,9 +104,6 @@ class SuitLayout:
     def total_vertices(self) -> int:
         return self.n_corners + self.extra_vertices
 
-    def never_observed(self, vertex: int) -> bool:
-        return vertex >= self.n_corners
-
     def label(self, code: str, i_q: int) -> int:
         """Corner ID at position `i_q` (1..4, clockwise from top-left) of `code`'s quad."""
         if code not in self.quad_table:
@@ -116,12 +111,6 @@ class SuitLayout:
         if i_q not in (1, 2, 3, 4):
             raise BadCornerIndex(f"corner index {i_q} not in 1..4")
         return self.quad_table[code][i_q - 1]
-
-    def adjacent_codes(self, corner: int) -> set:
-        """Codes whose quads contain this corner (1 or 2 of them)."""
-        if not 0 <= corner < self.n_corners:
-            raise UnknownCorner(f"corner {corner} not in layout")
-        return set(self._corner_codes.get(corner, ()))
 
     def edges(self):
         """Unique undirected mesh edges as a sorted (E, 2) int array."""

@@ -38,7 +38,6 @@ __all__ = [
     "consolidate_labels",
     "filter_mislabels",
     "reconstruct_frame",
-    "reconstruct_sequence",
     "group_frames",
     "write_clouds",
     "iter_clouds",
@@ -265,20 +264,6 @@ def reconstruct_frame(
         key=lambda d: (d.corner_id, d.reason, -1 if d.camera_id is None else d.camera_id),
     )
     return cloud
-
-
-def reconstruct_sequence(
-    frames,
-    rig: CameraRig,
-    layout: SuitLayout,
-    cluster_radius: float = 3.0,
-) -> list[LabeledPointCloud]:
-    """Reconstruct each group of `group_frames(frames)` independently.
-
-    No state is carried between frames; per-frame failures are recorded in the
-    clouds rather than aborting the stream.
-    """
-    return [reconstruct_frame(group, rig, layout, cluster_radius) for group in group_frames(frames)]
 
 
 def group_frames(frames) -> list[list[DetectionFrame]]:

@@ -63,7 +63,8 @@ def load_template(path):
     """Read a template file as (SkinnedBodyModel, (F, 3) triangles), each weight row divided by its sum.
 
     Raises ConfigError naming the file and the entry or row of an index out of
-    range, a weight below -1e-12 or a row sum off 1 by more than 1e-6.
+    range, a weight below -1e-12, a row sum off 1 by more than 1e-6 or parents
+    that form a cycle.
     """
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
@@ -85,7 +86,10 @@ def load_template(path):
     off = np.flatnonzero(~(np.abs(rows - 1.0) <= 1e-6))  # a NaN sum is off too
     if off.size:
         raise ConfigError(f"{path}: weight row {off[0]} sums to {float(rows[off[0]])}, not 1 within 1e-6")
-    return SkinnedBodyModel(verts, joints, parents, W / rows[:, None]), tris
+    try:
+        return SkinnedBodyModel(verts, joints, parents, W / rows[:, None]), tris
+    except ValueError as e:  # the parents form a cycle
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def load_seeds(path, template) -> dict:
@@ -123,7 +127,7 @@ def _deform(model: SkinnedBodyModel, state):
     """The model's vertices at a state (quats (M, 4), root translation (3,), log-scales (M,))."""
     quats, root_t, log_scales = state
     G = joint_transforms(model, quats, root_t)
-    return skin_with_transforms(model, G, rest_override=_scaled_rest(model, log_scales))
+    return skin_with_transforms(model, G, _scaled_rest(model, log_scales))
 
 
 def _fit_params(model: SkinnedBodyModel, state, corners, bary, targets):

@@ -141,7 +141,7 @@ class SyntheticScene:
         quats, root_t = self.pose(k)
         G = joint_transforms(self.model, quats, root_t)
         rest_k = self.model.rest_vertices + self.rest_displacements(k)
-        return skin_with_transforms(self.model, G, rest_override=rest_k)
+        return skin_with_transforms(self.model, G, rest_k)
 
     def posed_model(self, n_frames: int) -> SkinnedBodyModel:
         """Copy of the generative model with the first n_frames poses baked in."""

@@ -14,17 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SingularBlend
+from .errors import ConfigError
 from .geometry import quat_to_rot
 
 __all__ = [
     "SkinnedBodyModel",
     "joint_transforms",
     "blend_transforms",
-    "skin",
-    "skin_all",
-    "unskin",
-    "unskin_points",
     "save_model",
     "load_model",
     "weights_from_entries",
@@ -119,7 +115,7 @@ def _topological_order(parents):
                 progressed = True
         guard += 1
         if not progressed or guard > n + 1:
-            raise ValueError("joint parents must form an acyclic tree")
+            raise ValueError(f"joint parents {parents.tolist()} must form an acyclic tree")
     return np.array(order, dtype=int)
 
 
@@ -154,39 +150,10 @@ def blend_transforms(model: SkinnedBodyModel, G, vertex_ids=None):
     return A[:, :, :3], A[:, :, 3]
 
 
-def skin_all(model: SkinnedBodyModel, frame: int, rest_override=None):
-    """Deformed positions of all vertices at a stored pose frame."""
-    G = joint_transforms(model, model.pose_quats[frame], model.root_translations[frame])
-    return skin_with_transforms(model, G, rest_override=rest_override)
-
-
-def skin_with_transforms(model: SkinnedBodyModel, G, vertex_ids=None, rest_override=None):
-    lin, tr = blend_transforms(model, G, vertex_ids)
-    rest = model.rest_vertices if rest_override is None else rest_override
-    if vertex_ids is not None and rest_override is None:
-        rest = rest[vertex_ids]
+def skin_with_transforms(model: SkinnedBodyModel, G, rest):
+    """Every vertex's `rest` position (N, 3) posed by the joint transforms G."""
+    lin, tr = blend_transforms(model, G)
     return np.einsum("nij,nj->ni", lin, rest) + tr
-
-
-def skin(model: SkinnedBodyModel, frame: int, vertex: int):
-    """Deformed position of one vertex at a stored pose frame."""
-    return skin_all(model, frame)[vertex]
-
-
-def unskin_points(model: SkinnedBodyModel, frame: int, vertex_ids, points):
-    """Map observed world points back to rest space through the blended inverses.
-
-    Raises
-    ------
-    SingularBlend
-        If any vertex's blended matrix has |det| <= 1e-9.
-    """
-    G = joint_transforms(model, model.pose_quats[frame], model.root_translations[frame])
-    vertex_ids = np.asarray(vertex_ids, dtype=int)
-    rest, singular = unskin_with_transforms(model, G, vertex_ids, points)
-    if singular.any():
-        raise SingularBlend(f"blended transform singular for vertices {vertex_ids[singular].tolist()}")
-    return rest
 
 
 def unskin_with_transforms(model: SkinnedBodyModel, G, vertex_ids, points):
@@ -201,10 +168,6 @@ def unskin_with_transforms(model: SkinnedBodyModel, G, vertex_ids, points):
     rest = np.full_like(pts, np.nan)
     rest[~singular] = np.linalg.solve(lin[~singular], (pts - tr)[~singular, :, None])[..., 0]
     return rest, singular
-
-
-def unskin(model: SkinnedBodyModel, frame: int, vertex: int, point):
-    return unskin_points(model, frame, [vertex], np.asarray(point, dtype=float).reshape(1, 3))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +215,9 @@ def load_model(path) -> SkinnedBodyModel:
 
     Raises ConfigError naming the file, and the entry where there is one, for
     a parent count other than M, a parent that is neither -1 nor a joint
-    index, a pose whose length is not 4M + 3, a weight outside the model or
-    a `never_observed` index that is not a vertex.
+    index, a pose whose length is not 4M + 3, a weight outside the model, a
+    `never_observed` index that is not a vertex, or a model that
+    `SkinnedBodyModel` rejects, such as parents that form a cycle.
     """
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
@@ -283,15 +247,12 @@ def load_model(path) -> SkinnedBodyModel:
             raise ConfigError(f"{path}: never_observed[{k}] = {i} is not a vertex index below {len(rest)}")
     never = np.zeros(len(rest), dtype=bool)
     never[np.array(never_observed, dtype=int)] = True
-    return SkinnedBodyModel(
-        rest,
-        joints,
-        parents,
-        W,
-        np.array(quats).reshape(-1, n_joints, 4),
-        np.array(roots).reshape(-1, 3),
-        never,
-    )
+    quats = np.array(quats).reshape(-1, n_joints, 4)
+    roots = np.array(roots).reshape(-1, 3)
+    try:
+        return SkinnedBodyModel(rest, joints, parents, W, quats, roots, never)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def export_obj(vertices, faces, path) -> None:

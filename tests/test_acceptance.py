@@ -65,7 +65,7 @@ def test_criterion_1_end_to_end_oracle():
 
     frames = detect_sequence(scene, n_frames, det.OracleNoiseConfig(seed=11))
     t0 = time.perf_counter()
-    clouds = rec.reconstruct_sequence(frames, scene.rig, scene.layout)
+    clouds = [rec.reconstruct_frame(g, scene.rig, scene.layout) for g in rec.group_frames(frames)]
     elapsed = time.perf_counter() - t0
 
     worst = 0.0
@@ -101,7 +101,7 @@ def test_criterion_2_reprojection_ladder():
     scene = sim.tube_scene(n_cameras=16, strips=5, codes_per_strip=10, seed=51, animation_strength=0.7)
     n_frames = 1000
     frames = detect_sequence(scene, n_frames, det.OracleNoiseConfig(pixel_sigma=0.5, seed=13))
-    clouds = rec.reconstruct_sequence(frames, scene.rig, scene.layout)
+    clouds = [rec.reconstruct_frame(g, scene.rig, scene.layout) for g in rec.group_frames(frames)]
 
     errors = np.array([e for c in clouds for r in c.points.values() for e in r.per_camera_err])
     ladder = {p: float(np.percentile(errors, p)) for p in (95, 99, 99.9, 99.99)}
@@ -287,7 +287,7 @@ def test_criterion_6_inpaint_qp_oracle(rng):
     F = 5
     assert F * N <= 300  # variables per coordinate
     rest = rng.uniform(0, 60, (N, 3))
-    L = ip.build_spatial_laplacian(layout, rest)
+    L = ip.build_spatial_laplacian(layout.faces, rest)
     fi, vi, tg = [], [], []
     for k in range(F):
         for i in range(N):
@@ -367,7 +367,7 @@ def test_criterion_7_hole_filling(rng):
         for i in hidden[c.frame_index]:
             del c.points[i]
 
-    L = ip.build_spatial_laplacian(scene.layout, model.rest_vertices)
+    L = ip.build_spatial_laplacian(scene.layout.faces, model.rest_vertices)
     cons = ip.unpose_observations(model, clouds)
     frames = (ip.unpose_observations(model, [c], k) for k, c in enumerate(clouds))
     windowed = np.stack(list(ip.solve_frames(L, frames, ip.WindowPlan(150, 50))))
@@ -380,7 +380,7 @@ def test_criterion_7_hole_filling(rng):
             from suitcap.skinning import joint_transforms, skin_with_transforms
 
             G = joint_transforms(model, model.pose_quats[k], model.root_translations[k])
-            full = skin_with_transforms(model, G, rest_override=full_rest)
+            full = skin_with_transforms(model, G, full_rest)
             pos = scene.positions(k)
             for i in hidden[k]:
                 errs.append(np.linalg.norm(full[i] - pos[i]))
@@ -446,7 +446,7 @@ def test_criterion_8_numerical_hygiene(rng):
 
     layout = generate_synthetic_layout(4, 7)
     rest_l = rng.uniform(0, 100, (layout.n_corners, 3))
-    L = ip.build_spatial_laplacian(layout, rest_l)
+    L = ip.build_spatial_laplacian(layout.faces, rest_l)
     const_resid = float(np.abs(L @ np.ones(L.shape[0])).max())
     min_quad = 0.0
     for _ in range(1000):

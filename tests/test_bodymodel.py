@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import suitcap.refine as refine_module
-from suitcap.errors import NotConverged, SingularBlend
+from suitcap.errors import NotConverged
 from suitcap.geometry import quat_from_rotvec, quat_mul, quat_normalize, quat_to_rot
 from suitcap.layout import SuitLayout, generate_synthetic_layout
 from suitcap.refine import geodesic_weights, pose_residual_jacobian, simplex_qp
@@ -11,10 +11,8 @@ from suitcap.skinning import (
     joint_transforms,
     load_model,
     save_model,
-    skin,
-    skin_all,
-    unskin,
-    unskin_points,
+    skin_with_transforms,
+    unskin_with_transforms,
 )
 
 
@@ -42,6 +40,11 @@ def with_pose(model, quats, root_t):
     return m
 
 
+def pose_transforms(m, k=0):
+    """The joint transforms of `m`'s stored pose k."""
+    return joint_transforms(m, m.pose_quats[k], m.root_translations[k])
+
+
 def identity_quats(M):
     q = np.zeros((M, 4))
     q[:, 0] = 1.0
@@ -51,7 +54,7 @@ def identity_quats(M):
 def test_identity_pose_reproduces_rest():
     model = chain_model()
     m = with_pose(model, identity_quats(3), np.zeros(3))
-    assert np.abs(skin_all(m, 0) - m.rest_vertices).max() < 1e-12
+    assert np.abs(skin_with_transforms(m, pose_transforms(m), m.rest_vertices) - m.rest_vertices).max() < 1e-12
 
 
 def test_single_joint_rigid_rotation():
@@ -61,11 +64,10 @@ def test_single_joint_rigid_rotation():
     # 90 degrees about the z axis through the joint
     q = quat_from_rotvec(np.array([[0.0, 0.0, np.pi / 2]]))
     m = with_pose(model, q, np.zeros(3))
-    got = skin_all(m, 0)
+    got = skin_with_transforms(m, pose_transforms(m), rest)
     R = quat_to_rot(q[0])
     expected = (R @ (rest - joints[0]).T).T + joints[0]
     assert np.abs(got - expected).max() < 1e-9
-    assert np.abs(skin(m, 0, 1) - expected[1]).max() < 1e-9
 
 
 def _skin_reference(model, quats, root_t, vertex):
@@ -99,7 +101,7 @@ def test_skin_matches_expanded_matrix_oracle(rng):
         quats = quat_normalize(rng.normal(size=(3, 4)))
         root_t = rng.uniform(-50, 50, 3)
         m = with_pose(model, quats, root_t)
-        got = skin_all(m, 0)
+        got = skin_with_transforms(m, pose_transforms(m), m.rest_vertices)
         for v in range(model.n_vertices):
             ref = _skin_reference(model, quats[...], root_t, v)
             assert np.abs(got[v] - ref).max() < 1e-9
@@ -108,16 +110,20 @@ def test_skin_matches_expanded_matrix_oracle(rng):
 def test_unskin_roundtrip_identity_pose():
     model = chain_model()
     m = with_pose(model, identity_quats(3), np.zeros(3))
-    p = np.array([12.0, 34.0, 56.0])
-    assert np.abs(unskin(m, 0, 0, p) - p).max() < 1e-9
+    p = np.array([[12.0, 34.0, 56.0]])
+    back, singular = unskin_with_transforms(m, pose_transforms(m), [0], p)
+    assert not singular.any()
+    assert np.abs(back - p).max() < 1e-9
 
 
 def test_unskin_inverts_skin(rng):
     model = chain_model(seed=7)
     quats = quat_normalize(rng.normal(size=(3, 4)))
     m = with_pose(model, quats, rng.uniform(-30, 30, 3))
-    posed = skin_all(m, 0)
-    back = unskin_points(m, 0, np.arange(model.n_vertices), posed)
+    G = pose_transforms(m)
+    posed = skin_with_transforms(m, G, m.rest_vertices)
+    back, singular = unskin_with_transforms(m, G, np.arange(model.n_vertices), posed)
+    assert not singular.any()
     assert np.abs(back - model.rest_vertices).max() < 1e-9
 
 
@@ -128,28 +134,36 @@ def test_skin_of_unskin_roundtrip_many(rng):
         m = with_pose(model, quats, rng.uniform(-30, 30, 3))
         ids = rng.integers(0, model.n_vertices, 500)
         pts = rng.uniform(-200, 200, (500, 3))
-        rest_pts = unskin_points(m, 0, ids, pts)
-        G = joint_transforms(m, m.pose_quats[0], m.root_translations[0])
-        from suitcap.skinning import skin_with_transforms
-
-        again = skin_with_transforms(m, G, vertex_ids=ids, rest_override=rest_pts)
+        G = pose_transforms(m)
+        rest_pts, singular = unskin_with_transforms(m, G, ids, pts)
+        assert not singular.any()
+        # one model vertex per sampled id, so that the kernel skins every row
+        per_id = SkinnedBodyModel(rest_pts, m.joints, m.parents, m.weights[ids])
+        again = skin_with_transforms(per_id, G, rest_pts)
         assert np.abs(again - pts).max() < 1e-9
 
 
-def test_unskin_singular_blend_raises():
+def test_unskin_singular_blend_is_nan_and_marked():
     # two opposite 180-degree rotations blended half-half collapse the matrix
     joints = np.array([[0.0, 0, 0], [0.0, 0, 0]])
     parents = np.array([-1, -1])
-    rest = np.array([[10.0, 0, 0]])
-    W = np.array([[0.5, 0.5]])
+    rest = np.array([[10.0, 0, 0], [0.0, 10.0, 0], [0.0, 0, 10.0]])
+    W = np.array([[0.5, 0.5], [1.0, 0.0], [0.2, 0.8]])
     model = SkinnedBodyModel(rest, joints, parents, W)
     q = np.stack(
         [quat_from_rotvec(np.array([np.pi, 0, 0])), quat_from_rotvec(np.array([-0.0, 0, 0]))]
     )
-    # blend of R(pi about x) and identity: diag(1, 0, 0) -> singular
+    # blend of R(pi about x) and identity: diag(1, 0, 0) for vertex 0 -> singular,
+    # R itself for vertex 1 and diag(1, 0.6, 0.6) for vertex 2
     m = with_pose(model, q, np.zeros(3))
-    with pytest.raises(SingularBlend):
-        unskin(m, 0, 0, np.array([1.0, 2.0, 3.0]))
+    G = pose_transforms(m)
+    pts = np.array([[4.0, 5.0, 6.0], [1.0, 2.0, 3.0], [7.0, 8.0, 9.0]])
+    back, singular = unskin_with_transforms(m, G, [1, 0, 2], pts)
+    assert singular.tolist() == [False, True, False]
+    assert np.isnan(back[1]).all()
+    without, none_singular = unskin_with_transforms(m, G, [1, 2], pts[[0, 2]])
+    assert not none_singular.any()
+    assert back[[0, 2]].tobytes() == without.tobytes()
 
 
 def test_parents_must_be_acyclic():

@@ -596,6 +596,11 @@ BAD_REGISTRATION_INPUTS = {
     "template-parent-past-end": (
         "template.json", lambda d, t: d["parents"].__setitem__(1, len(t["joints"])), "parents "
     ),
+    "template-parents-cycle": (
+        "template.json",
+        lambda d, t: d["parents"].__setitem__(1, 2),
+        "joint parents [-1, 2, 1] must form an acyclic tree",
+    ),
     "template-weight-row-sum": (
         "template.json", lambda d, t: d["weights"][0].__setitem__(2, d["weights"][0][2] + 2e-6), "weight row 0 sums "
     ),
@@ -655,6 +660,9 @@ BAD_MODEL_ENTRIES = {
         lambda d: d["parents"].__setitem__(2, 3), "parents[2] = 3 is neither -1 nor a joint index below 3"
     ),
     "parents-short": (lambda d: d["parents"].pop(), "2 parents for 3 joints"),
+    "parents-cycle": (
+        lambda d: d["parents"].__setitem__(1, 2), "joint parents [-1, 2, 1] must form an acyclic tree"
+    ),
     "pose-short": (
         lambda d: d.__setitem__("poses", [IDENTITY_POSE_3, IDENTITY_POSE_3[:-1]]),
         "poses[1] has 14 values, not 4 x 3 joints + 3 = 15",

@@ -104,12 +104,12 @@ def test_oracle_noiseless_matches_projections():
         0, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
         scene.layout, OracleNoiseConfig(seed=3),
     )
-    from suitcap.geometry import project
+    from suitcap.geometry import project_many
 
     ids = vis.visible_corners[cam.id]
     assert len(frame.corners) == len(ids)
     for k, cid in enumerate(ids):
-        assert np.array_equal(frame.corners[k], project(cam, pos[cid]))
+        assert np.array_equal(frame.corners[k], project_many(cam, pos[cid])[0][0])
     # with zero mislabel probability every reading carries the true code
     assert frame.codes == [code for code, _ in vis.visible_quads[cam.id]]
 

@@ -50,3 +50,59 @@ def test_benchmark_workloads_names_resolve():
     assert len(used) > 3
     missing = [(m, a) for m, a in sorted(used) if not hasattr(importlib.import_module(m), a)]
     assert not missing
+
+
+# exported names that only tests use, each kept for its reason
+EXEMPT = {
+    # the writer half of the detection file format that `read_detections` reads
+    ("detection", "write_detections"),
+    # the tests' reference energy for the inpainting solve
+    ("inpaint", "spatiotemporal_objective"),
+}
+
+
+def _references(tree, strings):
+    """Names the module's code refers to, leaving out each top-level definition's uses of its own name.
+
+    With `strings`, string constants count too: the benchmark harness names the
+    functions it wraps by string.
+    """
+    names = set()
+    for top in tree.body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name != own:
+                names.add(name)
+    return names
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_every_exported_name_has_a_caller():
+    # a name in `__all__` that no module of the package and no benchmark script uses
+    # is code that the pipeline never calls
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in Path(suitcap.__file__).parent.glob("*.py")}
+    used = set().union(*(_references(tree, False) for tree in modules.values()))
+    for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"):
+        if path.name != "test_perfbench.py":
+            used |= _references(ast.parse(path.read_text(encoding="utf-8")), True)
+    exported = {(m, name) for m, tree in modules.items() for name in _exports(tree)}
+    assert len(exported) > 50
+    assert EXEMPT <= exported
+    uncalled = sorted(e for e in exported - EXEMPT if e[1] not in used)
+    assert not uncalled, f"exported names that nothing in src/ or perfbench/ uses: {uncalled}"

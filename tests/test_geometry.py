@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from suitcap.errors import CalibrationError, NonPositiveDepth
+from suitcap.errors import CalibrationError
 from suitcap.geometry import (
     Camera,
     CameraArrays,
     load_calibration,
     normalized_coords,
-    project,
     project_jacobian,
+    project_many,
     quat_from_rotvec,
     quat_normalize,
-    reprojection_error,
     project_cams,
     save_calibration,
     undistort_normalized,
@@ -40,21 +39,23 @@ def simple_camera(f=1000.0, cx=960.0, cy=540.0, dist=None):
 
 def test_optical_axis_point_hits_principal_point():
     cam = simple_camera()
-    assert np.allclose(project(cam, [0, 0, 1000.0]), [960.0, 540.0])
+    uv, z = project_many(cam, [0, 0, 1000.0])
+    assert np.allclose(uv, [[960.0, 540.0]])
+    assert z.tolist() == [1000.0]
 
 
 def test_pinhole_similar_triangles():
     cam = simple_camera(f=1000.0)
-    uv = project(cam, [100.0, 0.0, 2000.0])
-    assert np.allclose(uv, [960.0 + 1000.0 * 100.0 / 2000.0, 540.0])
+    uv, _ = project_many(cam, [100.0, 0.0, 2000.0])
+    assert np.allclose(uv, [[960.0 + 1000.0 * 100.0 / 2000.0, 540.0]])
 
 
-def test_non_positive_depth_raises():
+def test_non_positive_depth_returned():
+    # callers mask on the depth: a point at or behind the camera plane reads z <= 0
     cam = simple_camera()
-    with pytest.raises(NonPositiveDepth):
-        project(cam, [0, 0, -5.0])
-    with pytest.raises(NonPositiveDepth):
-        project(cam, [0, 0, 0.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, z = project_many(cam, [[0, 0, -5.0], [0, 0, 0.0]])
+    assert z.tolist() == [-5.0, 0.0]
 
 
 def _scalar_distort(x, y, dist):
@@ -87,7 +88,7 @@ def test_project_backproject_roundtrip_against_scalar_oracle(rng):
         z = 2000.0
         p_cam = np.array([rng.uniform(-0.3, 0.3) * z, rng.uniform(-0.3, 0.3) * z, z])
         p = cam.rot.T @ (p_cam - t)
-        uv = project(cam, p)
+        uv = project_many(cam, p)[0][0]
 
         yn = (uv[1] - K[1, 2]) / K[1, 1]
         xn = (uv[0] - K[0, 2]) / K[0, 0]
@@ -174,35 +175,21 @@ def test_normalized_coords_matches_per_camera_loop(mixed_rig, rng):
 # reprojection error
 
 
-def test_reprojection_error_zero_for_exact_observation():
-    cam = simple_camera()
-    p = np.array([45.0, -20.0, 1700.0])
-    assert reprojection_error(cam, p, project(cam, p)) == 0.0
-
-
-def test_reprojection_error_three_four_five():
-    cam = simple_camera()
-    p = np.array([45.0, -20.0, 1700.0])
-    obs = project(cam, p) + np.array([3.0, 4.0])
-    assert math.isclose(reprojection_error(cam, p, obs), 5.0, rel_tol=1e-12)
-
-
 def test_reprojection_error_gaussian_noise_mean(rng):
     # mean norm of a 2-D isotropic Gaussian is sigma * sqrt(pi/2) ~ 0.6267 for sigma = 0.5
     cam = simple_camera()
     p = np.array([45.0, -20.0, 1700.0])
-    uv = project(cam, p)
-    errs = [
-        reprojection_error(cam, p, uv + rng.normal(0.0, 0.5, 2)) for _ in range(1000)
-    ]
+    obs = project_many(cam, p)[0] + rng.normal(0.0, 0.5, (1000, 2))
+    d = project_many(cam, np.tile(p, (1000, 1)))[0] - obs
+    errs = np.hypot(d[:, 0], d[:, 1])
     assert 0.55 < np.mean(errs) < 0.72
 
 
 def test_reprojection_error_invariant_under_rigid_world_transform(rng):
     cam = look_at_camera(0, (2500.0, 200.0, 900.0), (0, 0, 1000.0))
     p = np.array([120.0, -80.0, 1100.0])
-    obs = project(cam, p) + np.array([1.2, -0.7])
-    base = reprojection_error(cam, p, obs)
+    obs = project_many(cam, p)[0][0] + np.array([1.2, -0.7])
+    base = np.hypot(*(project_many(cam, p)[0][0] - obs))
 
     from suitcap.geometry import quat_mul, quat_to_rot
 
@@ -215,7 +202,7 @@ def test_reprojection_error_invariant_under_rigid_world_transform(rng):
         q2 = quat_mul(cam.rotation, np.array([qg[0], -qg[1], -qg[2], -qg[3]]))
         t2 = cam.translation - cam.rot @ Rg.T @ tg
         cam2 = Camera(0, cam.intrinsics, cam.distortion, quat_normalize(q2), t2, cam.image_size)
-        assert math.isclose(reprojection_error(cam2, p2, obs), base, rel_tol=1e-9)
+        assert math.isclose(np.hypot(*(project_many(cam2, p2)[0][0] - obs)), base, rel_tol=1e-9)
 
 
 def test_project_scale_consistent_along_ray(rng):
@@ -223,10 +210,9 @@ def test_project_scale_consistent_along_ray(rng):
     center = cam.center
     d = np.array([-0.9, 0.1, 0.2])
     d /= np.linalg.norm(d)
-    base = project(cam, center + 1000.0 * d)
-    for lam in (0.5, 2.0, 5.0, 17.3):
-        uv = project(cam, center + 1000.0 * lam * d)
-        assert np.abs(uv - base).max() < 1e-9
+    lam = np.array([1.0, 0.5, 2.0, 5.0, 17.3])
+    uv, _ = project_many(cam, center + 1000.0 * lam[:, None] * d)
+    assert np.abs(uv[1:] - uv[0]).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------

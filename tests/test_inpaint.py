@@ -21,6 +21,13 @@ from suitcap.inpaint import (
 from suitcap.layout import SuitLayout, generate_synthetic_layout
 from suitcap.reconstruct import LabeledPointCloud, PointRecord
 from suitcap.simulator import truth_clouds, tube_scene
+from suitcap.skinning import joint_transforms, skin_with_transforms
+
+
+def posed_vertices(model, k):
+    """Every vertex of `model` at its stored pose k."""
+    G = joint_transforms(model, model.pose_quats[k], model.root_translations[k])
+    return skin_with_transforms(model, G, model.rest_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -36,12 +43,10 @@ def posed_scene():
 
 def test_unpose_zero_displacement_gives_zero_targets(posed_scene):
     scene, model = posed_scene
-    from suitcap.skinning import skin_all
-
     clouds = []
     for k in range(4):
         cloud = LabeledPointCloud(k)
-        posed = skin_all(model, k)
+        posed = posed_vertices(model, k)
         for i in range(model.n_vertices):
             cloud.points[i] = PointRecord(posed[i], (0, 1), 0.0)
         clouds.append(cloud)
@@ -65,13 +70,11 @@ def test_unpose_identity_pose_recovers_bump(posed_scene, rng):
 
 def test_unpose_generative_roundtrip(posed_scene, rng):
     scene, model = posed_scene
-    from suitcap.skinning import joint_transforms, skin_with_transforms
-
     bump = rng.uniform(-4, 4, (model.n_vertices, 3))
     clouds = []
     for k in range(3):
         G = joint_transforms(model, model.pose_quats[k], model.root_translations[k])
-        posed = skin_with_transforms(model, G, rest_override=model.rest_vertices + bump)
+        posed = skin_with_transforms(model, G, model.rest_vertices + bump)
         cloud = LabeledPointCloud(k)
         for i in range(model.n_vertices):
             cloud.points[i] = PointRecord(posed[i], (0, 1), 0.0)
@@ -120,9 +123,7 @@ def test_unpose_skips_never_observed(posed_scene):
     m = model.copy()
     m.never_observed[3] = True
     cloud = LabeledPointCloud(0)
-    from suitcap.skinning import skin_all
-
-    posed = skin_all(m, 0)
+    posed = posed_vertices(m, 0)
     for i in range(6):
         cloud.points[i] = PointRecord(posed[i], (0, 1), 0.0)
     cons = unpose_observations(m, [cloud])
@@ -149,7 +150,7 @@ def grid_layout(nx, ny):
 def test_laplacian_annihilates_constants():
     layout = generate_synthetic_layout(3, 6)
     rest = np.random.default_rng(3).uniform(0, 100, (layout.n_corners, 3))
-    L = build_spatial_laplacian(layout, rest)
+    L = build_spatial_laplacian(layout.faces, rest)
     assert np.abs(L @ np.ones(L.shape[0])).max() < 1e-9
 
 
@@ -182,7 +183,7 @@ def test_laplacian_grid_matches_five_point_stencil():
 def test_laplacian_is_psd_by_sampling(rng):
     layout = generate_synthetic_layout(4, 7)
     rest = rng.uniform(0, 100, (layout.n_corners, 3))
-    L = build_spatial_laplacian(layout, rest)
+    L = build_spatial_laplacian(layout.faces, rest)
     for _ in range(1000):
         x = rng.normal(size=L.shape[0])
         assert x @ (L @ x) >= -1e-9 * (x @ x)
@@ -208,7 +209,7 @@ def small_problem(rng, n_frames=3, observed_fraction=0.6, n_strips=2, codes=3):
     layout = generate_synthetic_layout(n_strips, codes)
     n = layout.n_corners
     rest = rng.uniform(0, 60, (n, 3))
-    L = build_spatial_laplacian(layout, rest)
+    L = build_spatial_laplacian(layout.faces, rest)
     frame_idx = []
     vertex_idx = []
     targets = []
@@ -317,7 +318,7 @@ def test_unconstrained_component_zeroed(rng):
         faces=[(0, 1, 2, 3), (4, 5, 6, 7)],
     )
     rest = rng.uniform(0, 10, (8, 3))
-    L = build_spatial_laplacian(layout, rest)
+    L = build_spatial_laplacian(layout.faces, rest)
     cons = Constraints(
         np.array([0, 1, 2]), np.array([0, 1, 2]), rng.uniform(-1, 1, (3, 3)), 3
     )
@@ -344,7 +345,7 @@ def test_component_constrained_in_one_frame_raises(rng, n_frames):
     # frames), costs nothing and vanishes only at frame 0
     layout = generate_synthetic_layout(2, 3)
     n = layout.n_corners
-    L = build_spatial_laplacian(layout, rng.uniform(0, 60, (n, 3)))
+    L = build_spatial_laplacian(layout.faces, rng.uniform(0, 60, (n, 3)))
     cons = Constraints(np.zeros(n, dtype=int), np.arange(n), rng.uniform(-1, 1, (n, 3)), n_frames)
     with pytest.raises(SingularKKT, match=r"component 0 is constrained only in frames \[0\] of"):
         solve_window(L, cons)
@@ -362,7 +363,7 @@ def test_two_frame_window_constrained_in_both_frames_solves(rng):
 def test_empty_window_raises():
     layout = generate_synthetic_layout(2, 3)
     rest = np.random.default_rng(0).uniform(0, 10, (layout.n_corners, 3))
-    L = build_spatial_laplacian(layout, rest)
+    L = build_spatial_laplacian(layout.faces, rest)
     with pytest.raises(SingularKKT):
         solve_window(L, Constraints(np.array([], int), np.array([], int), np.zeros((0, 3)), 3))
 
@@ -507,7 +508,7 @@ def test_k120_equals_unwindowed_bitwise(rng):
     layout = generate_synthetic_layout(1, 3)
     n = layout.n_corners
     rest = rng.uniform(0, 40, (n, 3))
-    L = build_spatial_laplacian(layout, rest)
+    L = build_spatial_laplacian(layout.faces, rest)
     K = 120
     fi, vi, tg = [], [], []
     for k in range(K):
@@ -535,7 +536,7 @@ def test_windowed_sequence_matches_dense_and_stays_smooth(rng):
     layout = generate_synthetic_layout(1, 3)
     n = layout.n_corners
     rest = rng.uniform(0, 40, (n, 3))
-    L = build_spatial_laplacian(layout, rest)
+    L = build_spatial_laplacian(layout.faces, rest)
     K = 250
     observed = np.arange(0, n, 2)
     hidden = np.arange(1, n, 2)
@@ -564,16 +565,14 @@ def test_windowed_sequence_matches_dense_and_stays_smooth(rng):
 
 def test_complete_mesh_zero_displacement_is_pure_lbs(posed_scene):
     scene, model = posed_scene
-    from suitcap.skinning import skin_all
-
     got = complete_mesh(model, np.zeros((model.n_vertices, 3)), 1)
-    assert np.abs(got - skin_all(model, 1)).max() < 1e-12
+    assert np.abs(got - posed_vertices(model, 1)).max() < 1e-12
 
 
 def test_complete_mesh_reproduces_observations(posed_scene):
     scene, model = posed_scene
     clouds = truth_clouds(scene, 3)
-    L = build_spatial_laplacian(scene.layout, model.rest_vertices)
+    L = build_spatial_laplacian(scene.layout.faces, model.rest_vertices)
     frames = (unpose_observations(model, [c], k) for k, c in enumerate(clouds))
     X = list(solve_frames(L, frames, WindowPlan(150, 50)))
     for k, cloud in enumerate(clouds):

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from suitcap.detection import DetectionFrame, OracleNoiseConfig, oracle_detect
-from suitcap.geometry import CameraArrays, normalized_coords, project, project_jacobian
+from suitcap.geometry import CameraArrays, normalized_coords, project_jacobian, project_many
 from suitcap.layout import SuitLayout
 from suitcap.reconstruct import (
     REASON_CONFLICT,
@@ -24,9 +24,9 @@ from suitcap.reconstruct import (
     cloud_to_json,
     consolidate_labels,
     filter_mislabels,
+    group_frames,
     read_clouds,
     reconstruct_frame,
-    reconstruct_sequence,
     write_clouds,
 )
 from suitcap.simulator import compute_visibility, tube_scene
@@ -130,7 +130,7 @@ def test_consolidate_noiseless_oracle_matches_truth():
     assert not conflicts
     assert len(obs)
     for cid, det in obs:
-        assert np.abs(frame.corners[det] - project(cam, pos[cid])).max() < 1e-12
+        assert np.abs(frame.corners[det] - project_many(cam, pos[cid])[0][0]).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def test_consolidate_noiseless_oracle_matches_truth():
 
 def triangulate_one(rig, p, cams):
     """Solve one point from exact projections in `cams`."""
-    pix = np.array([project(c, p) for c in cams])
+    pix = np.array([project_many(c, p)[0][0] for c in cams])
     arr = CameraArrays.from_rig(rig)
     return triangulate_points(arr, np.zeros(len(cams), dtype=int), arr.rows_of([c.id for c in cams]), pix, 1)
 
@@ -194,7 +194,7 @@ def test_lm_objective_never_worse_than_linear(rig4, rng):
     wins = 0
     for _ in range(1000):
         p = np.array([rng.uniform(-300, 300), rng.uniform(-300, 300), rng.uniform(700, 1300)])
-        pix = np.array([project(c, p) + rng.normal(0, 0.5, 2) for c in rig4])
+        pix = np.array([project_many(c, p)[0][0] + rng.normal(0, 0.5, 2) for c in rig4])
         cam_idx = np.arange(4)
         point_index = np.zeros(4, dtype=int)
         lin = linear_initialization(arr, point_index, cam_idx, pix, 1)
@@ -215,7 +215,7 @@ def test_lm_matches_grid_search_oracle(rig4, rng):
     arr = CameraArrays.from_rig(rig4)
     for _ in range(10):
         p = np.array([rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(800, 1200)])
-        pix = np.array([project(c, p) + rng.normal(0, 0.5, 2) for c in rig4])
+        pix = np.array([project_many(c, p)[0][0] + rng.normal(0, 0.5, 2) for c in rig4])
         cam_idx = np.arange(4)
         res = triangulate_points(arr, np.zeros(4, dtype=int), cam_idx, pix, 1)
         lm_err = np.linalg.norm(res.points[0] - p)
@@ -481,7 +481,7 @@ def filter_flat(per_corner, rig):
 
 def test_filter_noiseless_removes_nothing(rig16):
     p = np.array([60.0, -30.0, 1100.0])
-    per_corner = {7: [obs_of(7, c.id, project(c, p)) for c in rig16]}
+    per_corner = {7: [obs_of(7, c.id, project_many(c, p)[0][0]) for c in rig16]}
     cloud = filter_flat(per_corner, rig16)
     assert not cloud.discarded
     rec = cloud.points[7]
@@ -495,7 +495,7 @@ def test_filter_removes_single_mislabel(rig16, rng):
     p_other = np.array([-200.0, 150.0, 900.0])
     obs = []
     for k, cam in enumerate(rig16.cameras[:6]):
-        pix = project(cam, p if k != 3 else p_other) + rng.normal(0, 0.2, 2)
+        pix = project_many(cam, p if k != 3 else p_other)[0][0] + rng.normal(0, 0.2, 2)
         obs.append(obs_of(7, cam.id, pix))
     cloud = filter_flat({7: obs}, rig16)
     assert 7 in cloud.points
@@ -510,7 +510,7 @@ def test_filter_drops_one_mislabel_on_mixed_distortion_rig(mixed_rig):
     truth = {k: np.array([-300.0 + 90.0 * k, 40.0 * k - 150.0, 800.0 + 60.0 * k]) for k in range(8)}
     elsewhere = np.array([250.0, -220.0, 1350.0])
     per_corner = {
-        k: [obs_of(k, c.id, project(c, elsewhere if c.id == k else p)) for c in mixed_rig]
+        k: [obs_of(k, c.id, project_many(c, elsewhere if c.id == k else p)[0][0]) for c in mixed_rig]
         for k, p in truth.items()
     }
     cloud = filter_flat(per_corner, mixed_rig)
@@ -527,12 +527,12 @@ def test_filter_two_cameras_absolute_threshold(rig4):
     p = np.array([55.0, 80.0, 1120.0])
     a, b = rig4.cameras[0], rig4.cameras[1]
     ray = p - a.center
-    e_dir = project(b, p + 0.05 * ray) - project(b, p - 0.05 * ray)
+    e_dir = project_many(b, p + 0.05 * ray)[0][0] - project_many(b, p - 0.05 * ray)[0][0]
     e_dir /= np.linalg.norm(e_dir)
     perp = np.array([-e_dir[1], e_dir[0]])
     obs = [
-        obs_of(3, a.id, project(a, p)),
-        obs_of(3, b.id, project(b, p) + 10.0 * perp),
+        obs_of(3, a.id, project_many(a, p)[0][0]),
+        obs_of(3, b.id, project_many(b, p)[0][0] + 10.0 * perp),
     ]
     cloud = filter_flat({3: obs}, rig4)
     assert 3 not in cloud.points
@@ -542,7 +542,7 @@ def test_filter_two_cameras_absolute_threshold(rig4):
 def test_filter_single_camera_discarded(rig4):
     p = np.array([0.0, 0.0, 1000.0])
     a = rig4.cameras[0]
-    cloud = filter_flat({5: [obs_of(5, a.id, project(a, p))]}, rig4)
+    cloud = filter_flat({5: [obs_of(5, a.id, project_many(a, p)[0][0])]}, rig4)
     assert 5 not in cloud.points
     assert any(d.reason == REASON_TOO_FEW for d in cloud.discarded)
 
@@ -565,7 +565,7 @@ def test_filter_emitted_points_satisfy_contract(rig16, rng):
     for cid in range(40):
         p = np.array([rng.uniform(-300, 300), rng.uniform(-300, 300), rng.uniform(700, 1300)])
         per_corner[cid] = [
-            obs_of(cid, c.id, project(c, p) + rng.normal(0, 1.0, 2)) for c in rig16
+            obs_of(cid, c.id, project_many(c, p)[0][0] + rng.normal(0, 1.0, 2)) for c in rig16
         ]
     cloud = filter_flat(per_corner, rig16)
     for rec in cloud.points.values():
@@ -578,9 +578,10 @@ def test_filter_monotone_outlier_removal(rig16, rng):
     per_corner = {}
     for cid in range(30):
         p = np.array([rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(800, 1200)])
-        obs = [obs_of(cid, c.id, project(c, p) + rng.normal(0, 0.5, 2)) for c in rig16]
+        obs = [obs_of(cid, c.id, project_many(c, p)[0][0] + rng.normal(0, 0.5, 2)) for c in rig16]
         if cid % 3 == 0:  # inject one gross outlier
-            obs[5] = obs_of(cid, rig16.cameras[5].id, project(rig16.cameras[5], p) + np.array([40.0, -25.0]))
+            cam5 = rig16.cameras[5]
+            obs[5] = obs_of(cid, cam5.id, project_many(cam5, p)[0][0] + np.array([40.0, -25.0]))
         per_corner[cid] = obs
     cloud = filter_flat(per_corner, rig16)
     flagged = {d.corner_id for d in cloud.discarded if d.reason == REASON_MISLABEL} & set(cloud.points)
@@ -632,7 +633,7 @@ def labeled_counts(scene, k):
 def test_sequence_noiseless_reconstructs_every_labeled_corner():
     scene = tube_scene(n_cameras=8, strips=4, codes_per_strip=8, seed=41)
     frames = _simulate_detections(scene, 3, OracleNoiseConfig(seed=2))
-    clouds = reconstruct_sequence(frames, scene.rig, scene.layout)
+    clouds = [reconstruct_frame(g, scene.rig, scene.layout) for g in group_frames(frames)]
     assert len(clouds) == 3
     for cloud in clouds:
         pos = scene.positions(cloud.frame_index)
@@ -646,8 +647,8 @@ def test_sequence_deterministic():
     scene = tube_scene(n_cameras=6, strips=3, codes_per_strip=6, seed=43)
     noise = OracleNoiseConfig(pixel_sigma=0.4, mislabel_prob=0.03, seed=11)
     frames = _simulate_detections(scene, 2, noise)
-    a = reconstruct_sequence(frames, scene.rig, scene.layout)
-    b = reconstruct_sequence(frames, scene.rig, scene.layout)
+    a = [reconstruct_frame(g, scene.rig, scene.layout) for g in group_frames(frames)]
+    b = [reconstruct_frame(g, scene.rig, scene.layout) for g in group_frames(frames)]
     assert [cloud_to_json(x) for x in a] == [cloud_to_json(x) for x in b]
 
 
@@ -675,7 +676,7 @@ def assert_read_back(a: LabeledPointCloud, b):
 def test_cloud_file_roundtrip(tmp_path):
     scene = tube_scene(n_cameras=6, strips=3, codes_per_strip=6, seed=44)
     frames = _simulate_detections(scene, 2, OracleNoiseConfig(pixel_sigma=0.3, seed=12))
-    clouds = reconstruct_sequence(frames, scene.rig, scene.layout)
+    clouds = [reconstruct_frame(g, scene.rig, scene.layout) for g in group_frames(frames)]
     path = tmp_path / "clouds.jsonl"
     write_clouds(clouds, path)
     back = read_clouds(path)
@@ -690,7 +691,7 @@ def test_cloud_file_roundtrip(tmp_path):
 def test_cloud_file_roundtrips_per_camera_errors(tmp_path):
     scene = tube_scene(n_cameras=6, strips=3, codes_per_strip=6, seed=45)
     frames = _simulate_detections(scene, 1, OracleNoiseConfig(pixel_sigma=0.3, seed=13))
-    clouds = reconstruct_sequence(frames, scene.rig, scene.layout)
+    clouds = [reconstruct_frame(g, scene.rig, scene.layout) for g in group_frames(frames)]
     clouds.append(LabeledPointCloud(1, {0: PointRecord(np.zeros(3), (0, 1), 0.0)}))  # errors unknown
     path = tmp_path / "clouds.jsonl"
     write_clouds(clouds, path)
@@ -747,7 +748,8 @@ def test_noisy_tube_clouds_golden_digest(tmp_path):
     """Pins the bytes of `write_clouds` on a scene where every discard reason occurs."""
     scene = tube_scene(n_cameras=6, strips=4, codes_per_strip=8, seed=3)
     noise = OracleNoiseConfig(pixel_sigma=0.5, dropout_prob=0.05, mislabel_prob=0.05, seed=3)
-    clouds = reconstruct_sequence(_simulate_detections(scene, 2, noise), scene.rig, scene.layout)
+    frames = _simulate_detections(scene, 2, noise)
+    clouds = [reconstruct_frame(g, scene.rig, scene.layout) for g in group_frames(frames)]
     reasons = {d.reason for c in clouds for d in c.discarded}
     assert reasons == {REASON_CONFLICT, REASON_MISLABEL, REASON_RESIDUAL, REASON_TOO_FEW}
     path = tmp_path / "clouds.jsonl"

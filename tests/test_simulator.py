@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from suitcap.geometry import Camera, CameraRig, project, quat_from_rotvec, quat_mul, quat_normalize
+from suitcap.geometry import Camera, CameraRig, project_many, quat_from_rotvec, quat_mul, quat_normalize
 from suitcap.simulator import (
     JointAnimation,
     animate_and_sample,
@@ -22,11 +22,9 @@ def test_default_rig_spacing_and_aim():
     assert np.allclose(gaps, 22.5, atol=1e-9)
     target = np.array([0.0, 0.0, 1000.0])
     for cam in rig:
-        uv = project(cam, target)
-        assert np.abs(uv - [cam.intrinsics[0, 2], cam.intrinsics[1, 2]]).max() < 1e-6
-        # positive depth by construction
-        pc = cam.rot @ target + cam.translation
-        assert pc[2] > 0
+        uv, z = project_many(cam, target)
+        assert np.abs(uv[0] - [cam.intrinsics[0, 2], cam.intrinsics[1, 2]]).max() < 1e-6
+        assert z[0] > 0  # positive depth by construction
 
 
 def test_default_rig_needs_two_cameras():
