@@ -165,17 +165,19 @@ def simplex_qp(Q, c, forced_zero=None):
 # damped Gauss-Newton loop shared by the pose and joint blocks and registration's template fit
 
 
-def damped_gauss_newton(x, cost, normal_equations, retract, iterations):
-    """Minimize `cost` from `x` with damped steps that never raise it; returns the final x.
+def damped_gauss_newton(x, evaluate, retract, iterations):
+    """Minimize a cost from `x` with damped steps that never raise it; returns the final x.
 
-    `normal_equations(x)` gives (H, g) and `retract(x, delta)` applies a step.
-    A trial whose cost is not finite is rejected like one that raises the cost.
-    Stops at a vanishing gradient, a negligible decrease or 8 rejected tries.
+    `evaluate(x)` gives (cost, normal_equations), where the zero-argument
+    `normal_equations()` builds (H, g) at x from that same evaluation, and
+    `retract(x, delta)` applies a step. A trial whose cost is not finite is
+    rejected like one that raises the cost. Stops at a vanishing gradient, a
+    negligible decrease or 8 rejected tries.
     """
-    c = cost(x)
+    c, normal_equations = evaluate(x)
     lam = 1e-4
     for _ in range(iterations):
-        H, g = normal_equations(x)
+        H, g = normal_equations()
         if np.linalg.norm(g) < 1e-12 * (1.0 + c):
             break
         for _ in range(8):
@@ -186,9 +188,9 @@ def damped_gauss_newton(x, cost, normal_equations, retract, iterations):
                 delta = np.linalg.lstsq(Hd, -g, rcond=None)[0]
             x_new = retract(x, delta)
             with np.errstate(over="ignore", invalid="ignore"):
-                c_new = cost(x_new)
+                c_new, ne_new = evaluate(x_new)
             if np.isfinite(c_new) and c_new <= c:
-                x, c, decrease = x_new, c_new, c - c_new
+                x, c, normal_equations, decrease = x_new, c_new, ne_new, c - c_new
                 lam = max(lam / 3.0, 1e-12)
                 break
             lam *= 4.0
@@ -321,28 +323,25 @@ def _fit_pose(model, quats, root_t, vertex_ids, targets, iterations):
     sub = _subtree_matrix(model.parents)
     Wsub = W @ sub
 
-    def cost(pose):
-        _, v = _skin_ids(joint_transforms(model, *pose), rest, W)
-        return float(np.sum((v - targets) ** 2))
-
-    def normal_equations(pose):
+    def evaluate(pose):
         G, _, Rp, centers = _chain_context(model, *pose)
         y, v = _skin_ids(G, rest, W)
-        return _pose_normal_equations(_lever_arms(y, W, Wsub, sub, centers), v - targets, Rp)
+        r = v - targets
+        return float(np.sum(r ** 2)), lambda: _pose_normal_equations(_lever_arms(y, W, Wsub, sub, centers), r, Rp)
 
     def retract(pose, delta):
         dq = quat_from_rotvec(delta[: 3 * M].reshape(M, 3))
         return quat_normalize(quat_mul(dq, pose[0])), pose[1] + delta[3 * M :]
 
     pose = (quat_normalize(quats), np.array(root_t, dtype=float))
-    return damped_gauss_newton(pose, cost, normal_equations, retract, iterations)
+    return damped_gauss_newton(pose, evaluate, retract, iterations)
 
 
 # ---------------------------------------------------------------------------
 # joint block
 
 
-def _joint_normal_equations(model, frames_obs, lambda_j, joints0, total_obs):
+def _joint_normal_equations(model, frames, lambda_j, joints0, total_obs):
     """Gauss-Newton normal equations (H, g) of the joint loss at `model.joints`.
 
     d v_i / d j_m = (sum_{j in subtree(m)} w_ij) * Rp_m (I - R_m) per frame, so
@@ -352,7 +351,7 @@ def _joint_normal_equations(model, frames_obs, lambda_j, joints0, total_obs):
     sub = _subtree_matrix(model.parents)
     H = np.zeros((3 * M, 3 * M))
     g = np.zeros(3 * M)
-    for ids, pts, q, t in frames_obs:
+    for (ids, pts), q, t in zip(frames, model.pose_quats, model.root_translations):
         G, R_local, Rp, _ = _chain_context(model, q, t)
         D = np.einsum("mij,mjk->mik", Rp, np.eye(3)[None] - R_local)  # (M, 3, 3)
         W = model.weights[ids]
@@ -369,33 +368,22 @@ def _joint_normal_equations(model, frames_obs, lambda_j, joints0, total_obs):
     return H, g
 
 
-def _fit_joints(model, frames_obs, lambda_j, joints0, total_obs):
+def _fit_joints(model, frames, lambda_j, joints0, total_obs):
     """Damped Gauss-Newton on `model.joints` with the l2 prior to J0."""
 
-    def loss(joints):
+    def evaluate(joints):
         model.joints = joints
-        return _fit_sse(model, frames_obs) / total_obs + lambda_j * float(np.sum((joints - joints0) ** 2))
-
-    def normal_equations(joints):
-        model.joints = joints
-        return _joint_normal_equations(model, frames_obs, lambda_j, joints0, total_obs)
+        loss = _fit_sse(model, frames) / total_obs + lambda_j * float(np.sum((joints - joints0) ** 2))
+        return loss, lambda: _joint_normal_equations(model, frames, lambda_j, joints0, total_obs)
 
     def retract(joints, delta):
         return joints + delta.reshape(joints.shape)
 
-    model.joints = damped_gauss_newton(model.joints.copy(), loss, normal_equations, retract, JOINT_ITERATIONS)
+    model.joints = damped_gauss_newton(model.joints.copy(), evaluate, retract, JOINT_ITERATIONS)
 
 
 # ---------------------------------------------------------------------------
 # loss bookkeeping
-
-
-def _prepare_frames(model, clouds):
-    frames_obs = []
-    for k, cloud in enumerate(clouds):
-        ids, pts = cloud.observed(model.n_vertices)
-        frames_obs.append([ids, pts, model.pose_quats[k].copy(), model.root_translations[k].copy()])
-    return frames_obs
 
 
 def _residuals(model, ids, pts, q, t):
@@ -404,13 +392,14 @@ def _residuals(model, ids, pts, q, t):
     return v - pts
 
 
-def _fit_sse(model, frames_obs):
-    """Sum of squared residuals over (ids, pts, q, t) frames."""
-    return sum((float(np.sum(_residuals(model, *fo) ** 2)) for fo in frames_obs), 0.0)
+def _fit_sse(model, frames):
+    """Sum of squared residuals over the (ids, pts) frames at the model's poses."""
+    posed = zip(frames, model.pose_quats, model.root_translations)
+    return sum((float(np.sum(_residuals(model, ids, pts, q, t) ** 2)) for (ids, pts), q, t in posed), 0.0)
 
 
-def _total_loss(model, frames_obs, g_geo, joints0, cfg, total_obs):
-    fit = _fit_sse(model, frames_obs) / total_obs
+def _total_loss(model, frames, g_geo, joints0, cfg, total_obs):
+    fit = _fit_sse(model, frames) / total_obs
     finite = np.isfinite(g_geo)
     reg_w = float(np.sum(g_geo[finite] * model.weights[finite] ** 2))
     reg_j = float(np.sum((model.joints - joints0) ** 2))
@@ -432,12 +421,12 @@ def refine(
         model.pose_quats = np.tile(q0, (K, 1, 1))
         model.root_translations = np.tile(t0, (K, 1))
 
-    frames_obs = _prepare_frames(model, clouds)
-    total_obs = sum(len(ids) for ids, _, _, _ in frames_obs)
+    frames = [cloud.observed(model.n_vertices) for cloud in clouds]  # (ids, pts) per frame
+    total_obs = sum(len(ids) for ids, _ in frames)
     if total_obs == 0:
         raise ValueError("refine needs at least one observation")
     observed = np.zeros(model.n_vertices, dtype=bool)
-    for ids, _, _, _ in frames_obs:
+    for ids, _ in frames:
         observed[ids] = True
     unobserved = np.where(~observed)[0]
 
@@ -448,21 +437,21 @@ def refine(
     fit_trace = []
     prev = np.inf
     for it in range(cfg.outer_iterations):
-        # (1) poses, each frame independently
-        for fo in frames_obs:
-            ids, pts, q, t = fo
-            fo[2], fo[3] = _fit_pose(model, q, t, ids, pts, POSE_ITERATIONS)
+        # (1) poses, each frame independently, written into the model
+        for k, (ids, pts) in enumerate(frames):
+            q, t = model.pose_quats[k], model.root_translations[k]
+            model.pose_quats[k], model.root_translations[k] = _fit_pose(model, q, t, ids, pts, POSE_ITERATIONS)
 
         # (2) weights, each vertex independently
-        _solve_weights(model, frames_obs, g_geo, cfg.lambda_g, total_obs)
+        _solve_weights(model, frames, g_geo, cfg.lambda_g, total_obs)
 
         # (3) joints
-        _fit_joints(model, frames_obs, cfg.lambda_j, joints0, total_obs)
+        _fit_joints(model, frames, cfg.lambda_j, joints0, total_obs)
 
         # (4) rest positions
-        _solve_rest(model, frames_obs)
+        _solve_rest(model, frames)
 
-        loss, fit = _total_loss(model, frames_obs, g_geo, joints0, cfg, total_obs)
+        loss, fit = _total_loss(model, frames, g_geo, joints0, cfg, total_obs)
         loss_trace.append(loss)
         fit_trace.append(np.sqrt(fit))
         log.debug("outer %3d  loss %.9g  fit-rms %.6g mm", it, loss, np.sqrt(fit))
@@ -473,18 +462,16 @@ def refine(
     if cfg.prune_top and cfg.prune_top < model.n_joints:
         _prune_weights(model, cfg.prune_top)
 
-    model.pose_quats = np.array([fo[2] for fo in frames_obs])
-    model.root_translations = np.array([fo[3] for fo in frames_obs])
     model.validate()
     return RefineResult(model, loss_trace, fit_trace, unobserved)
 
 
-def _solve_weights(model, frames_obs, g_geo, lambda_g, total_obs):
+def _solve_weights(model, frames, g_geo, lambda_g, total_obs):
     N, M = model.weights.shape
     Qacc = np.zeros((N, M, M))
     cacc = np.zeros((N, M))
     seen = np.zeros(N, dtype=bool)
-    for ids, pts, q, t in frames_obs:
+    for (ids, pts), q, t in zip(frames, model.pose_quats, model.root_translations):
         y, _ = _skin_ids(joint_transforms(model, q, t), model.rest_vertices[ids], model.weights[ids])
         Qacc[ids] += np.matmul(y, y.transpose(0, 2, 1))
         cacc[ids] += np.matmul(y, pts[:, :, None])[:, :, 0]
@@ -498,12 +485,12 @@ def _solve_weights(model, frames_obs, g_geo, lambda_g, total_obs):
         model.weights[i] = simplex_qp(Q, c, forced_zero=forced)
 
 
-def _solve_rest(model, frames_obs):
+def _solve_rest(model, frames):
     N = model.n_vertices
     H = np.zeros((N, 3, 3))
     b = np.zeros((N, 3))
     seen = np.zeros(N, dtype=bool)
-    for ids, pts, q, t in frames_obs:
+    for (ids, pts), q, t in zip(frames, model.pose_quats, model.root_translations):
         lin, tr = blend_transforms(model, joint_transforms(model, q, t), ids)
         H[ids] += np.einsum("nij,nik->njk", lin, lin)
         b[ids] += np.einsum("nij,ni->nj", lin, pts - tr)

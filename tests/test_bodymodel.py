@@ -487,13 +487,13 @@ def test_pose_kernels_match_einsum_oracles_bitwise(make_model):
 
 
 def _pose_solve_normal_equations(monkeypatch, model, ids, targets):
-    """The `normal_equations(pose)` that `refine._fit_pose` hands to the Gauss-Newton driver."""
+    """`normal_equations(pose)`: the (H, g) of the `evaluate` that `refine._fit_pose` hands to the driver."""
     captured = []
-    monkeypatch.setattr(refine_module, "damped_gauss_newton", lambda x, cost, ne, retract, it: captured.append(ne))
+    monkeypatch.setattr(refine_module, "damped_gauss_newton", lambda x, evaluate, retract, it: captured.append(evaluate))
     q0, t0 = model.identity_pose()
     refine_module._fit_pose(model, q0, t0, ids, targets, 1)
     monkeypatch.undo()
-    return captured[0]
+    return lambda pose: captured[0](pose)[1]()
 
 
 @pytest.mark.parametrize("make_model", [chain_model, _stick_figure_model], ids=["chain", "stick_figure"])

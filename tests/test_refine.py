@@ -121,16 +121,16 @@ def test_joint_step_gradient_matches_finite_differences():
     model = truth.copy()
     rng = np.random.default_rng(0)
     model.joints = model.joints + rng.normal(0, 10, model.joints.shape)
-    frames_obs = rf._prepare_frames(model, clouds)
-    total_obs = sum(len(f[0]) for f in frames_obs)
+    frames = [c.observed(model.n_vertices) for c in clouds]
+    total_obs = sum(len(ids) for ids, _ in frames)
     joints0 = truth.joints.copy()
     lam_j = 1.0
-    _, g = rf._joint_normal_equations(model, frames_obs, lam_j, joints0, total_obs)
+    _, g = rf._joint_normal_equations(model, frames, lam_j, joints0, total_obs)
 
     def loss(jp):
         m = model.copy()
         m.joints = jp
-        return rf._fit_sse(m, frames_obs) / total_obs + lam_j * float(np.sum((jp - joints0) ** 2))
+        return rf._fit_sse(m, frames) / total_obs + lam_j * float(np.sum((jp - joints0) ** 2))
 
     M = model.n_joints
     h = 1e-6
@@ -143,6 +143,35 @@ def test_joint_step_gradient_matches_finite_differences():
             jm[m, a] -= h
             gfd[3 * m + a] = (loss(jp) - loss(jm)) / (2 * h)
     assert np.abs(g - gfd).max() / (np.abs(gfd).max() + 1e-12) < 1e-6
+
+
+def test_fit_pose_builds_transforms_once_per_evaluated_pose(monkeypatch):
+    """The pose solve skins each pose it tries once, for its cost and its normal equations
+    together: one `joint_transforms` call for the start and one per retracted step."""
+    import suitcap.refine as rf
+
+    scene = tube_scene(strips=3, codes_per_strip=6, seed=33, animation_strength=1.0)
+    truth = scene.posed_model(2)
+    ids, pts = truth_clouds(scene, 2)[1].observed(truth.n_vertices)
+    calls = {"joint_transforms": 0, "quat_from_rotvec": 0}
+
+    def counting(name):
+        wrapped = getattr(rf, name)
+
+        def call(*args):
+            calls[name] += 1
+            return wrapped(*args)
+
+        return call
+
+    for name in calls:  # `quat_from_rotvec` is called once per step, by the retraction
+        monkeypatch.setattr(rf, name, counting(name))
+    q0, t0 = truth.identity_pose()
+    q, t = rf._fit_pose(truth, q0, t0, ids, pts, rf.FIT_POSES_ITERATIONS)
+    assert calls["quat_from_rotvec"] >= 2
+    assert calls["joint_transforms"] == 1 + calls["quat_from_rotvec"]
+    monkeypatch.undo()
+    assert np.abs(rf._residuals(truth, ids, pts, q, t)).max() < 1e-6  # the solve still reaches the pose
 
 
 @pytest.mark.parametrize("far", ["inf", "nan"])
@@ -165,6 +194,8 @@ def test_gauss_newton_rejects_non_finite_trial_costs(far):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = damped_gauss_newton(np.array([-1.0]), cost, normal_equations, lambda x, d: x + d, 50)
+        x = damped_gauss_newton(
+            np.array([-1.0]), lambda x: (cost(x), lambda: normal_equations(x)), lambda x, d: x + d, 50
+        )
     assert trials[1] > radius + 0.5  # the undamped Gauss-Newton step overshoots the radius
     assert abs(x[0] - 1.0) < 1e-9
