@@ -10,10 +10,10 @@ between skinned vertices and reconstructed corners, and g_ij is the geodesic
 distance from vertex i to the nearest vertex with initial support for joint j.
 Each outer iteration solves four blocks in turn: per-frame poses (damped
 Gauss-Newton on quaternion tangents + root translation), per-vertex weights
-(simplex-constrained QP), joint positions (damped Gauss-Newton with the prior),
+(simplex-constrained QP), joint positions (one linear solve with the prior)
 and per-vertex rest positions (linear least squares). Every block either
 decreases the total loss or leaves its variables unchanged, so the loss trace
-is non-increasing.
+is non-increasing. The poses live in the model, where the pose block writes them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ log = logging.getLogger(__name__)
 
 QP_MAX_ITERATIONS = 400  # active-set changes per weight QP
 POSE_ITERATIONS = 12  # Gauss-Newton iterations per frame of refine's pose block
-JOINT_ITERATIONS = 6  # Gauss-Newton iterations of refine's joint block
 FIT_POSES_ITERATIONS = 20  # Gauss-Newton iterations per frame of `fit_poses`
 GEODESIC_SUPPORT = 1e-6  # initial weight above which a vertex is a geodesic source
 
@@ -162,17 +161,16 @@ def simplex_qp(Q, c, forced_zero=None):
 
 
 # ---------------------------------------------------------------------------
-# damped Gauss-Newton loop shared by the pose and joint blocks and registration's template fit
+# damped Gauss-Newton loop shared by refine's pose solve and registration's template fit
 
 
 def damped_gauss_newton(x, evaluate, retract, iterations):
     """Minimize a cost from `x` with damped steps that never raise it; returns the final x.
 
-    `evaluate(x)` gives (cost, normal_equations), where the zero-argument
-    `normal_equations()` builds (H, g) at x from that same evaluation, and
-    `retract(x, delta)` applies a step. A trial whose cost is not finite is
-    rejected like one that raises the cost. Stops at a vanishing gradient, a
-    negligible decrease or 8 rejected tries.
+    `evaluate(x)` gives (cost, normal_equations), whose `normal_equations()` builds
+    (H, g) at x from that same evaluation; `retract(x, delta)` applies a step.
+    A trial whose cost is not finite is rejected like one that raises the cost.
+    Stops at a vanishing gradient, a negligible decrease or 8 rejected tries.
     """
     c, normal_equations = evaluate(x)
     lam = 1e-4
@@ -342,7 +340,7 @@ def _fit_pose(model, quats, root_t, vertex_ids, targets, iterations):
 
 
 def _joint_normal_equations(model, frames, lambda_j, joints0, total_obs):
-    """Gauss-Newton normal equations (H, g) of the joint loss at `model.joints`.
+    """Normal equations (H, g) of the joint loss at `model.joints`.
 
     d v_i / d j_m = (sum_{j in subtree(m)} w_ij) * Rp_m (I - R_m) per frame, so
     they assemble from subtree weight sums and per-joint 3x3 blocks.
@@ -369,17 +367,20 @@ def _joint_normal_equations(model, frames, lambda_j, joints0, total_obs):
 
 
 def _fit_joints(model, frames, lambda_j, joints0, total_obs):
-    """Damped Gauss-Newton on `model.joints` with the l2 prior to J0."""
+    """One linear solve for `model.joints` (l2 prior to J0), kept only if the joint loss does not rise.
 
-    def evaluate(joints):
+    At fixed rotations each joint's translation c - R c composes affinely down
+    the chain, so the loss is quadratic in the joints and H is its exact Hessian.
+    """
+
+    def loss():
+        return _fit_sse(model, frames) / total_obs + lambda_j * float(np.sum((model.joints - joints0) ** 2))
+
+    joints, before = model.joints, loss()
+    H, g = _joint_normal_equations(model, frames, lambda_j, joints0, total_obs)
+    model.joints = joints - np.linalg.solve(H, g).reshape(joints.shape)
+    if not loss() <= before:
         model.joints = joints
-        loss = _fit_sse(model, frames) / total_obs + lambda_j * float(np.sum((joints - joints0) ** 2))
-        return loss, lambda: _joint_normal_equations(model, frames, lambda_j, joints0, total_obs)
-
-    def retract(joints, delta):
-        return joints + delta.reshape(joints.shape)
-
-    model.joints = damped_gauss_newton(model.joints.copy(), evaluate, retract, JOINT_ITERATIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +427,7 @@ def refine(
     if total_obs == 0:
         raise ValueError("refine needs at least one observation")
     observed = np.zeros(model.n_vertices, dtype=bool)
-    for ids, _ in frames:
-        observed[ids] = True
-    unobserved = np.where(~observed)[0]
+    observed[np.concatenate([ids for ids, _ in frames])] = True
 
     g_geo = geodesic_weights(layout, model.rest_vertices, model.weights)
     joints0 = model.joints.copy()
@@ -443,13 +442,13 @@ def refine(
             model.pose_quats[k], model.root_translations[k] = _fit_pose(model, q, t, ids, pts, POSE_ITERATIONS)
 
         # (2) weights, each vertex independently
-        _solve_weights(model, frames, g_geo, cfg.lambda_g, total_obs)
+        _solve_weights(model, frames, observed, g_geo, cfg.lambda_g, total_obs)
 
         # (3) joints
         _fit_joints(model, frames, cfg.lambda_j, joints0, total_obs)
 
         # (4) rest positions
-        _solve_rest(model, frames)
+        _solve_rest(model, frames, observed)
 
         loss, fit = _total_loss(model, frames, g_geo, joints0, cfg, total_obs)
         loss_trace.append(loss)
@@ -463,39 +462,35 @@ def refine(
         _prune_weights(model, cfg.prune_top)
 
     model.validate()
-    return RefineResult(model, loss_trace, fit_trace, unobserved)
+    return RefineResult(model, loss_trace, fit_trace, np.flatnonzero(~observed))
 
 
-def _solve_weights(model, frames, g_geo, lambda_g, total_obs):
+def _solve_weights(model, frames, observed, g_geo, lambda_g, total_obs):
     N, M = model.weights.shape
     Qacc = np.zeros((N, M, M))
     cacc = np.zeros((N, M))
-    seen = np.zeros(N, dtype=bool)
     for (ids, pts), q, t in zip(frames, model.pose_quats, model.root_translations):
         y, _ = _skin_ids(joint_transforms(model, q, t), model.rest_vertices[ids], model.weights[ids])
         Qacc[ids] += np.matmul(y, y.transpose(0, 2, 1))
         cacc[ids] += np.matmul(y, pts[:, :, None])[:, :, 0]
-        seen[ids] = True
 
     scale = 2.0 / total_obs
-    for i in np.where(seen)[0]:
+    for i in np.flatnonzero(observed):
         Q = scale * Qacc[i] + 2.0 * lambda_g * np.diag(np.where(np.isfinite(g_geo[i]), g_geo[i], 0.0))
         c = scale * cacc[i]
         forced = ~np.isfinite(g_geo[i])
         model.weights[i] = simplex_qp(Q, c, forced_zero=forced)
 
 
-def _solve_rest(model, frames):
+def _solve_rest(model, frames, observed):
     N = model.n_vertices
     H = np.zeros((N, 3, 3))
     b = np.zeros((N, 3))
-    seen = np.zeros(N, dtype=bool)
     for (ids, pts), q, t in zip(frames, model.pose_quats, model.root_translations):
         lin, tr = blend_transforms(model, joint_transforms(model, q, t), ids)
         H[ids] += np.einsum("nij,nik->njk", lin, lin)
         b[ids] += np.einsum("nij,ni->nj", lin, pts - tr)
-        seen[ids] = True
-    idx = np.where(seen)[0]
+    idx = np.flatnonzero(observed)
     model.rest_vertices[idx] = np.linalg.solve(H[idx], b[idx][..., None])[..., 0]
 
 

@@ -453,8 +453,8 @@ def test_fit_tube_golden_digest(tmp_path):
         for name in ("model.json", "report_fit_loss.csv")
     }
     assert digests == {
-        "model.json": "80b7e220a17d0ae3b2c8c27113b72528aa394f097b9c043436edc1ae29ef9ff3",
-        "report_fit_loss.csv": "d9ddd088f64c3066ef4b02fdf96a37c1be3f729466c5339010ed90fe5525bf6d",
+        "model.json": "ffa443b500f3a97914b6c4e5cac5da91ab49f72f7bdd5d1ffedce5d9fb7e9f1e",
+        "report_fit_loss.csv": "54ecb8b002c4cd553ebb94bae5bc0ed4b526e49813b17645fee6723fc857f7eb",
     }
 
 

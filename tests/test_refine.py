@@ -145,6 +145,53 @@ def test_joint_step_gradient_matches_finite_differences():
     assert np.abs(g - gfd).max() / (np.abs(gfd).max() + 1e-12) < 1e-6
 
 
+def test_joint_loss_is_quadratic_and_solved_in_one_block():
+    """At fixed poses the joint loss is an exact quadratic: the normal equations' H is its
+    Hessian, one block lands on the minimum, and a second block does not raise the loss."""
+    import suitcap.refine as rf
+
+    scene = tube_scene(strips=3, codes_per_strip=6, seed=33, animation_strength=1.0)
+    K = 5
+    truth = scene.posed_model(K)
+    clouds = truth_clouds(scene, K)
+    model = truth.copy()
+    rng = np.random.default_rng(1)
+    model.joints = model.joints + rng.normal(0, 10, model.joints.shape)
+    model.weights = _blur(truth.weights, scene.layout)  # so that the minimum is not the truth
+    frames = [c.observed(model.n_vertices) for c in clouds]
+    total_obs = sum(len(ids) for ids, _ in frames)
+    joints0 = truth.joints + rng.normal(0, 5, truth.joints.shape)
+    lam_j = 1e-3  # small enough that the fit term dominates H
+
+    def loss(joints):
+        m = model.copy()
+        m.joints = joints
+        return rf._fit_sse(m, frames) / total_obs + lam_j * float(np.sum((joints - joints0) ** 2))
+
+    H, g0 = rf._joint_normal_equations(model, frames, lam_j, joints0, total_obs)
+    M = model.n_joints
+    h = 1.0  # mm; a second difference of a quadratic is exact for any step
+    E = h * np.eye(3 * M).reshape(3 * M, M, 3)
+    H_fd = np.array([
+        [
+            (loss(model.joints + a + b) - loss(model.joints + a - b) - loss(model.joints - a + b)
+             + loss(model.joints - a - b)) / (4 * h * h)
+            for b in E
+        ]
+        for a in E
+    ])
+    assert np.abs(H - H_fd).max() <= 1e-6 * np.abs(H).max()
+
+    before = loss(model.joints)
+    rf._fit_joints(model, frames, lam_j, joints0, total_obs)
+    once = loss(model.joints)
+    _, g1 = rf._joint_normal_equations(model, frames, lam_j, joints0, total_obs)
+    assert once < before
+    assert np.linalg.norm(g1) < 1e-9 * np.linalg.norm(g0)
+    rf._fit_joints(model, frames, lam_j, joints0, total_obs)
+    assert loss(model.joints) <= once
+
+
 def test_fit_pose_builds_transforms_once_per_evaluated_pose(monkeypatch):
     """The pose solve skins each pose it tries once, for its cost and its normal equations
     together: one `joint_transforms` call for the start and one per retracted step."""
