@@ -344,6 +344,9 @@ def cmd_inpaint(cfg) -> int:
     is read, each window is solved once its frames are in, and each frame is
     skinned and written once its blend is final. The animation is written under
     a sibling name and renamed on success, so a failed run leaves none."""
+    w_temporal = float(cfg["window"]["w_temporal"])
+    if not 0 < w_temporal < np.inf:  # the window quadratic is positive definite only for a positive weight
+        raise ConfigError(f"window.w_temporal must be a finite number > 0, got {w_temporal}")
     paths = _paths(cfg)
     layout = load_layout(paths["layout"])
     model = load_model(paths["model"])
@@ -374,7 +377,7 @@ def cmd_inpaint(cfg) -> int:
         if len(observed) != K:
             raise ConfigError(f"{clouds_path}: {len(observed)} frames read, {K} counted before reading")
 
-    displacements = inpaint.solve_frames(L, frames(), plan, float(cfg["window"]["w_temporal"]))
+    displacements = inpaint.solve_frames(L, frames(), plan, w_temporal)
     anim_path = paths["animation"]
     anim_path.parent.mkdir(parents=True, exist_ok=True)
     binary = str(anim_path).endswith(".bin")

@@ -58,8 +58,9 @@ class RefineConfig:
     prune_top: int = 4
 
     def __post_init__(self):
-        if min(self.lambda_g, self.lambda_j, self.outer_iterations, self.convergence_tol) <= 0:
-            raise ValueError("refine parameters must be positive")
+        for key in ("lambda_g", "lambda_j", "outer_iterations", "convergence_tol"):
+            if not 0 < getattr(self, key) < np.inf:  # NaN fails this test too
+                raise ValueError(f"refine.{key} must be a finite number > 0, got {getattr(self, key)}")
         if self.prune_top < 0:
             raise ValueError(f"refine.prune_top must be >= 0 (0 keeps every weight), got {self.prune_top}")
 

@@ -26,7 +26,8 @@ from .geometry import quat_from_rotvec, quat_mul, quat_normalize
 from .layout import SuitLayout
 from .meshes import closest_point_on_triangles, mesh_edges
 from .refine import damped_gauss_newton, pose_residual_jacobian
-from .skinning import SkinnedBodyModel, blend_transforms, joint_transforms, skin_with_transforms, weights_from_entries
+from .skinning import SkinnedBodyModel, blend_transforms, joint_transforms, parents_from_entries
+from .skinning import skin_with_transforms, weights_from_entries
 
 __all__ = ["register_icp", "RegistrationResult"]
 
@@ -63,21 +64,19 @@ def load_template(path):
     """Read a template file as (SkinnedBodyModel, (F, 3) triangles), each weight row divided by its sum.
 
     Raises ConfigError naming the file and the entry or row of an index out of
-    range, a weight below -1e-12, a row sum off 1 by more than 1e-6 or parents
-    that form a cycle.
+    range, a parent that is not -1 or a joint index, a weight below -1e-12, a
+    row sum off 1 by more than 1e-6 or parents that form a cycle.
     """
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     verts = np.array(doc["verts"], dtype=float)
     joints = np.array(doc["joints"], dtype=float)
     tris = np.array(doc["tris"], dtype=int).reshape(-1, 3)
-    parents = np.array(doc["parents"], dtype=int)
     V, M = len(verts), len(joints)
     bad = np.flatnonzero(((tris < 0) | (tris >= V)).any(axis=1))
     if bad.size:
         raise ConfigError(f"{path}: tris[{bad[0]}] = {tris[bad[0]].tolist()} has a vertex outside 0..{V - 1}")
-    if len(parents) != M or np.any((parents < -1) | (parents >= M)):
-        raise ConfigError(f"{path}: parents {parents.tolist()} must hold one index in -1..{M - 1} per joint")
+    parents = parents_from_entries(doc["parents"], M, path)
     W = weights_from_entries(doc["weights"], V, M, path)
     negative = np.flatnonzero((W < -1e-12).any(axis=1))
     if negative.size:

@@ -24,6 +24,7 @@ __all__ = [
     "save_model",
     "load_model",
     "weights_from_entries",
+    "parents_from_entries",
     "export_obj",
 ]
 
@@ -210,6 +211,20 @@ def weights_from_entries(entries, n_vertices: int, n_joints: int, path) -> np.nd
     return W
 
 
+def parents_from_entries(entries, n_joints: int, path) -> np.ndarray:
+    """(M,) parents from a file's entries, each -1 or a joint index below M.
+
+    Raises ConfigError naming the file for a count other than M, or naming the
+    entry for one that is not such an integer (0.7 and 1.0 included).
+    """
+    if len(entries) != n_joints:
+        raise ConfigError(f"{path}: {len(entries)} parents for {n_joints} joints")
+    for k, p in enumerate(entries):
+        if isinstance(p, bool) or not isinstance(p, int) or not -1 <= p < n_joints:
+            raise ConfigError(f"{path}: parents[{k}] = {p} is neither -1 nor a joint index below {n_joints}")
+    return np.array(entries, dtype=int)
+
+
 def load_model(path) -> SkinnedBodyModel:
     """Read a model file written by `save_model`.
 
@@ -224,12 +239,7 @@ def load_model(path) -> SkinnedBodyModel:
     rest = np.array(doc["rest"], dtype=float)
     joints = np.array(doc["joints"], dtype=float)
     n_joints = len(joints)
-    if len(doc["parents"]) != n_joints:
-        raise ConfigError(f"{path}: {len(doc['parents'])} parents for {n_joints} joints")
-    for k, p in enumerate(doc["parents"]):
-        if isinstance(p, bool) or not isinstance(p, int) or not -1 <= p < n_joints:
-            raise ConfigError(f"{path}: parents[{k}] = {p} is neither -1 nor a joint index below {n_joints}")
-    parents = np.array(doc["parents"], dtype=int)
+    parents = parents_from_entries(doc["parents"], n_joints, path)
     W = weights_from_entries(doc["weights"], len(rest), n_joints, path)
     quats = []
     roots = []

@@ -396,6 +396,25 @@ def test_fit_creates_model_parent(tmp_path):
     assert model.exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("fit", "refine.lambda_j", "NaN"),
+        ("fit", "refine.lambda_g", "NaN"),
+        ("fit", "refine.convergence_tol", "NaN"),
+        ("fit", "refine.lambda_g", "Infinity"),
+        ("inpaint", "window.w_temporal", "-5"),
+        ("inpaint", "window.w_temporal", "0"),
+        ("inpaint", "window.w_temporal", "NaN"),
+    ],
+)
+def test_non_finite_or_non_positive_solver_setting_exits_2(tmp_path, capsys, command, key, value):
+    """A solver setting is checked before any file is read: the inputs here do not exist."""
+    capsys.readouterr()
+    assert main([command, "--set", f"paths.output_dir={tmp_path / 'missing'}", "--set", f"{key}={value}"]) == 2
+    assert f"configuration error: {key} must be a finite number > 0, got " in capsys.readouterr().err
+
+
 def test_fit_fits_each_models_poses_once(tmp_path, monkeypatch):
     from suitcap import refine
 
@@ -594,7 +613,14 @@ BAD_REGISTRATION_INPUTS = {
     ),
     "template-weight-row-negative": ("template.json", lambda d, t: d["weights"].append([-1, 0, 0.0]), "weights["),
     "template-parent-past-end": (
-        "template.json", lambda d, t: d["parents"].__setitem__(1, len(t["joints"])), "parents "
+        "template.json",
+        lambda d, t: d["parents"].__setitem__(1, len(t["joints"])),
+        "parents[1] = 3 is neither -1 nor a joint index below 3",
+    ),
+    "template-parents-fraction": (
+        "template.json",
+        lambda d, t: d.__setitem__("parents", [-1, 0.7, 1.9]),
+        "parents[1] = 0.7 is neither -1 nor a joint index below 3",
     ),
     "template-parents-cycle": (
         "template.json",
