@@ -10,8 +10,8 @@ between skinned vertices and reconstructed corners, and g_ij is the geodesic
 distance from vertex i to the nearest vertex with initial support for joint j.
 Each outer iteration solves four blocks in turn: per-frame poses (damped
 Gauss-Newton on quaternion tangents + root translation), per-vertex weights
-(simplex-constrained QP), joint positions (one linear solve with the prior)
-and per-vertex rest positions (linear least squares). Every block either
+(simplex-constrained QPs, solved as one batch), joint positions (one linear
+solve with the prior) and per-vertex rest positions (linear least squares). Every block either
 decreases the total loss or leaves its variables unchanged, so the loss trace
 is non-increasing. The poses live in the model, where the pose block writes them.
 """
@@ -31,7 +31,7 @@ from .skinning import SkinnedBodyModel, blend_transforms, joint_transforms
 
 log = logging.getLogger(__name__)
 
-QP_MAX_ITERATIONS = 400  # active-set changes per weight QP
+QP_MAX_ITERATIONS = 400  # active-set changes per weight QP, counted per problem
 POSE_ITERATIONS = 12  # Gauss-Newton iterations per frame of refine's pose block
 FIT_POSES_ITERATIONS = 20  # Gauss-Newton iterations per frame of `fit_poses`
 GEODESIC_SUPPORT = 1e-6  # initial weight above which a vertex is a geodesic source
@@ -91,74 +91,136 @@ def geodesic_weights(layout: SuitLayout, rest_vertices, initial_weights):
 
 
 # ---------------------------------------------------------------------------
-# simplex-constrained per-vertex weight solve
+# simplex-constrained weight solve, all vertices at once
 
 
-def simplex_qp(Q, c, forced_zero=None):
-    """Minimize 1/2 w'Qw - c'w over the probability simplex (active-set method).
+def _solve_kkt(KKT, rhs):
+    """Solve a stack of KKT systems; a singular one falls back to least squares on its own."""
+    try:
+        return np.linalg.solve(KKT, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(rhs)
+        for i, (K, r) in enumerate(zip(KKT, rhs)):
+            try:
+                out[i] = np.linalg.solve(K, r)
+            except np.linalg.LinAlgError:
+                out[i] = np.linalg.lstsq(K, r, rcond=None)[0]
+        return out
 
-    `forced_zero` marks coordinates pinned to zero (unreachable joints). Q must
-    be symmetric positive definite on the allowed coordinates; a relative ridge
-    is added for safety. Raises `NotConverged` after `QP_MAX_ITERATIONS`
-    active-set changes.
+
+def _row_sum(x):
+    """Sum over the columns of x (n, m), one column after the other, so that a row's
+    sum does not depend on the other rows or on zero columns appended to it."""
+    s = x[:, 0].copy()
+    for k in range(1, x.shape[1]):
+        s += x[:, k]
+    return s
+
+
+def simplex_qp(Q, c, forced_zero):
+    """Minimize 1/2 w'Qw - c'w over the probability simplex for each of n problems (active-set method).
+
+    Q is (n, M, M), c and `forced_zero` are (n, M); `forced_zero` marks coordinates
+    pinned to zero (unreachable joints). Each Q must be symmetric positive definite
+    on its allowed coordinates; a relative ridge is added for safety. Returns the
+    (n, M) minimizers.
+
+    The problems run in lockstep, each on its allowed coordinates only. Every
+    iteration solves the KKT systems of the problems still open, stacked by
+    free-set size, then either takes the blocking step or prices the inactive
+    coordinates. A problem's arithmetic does not depend on the others in the
+    batch, so its result has the same bits alone. Raises `NotConverged`, naming
+    how many problems are left, after `QP_MAX_ITERATIONS` active-set changes.
     """
     Q = np.asarray(Q, dtype=float)
     c = np.asarray(c, dtype=float)
-    M = len(c)
-    allowed = np.ones(M, dtype=bool) if forced_zero is None else ~np.asarray(forced_zero, bool)
-    if not allowed.any():
-        raise ValueError("all coordinates forced to zero")
-    Q = Q + (1e-12 * max(np.trace(Q) / M, 1e-30)) * np.eye(M)
+    forced = np.asarray(forced_zero, dtype=bool)
+    n, M = c.shape
+    count = M - forced.sum(axis=1)
+    if np.any(count == 0):
+        raise ValueError(f"all coordinates forced to zero in {np.count_nonzero(count == 0)} of {n} weight QPs")
+    out = np.zeros((n, M))
+    if n == 0:
+        return out
 
-    w = np.zeros(M)
-    w[allowed] = 1.0 / allowed.sum()
-    free = w > 0
+    # compact each problem to its allowed coordinates, in order; `slot` marks the real ones
+    A = int(count.max())
+    order = np.argsort(forced, axis=1, kind="stable")[:, :A]
+    slot = np.arange(A) < count[:, None]
+    ridge = 1e-12 * np.maximum(_row_sum(np.diagonal(Q, axis1=1, axis2=2)) / M, 1e-30)
+    Qr = np.where(slot[:, None, :], np.take_along_axis(Q, order[:, None, :], axis=2), 0.0)  # (n, M, A)
+    Qr[np.arange(n)[:, None], order, np.arange(A)] += np.where(slot, ridge[:, None], 0.0)
+    Qc = np.take_along_axis(Qr, order[:, :, None], axis=1)  # (n, A, A)
+    cc = np.take_along_axis(c, order, axis=1)
 
+    w = np.where(slot, 1.0 / count[:, None], 0.0)
+    free = slot.copy()
+    live = np.arange(n)  # the problems still open
     for _ in range(QP_MAX_ITERATIONS):
-        idx = np.where(free)[0]
-        k = len(idx)
-        KKT = np.empty((k + 1, k + 1))
-        KKT[:k, :k] = Q[np.ix_(idx, idx)]
-        KKT[:k, k] = 1.0
-        KKT[k, :k] = 1.0
-        KKT[k, k] = 0.0
-        rhs = np.concatenate([c[idx], [1.0]])
-        try:
-            sol = np.linalg.solve(KKT, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
-        w_new = np.zeros(M)
-        w_new[idx] = sol[:k]
-        nu = sol[k]
+        fo = free[live]
+        k = fo.sum(axis=1)
+        w_new = np.zeros((len(live), A))
+        nu = np.empty(len(live))
+        for size in np.unique(k):
+            g = np.flatnonzero(k == size)
+            p = live[g]
+            idx = np.nonzero(fo[g])[1].reshape(len(g), size)
+            KKT = np.zeros((len(g), size + 1, size + 1))
+            KKT[:, :size, :size] = Qc[p[:, None, None], idx[:, :, None], idx[:, None, :]]
+            KKT[:, :size, size] = 1.0
+            KKT[:, size, :size] = 1.0
+            rhs = np.ones((len(g), size + 1))
+            rhs[:, :size] = cc[p[:, None], idx]
+            sol = _solve_kkt(KKT, rhs)
+            w_new[g[:, None], idx] = sol[:, :size]
+            nu[g] = sol[:, size]
 
-        if np.all(w_new[idx] >= -1e-12):
-            w = np.clip(w_new, 0.0, None)
-            s = w.sum()
-            if s > 0:
-                w /= s
+        feasible = ~np.any(fo & (w_new < -1e-12), axis=1)
+        done = np.zeros(len(live), dtype=bool)
+        f = np.flatnonzero(feasible)
+        if len(f):
+            p = live[f]
+            wf = np.clip(w_new[f], 0.0, None)
+            s = _row_sum(wf)
+            np.divide(wf, s[:, None], out=wf, where=s[:, None] > 0)
+            # the gradient over all M coordinates, whose largest entry scales the stopping test
+            grad = Qr[p, :, 0] * wf[:, :1]
+            for a in range(1, A):
+                grad += Qr[p, :, a] * wf[:, a : a + 1]
+            grad -= c[p]
             # on the free set Q w + nu = c, so a zero coordinate's price is grad_j + nu
-            grad = Q @ w - c
-            lam = grad + nu
-            candidates = allowed & ~free
-            if not candidates.any():
-                return w
-            j = np.where(candidates)[0][np.argmin(lam[candidates])]
-            if lam[j] >= -1e-9 * (1.0 + np.abs(grad).max()):
-                return w
-            free[j] = True
-        else:
-            d = w_new - w
-            blocking = idx[(w_new[idx] < -1e-12) & (d[idx] < 0)]
-            alphas = w[blocking] / (w[blocking] - w_new[blocking])
-            step = float(np.min(alphas))
-            j = blocking[int(np.argmin(alphas))]
-            w = w + step * d
-            w[j] = 0.0
-            w = np.clip(w, 0.0, None)
-            free[j] = False
-            if not free.any():
-                free[np.where(allowed)[0][0]] = True
-    raise NotConverged(f"simplex QP over {M} coordinates took more than {QP_MAX_ITERATIONS} iterations")
+            lam = np.take_along_axis(grad, order[p], axis=1) + nu[f, None]
+            candidates = slot[p] & ~free[p]
+            j = np.argmin(np.where(candidates, lam, np.inf), axis=1)
+            stop = ~candidates.any(axis=1) | (
+                lam[np.arange(len(f)), j] >= -1e-9 * (1.0 + np.abs(grad).max(axis=1))
+            )
+            w[p] = wf
+            free[p[~stop], j[~stop]] = True
+            done[f[stop]] = True
+        b = np.flatnonzero(~feasible)
+        if len(b):
+            p = live[b]
+            wb, wn = w[p], w_new[b]
+            d = wn - wb
+            blocking = free[p] & (wn < -1e-12) & (d < 0)
+            alphas = np.full(wb.shape, np.inf)
+            alphas[blocking] = wb[blocking] / (wb[blocking] - wn[blocking])
+            j = np.argmin(alphas, axis=1)
+            r = np.arange(len(b))
+            wb = wb + alphas[r, j][:, None] * d
+            wb[r, j] = 0.0
+            w[p] = np.clip(wb, 0.0, None)
+            free[p, j] = False
+            free[p[~free[p].any(axis=1)], 0] = True
+        closed = live[done]
+        out[closed[:, None], order[closed]] = w[closed]
+        live = live[~done]
+        if not len(live):
+            return out
+    raise NotConverged(
+        f"simplex QP: {len(live)} of {n} problems took more than {QP_MAX_ITERATIONS} iterations"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +504,7 @@ def refine(
             q, t = model.pose_quats[k], model.root_translations[k]
             model.pose_quats[k], model.root_translations[k] = _fit_pose(model, q, t, ids, pts, POSE_ITERATIONS)
 
-        # (2) weights, each vertex independently
+        # (2) weights, all observed vertices in one batched QP
         _solve_weights(model, frames, observed, g_geo, cfg.lambda_g, total_obs)
 
         # (3) joints
@@ -467,6 +529,7 @@ def refine(
 
 
 def _solve_weights(model, frames, observed, g_geo, lambda_g, total_obs):
+    """One batched simplex QP over the observed vertices' weight rows."""
     N, M = model.weights.shape
     Qacc = np.zeros((N, M, M))
     cacc = np.zeros((N, M))
@@ -475,12 +538,14 @@ def _solve_weights(model, frames, observed, g_geo, lambda_g, total_obs):
         Qacc[ids] += np.matmul(y, y.transpose(0, 2, 1))
         cacc[ids] += np.matmul(y, pts[:, :, None])[:, :, 0]
 
+    idx = np.flatnonzero(observed)
+    reachable = np.isfinite(g_geo[idx])
     scale = 2.0 / total_obs
-    for i in np.flatnonzero(observed):
-        Q = scale * Qacc[i] + 2.0 * lambda_g * np.diag(np.where(np.isfinite(g_geo[i]), g_geo[i], 0.0))
-        c = scale * cacc[i]
-        forced = ~np.isfinite(g_geo[i])
-        model.weights[i] = simplex_qp(Q, c, forced_zero=forced)
+    Q = Qacc[idx]
+    Q *= scale
+    diag = np.arange(M)
+    Q[:, diag, diag] += 2.0 * lambda_g * np.where(reachable, g_geo[idx], 0.0)
+    model.weights[idx] = simplex_qp(Q, scale * cacc[idx], ~reachable)
 
 
 def _solve_rest(model, frames, observed):

@@ -277,16 +277,92 @@ def _brute_force_simplex(Q, c, forced_zero=None, grid=60):
     return best, best_val
 
 
+def _simplex_qp_oracle(Q, c, forced_zero):
+    """One problem at a time: the active-set rule that `simplex_qp` runs in lockstep."""
+    M = len(c)
+    allowed = ~forced_zero
+    Q = Q + (1e-12 * max(np.trace(Q) / M, 1e-30)) * np.eye(M)
+
+    w = np.zeros(M)
+    w[allowed] = 1.0 / allowed.sum()
+    free = w > 0
+
+    for _ in range(refine_module.QP_MAX_ITERATIONS):
+        idx = np.where(free)[0]
+        k = len(idx)
+        KKT = np.empty((k + 1, k + 1))
+        KKT[:k, :k] = Q[np.ix_(idx, idx)]
+        KKT[:k, k] = 1.0
+        KKT[k, :k] = 1.0
+        KKT[k, k] = 0.0
+        rhs = np.concatenate([c[idx], [1.0]])
+        try:
+            sol = np.linalg.solve(KKT, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
+        w_new = np.zeros(M)
+        w_new[idx] = sol[:k]
+        nu = sol[k]
+
+        if np.all(w_new[idx] >= -1e-12):
+            w = np.clip(w_new, 0.0, None)
+            s = w.sum()
+            if s > 0:
+                w /= s
+            grad = Q @ w - c
+            lam = grad + nu
+            candidates = allowed & ~free
+            if not candidates.any():
+                return w
+            j = np.where(candidates)[0][np.argmin(lam[candidates])]
+            if lam[j] >= -1e-9 * (1.0 + np.abs(grad).max()):
+                return w
+            free[j] = True
+        else:
+            d = w_new - w
+            blocking = idx[(w_new[idx] < -1e-12) & (d[idx] < 0)]
+            alphas = w[blocking] / (w[blocking] - w_new[blocking])
+            step = float(np.min(alphas))
+            j = blocking[int(np.argmin(alphas))]
+            w = w + step * d
+            w[j] = 0.0
+            w = np.clip(w, 0.0, None)
+            free[j] = False
+            if not free.any():
+                free[np.where(allowed)[0][0]] = True
+    raise NotConverged(f"simplex QP over {M} coordinates took more than {refine_module.QP_MAX_ITERATIONS} iterations")
+
+
+def _one(Q, c, forced_zero=None):
+    """`simplex_qp` on one problem, as a batch of one."""
+    forced_zero = np.zeros(len(c), dtype=bool) if forced_zero is None else forced_zero
+    return simplex_qp(Q[None], c[None], forced_zero[None])[0]
+
+
+def _padded_batch(problems):
+    """Stack (Q, c, forced) problems of different sizes, padding each with forced coordinates."""
+    M = max(len(c) for _, c, _ in problems)
+    Qb = np.zeros((len(problems), M, M))
+    cb = np.zeros((len(problems), M))
+    fb = np.ones((len(problems), M), dtype=bool)
+    for i, (Q, c, forced) in enumerate(problems):
+        m = len(c)
+        Qb[i, :m, :m], cb[i, :m], fb[i, :m] = Q, c, forced
+    return Qb, cb, fb
+
+
 def test_simplex_qp_matches_grid_oracle(rng):
+    problems = []
     for _ in range(40):
         A = rng.normal(size=(5, 3))
-        Q = A.T @ A + 0.1 * np.eye(3)
-        c = rng.normal(size=3)
-        w = simplex_qp(Q, c)
-        assert abs(w.sum() - 1.0) < 1e-9
-        assert np.all(w >= -1e-12)
+        problems.append((A.T @ A + 0.1 * np.eye(3), rng.normal(size=3), np.zeros(3, dtype=bool)))
+    batch = simplex_qp(*_padded_batch(problems))
+    for (Q, c, _), w_batch in zip(problems, batch):
         _, oracle_val = _brute_force_simplex(Q, c)
-        assert _qp_objective(Q, c, w) <= oracle_val + 1e-6
+        for w in (_one(Q, c), w_batch):
+            assert abs(w.sum() - 1.0) < 1e-9
+            assert np.all(w >= -1e-12)
+            assert _qp_objective(Q, c, w) <= oracle_val + 1e-6
 
 
 def _random_simplex_qps(n=2000, seed=0):
@@ -319,25 +395,69 @@ def _assert_simplex_kkt(Q, c, forced, w):
 
 def test_simplex_qp_meets_kkt_on_random_problems(monkeypatch):
     # Pricing an inactive coordinate with grad - nu instead of grad + nu stops
-    # problem 1615 at -0.3393 (optimum -0.4066) and runs 824 of these calls
+    # problem 1615 at -0.3393 (optimum -0.4066) and runs 824 of these problems
     # into a 400-iteration cap. The correct price needs at most 13 iterations
-    # here, so a cap of 40 still catches any call that heads for 400.
+    # here, so a cap of 40 still catches any problem that heads for 400.
     monkeypatch.setattr(refine_module, "QP_MAX_ITERATIONS", 40)
-    for i, (Q, c, forced) in enumerate(_random_simplex_qps()):
-        w = simplex_qp(Q, c, forced_zero=forced)
-        _assert_simplex_kkt(Q, c, forced, w)
-        if i == 1615:
-            assert _qp_objective(Q, c, w) < -0.4065
+    problems = list(_random_simplex_qps())
+    batch = simplex_qp(*_padded_batch(problems))  # the cap counts each problem's own iterations
+    for i, (Q, c, forced) in enumerate(problems):
+        m = len(c)
+        assert np.all(batch[i, m:] == 0.0)
+        for w in (_one(Q, c, forced), batch[i, :m]):
+            _assert_simplex_kkt(Q, c, forced, w)
+            if i == 1615:
+                assert _qp_objective(Q, c, w) < -0.4065
+
+
+def test_simplex_qp_matches_per_problem_oracle():
+    """Alone and in a padded batch, each result is the per-problem loop's to 1e-9 with the same
+    support. The padding moves the relative ridge (its trace is over all M), hence no bitwise test."""
+    problems = list(_random_simplex_qps(n=500, seed=2))
+    batch = simplex_qp(*_padded_batch(problems))
+    for (Q, c, forced), w_batch in zip(problems, batch):
+        want = _simplex_qp_oracle(Q, c, forced)
+        for w in (_one(Q, c, forced), w_batch[: len(c)]):
+            assert np.abs(w - want).max() <= 1e-9
+            assert np.array_equal(w > 0, want > 0)
+
+
+def test_simplex_qp_result_has_same_bytes_alone_and_in_a_batch():
+    """A problem's arithmetic does not depend on its batch: not on the other problems, their
+    order, or how many allowed coordinates the widest of them has."""
+    rng = np.random.default_rng(7)
+    Q, c, forced = _padded_batch(list(_random_simplex_qps(n=300, seed=3)))
+    alone = np.stack([simplex_qp(Q[i : i + 1], c[i : i + 1], forced[i : i + 1])[0] for i in range(len(c))])
+    for size in (2, 37, 300):
+        pick = rng.permutation(len(c))[:size]
+        assert simplex_qp(Q[pick], c[pick], forced[pick]).tobytes() == alone[pick].tobytes()
 
 
 def test_simplex_qp_raises_at_iteration_cap(monkeypatch):
-    Q = np.eye(3)
-    c = np.array([1.0, 2.0, 2.5])  # the equality-only solution has w_0 = -1/2
-    assert np.allclose(simplex_qp(Q, c), [0.0, 0.25, 0.75])
+    Q = np.stack([np.eye(3), np.eye(3)])
+    c = np.array([[1.0, 2.0, 2.5], [1.0, 1.0, 1.0]])  # the first's equality-only solution has w_0 = -1/2
+    forced = np.zeros((2, 3), dtype=bool)
+    assert np.allclose(simplex_qp(Q, c, forced), [[0.0, 0.25, 0.75], [1 / 3, 1 / 3, 1 / 3]])
     monkeypatch.setattr(refine_module, "QP_MAX_ITERATIONS", 1)
-    with pytest.raises(NotConverged):
-        simplex_qp(Q, c)
+    with pytest.raises(NotConverged, match="1 of 2 problems took more than 1 iterations"):
+        simplex_qp(Q, c, forced)
     assert not issubclass(NotConverged, (ValueError, KeyError))
+
+
+def test_simplex_qp_rejects_a_problem_with_every_coordinate_forced():
+    forced = np.array([[False, True, True], [True, True, True]])
+    with pytest.raises(ValueError, match="all coordinates forced to zero in 1 of 2"):
+        simplex_qp(np.stack([np.eye(3)] * 2), np.ones((2, 3)), forced)
+
+
+def test_kkt_solve_falls_back_to_least_squares_per_system(rng):
+    """A singular system in the stack gets `lstsq`; the others keep `solve`'s bits."""
+    KKT = np.stack([np.eye(3) + 0.1 * rng.normal(size=(3, 3)), np.ones((3, 3)), 2.0 * np.eye(3)])
+    rhs = rng.normal(size=(3, 3))
+    sol = refine_module._solve_kkt(KKT, rhs)
+    assert sol[0].tobytes() == np.linalg.solve(KKT[0], rhs[0]).tobytes()
+    assert np.array_equal(sol[1], np.linalg.lstsq(KKT[1], rhs[1], rcond=None)[0])
+    assert np.array_equal(sol[2], rhs[2] / 2.0)
 
 
 def test_simplex_qp_unconstrained_interior(rng):
@@ -347,14 +467,14 @@ def test_simplex_qp_unconstrained_interior(rng):
     target = np.array([0.5, 0.3, 0.2])
     nu = 1.0
     c = Q @ target - nu  # gradient Qw - c = nu * ones at the target
-    w = simplex_qp(Q, c)
+    w = _one(Q, c)
     assert np.abs(w - target).max() < 1e-9
 
 
 def test_simplex_qp_forced_zero():
     Q = np.eye(3)
     c = np.array([1.0, 2.0, 3.0])
-    w = simplex_qp(Q, c, forced_zero=np.array([False, False, True]))
+    w = _one(Q, c, np.array([False, False, True]))
     assert w[2] == 0.0
     assert abs(w.sum() - 1.0) < 1e-12
 
@@ -367,7 +487,7 @@ def test_large_sparsity_penalty_drives_weights_to_closed_form():
     g = np.array([0.0, 50.0])
     Q = 2 * B.T @ B + 2 * lam * np.diag(g)
     c = 2 * B.T @ p
-    w = simplex_qp(Q, c)
+    w = _one(Q, c)
     assert w[1] < 1e-5
     assert abs(w[0] - 1.0) < 1e-5
 
