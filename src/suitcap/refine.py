@@ -289,16 +289,16 @@ def _subtree_matrix(parents):
     return sub
 
 
-def _chain_context(model, quats, root_t):
-    """Per-joint world transforms plus parent-chain rotations and joint centers."""
-    G = joint_transforms(model, quats, root_t)
+def _chain_context(model, quats, G):
+    """Local rotations, parent-chain rotations and world joint centers of the pose `quats`,
+    whose joint transforms are G."""
     R_local = quat_to_rot(np.asarray(quats, dtype=float))
     Rp = np.empty((model.n_joints, 3, 3))
     for j in range(model.n_joints):
         p = model.parents[j]
         Rp[j] = np.eye(3) if p == -1 else G[p, :3, :3]
     centers = np.einsum("mij,mj->mi", G[:, :3, :3], model.joints) + G[:, :3, 3]
-    return G, R_local, Rp, centers
+    return R_local, Rp, centers
 
 
 def _lever_arms(y, W, Wsub, sub, centers):
@@ -320,7 +320,8 @@ def pose_residual_jacobian(model: SkinnedBodyModel, quats, root_t, vertex_ids, t
     vertex_ids = np.asarray(vertex_ids, dtype=int)
     targets = np.asarray(targets, dtype=float).reshape(len(vertex_ids), 3)
     M = model.n_joints
-    G, _, Rp, centers = _chain_context(model, quats, root_t)
+    G = joint_transforms(model, quats, root_t)
+    _, Rp, centers = _chain_context(model, quats, G)
     sub = _subtree_matrix(model.parents)
 
     W = model.weights[vertex_ids]  # (n, M)
@@ -385,7 +386,8 @@ def _fit_pose(model, quats, root_t, vertex_ids, targets, iterations):
     Wsub = W @ sub
 
     def evaluate(pose):
-        G, _, Rp, centers = _chain_context(model, *pose)
+        G = joint_transforms(model, *pose)
+        _, Rp, centers = _chain_context(model, pose[0], G)
         y, v = _skin_ids(G, rest, W)
         r = v - targets
         return float(np.sum(r ** 2)), lambda: _pose_normal_equations(_lever_arms(y, W, Wsub, sub, centers), r, Rp)
@@ -402,8 +404,9 @@ def _fit_pose(model, quats, root_t, vertex_ids, targets, iterations):
 # joint block
 
 
-def _joint_normal_equations(model, frames, lambda_j, joints0, total_obs):
-    """Normal equations (H, g) of the joint loss at `model.joints`.
+def _joint_normal_equations(model, frames, transforms, lambda_j, joints0, total_obs):
+    """Normal equations (H, g) of the joint loss at `model.joints`, whose joint transforms per
+    frame are `transforms`.
 
     d v_i / d j_m = (sum_{j in subtree(m)} w_ij) * Rp_m (I - R_m) per frame, so
     they assemble from subtree weight sums and per-joint 3x3 blocks.
@@ -412,8 +415,8 @@ def _joint_normal_equations(model, frames, lambda_j, joints0, total_obs):
     sub = _subtree_matrix(model.parents)
     H = np.zeros((3 * M, 3 * M))
     g = np.zeros(3 * M)
-    for (ids, pts), q, t in zip(frames, model.pose_quats, model.root_translations):
-        G, R_local, Rp, _ = _chain_context(model, q, t)
+    for (ids, pts), q, G in zip(frames, model.pose_quats, transforms):
+        R_local, Rp, _ = _chain_context(model, q, G)
         D = np.einsum("mij,mjk->mik", Rp, np.eye(3)[None] - R_local)  # (M, 3, 3)
         W = model.weights[ids]
         Wsub = W @ sub  # (n, M)
@@ -429,41 +432,52 @@ def _joint_normal_equations(model, frames, lambda_j, joints0, total_obs):
     return H, g
 
 
-def _fit_joints(model, frames, lambda_j, joints0, total_obs):
+def _fit_joints(model, frames, transforms, lambda_j, joints0, total_obs):
     """One linear solve for `model.joints` (l2 prior to J0), kept only if the joint loss does not rise.
 
     At fixed rotations each joint's translation c - R c composes affinely down
     the chain, so the loss is quadratic in the joints and H is its exact Hessian.
+    `transforms` are the frames' joint transforms at `model.joints`; returns
+    those at the joints it keeps.
     """
 
-    def loss():
-        return _fit_sse(model, frames) / total_obs + lambda_j * float(np.sum((model.joints - joints0) ** 2))
+    def loss(transforms):
+        prior = lambda_j * float(np.sum((model.joints - joints0) ** 2))
+        return _fit_sse(model, frames, transforms) / total_obs + prior
 
-    joints, before = model.joints, loss()
-    H, g = _joint_normal_equations(model, frames, lambda_j, joints0, total_obs)
+    joints, before = model.joints, loss(transforms)
+    H, g = _joint_normal_equations(model, frames, transforms, lambda_j, joints0, total_obs)
     model.joints = joints - np.linalg.solve(H, g).reshape(joints.shape)
-    if not loss() <= before:
+    moved = _frame_transforms(model)
+    if not loss(moved) <= before:
         model.joints = joints
+        return transforms
+    return moved
 
 
 # ---------------------------------------------------------------------------
 # loss bookkeeping
 
 
-def _residuals(model, ids, pts, q, t):
-    """Skinned positions of vertices `ids` at pose (q, t) minus their observations `pts`."""
-    _, v = _skin_ids(joint_transforms(model, q, t), model.rest_vertices[ids], model.weights[ids])
+def _frame_transforms(model):
+    """Joint transforms (M, 4, 4) of each frame at the model's poses and joints."""
+    return [joint_transforms(model, q, t) for q, t in zip(model.pose_quats, model.root_translations)]
+
+
+def _residuals(model, ids, pts, G):
+    """Skinned positions of vertices `ids` under joint transforms G minus their observations `pts`."""
+    _, v = _skin_ids(G, model.rest_vertices[ids], model.weights[ids])
     return v - pts
 
 
-def _fit_sse(model, frames):
-    """Sum of squared residuals over the (ids, pts) frames at the model's poses."""
-    posed = zip(frames, model.pose_quats, model.root_translations)
-    return sum((float(np.sum(_residuals(model, ids, pts, q, t) ** 2)) for (ids, pts), q, t in posed), 0.0)
+def _fit_sse(model, frames, transforms):
+    """Sum of squared residuals over the (ids, pts) frames, whose joint transforms are `transforms`."""
+    posed = zip(frames, transforms)
+    return sum((float(np.sum(_residuals(model, ids, pts, G) ** 2)) for (ids, pts), G in posed), 0.0)
 
 
-def _total_loss(model, frames, g_geo, joints0, cfg, total_obs):
-    fit = _fit_sse(model, frames) / total_obs
+def _total_loss(model, frames, transforms, g_geo, joints0, cfg, total_obs):
+    fit = _fit_sse(model, frames, transforms) / total_obs
     finite = np.isfinite(g_geo)
     reg_w = float(np.sum(g_geo[finite] * model.weights[finite] ** 2))
     reg_j = float(np.sum((model.joints - joints0) ** 2))
@@ -504,16 +518,19 @@ def refine(
             q, t = model.pose_quats[k], model.root_translations[k]
             model.pose_quats[k], model.root_translations[k] = _fit_pose(model, q, t, ids, pts, POSE_ITERATIONS)
 
-        # (2) weights, all observed vertices in one batched QP
-        _solve_weights(model, frames, observed, g_geo, cfg.lambda_g, total_obs)
+        # the other blocks leave the poses alone, and the rest positions do not enter the transforms
+        transforms = _frame_transforms(model)
 
-        # (3) joints
-        _fit_joints(model, frames, cfg.lambda_j, joints0, total_obs)
+        # (2) weights, all observed vertices in one batched QP
+        _solve_weights(model, frames, transforms, observed, g_geo, cfg.lambda_g, total_obs)
+
+        # (3) joints, and the transforms at the joints kept
+        transforms = _fit_joints(model, frames, transforms, cfg.lambda_j, joints0, total_obs)
 
         # (4) rest positions
-        _solve_rest(model, frames, observed)
+        _solve_rest(model, frames, transforms, observed)
 
-        loss, fit = _total_loss(model, frames, g_geo, joints0, cfg, total_obs)
+        loss, fit = _total_loss(model, frames, transforms, g_geo, joints0, cfg, total_obs)
         loss_trace.append(loss)
         fit_trace.append(np.sqrt(fit))
         log.debug("outer %3d  loss %.9g  fit-rms %.6g mm", it, loss, np.sqrt(fit))
@@ -528,13 +545,13 @@ def refine(
     return RefineResult(model, loss_trace, fit_trace, np.flatnonzero(~observed))
 
 
-def _solve_weights(model, frames, observed, g_geo, lambda_g, total_obs):
+def _solve_weights(model, frames, transforms, observed, g_geo, lambda_g, total_obs):
     """One batched simplex QP over the observed vertices' weight rows."""
     N, M = model.weights.shape
     Qacc = np.zeros((N, M, M))
     cacc = np.zeros((N, M))
-    for (ids, pts), q, t in zip(frames, model.pose_quats, model.root_translations):
-        y, _ = _skin_ids(joint_transforms(model, q, t), model.rest_vertices[ids], model.weights[ids])
+    for (ids, pts), G in zip(frames, transforms):
+        y, _ = _skin_ids(G, model.rest_vertices[ids], model.weights[ids])
         Qacc[ids] += np.matmul(y, y.transpose(0, 2, 1))
         cacc[ids] += np.matmul(y, pts[:, :, None])[:, :, 0]
 
@@ -548,12 +565,12 @@ def _solve_weights(model, frames, observed, g_geo, lambda_g, total_obs):
     model.weights[idx] = simplex_qp(Q, scale * cacc[idx], ~reachable)
 
 
-def _solve_rest(model, frames, observed):
+def _solve_rest(model, frames, transforms, observed):
     N = model.n_vertices
     H = np.zeros((N, 3, 3))
     b = np.zeros((N, 3))
-    for (ids, pts), q, t in zip(frames, model.pose_quats, model.root_translations):
-        lin, tr = blend_transforms(model, joint_transforms(model, q, t), ids)
+    for (ids, pts), G in zip(frames, transforms):
+        lin, tr = blend_transforms(model, G, ids)
         H[ids] += np.einsum("nij,nik->njk", lin, lin)
         b[ids] += np.einsum("nij,ni->nj", lin, pts - tr)
     idx = np.flatnonzero(observed)
@@ -587,7 +604,7 @@ def fit_poses(model: SkinnedBodyModel, clouds):
         q, t = _fit_pose(model, q0, t0, ids, pts, FIT_POSES_ITERATIONS)
         quats.append(q)
         roots.append(t)
-        dists.append(np.linalg.norm(_residuals(model, ids, pts, q, t), axis=1))
+        dists.append(np.linalg.norm(_residuals(model, ids, pts, joint_transforms(model, q, t)), axis=1))
     return np.array(quats), np.array(roots), np.concatenate(dists) if dists else np.zeros(0)
 
 

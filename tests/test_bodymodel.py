@@ -550,7 +550,8 @@ def _pose_jacobian_oracle(model, quats, root_t, ids, targets):
     It skins with `refine._skin_ids` itself, so that the block assembly is compared bit for bit.
     """
     n, M = len(ids), model.n_joints
-    G, _, Rp, centers = refine_module._chain_context(model, quats, root_t)
+    G = joint_transforms(model, quats, root_t)
+    _, Rp, centers = refine_module._chain_context(model, quats, G)
     sub = refine_module._subtree_matrix(model.parents)
     W = model.weights[ids]
     y, v = refine_module._skin_ids(G, model.rest_vertices[ids], W)

@@ -125,12 +125,12 @@ def test_joint_step_gradient_matches_finite_differences():
     total_obs = sum(len(ids) for ids, _ in frames)
     joints0 = truth.joints.copy()
     lam_j = 1.0
-    _, g = rf._joint_normal_equations(model, frames, lam_j, joints0, total_obs)
+    _, g = rf._joint_normal_equations(model, frames, rf._frame_transforms(model), lam_j, joints0, total_obs)
 
     def loss(jp):
         m = model.copy()
         m.joints = jp
-        return rf._fit_sse(m, frames) / total_obs + lam_j * float(np.sum((jp - joints0) ** 2))
+        return rf._fit_sse(m, frames, rf._frame_transforms(m)) / total_obs + lam_j * float(np.sum((jp - joints0) ** 2))
 
     M = model.n_joints
     h = 1e-6
@@ -166,9 +166,9 @@ def test_joint_loss_is_quadratic_and_solved_in_one_block():
     def loss(joints):
         m = model.copy()
         m.joints = joints
-        return rf._fit_sse(m, frames) / total_obs + lam_j * float(np.sum((joints - joints0) ** 2))
+        return rf._fit_sse(m, frames, rf._frame_transforms(m)) / total_obs + lam_j * float(np.sum((joints - joints0) ** 2))
 
-    H, g0 = rf._joint_normal_equations(model, frames, lam_j, joints0, total_obs)
+    H, g0 = rf._joint_normal_equations(model, frames, rf._frame_transforms(model), lam_j, joints0, total_obs)
     M = model.n_joints
     h = 1.0  # mm; a second difference of a quadratic is exact for any step
     E = h * np.eye(3 * M).reshape(3 * M, M, 3)
@@ -183,12 +183,12 @@ def test_joint_loss_is_quadratic_and_solved_in_one_block():
     assert np.abs(H - H_fd).max() <= 1e-6 * np.abs(H).max()
 
     before = loss(model.joints)
-    rf._fit_joints(model, frames, lam_j, joints0, total_obs)
+    transforms = rf._fit_joints(model, frames, rf._frame_transforms(model), lam_j, joints0, total_obs)
     once = loss(model.joints)
-    _, g1 = rf._joint_normal_equations(model, frames, lam_j, joints0, total_obs)
+    _, g1 = rf._joint_normal_equations(model, frames, transforms, lam_j, joints0, total_obs)
     assert once < before
     assert np.linalg.norm(g1) < 1e-9 * np.linalg.norm(g0)
-    rf._fit_joints(model, frames, lam_j, joints0, total_obs)
+    rf._fit_joints(model, frames, transforms, lam_j, joints0, total_obs)
     assert loss(model.joints) <= once
 
 
@@ -218,7 +218,54 @@ def test_fit_pose_builds_transforms_once_per_evaluated_pose(monkeypatch):
     assert calls["quat_from_rotvec"] >= 2
     assert calls["joint_transforms"] == 1 + calls["quat_from_rotvec"]
     monkeypatch.undo()
-    assert np.abs(rf._residuals(truth, ids, pts, q, t)).max() < 1e-6  # the solve still reaches the pose
+    assert np.abs(rf._residuals(truth, ids, pts, rf.joint_transforms(truth, q, t))).max() < 1e-6  # reaches the pose
+
+
+def _two_iteration_refine(monkeypatch, counted):
+    """A 2-iteration refine of 4 noisy frames whose calls of `refine.<name>` are counted, for each
+    name in `counted`, apart from those made inside the pose solve."""
+    import suitcap.refine as rf
+
+    scene = tube_scene(strips=3, codes_per_strip=6, seed=33, animation_strength=1.0)
+    clouds = truth_clouds(scene, 4)
+    m0 = scene.model.copy()
+    m0.weights = _blur(m0.weights, scene.layout)
+    calls = dict.fromkeys(counted, 0)
+    in_pose_solve = [False]
+
+    def counting(name):
+        wrapped = getattr(rf, name)
+
+        def call(*args, **kwargs):
+            calls[name] += not in_pose_solve[0]
+            return wrapped(*args, **kwargs)
+
+        return call
+
+    def fit_pose(*args):
+        in_pose_solve[0] = True
+        try:
+            return fit_pose.wrapped(*args)
+        finally:
+            in_pose_solve[0] = False
+
+    fit_pose.wrapped = rf._fit_pose
+    monkeypatch.setattr(rf, "_fit_pose", fit_pose)
+    for name in counted:
+        monkeypatch.setattr(rf, name, counting(name))
+    res = refine(m0, clouds, scene.layout, RefineConfig(outer_iterations=2, convergence_tol=1e-12))
+    assert len(res.loss_trace) == 2
+    return calls
+
+
+def test_refine_builds_transforms_twice_per_frame_and_iteration_outside_the_pose_solve(monkeypatch):
+    """Outside the pose solve the joints take two values per outer iteration (before and after
+    the joint block), so each frame's transforms are built twice: 2 x 4 frames x 2 iterations."""
+    assert _two_iteration_refine(monkeypatch, ["joint_transforms"]) == {"joint_transforms": 16}
+
+
+def test_refine_solves_the_weights_in_one_qp_call_per_outer_iteration(monkeypatch):
+    assert _two_iteration_refine(monkeypatch, ["simplex_qp"]) == {"simplex_qp": 2}
 
 
 @pytest.mark.parametrize("far", ["inf", "nan"])
