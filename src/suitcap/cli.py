@@ -347,6 +347,7 @@ def cmd_inpaint(cfg) -> int:
     w_temporal = float(cfg["window"]["w_temporal"])
     if not 0 < w_temporal < np.inf:  # the window quadratic is positive definite only for a positive weight
         raise ConfigError(f"window.w_temporal must be a finite number > 0, got {w_temporal}")
+    plan = inpaint.WindowPlan(int(cfg["window"]["length"]), int(cfg["window"]["overlap"]))
     paths = _paths(cfg)
     layout = load_layout(paths["layout"])
     model = load_model(paths["model"])
@@ -357,7 +358,6 @@ def cmd_inpaint(cfg) -> int:
         model.pose_quats = np.zeros((K, len(model.joints), 4))
         model.root_translations = np.zeros((K, 3))
     L = inpaint.build_spatial_laplacian(layout.faces, model.rest_vertices)
-    plan = inpaint.WindowPlan(int(cfg["window"]["length"]), int(cfg["window"]["overlap"]))
     observed = []
 
     def frames():

@@ -51,7 +51,10 @@ class WindowPlan:
 
     def __post_init__(self):
         if not 0 < self.overlap < self.window_length:
-            raise ValueError("need 0 < overlap < window_length")
+            raise ValueError(
+                "window.overlap must satisfy 0 < overlap < window.length,"
+                f" got overlap {self.overlap} and length {self.window_length}"
+            )
 
     def blend_weights(self) -> np.ndarray:
         """Weight of the newer window across the overlap; smoothstep from 0 to 1."""

@@ -415,6 +415,17 @@ def test_non_finite_or_non_positive_solver_setting_exits_2(tmp_path, capsys, com
     assert f"configuration error: {key} must be a finite number > 0, got " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overlap", ["0", "-1", "150"])
+def test_inpaint_window_overlap_out_of_range_exits_2_before_reading(tmp_path, capsys, overlap):
+    """The window plan is checked before any file is read (the inputs here do not exist), and the
+    message names both keys; `window.length` defaults to 150."""
+    capsys.readouterr()
+    assert main(["inpaint", "--set", f"paths.output_dir={tmp_path / 'missing'}", "--set", f"window.overlap={overlap}"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: window.overlap must satisfy 0 < overlap < window.length" in err
+    assert f"got overlap {overlap} and length 150" in err
+
+
 def test_fit_fits_each_models_poses_once(tmp_path, monkeypatch):
     from suitcap import refine
 
