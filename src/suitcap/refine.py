@@ -11,9 +11,9 @@ distance from vertex i to the nearest vertex with initial support for joint j.
 Each outer iteration solves four blocks in turn: per-frame poses (damped
 Gauss-Newton on quaternion tangents + root translation), per-vertex weights
 (simplex-constrained QPs, solved as one batch), joint positions (one linear
-solve with the prior) and per-vertex rest positions (linear least squares). Every block either
-decreases the total loss or leaves its variables unchanged, so the loss trace
-is non-increasing. The poses live in the model, where the pose block writes them.
+solve with the prior) and per-vertex rest positions (linear least squares).
+Every block either decreases the total loss or leaves its variables unchanged,
+so the loss trace is non-increasing. The poses live in the model, where the pose block writes them.
 """
 
 from __future__ import annotations

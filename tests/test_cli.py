@@ -420,7 +420,8 @@ def test_inpaint_window_overlap_out_of_range_exits_2_before_reading(tmp_path, ca
     """The window plan is checked before any file is read (the inputs here do not exist), and the
     message names both keys; `window.length` defaults to 150."""
     capsys.readouterr()
-    assert main(["inpaint", "--set", f"paths.output_dir={tmp_path / 'missing'}", "--set", f"window.overlap={overlap}"]) == 2
+    argv = ["inpaint", "--set", f"paths.output_dir={tmp_path / 'missing'}", "--set", f"window.overlap={overlap}"]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error: window.overlap must satisfy 0 < overlap < window.length" in err
     assert f"got overlap {overlap} and length 150" in err

@@ -130,7 +130,8 @@ def test_joint_step_gradient_matches_finite_differences():
     def loss(jp):
         m = model.copy()
         m.joints = jp
-        return rf._fit_sse(m, frames, rf._frame_transforms(m)) / total_obs + lam_j * float(np.sum((jp - joints0) ** 2))
+        prior = lam_j * float(np.sum((jp - joints0) ** 2))
+        return rf._fit_sse(m, frames, rf._frame_transforms(m)) / total_obs + prior
 
     M = model.n_joints
     h = 1e-6
@@ -166,7 +167,8 @@ def test_joint_loss_is_quadratic_and_solved_in_one_block():
     def loss(joints):
         m = model.copy()
         m.joints = joints
-        return rf._fit_sse(m, frames, rf._frame_transforms(m)) / total_obs + lam_j * float(np.sum((joints - joints0) ** 2))
+        prior = lam_j * float(np.sum((joints - joints0) ** 2))
+        return rf._fit_sse(m, frames, rf._frame_transforms(m)) / total_obs + prior
 
     H, g0 = rf._joint_normal_equations(model, frames, rf._frame_transforms(model), lam_j, joints0, total_obs)
     M = model.n_joints
@@ -222,8 +224,8 @@ def test_fit_pose_builds_transforms_once_per_evaluated_pose(monkeypatch):
 
 
 def _two_iteration_refine(monkeypatch, counted):
-    """A 2-iteration refine of 4 noisy frames whose calls of `refine.<name>` are counted, for each
-    name in `counted`, apart from those made inside the pose solve."""
+    """A 2-iteration refine of 4 frames from blurred weights; returns how often it called
+    `refine.<name>` for each name in `counted`, leaving out the calls inside the pose solve."""
     import suitcap.refine as rf
 
     scene = tube_scene(strips=3, codes_per_strip=6, seed=33, animation_strength=1.0)
@@ -242,14 +244,15 @@ def _two_iteration_refine(monkeypatch, counted):
 
         return call
 
+    pose_solve = rf._fit_pose
+
     def fit_pose(*args):
         in_pose_solve[0] = True
         try:
-            return fit_pose.wrapped(*args)
+            return pose_solve(*args)
         finally:
             in_pose_solve[0] = False
 
-    fit_pose.wrapped = rf._fit_pose
     monkeypatch.setattr(rf, "_fit_pose", fit_pose)
     for name in counted:
         monkeypatch.setattr(rf, name, counting(name))
