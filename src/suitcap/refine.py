@@ -289,16 +289,18 @@ def _subtree_matrix(parents):
     return sub
 
 
+def _parent_frames(model, G):
+    """Parent-chain rotations (the identity at a root) and world joint centers of the joint transforms G."""
+    Rp = G[np.maximum(model.parents, 0), :3, :3]
+    Rp[model.parents == -1] = np.eye(3)
+    centers = np.einsum("mij,mj->mi", G[:, :3, :3], model.joints) + G[:, :3, 3]
+    return Rp, centers
+
+
 def _chain_context(model, quats, G):
     """Local rotations, parent-chain rotations and world joint centers of the pose `quats`,
     whose joint transforms are G."""
-    R_local = quat_to_rot(np.asarray(quats, dtype=float))
-    Rp = np.empty((model.n_joints, 3, 3))
-    for j in range(model.n_joints):
-        p = model.parents[j]
-        Rp[j] = np.eye(3) if p == -1 else G[p, :3, :3]
-    centers = np.einsum("mij,mj->mi", G[:, :3, :3], model.joints) + G[:, :3, 3]
-    return R_local, Rp, centers
+    return (quat_to_rot(np.asarray(quats, dtype=float)), *_parent_frames(model, G))
 
 
 def _lever_arms(y, W, Wsub, sub, centers):
@@ -345,30 +347,6 @@ def pose_residual_jacobian(model: SkinnedBodyModel, quats, root_t, vertex_ids, t
     return r, Jac
 
 
-def _pose_normal_equations(arms, r, Rp):
-    """J'J and J'r of `pose_residual_jacobian` from the lever arms (n, M, 3), without forming J.
-
-    Block (i, m) of J is -[a_im]_x Rp_m and the root block is I, so with
-    S_ml = sum_i a_im a_il' (one GEMM over the (n, 3M) arms):
-    H_ml = Rp_m' (tr(S_ml) I - S_ml') Rp_l, H_m,root = Rp_m' [sum_i a_im]_x,
-    H_root,root = n I, g_m = Rp_m' sum_i a_im x r_i and g_root = sum_i r_i.
-    """
-    n, M, _ = arms.shape
-    A = arms.reshape(n, 3 * M)
-    RpT = Rp.transpose(0, 2, 1)
-    S = (A.T @ A).reshape(M, 3, M, 3).transpose(0, 2, 1, 3)  # S[m, l] = sum_i a_im a_il'
-    B = np.trace(S, axis1=2, axis2=3)[:, :, None, None] * np.eye(3) - S.transpose(0, 1, 3, 2)
-    H = np.empty((3 * M + 3, 3 * M + 3))
-    H[: 3 * M, : 3 * M] = (RpT[:, None] @ B @ Rp[None]).transpose(0, 2, 1, 3).reshape(3 * M, 3 * M)
-    H[: 3 * M, 3 * M :] = (RpT @ _skew(A.sum(axis=0).reshape(M, 3))).reshape(3 * M, 3)
-    H[3 * M :, : 3 * M] = H[: 3 * M, 3 * M :].T
-    H[3 * M :, 3 * M :] = n * np.eye(3)
-    C = (A.T @ r).reshape(M, 3, 3)  # C[m] = sum_i a_im r_i'
-    cross = np.stack([C[:, 1, 2] - C[:, 2, 1], C[:, 2, 0] - C[:, 0, 2], C[:, 0, 1] - C[:, 1, 0]], axis=1)
-    g = np.concatenate([(RpT @ cross[:, :, None]).reshape(3 * M), r.sum(axis=0)])
-    return H, g
-
-
 def _skew(a):
     """[a]_x for each row of a (k, 3), as (k, 3, 3)."""
     K = np.zeros((len(a), 3, 3))
@@ -377,27 +355,71 @@ def _skew(a):
     return K
 
 
-def _fit_pose(model, quats, root_t, vertex_ids, targets, iterations):
-    """Damped Gauss-Newton on one frame's pose: per-joint tangents plus root translation."""
-    M = model.n_joints
-    # fixed within the solve: the observed vertices' rest positions, weights and subtree weight sums
-    rest, W = model.rest_vertices[vertex_ids], model.weights[vertex_ids]
-    sub = _subtree_matrix(model.parents)
-    Wsub = W @ sub
+def _pose_solve(model, quats, root_t, vertex_ids, targets, iterations):
+    """Damped Gauss-Newton on one frame's pose: per-joint tangents plus root translation.
+
+    Returns the pose (quats, root_t) and its residuals v_i - p_i (n, 3).
+
+    Skinning is linear in the stacked joint transforms T = [R_j | t_j] (3, 4M):
+    v = U T' with U = W * [x, 1] (n, 4M), fixed within the solve. So is the
+    lever arm a_im = sum_{j in subtree(m)} w_ij (y_ij - c_m) = F_m U_i, where
+    block (m, j) of F (3M, 4M) is sub[j, m] [R_j | t_j - c_m]. The normal
+    equations of `pose_residual_jacobian` (block (i, m) is -[a_im]_x Rp_m, the
+    root block I) then come from the moments U'U and sum_i U_i without forming
+    the arms: with S_ml = sum_i a_im a_il' (S = F U'U F'),
+    H_ml = Rp_m' (tr(S_ml) I - S_ml') Rp_l, H_m,root = Rp_m' [sum_i a_im]_x,
+    H_root,root = n I, g_m = Rp_m' sum_i a_im x r_i (from F U'r) and g_root = sum_i r_i.
+    """
+    M, n = model.n_joints, len(vertex_ids)
+    W = model.weights[vertex_ids]
+    x1 = np.concatenate([model.rest_vertices[vertex_ids], np.ones((n, 1))], axis=1)
+    U = (W[:, :, None] * x1[:, None, :]).reshape(n, 4 * M)
+    UtU, U_sum = U.T @ U, U.sum(axis=0)
+    subT = _subtree_matrix(model.parents).T[:, None, :, None]  # (m, 1, j, 1)
+    diag, ones, e4 = np.arange(M), np.ones(n), np.eye(4)[3]
+    kept = [None, None]  # cost and residuals of the pose the driver holds: its start, then each step it takes
 
     def evaluate(pose):
         G = joint_transforms(model, *pose)
-        _, Rp, centers = _chain_context(model, pose[0], G)
-        y, v = _skin_ids(G, rest, W)
-        r = v - targets
-        return float(np.sum(r ** 2)), lambda: _pose_normal_equations(_lever_arms(y, W, Wsub, sub, centers), r, Rp)
+        Tt = G[:, :3, :].transpose(0, 2, 1).reshape(4 * M, 3)  # T' (4M, 3), contiguous for the GEMM
+        r = U @ Tt - targets
+        cost = float(np.sum(r ** 2))
+        if kept[0] is None or (np.isfinite(cost) and cost <= kept[0]):  # the driver's acceptance test
+            kept[:] = cost, r
+
+        def normal_equations():
+            Rp, centers = _parent_frames(model, G)
+            Tc = Tt.reshape(M, 4, 3).transpose(2, 0, 1) - centers[:, :, None, None] * e4  # [R_j | t_j - c_m]
+            F = (subT * Tc).reshape(3 * M, 4 * M)
+            S = (F @ UtU @ F.T).reshape(M, 3, M, 3)  # S[m, :, l] = sum_i a_im a_il'
+            B = -S.transpose(0, 3, 2, 1)  # block (m, l) is tr(S_ml) I - S_ml'
+            for a in range(3):
+                B[:, a, :, a] += np.einsum("mala->ml", S)
+            P = np.zeros((M, 3, M, 3))
+            P[diag, :, diag] = Rp  # the block diagonal of the Rp_m
+            P = P.reshape(3 * M, 3 * M)
+            H = np.empty((3 * M + 3, 3 * M + 3))
+            H[: 3 * M, : 3 * M] = P.T @ B.reshape(3 * M, 3 * M) @ P
+            H[: 3 * M, 3 * M :] = P.T @ _skew((F @ U_sum).reshape(M, 3)).reshape(3 * M, 3)
+            H[3 * M :, : 3 * M] = H[: 3 * M, 3 * M :].T
+            H[3 * M :, 3 * M :] = n * np.eye(3)
+            C = (F @ (U.T @ r)).reshape(M, 3, 3)  # C[m] = sum_i a_im r_i'
+            cross = np.stack([C[:, 1, 2] - C[:, 2, 1], C[:, 2, 0] - C[:, 0, 2], C[:, 0, 1] - C[:, 1, 0]], axis=1)
+            return H, np.concatenate([P.T @ cross.reshape(3 * M), ones @ r])
+
+        return cost, normal_equations
 
     def retract(pose, delta):
         dq = quat_from_rotvec(delta[: 3 * M].reshape(M, 3))
         return quat_normalize(quat_mul(dq, pose[0])), pose[1] + delta[3 * M :]
 
     pose = (quat_normalize(quats), np.array(root_t, dtype=float))
-    return damped_gauss_newton(pose, evaluate, retract, iterations)
+    return damped_gauss_newton(pose, evaluate, retract, iterations), kept[1]
+
+
+def _fit_pose(model, quats, root_t, vertex_ids, targets, iterations):
+    """The pose (quats, root_t) that `_pose_solve` reaches."""
+    return _pose_solve(model, quats, root_t, vertex_ids, targets, iterations)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +623,10 @@ def fit_poses(model: SkinnedBodyModel, clouds):
     q0, t0 = model.identity_pose()
     for cloud in clouds:
         ids, pts = cloud.observed(model.n_vertices)
-        q, t = _fit_pose(model, q0, t0, ids, pts, FIT_POSES_ITERATIONS)
+        (q, t), r = _pose_solve(model, q0, t0, ids, pts, FIT_POSES_ITERATIONS)
         quats.append(q)
         roots.append(t)
-        dists.append(np.linalg.norm(_residuals(model, ids, pts, joint_transforms(model, q, t)), axis=1))
+        dists.append(np.linalg.norm(r, axis=1))
     return np.array(quats), np.array(roots), np.concatenate(dists) if dists else np.zeros(0)
 
 

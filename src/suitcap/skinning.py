@@ -39,6 +39,7 @@ class SkinnedBodyModel:
     root_translations: np.ndarray = None  # (K, 3)
     never_observed: np.ndarray = None    # (N,) bool, hole-closing vertices
     topo_order: np.ndarray = field(init=False, repr=False)
+    levels: list = field(init=False, repr=False)  # joint indices by depth, roots first
 
     def __post_init__(self):
         self.rest_vertices = np.asarray(self.rest_vertices, dtype=float).reshape(-1, 3)
@@ -54,7 +55,8 @@ class SkinnedBodyModel:
         if self.never_observed is None:
             self.never_observed = np.zeros(len(self.rest_vertices), dtype=bool)
         self.never_observed = np.asarray(self.never_observed, dtype=bool)
-        self.topo_order = _topological_order(self.parents)
+        self.levels = _tree_levels(self.parents)
+        self.topo_order = np.concatenate(self.levels)
         self.validate()
 
     @property
@@ -99,48 +101,35 @@ class SkinnedBodyModel:
         )
 
 
-def _topological_order(parents):
-    n = len(parents)
-    order = []
-    placed = np.zeros(n, dtype=bool)
-    remaining = set(range(n))
-    guard = 0
-    while remaining:
-        progressed = False
-        for j in sorted(remaining):
-            p = parents[j]
-            if p == -1 or placed[p]:
-                order.append(j)
-                placed[j] = True
-                remaining.discard(j)
-                progressed = True
-        guard += 1
-        if not progressed or guard > n + 1:
+def _tree_levels(parents):
+    """Joint indices grouped by depth in the tree, roots first; raises ValueError on a cycle."""
+    levels = [np.flatnonzero(parents == -1)]
+    placed = len(levels[0])
+    while placed < len(parents):
+        levels.append(np.flatnonzero(np.isin(parents, levels[-1])))
+        if not len(levels[-1]):
             raise ValueError(f"joint parents {parents.tolist()} must form an acyclic tree")
-    return np.array(order, dtype=int)
+        placed += len(levels[-1])
+    return levels
 
 
 def joint_transforms(model: SkinnedBodyModel, quats, root_translation):
     """World 4x4 transform per joint for one pose.
 
     Each joint rotates about its rest position; the root additionally carries
-    the frame's global translation. Transforms compose parent-to-child, so the
-    identity pose yields identity transforms (plus the root translation).
+    the frame's global translation. Transforms compose parent-to-child, one
+    batched product per tree depth, so the identity pose yields identity
+    transforms (plus the root translation).
     """
     quats = np.asarray(quats, dtype=float).reshape(model.n_joints, 4)
     R = quat_to_rot(quats)
-    G = np.zeros((model.n_joints, 4, 4))
-    for j in model.topo_order:
-        c = model.joints[j]
-        A = np.eye(4)
-        A[:3, :3] = R[j]
-        A[:3, 3] = c - R[j] @ c
-        p = model.parents[j]
-        if p == -1:
-            A[:3, 3] += np.asarray(root_translation, dtype=float)
-            G[j] = A
-        else:
-            G[j] = G[p] @ A
+    G = np.zeros((model.n_joints, 4, 4))  # the local transforms, composed in place level by level
+    G[:, :3, :3] = R
+    G[:, :3, 3] = model.joints - (R @ model.joints[:, :, None])[:, :, 0]
+    G[:, 3, 3] = 1.0
+    G[model.levels[0], :3, 3] += np.asarray(root_translation, dtype=float)
+    for level in model.levels[1:]:
+        G[level] = G[model.parents[level]] @ G[level]
     return G
 
 

@@ -645,6 +645,55 @@ def test_pose_normal_equations_match_jacobian(monkeypatch, make_model):
 
 
 # ---------------------------------------------------------------------------
+# joint transforms against the per-joint loop
+
+
+def _joint_transforms_oracle(model, quats, root_translation):
+    """`joint_transforms` as one 4x4 product per joint, in topological order."""
+    quats = np.asarray(quats, dtype=float).reshape(model.n_joints, 4)
+    R = quat_to_rot(quats)
+    G = np.zeros((model.n_joints, 4, 4))
+    for j in model.topo_order:
+        c = model.joints[j]
+        A = np.eye(4)
+        A[:3, :3] = R[j]
+        A[:3, 3] = c - R[j] @ c
+        p = model.parents[j]
+        if p == -1:
+            A[:3, 3] += np.asarray(root_translation, dtype=float)
+            G[j] = A
+        else:
+            G[j] = G[p] @ A
+    return G
+
+
+def _reversed_stick_figure_model():
+    """The stick figure with its joints numbered backwards, so every parent's index is above its children's."""
+    model = _stick_figure_model()
+    M = model.n_joints
+    old = np.arange(M)[::-1]  # new joint k is old joint old[k]
+    parents = np.where(model.parents[old] == -1, -1, M - 1 - model.parents[old])
+    reversed_model = SkinnedBodyModel(model.rest_vertices, model.joints[old], parents, model.weights[:, old])
+    assert all(p > j for j, p in enumerate(parents) if p != -1)
+    return reversed_model
+
+
+@pytest.mark.parametrize(
+    "make_model",
+    [chain_model, _stick_figure_model, _reversed_stick_figure_model],
+    ids=["chain", "stick_figure", "reversed_stick_figure"],
+)
+def test_joint_transforms_match_per_joint_loop_bitwise(make_model):
+    # one batched product per tree depth does each joint's products in the loop's order
+    model = make_model()
+    rng = np.random.default_rng(2026)
+    for _ in range(50):
+        quats = quat_normalize(rng.normal(size=(model.n_joints, 4)))
+        root_t = rng.uniform(-300, 300, 3)
+        assert np.array_equal(joint_transforms(model, quats, root_t), _joint_transforms_oracle(model, quats, root_t))
+
+
+# ---------------------------------------------------------------------------
 # model files
 
 

@@ -484,8 +484,8 @@ def test_fit_tube_golden_digest(tmp_path):
         for name in ("model.json", "report_fit_loss.csv")
     }
     assert digests == {
-        "model.json": "ffa443b500f3a97914b6c4e5cac5da91ab49f72f7bdd5d1ffedce5d9fb7e9f1e",
-        "report_fit_loss.csv": "54ecb8b002c4cd553ebb94bae5bc0ed4b526e49813b17645fee6723fc857f7eb",
+        "model.json": "cb0c631f017fa2ab40948a92d901cfc03c0787a3749ea12923bde01b0680600f",
+        "report_fit_loss.csv": "9bc301d73a81e4e5e5ce3068561e80071ebd9303c540b117c56c8a47f3fcb835",
     }
 
 

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from suitcap.refine import RefineConfig, damped_gauss_newton, fitting_rms, refine
+from suitcap.refine import RefineConfig, damped_gauss_newton, fit_poses, fitting_rms, refine
 from suitcap.simulator import truth_clouds, tube_scene
 
 
@@ -97,6 +97,36 @@ def test_fit_poses_exact_on_generative_data(generative_setup):
     scene, truth, clouds = generative_setup
     rms = fitting_rms(truth, clouds[:5])
     assert rms < 1e-6
+
+
+@pytest.mark.parametrize("last_try", ["as_solved", "rejected"])
+def test_fit_poses_distances_are_the_residuals_at_the_returned_poses(monkeypatch, last_try):
+    """`fit_poses` takes its distances from the pose solve's last accepted evaluation, also when
+    the driver's last try is a rejected step (here one more step that raises the cost)."""
+    import suitcap.refine as rf
+
+    scene = tube_scene(strips=3, codes_per_strip=6, seed=33, animation_strength=1.0)
+    clouds = truth_clouds(scene, 3)
+    model = scene.model.copy()
+    model.weights = _blur(model.weights, scene.layout)  # no exact fit: the distances stay well above 0
+    if last_try == "rejected":
+        solve = rf.damped_gauss_newton
+
+        def driver(x, evaluate, retract, iterations):
+            x = solve(x, evaluate, retract, iterations)
+            cost = evaluate(x)[0]
+            assert evaluate(retract(x, np.full(3 * model.n_joints + 3, 0.5)))[0] > cost
+            return x
+
+        monkeypatch.setattr(rf, "damped_gauss_newton", driver)
+    quats, roots, dists = fit_poses(model, clouds)
+    frames = [c.observed(model.n_vertices) for c in clouds]
+    want = np.concatenate([
+        np.linalg.norm(rf._residuals(model, ids, pts, rf.joint_transforms(model, q, t)), axis=1)
+        for (ids, pts), q, t in zip(frames, quats, roots)
+    ])
+    assert want.min() > 1e-3
+    assert np.abs(dists - want).max() < 1e-9
 
 
 def test_refine_config_validation():
