@@ -398,13 +398,12 @@ def save_calibration(rig: CameraRig, path) -> None:
         entries.append(
             {
                 "id": c.id,
-                "K": [float(v) for v in c.intrinsics.ravel()],
-                "dist": [float(v) for v in c.distortion],
-                "q": [float(v) for v in c.rotation],
-                "t": [float(v) for v in c.translation],
+                "K": c.intrinsics.ravel().tolist(),
+                "dist": c.distortion.tolist(),
+                "q": c.rotation.tolist(),
+                "t": c.translation.tolist(),
                 "size": [c.image_size[0], c.image_size[1]],
             }
         )
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(entries, f)
-        f.write("\n")
+        f.write(json.dumps(entries) + "\n")

@@ -200,5 +200,4 @@ def save_layout(layout: SuitLayout, path) -> None:
         "extra_vertices": layout.extra_vertices,
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
-        f.write("\n")
+        f.write(json.dumps(doc) + "\n")

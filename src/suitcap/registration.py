@@ -49,15 +49,14 @@ def save_template(template, path) -> None:
     model, triangles = template
     ii, jj = np.nonzero(model.weights)
     doc = {
-        "verts": [[float(v) for v in row] for row in model.rest_vertices],
-        "tris": [[int(v) for v in row] for row in triangles],
-        "joints": [[float(v) for v in row] for row in model.joints],
-        "parents": [int(p) for p in model.parents],
-        "weights": [[int(i), int(j), float(model.weights[i, j])] for i, j in zip(ii, jj)],
+        "verts": model.rest_vertices.tolist(),
+        "tris": np.asarray(triangles, dtype=int).tolist(),
+        "joints": model.joints.tolist(),
+        "parents": model.parents.tolist(),
+        "weights": list(zip(ii.tolist(), jj.tolist(), model.weights[ii, jj].tolist())),
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
-        f.write("\n")
+        f.write(json.dumps(doc) + "\n")
 
 
 def load_template(path):

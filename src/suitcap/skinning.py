@@ -167,22 +167,17 @@ def unskin_with_transforms(model: SkinnedBodyModel, G, vertex_ids, points):
 def save_model(model: SkinnedBodyModel, path) -> None:
     """Write the model as JSON with sparse weight triplets and flat per-frame poses."""
     ii, jj = np.nonzero(model.weights)
-    poses = []
-    for k in range(model.n_frames):
-        flat = [float(v) for v in model.pose_quats[k].ravel()]
-        flat.extend(float(v) for v in model.root_translations[k])
-        poses.append(flat)
+    K, M = model.n_frames, model.n_joints
     doc = {
-        "rest": [[float(v) for v in row] for row in model.rest_vertices],
-        "joints": [[float(v) for v in row] for row in model.joints],
-        "parents": [int(p) for p in model.parents],
-        "weights": [[int(i), int(j), float(model.weights[i, j])] for i, j in zip(ii, jj)],
-        "poses": poses,
-        "never_observed": [int(i) for i in np.where(model.never_observed)[0]],
+        "rest": model.rest_vertices.tolist(),
+        "joints": model.joints.tolist(),
+        "parents": model.parents.tolist(),
+        "weights": list(zip(ii.tolist(), jj.tolist(), model.weights[ii, jj].tolist())),
+        "poses": np.concatenate([model.pose_quats.reshape(K, 4 * M), model.root_translations], axis=1).tolist(),
+        "never_observed": np.flatnonzero(model.never_observed).tolist(),
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
-        f.write("\n")
+        f.write(json.dumps(doc) + "\n")
 
 
 def weights_from_entries(entries, n_vertices: int, n_joints: int, path) -> np.ndarray:
