@@ -358,7 +358,8 @@ def _skew(a):
 def _pose_solve(model, quats, root_t, vertex_ids, targets, iterations):
     """Damped Gauss-Newton on one frame's pose: per-joint tangents plus root translation.
 
-    Returns the pose (quats, root_t) and its residuals v_i - p_i (n, 3).
+    Returns the pose (quats, root_t) and its residuals v_i - p_i (n, 3), from
+    the driver's last accepted evaluation.
 
     Skinning is linear in the stacked joint transforms T = [R_j | t_j] (3, 4M):
     v = U T' with U = W * [x, 1] (n, 4M), fixed within the solve. So is the
@@ -392,9 +393,9 @@ def _pose_solve(model, quats, root_t, vertex_ids, targets, iterations):
             Tc = Tt.reshape(M, 4, 3).transpose(2, 0, 1) - centers[:, :, None, None] * e4  # [R_j | t_j - c_m]
             F = (subT * Tc).reshape(3 * M, 4 * M)
             S = (F @ UtU @ F.T).reshape(M, 3, M, 3)  # S[m, :, l] = sum_i a_im a_il'
-            B = -S.transpose(0, 3, 2, 1)  # block (m, l) is tr(S_ml) I - S_ml'
+            B, trace = -S.transpose(0, 3, 2, 1), np.einsum("mala->ml", S)  # block (m, l) is tr(S_ml) I - S_ml'
             for a in range(3):
-                B[:, a, :, a] += np.einsum("mala->ml", S)
+                B[:, a, :, a] += trace
             P = np.zeros((M, 3, M, 3))
             P[diag, :, diag] = Rp  # the block diagonal of the Rp_m
             P = P.reshape(3 * M, 3 * M)
