@@ -7,11 +7,10 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 
-def triangulate_faces(faces, vertices=None):
-    """Split polygon faces into triangles; quads split along their shorter diagonal.
-
-    Without vertex positions, quads split along the (0, 2) diagonal. Faces with
-    more than 4 vertices are fanned from vertex 0.
+def triangulate_faces(faces, vertices):
+    """Split polygon faces into triangles; quads split along their shorter diagonal
+    at `vertices` (a tie takes the (0, 2) diagonal). Faces with more than 4
+    vertices are fanned from vertex 0.
     """
     tris = []
     for f in faces:
@@ -19,12 +18,7 @@ def triangulate_faces(faces, vertices=None):
             tris.append(tuple(f))
         elif len(f) == 4:
             a, b, c, d = f
-            if vertices is not None:
-                d02 = np.linalg.norm(vertices[a] - vertices[c])
-                d13 = np.linalg.norm(vertices[b] - vertices[d])
-            else:
-                d02, d13 = 0.0, 1.0
-            if d02 <= d13:
+            if np.linalg.norm(vertices[a] - vertices[c]) <= np.linalg.norm(vertices[b] - vertices[d]):
                 tris.append((a, b, c))
                 tris.append((a, c, d))
             else:

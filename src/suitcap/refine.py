@@ -228,16 +228,19 @@ def simplex_qp(Q, c, forced_zero):
 
 
 def damped_gauss_newton(x, evaluate, retract, iterations):
-    """Minimize a cost from `x` with damped steps that never raise it; returns the final x.
+    """Minimize a cost from `x` with damped steps that never raise it; returns the final x
+    and its evaluation, the last one the driver accepted.
 
-    `evaluate(x)` gives (cost, normal_equations), whose `normal_equations()` builds
-    (H, g) at x from that same evaluation; `retract(x, delta)` applies a step.
-    A trial whose cost is not finite is rejected like one that raises the cost.
-    Stops at a vanishing gradient, a negligible decrease or 8 rejected tries.
+    `evaluate(x)` gives a tuple that starts (cost, normal_equations), whose
+    `normal_equations()` builds (H, g) at x from that same evaluation;
+    `retract(x, delta)` applies a step. A trial whose cost is not finite is
+    rejected like one that raises the cost. Stops at a vanishing gradient, a
+    negligible decrease or 8 rejected tries.
     """
-    c, normal_equations = evaluate(x)
+    evaluation = evaluate(x)
     lam = 1e-4
     for _ in range(iterations):
+        c, normal_equations = evaluation[:2]
         H, g = normal_equations()
         if np.linalg.norm(g) < 1e-12 * (1.0 + c):
             break
@@ -249,32 +252,21 @@ def damped_gauss_newton(x, evaluate, retract, iterations):
                 delta = np.linalg.lstsq(Hd, -g, rcond=None)[0]
             x_new = retract(x, delta)
             with np.errstate(over="ignore", invalid="ignore"):
-                c_new, ne_new = evaluate(x_new)
-            if np.isfinite(c_new) and c_new <= c:
-                x, c, normal_equations, decrease = x_new, c_new, ne_new, c - c_new
+                trial = evaluate(x_new)
+            if np.isfinite(trial[0]) and trial[0] <= c:
+                x, evaluation = x_new, trial
                 lam = max(lam / 3.0, 1e-12)
                 break
             lam *= 4.0
         else:
             break
-        if decrease <= 1e-12 * (c + 1e-30):
+        if c - evaluation[0] <= 1e-12 * (evaluation[0] + 1e-30):
             break
-    return x
+    return x, evaluation
 
 
 # ---------------------------------------------------------------------------
 # pose block
-
-
-def _skin_ids(G, rest, W):
-    """Skin rest positions `rest` (n, 3) with weight rows `W` (n, M) under joint transforms G (M, 4, 4).
-
-    Returns the per-joint transformed rest positions y (n, M, 3), from one
-    GEMM over all joints, and their weight blend v (n, 3).
-    """
-    M = len(G)
-    y = (rest @ G[:, :3, :3].reshape(3 * M, 3).T + G[:, :3, 3].reshape(3 * M)).reshape(len(rest), M, 3)
-    return y, np.matmul(W[:, None, :], y)[:, 0]
 
 
 def _subtree_matrix(parents):
@@ -297,18 +289,31 @@ def _parent_frames(model, G):
     return Rp, centers
 
 
-def _chain_context(model, quats, G):
-    """Local rotations, parent-chain rotations and world joint centers of the pose `quats`,
-    whose joint transforms are G."""
-    return (quat_to_rot(np.asarray(quats, dtype=float)), *_parent_frames(model, G))
+# Skinning is linear in the stacked joint transforms T = [R_j | t_j] (3, 4M):
+# v_i = U_i T' with U = W * [x, 1] (n, 4M). So is the lever arm
+# a_im = sum_{j in subtree(m)} w_ij (G_j x_i - c_m) = F_m U_i, where block (m, j)
+# of F (3M, 4M) is sub[j, m] [R_j | t_j - c_m]. Refine skins and takes its
+# arms in these forms only.
 
 
-def _lever_arms(y, W, Wsub, sub, centers):
-    """Lever arm a_im = sum_{j in subtree(m)} w_ij (y_ij - c_m) of joint m at vertex i, (n, M, 3).
+def _blend_rows(model, ids):
+    """U = W * [x, 1] (n, 4M) of vertices `ids`, whose skinned positions are U T'."""
+    x1 = np.concatenate([model.rest_vertices[ids], np.ones((len(ids), 1))], axis=1)
+    return (model.weights[ids][:, :, None] * x1[:, None, :]).reshape(len(ids), 4 * model.n_joints)
 
-    `y` comes from `_skin_ids`, `Wsub` is `W @ sub` and `centers` the joints' world positions.
-    """
-    return np.matmul(sub.T, W[:, :, None] * y) - Wsub[:, :, None] * centers
+
+def _stacked_transforms(G):
+    """T' (4M, 3): the joint transforms [R_j | t_j] of G stacked, contiguous for the GEMM."""
+    return G[:, :3, :].transpose(0, 2, 1).reshape(-1, 3)
+
+
+def _arm_map(model, G, sub):
+    """(F, Rp): F (3M, 4M) maps U_i to the lever arms (a_i1, ..., a_iM), and Rp are
+    the parent-chain rotations; `sub` is `_subtree_matrix(model.parents)`."""
+    M = len(G)
+    Rp, centers = _parent_frames(model, G)
+    Tc = G[:, :3, :].transpose(1, 0, 2) - centers[:, :, None, None] * np.eye(4)[3]  # [R_j | t_j - c_m]
+    return (sub.T[:, None, :, None] * Tc).reshape(3 * M, 4 * M), Rp
 
 
 def pose_residual_jacobian(model: SkinnedBodyModel, quats, root_t, vertex_ids, targets):
@@ -321,19 +326,15 @@ def pose_residual_jacobian(model: SkinnedBodyModel, quats, root_t, vertex_ids, t
     """
     vertex_ids = np.asarray(vertex_ids, dtype=int)
     targets = np.asarray(targets, dtype=float).reshape(len(vertex_ids), 3)
-    M = model.n_joints
+    M, n = model.n_joints, len(vertex_ids)
     G = joint_transforms(model, quats, root_t)
-    _, Rp, centers = _chain_context(model, quats, G)
-    sub = _subtree_matrix(model.parents)
-
-    W = model.weights[vertex_ids]  # (n, M)
-    y, v = _skin_ids(G, model.rest_vertices[vertex_ids], W)
-    r = v - targets
-    arms = _lever_arms(y, W, W @ sub, sub, centers)
+    U = _blend_rows(model, vertex_ids)
+    r = U @ _stacked_transforms(G) - targets
+    F, Rp = _arm_map(model, G, _subtree_matrix(model.parents))
+    arms = (U @ F.T).reshape(n, M, 3)
     ax, ay, az = arms[..., 0], arms[..., 1], arms[..., 2]
 
     # block (i, m) is -[arm]_x Rp_m, written column by column as two-term cross products
-    n = len(vertex_ids)
     Jac = np.zeros((n, 3, 3 * M + 3))
     blocks = Jac[:, :, : 3 * M].reshape(n, 3, M, 3)  # a view: blocks[i, :, m] = Jac[i, :, 3m:3m+3]
     for k in range(3):
@@ -361,37 +362,25 @@ def _pose_solve(model, quats, root_t, vertex_ids, targets, iterations):
     Returns the pose (quats, root_t) and its residuals v_i - p_i (n, 3), from
     the driver's last accepted evaluation.
 
-    Skinning is linear in the stacked joint transforms T = [R_j | t_j] (3, 4M):
-    v = U T' with U = W * [x, 1] (n, 4M), fixed within the solve. So is the
-    lever arm a_im = sum_{j in subtree(m)} w_ij (y_ij - c_m) = F_m U_i, where
-    block (m, j) of F (3M, 4M) is sub[j, m] [R_j | t_j - c_m]. The normal
-    equations of `pose_residual_jacobian` (block (i, m) is -[a_im]_x Rp_m, the
-    root block I) then come from the moments U'U and sum_i U_i without forming
-    the arms: with S_ml = sum_i a_im a_il' (S = F U'U F'),
+    U is fixed within the solve, so the normal equations of
+    `pose_residual_jacobian` (block (i, m) is -[a_im]_x Rp_m, the root block I)
+    come from the moments U'U and sum_i U_i without forming the arms: with
+    S_ml = sum_i a_im a_il' (S = F U'U F'),
     H_ml = Rp_m' (tr(S_ml) I - S_ml') Rp_l, H_m,root = Rp_m' [sum_i a_im]_x,
     H_root,root = n I, g_m = Rp_m' sum_i a_im x r_i (from F U'r) and g_root = sum_i r_i.
     """
     M, n = model.n_joints, len(vertex_ids)
-    W = model.weights[vertex_ids]
-    x1 = np.concatenate([model.rest_vertices[vertex_ids], np.ones((n, 1))], axis=1)
-    U = (W[:, :, None] * x1[:, None, :]).reshape(n, 4 * M)
+    U = _blend_rows(model, vertex_ids)
     UtU, U_sum = U.T @ U, U.sum(axis=0)
-    subT = _subtree_matrix(model.parents).T[:, None, :, None]  # (m, 1, j, 1)
-    diag, ones, e4 = np.arange(M), np.ones(n), np.eye(4)[3]
-    kept = [None, None]  # cost and residuals of the pose the driver holds: its start, then each step it takes
+    sub = _subtree_matrix(model.parents)
+    diag, ones = np.arange(M), np.ones(n)
 
     def evaluate(pose):
         G = joint_transforms(model, *pose)
-        Tt = G[:, :3, :].transpose(0, 2, 1).reshape(4 * M, 3)  # T' (4M, 3), contiguous for the GEMM
-        r = U @ Tt - targets
-        cost = float(np.sum(r ** 2))
-        if kept[0] is None or (np.isfinite(cost) and cost <= kept[0]):  # the driver's acceptance test
-            kept[:] = cost, r
+        r = U @ _stacked_transforms(G) - targets
 
         def normal_equations():
-            Rp, centers = _parent_frames(model, G)
-            Tc = Tt.reshape(M, 4, 3).transpose(2, 0, 1) - centers[:, :, None, None] * e4  # [R_j | t_j - c_m]
-            F = (subT * Tc).reshape(3 * M, 4 * M)
+            F, Rp = _arm_map(model, G, sub)
             S = (F @ UtU @ F.T).reshape(M, 3, M, 3)  # S[m, :, l] = sum_i a_im a_il'
             B, trace = -S.transpose(0, 3, 2, 1), np.einsum("mala->ml", S)  # block (m, l) is tr(S_ml) I - S_ml'
             for a in range(3):
@@ -408,19 +397,15 @@ def _pose_solve(model, quats, root_t, vertex_ids, targets, iterations):
             cross = np.stack([C[:, 1, 2] - C[:, 2, 1], C[:, 2, 0] - C[:, 0, 2], C[:, 0, 1] - C[:, 1, 0]], axis=1)
             return H, np.concatenate([P.T @ cross.reshape(3 * M), ones @ r])
 
-        return cost, normal_equations
+        return float(np.sum(r ** 2)), normal_equations, r
 
     def retract(pose, delta):
         dq = quat_from_rotvec(delta[: 3 * M].reshape(M, 3))
         return quat_normalize(quat_mul(dq, pose[0])), pose[1] + delta[3 * M :]
 
     pose = (quat_normalize(quats), np.array(root_t, dtype=float))
-    return damped_gauss_newton(pose, evaluate, retract, iterations), kept[1]
-
-
-def _fit_pose(model, quats, root_t, vertex_ids, targets, iterations):
-    """The pose (quats, root_t) that `_pose_solve` reaches."""
-    return _pose_solve(model, quats, root_t, vertex_ids, targets, iterations)[0]
+    pose, (_, _, r) = damped_gauss_newton(pose, evaluate, retract, iterations)
+    return pose, r
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +424,10 @@ def _joint_normal_equations(model, frames, transforms, lambda_j, joints0, total_
     H = np.zeros((3 * M, 3 * M))
     g = np.zeros(3 * M)
     for (ids, pts), q, G in zip(frames, model.pose_quats, transforms):
-        R_local, Rp, _ = _chain_context(model, q, G)
-        D = np.einsum("mij,mjk->mik", Rp, np.eye(3)[None] - R_local)  # (M, 3, 3)
-        W = model.weights[ids]
-        Wsub = W @ sub  # (n, M)
-        _, v = _skin_ids(G, model.rest_vertices[ids], W)
-        r = v - pts
+        Rp, _ = _parent_frames(model, G)
+        D = np.einsum("mij,mjk->mik", Rp, np.eye(3)[None] - quat_to_rot(q))  # (M, 3, 3)
+        Wsub = model.weights[ids] @ sub  # (n, M)
+        r = _residuals(model, ids, pts, G)
         S = Wsub.T @ Wsub  # (M, M) sum over obs of Wsub_im Wsub_im'
         DtD = np.einsum("mik,lij->mlkj", D, D)  # D_m' D_l as (M, M, 3, 3)
         H += (S[:, :, None, None] * DtD).transpose(0, 2, 1, 3).reshape(3 * M, 3 * M)
@@ -489,8 +472,7 @@ def _frame_transforms(model):
 
 def _residuals(model, ids, pts, G):
     """Skinned positions of vertices `ids` under joint transforms G minus their observations `pts`."""
-    _, v = _skin_ids(G, model.rest_vertices[ids], model.weights[ids])
-    return v - pts
+    return _blend_rows(model, ids) @ _stacked_transforms(G) - pts
 
 
 def _fit_sse(model, frames, transforms):
@@ -539,7 +521,7 @@ def refine(
         # (1) poses, each frame independently, written into the model
         for k, (ids, pts) in enumerate(frames):
             q, t = model.pose_quats[k], model.root_translations[k]
-            model.pose_quats[k], model.root_translations[k] = _fit_pose(model, q, t, ids, pts, POSE_ITERATIONS)
+            model.pose_quats[k], model.root_translations[k] = _pose_solve(model, q, t, ids, pts, POSE_ITERATIONS)[0]
 
         # the other blocks leave the poses alone, and the rest positions do not enter the transforms
         transforms = _frame_transforms(model)
@@ -574,7 +556,8 @@ def _solve_weights(model, frames, transforms, observed, g_geo, lambda_g, total_o
     Qacc = np.zeros((N, M, M))
     cacc = np.zeros((N, M))
     for (ids, pts), G in zip(frames, transforms):
-        y, _ = _skin_ids(G, model.rest_vertices[ids], model.weights[ids])
+        x1 = np.concatenate([model.rest_vertices[ids], np.ones((len(ids), 1))], axis=1)
+        y = np.matmul(x1, _stacked_transforms(G).reshape(M, 4, 3)).transpose(1, 0, 2)  # y_ij = [x_i, 1] T_j'
         Qacc[ids] += np.matmul(y, y.transpose(0, 2, 1))
         cacc[ids] += np.matmul(y, pts[:, :, None])[:, :, 0]
 

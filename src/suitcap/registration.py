@@ -171,7 +171,7 @@ def _fit_params(model: SkinnedBodyModel, state, corners, bary, targets):
         root_step, scale_step = delta[3 * M : 3 * M + 3], delta[3 * M + 3 :]
         return quat_normalize(quat_mul(dq, quats)), root_t + root_step, log_scales + scale_step
 
-    return damped_gauss_newton(state, lambda s: (cost(s), lambda: normal_equations(s)), retract, FIT_ITERATIONS)
+    return damped_gauss_newton(state, lambda s: (cost(s), lambda: normal_equations(s)), retract, FIT_ITERATIONS)[0]
 
 
 def _closest_on_surface(points, surface_vertices, triangles):

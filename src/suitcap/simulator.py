@@ -341,18 +341,12 @@ class VisibilityRecord:
     visible_quads: dict     # cam_id -> list[(code, (id1..id4))]
 
 
-def compute_visibility(
-    scene: SyntheticScene,
-    frame_index: int,
-    positions=None,
-    min_separation: float = MIN_PIXEL_SEPARATION,
-    occlusion: bool = True,
-) -> VisibilityRecord:
+def compute_visibility(scene: SyntheticScene, frame_index: int, positions=None) -> VisibilityRecord:
     """Corner/quad visibility per camera at one frame.
 
     A corner is visible when it projects with positive depth inside the image,
     its outward normal faces the camera, no other candidate corner projects
-    within `min_separation` px (detector resolution), and the camera-to-corner
+    within `MIN_PIXEL_SEPARATION` px (detector resolution), and the camera-to-corner
     segment is not blocked. Occlusion rays are tested against the triangles of
     other tubes whose bounding boxes the segment crosses; each straight tube
     segment is treated as self-occluding only through its back-face test.
@@ -383,25 +377,24 @@ def compute_visibility(
         ok &= np.einsum("ij,ij->i", normals, view) > 0
         ok[scene.layout.n_corners :] = False  # hole-closing vertices are never detected
         cand = np.where(ok)[0]
-        if len(cand) > 1 and min_separation > 0:
+        if len(cand) > 1:
             tree = cKDTree(uv[cand])
-            close = tree.query_pairs(min_separation, output_type="ndarray")
+            close = tree.query_pairs(MIN_PIXEL_SEPARATION, output_type="ndarray")
             if len(close):
                 keep = np.ones(len(cand), dtype=bool)
                 keep[np.unique(close.ravel())] = False
                 cand = cand[keep]
         cand_per_cam[cam.id] = cand
 
-    if occlusion:
-        origins = np.concatenate(
-            [np.broadcast_to(scene.rig.camera(c).center, (len(ids), 3)) for c, ids in cand_per_cam.items()]
-        )
-        corner_ids = np.concatenate(list(cand_per_cam.values())).astype(int)
-        clear = _unoccluded(scene, origins, pos[corner_ids], scene.vertex_tube[corner_ids], tube_boxes, tube_packs)
-        off = 0
-        for c, ids in cand_per_cam.items():
-            cand_per_cam[c] = ids[clear[off : off + len(ids)]]
-            off += len(ids)
+    origins = np.concatenate(
+        [np.broadcast_to(scene.rig.camera(c).center, (len(ids), 3)) for c, ids in cand_per_cam.items()]
+    )
+    corner_ids = np.concatenate(list(cand_per_cam.values())).astype(int)
+    clear = _unoccluded(scene, origins, pos[corner_ids], scene.vertex_tube[corner_ids], tube_boxes, tube_packs)
+    off = 0
+    for c, ids in cand_per_cam.items():
+        cand_per_cam[c] = ids[clear[off : off + len(ids)]]
+        off += len(ids)
 
     visible_corners = {}
     visible_quads = {}

@@ -38,7 +38,6 @@ class SkinnedBodyModel:
     pose_quats: np.ndarray = None        # (K, M, 4)
     root_translations: np.ndarray = None  # (K, 3)
     never_observed: np.ndarray = None    # (N,) bool, hole-closing vertices
-    topo_order: np.ndarray = field(init=False, repr=False)
     levels: list = field(init=False, repr=False)  # joint indices by depth, roots first
 
     def __post_init__(self):
@@ -56,7 +55,6 @@ class SkinnedBodyModel:
             self.never_observed = np.zeros(len(self.rest_vertices), dtype=bool)
         self.never_observed = np.asarray(self.never_observed, dtype=bool)
         self.levels = _tree_levels(self.parents)
-        self.topo_order = np.concatenate(self.levels)
         self.validate()
 
     @property

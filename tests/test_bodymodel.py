@@ -81,7 +81,7 @@ def _skin_reference(model, quats, root_t, vertex):
 
     M = model.n_joints
     G = [None] * M
-    for j in model.topo_order:
+    for j in np.concatenate(model.levels):
         A = rot_about(quats[j], model.joints[j])
         p = model.parents[j]
         if p == -1:
@@ -538,25 +538,35 @@ def test_pose_jacobian_matches_central_differences(rng):
 # pose kernels against their einsum forms
 
 
-def _skin_ids_oracle(model, G, ids):
-    """`refine._skin_ids` as an einsum over the strided rotation slice of G."""
+def _skin_oracle(model, G, ids):
+    """Per-joint transformed rest positions y (n, M, 3) and their blend, as einsums over G."""
     y = np.einsum("mij,nj->nmi", G[:, :3, :3], model.rest_vertices[ids]) + G[:, :3, 3]
     return y, np.einsum("nm,nmi->ni", model.weights[ids], y)
+
+
+def _arms_oracle(model, G, ids):
+    """Lever arms a_im = sum_{j in subtree(m)} w_ij (y_ij - c_m) (n, M, 3), as an einsum subtree sum."""
+    y, _ = _skin_oracle(model, G, ids)
+    W = model.weights[ids]
+    sub = refine_module._subtree_matrix(model.parents)
+    centers = refine_module._parent_frames(model, G)[1]
+    return np.einsum("njc,jm->nmc", W[:, :, None] * y, sub) - (W @ sub)[:, :, None] * centers
+
+
+def _kernel_arms(model, G, ids):
+    """The lever arms as refine takes them, U F' (n, M, 3), with the parent rotations."""
+    F, Rp = refine_module._arm_map(model, G, refine_module._subtree_matrix(model.parents))
+    return (refine_module._blend_rows(model, ids) @ F.T).reshape(len(ids), model.n_joints, 3), Rp
 
 
 def _pose_jacobian_oracle(model, quats, root_t, ids, targets):
     """`pose_residual_jacobian` with each 3x3 block as -skew(arm) @ Rp in one einsum.
 
-    It skins with `refine._skin_ids` itself, so that the block assembly is compared bit for bit.
+    It takes the kernel's own residuals and arms, so that the block assembly is compared bit for bit.
     """
     n, M = len(ids), model.n_joints
     G = joint_transforms(model, quats, root_t)
-    _, Rp, centers = refine_module._chain_context(model, quats, G)
-    sub = refine_module._subtree_matrix(model.parents)
-    W = model.weights[ids]
-    y, v = refine_module._skin_ids(G, model.rest_vertices[ids], W)
-    s = np.einsum("njc,jm->nmc", W[:, :, None] * y, sub)
-    arm = s - (W @ sub)[:, :, None] * centers[None, :, :]
+    arm, Rp = _kernel_arms(model, G, ids)
     ax, ay, az = arm[..., 0], arm[..., 1], arm[..., 2]
     skew = np.zeros((n, M, 3, 3))
     skew[:, :, 0, 1] = -az
@@ -569,7 +579,7 @@ def _pose_jacobian_oracle(model, quats, root_t, ids, targets):
     Jac = np.zeros((n, 3, 3 * M + 3))
     Jac[:, :, : 3 * M] = blocks.transpose(0, 2, 1, 3).reshape(n, 3, 3 * M)
     Jac[:, :, 3 * M :] = np.eye(3)
-    return v - targets, Jac
+    return refine_module._residuals(model, ids, targets, G), Jac
 
 
 def _stick_figure_model():
@@ -585,10 +595,11 @@ def _stick_figure_model():
 
 @pytest.mark.parametrize("make_model", [chain_model, _stick_figure_model], ids=["chain", "stick_figure"])
 def test_pose_kernels_match_einsum_oracles_bitwise(make_model):
-    # `_skin_ids` is one GEMM over all joints and a batched matmul blend, which sum in another
-    # order than the einsums: equal to 1e-14 of the largest value. The Jacobian's block assembly
-    # reorders no sum, so given the same skinning it must equal the oracle's exactly; array_equal,
-    # because an exactly zero block entry can be +0.0 in the kernel where the oracle has -0.0
+    # the skin U T' and the arms U F' are GEMMs that sum in another order than the einsums: the
+    # skin equals them to 1e-14 of its largest value, the arms (differences of terms as large as
+    # the skin) to 1e-12 relative. The Jacobian's block assembly reorders no sum, so given the
+    # same arms it must equal the oracle's exactly; array_equal, because an exactly zero block
+    # entry can be +0.0 in the kernel where the oracle has -0.0
     model = make_model()
     M, N = model.n_joints, model.n_vertices
     rng = np.random.default_rng(2024)
@@ -597,10 +608,12 @@ def test_pose_kernels_match_einsum_oracles_bitwise(make_model):
         root_t = rng.uniform(-300, 300, 3)
         ids = np.sort(rng.choice(N, rng.integers(1, N + 1), replace=False))
         targets = rng.uniform(-1000, 1000, (len(ids), 3))
-        G = joint_transforms(model, quats, root_t)  # callers pass it whole: G[:, :3, :3] is strided
-        skinned = refine_module._skin_ids(G, model.rest_vertices[ids], model.weights[ids])
-        for got, want in zip(skinned, _skin_ids_oracle(model, G, ids)):
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        G = joint_transforms(model, quats, root_t)
+        v = refine_module._blend_rows(model, ids) @ refine_module._stacked_transforms(G)
+        v_ref = _skin_oracle(model, G, ids)[1]
+        assert np.abs(v - v_ref).max() <= 1e-14 * np.abs(v_ref).max()
+        arms, arms_ref = _kernel_arms(model, G, ids)[0], _arms_oracle(model, G, ids)
+        assert np.abs(arms - arms_ref).max() <= 1e-12 * np.abs(arms_ref).max()
         r, J = pose_residual_jacobian(model, quats, root_t, ids, targets)
         r_ref, J_ref = _pose_jacobian_oracle(model, quats, root_t, ids, targets)
         assert np.array_equal(r, r_ref)
@@ -608,11 +621,16 @@ def test_pose_kernels_match_einsum_oracles_bitwise(make_model):
 
 
 def _pose_solve_normal_equations(monkeypatch, model, ids, targets):
-    """`normal_equations(pose)`: the (H, g) of the `evaluate` that `refine._fit_pose` hands to the driver."""
+    """`normal_equations(pose)`: the (H, g) of the `evaluate` that `refine._pose_solve` hands to the driver."""
     captured = []
-    monkeypatch.setattr(refine_module, "damped_gauss_newton", lambda x, evaluate, retract, it: captured.append(evaluate))
+
+    def driver(x, evaluate, retract, iterations):
+        captured.append(evaluate)
+        return x, evaluate(x)
+
+    monkeypatch.setattr(refine_module, "damped_gauss_newton", driver)
     q0, t0 = model.identity_pose()
-    refine_module._fit_pose(model, q0, t0, ids, targets, 1)
+    refine_module._pose_solve(model, q0, t0, ids, targets, 1)
     monkeypatch.undo()
     return lambda pose: captured[0](pose)[1]()
 
@@ -639,7 +657,7 @@ def test_pose_normal_equations_match_jacobian(monkeypatch, make_model):
             assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
             if n == 0:  # nothing to fit: a zero gradient, and the driver keeps the starting pose
                 assert not g.any()
-                q, t = refine_module._fit_pose(model, quats, root_t, ids, targets, refine_module.POSE_ITERATIONS)
+                q, t = refine_module._pose_solve(model, quats, root_t, ids, targets, refine_module.POSE_ITERATIONS)[0]
                 assert np.array_equal(q, quat_normalize(quats))
                 assert np.array_equal(t, root_t)
 
@@ -653,7 +671,7 @@ def _joint_transforms_oracle(model, quats, root_translation):
     quats = np.asarray(quats, dtype=float).reshape(model.n_joints, 4)
     R = quat_to_rot(quats)
     G = np.zeros((model.n_joints, 4, 4))
-    for j in model.topo_order:
+    for j in np.concatenate(model.levels):
         c = model.joints[j]
         A = np.eye(4)
         A[:3, :3] = R[j]

@@ -484,8 +484,8 @@ def test_fit_tube_golden_digest(tmp_path):
         for name in ("model.json", "report_fit_loss.csv")
     }
     assert digests == {
-        "model.json": "cb0c631f017fa2ab40948a92d901cfc03c0787a3749ea12923bde01b0680600f",
-        "report_fit_loss.csv": "9bc301d73a81e4e5e5ce3068561e80071ebd9303c540b117c56c8a47f3fcb835",
+        "model.json": "182e8a618027870e85d47e3d66a7ebc4f259b097e9ed4e8fef1b10d3a0f26ea1",
+        "report_fit_loss.csv": "6b4519be3d1f8edb37d35e35dfd59e3c89a107cd854de0cd2ff101cee1d47703",
     }
 
 

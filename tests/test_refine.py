@@ -113,10 +113,9 @@ def test_fit_poses_distances_are_the_residuals_at_the_returned_poses(monkeypatch
         solve = rf.damped_gauss_newton
 
         def driver(x, evaluate, retract, iterations):
-            x = solve(x, evaluate, retract, iterations)
-            cost = evaluate(x)[0]
-            assert evaluate(retract(x, np.full(3 * model.n_joints + 3, 0.5)))[0] > cost
-            return x
+            x, evaluation = solve(x, evaluate, retract, iterations)
+            assert evaluate(retract(x, np.full(3 * model.n_joints + 3, 0.5)))[0] > evaluation[0]
+            return x, evaluation
 
         monkeypatch.setattr(rf, "damped_gauss_newton", driver)
     quats, roots, dists = fit_poses(model, clouds)
@@ -126,7 +125,7 @@ def test_fit_poses_distances_are_the_residuals_at_the_returned_poses(monkeypatch
         for (ids, pts), q, t in zip(frames, quats, roots)
     ])
     assert want.min() > 1e-3
-    assert np.abs(dists - want).max() < 1e-9
+    assert np.array_equal(dists, want)
 
 
 def test_refine_config_validation():
@@ -246,7 +245,7 @@ def test_fit_pose_builds_transforms_once_per_evaluated_pose(monkeypatch):
     for name in calls:  # `quat_from_rotvec` is called once per step, by the retraction
         monkeypatch.setattr(rf, name, counting(name))
     q0, t0 = truth.identity_pose()
-    q, t = rf._fit_pose(truth, q0, t0, ids, pts, rf.FIT_POSES_ITERATIONS)
+    q, t = rf._pose_solve(truth, q0, t0, ids, pts, rf.FIT_POSES_ITERATIONS)[0]
     assert calls["quat_from_rotvec"] >= 2
     assert calls["joint_transforms"] == 1 + calls["quat_from_rotvec"]
     monkeypatch.undo()
@@ -274,16 +273,16 @@ def _two_iteration_refine(monkeypatch, counted):
 
         return call
 
-    pose_solve = rf._fit_pose
+    pose_solve = rf._pose_solve
 
-    def fit_pose(*args):
+    def solve_pose(*args):
         in_pose_solve[0] = True
         try:
             return pose_solve(*args)
         finally:
             in_pose_solve[0] = False
 
-    monkeypatch.setattr(rf, "_fit_pose", fit_pose)
+    monkeypatch.setattr(rf, "_pose_solve", solve_pose)
     for name in counted:
         monkeypatch.setattr(rf, name, counting(name))
     res = refine(m0, clouds, scene.layout, RefineConfig(outer_iterations=2, convergence_tol=1e-12))
@@ -321,7 +320,7 @@ def test_gauss_newton_rejects_non_finite_trial_costs(far):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = damped_gauss_newton(
+        x, _ = damped_gauss_newton(
             np.array([-1.0]), lambda x: (cost(x), lambda: normal_equations(x)), lambda x, d: x + d, 50
         )
     assert trials[1] > radius + 0.5  # the undamped Gauss-Newton step overshoots the radius

@@ -215,7 +215,7 @@ def test_template_fit_normal_equations_match_central_differences(build, monkeypa
 
     def driver(x, evaluate, retract, iterations):
         handed.update(evaluate=evaluate, retract=retract)
-        return x
+        return x, evaluate(x)
 
     monkeypatch.setattr(registration, "damped_gauss_newton", driver)
     registration._fit_params(model, state, corners, bary, targets)
