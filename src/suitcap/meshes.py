@@ -6,6 +6,11 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
+__all__ = [
+    "triangulate_faces", "mesh_edges", "vertex_normals", "edge_graph", "geodesic_to_sources",
+    "closest_point_on_triangles", "pack_triangles", "segments_hit_triangles",
+]
+
 
 def triangulate_faces(faces, vertices):
     """Split polygon faces into triangles; quads split along their shorter diagonal
@@ -37,19 +42,6 @@ def mesh_edges(faces):
             a, b = f[i], f[(i + 1) % len(f)]
             es.add((a, b) if a < b else (b, a))
     return np.array(sorted(es), dtype=int).reshape(-1, 2)
-
-
-def is_manifold(faces) -> bool:
-    """Every undirected edge is used by at most two faces."""
-    count: dict = {}
-    for f in faces:
-        for i in range(len(f)):
-            a, b = f[i], f[(i + 1) % len(f)]
-            k = (a, b) if a < b else (b, a)
-            count[k] = count.get(k, 0) + 1
-            if count[k] > 2:
-                return False
-    return True
 
 
 def vertex_normals(vertices, triangles):
@@ -184,15 +176,16 @@ def pack_triangles(tri_pts):
     return v0, tri_pts[:, 1] - v0, tri_pts[:, 2] - v0
 
 
-def segments_hit_triangles(origins, targets, tri_pts=None, pack=None, t_max: float = 1.0 - 1e-6):
-    """For each segment origin->target, does it hit any of the triangles before t_max?
+def segments_hit_triangles(origins, targets, pack):
+    """For each segment origin->target, does it hit any of the triangles `pack`
+    (from `pack_triangles`) before 1 - 1e-6 of its length?
 
     Watertight enough for visibility work: Moller-Trumbore with an epsilon on
     the determinant, vectorized over segments x triangles.
     """
     o = np.asarray(origins, dtype=float)
     d = np.asarray(targets, dtype=float) - o
-    v0, e1, e2 = pack if pack is not None else pack_triangles(tri_pts)
+    v0, e1, e2 = pack
 
     hit = np.zeros(len(o), dtype=bool)
     # segments x triangles, chunked over segments to bound memory
@@ -215,7 +208,7 @@ def segments_hit_triangles(origins, targets, tri_pts=None, pack=None, t_max: flo
             & (v >= 0.0)
             & (u + v <= 1.0)
             & (t > 1e-9)
-            & (t < t_max)
+            & (t < 1.0 - 1e-6)
         )
         hit[s : s + chunk] = np.any(ok, axis=1)
     return hit

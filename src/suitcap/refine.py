@@ -27,7 +27,8 @@ from .errors import NotConverged
 from .geometry import quat_from_rotvec, quat_mul, quat_normalize, quat_to_rot
 from .layout import SuitLayout
 from .meshes import edge_graph, geodesic_to_sources
-from .skinning import SkinnedBodyModel, blend_transforms, joint_transforms
+from .skinning import SkinnedBodyModel, arm_map, blend_rows, blend_transforms, joint_transforms, parent_frames
+from .skinning import pose_jacobian, stacked_transforms, subtree_matrix
 
 log = logging.getLogger(__name__)
 
@@ -269,83 +270,16 @@ def damped_gauss_newton(x, evaluate, retract, iterations):
 # pose block
 
 
-def _subtree_matrix(parents):
-    """sub[j, m] = 1 when joint j is in the subtree rooted at m (j == m included)."""
-    M = len(parents)
-    sub = np.zeros((M, M))
-    for j in range(M):
-        a = j
-        while a != -1:
-            sub[j, a] = 1.0
-            a = parents[a]
-    return sub
-
-
-def _parent_frames(model, G):
-    """Parent-chain rotations (the identity at a root) and world joint centers of the joint transforms G."""
-    Rp = G[np.maximum(model.parents, 0), :3, :3]
-    Rp[model.parents == -1] = np.eye(3)
-    centers = np.einsum("mij,mj->mi", G[:, :3, :3], model.joints) + G[:, :3, 3]
-    return Rp, centers
-
-
-# Skinning is linear in the stacked joint transforms T = [R_j | t_j] (3, 4M):
-# v_i = U_i T' with U = W * [x, 1] (n, 4M). So is the lever arm
-# a_im = sum_{j in subtree(m)} w_ij (G_j x_i - c_m) = F_m U_i, where block (m, j)
-# of F (3M, 4M) is sub[j, m] [R_j | t_j - c_m]. Refine skins and takes its
-# arms in these forms only.
-
-
-def _blend_rows(model, ids):
-    """U = W * [x, 1] (n, 4M) of vertices `ids`, whose skinned positions are U T'."""
-    x1 = np.concatenate([model.rest_vertices[ids], np.ones((len(ids), 1))], axis=1)
-    return (model.weights[ids][:, :, None] * x1[:, None, :]).reshape(len(ids), 4 * model.n_joints)
-
-
-def _stacked_transforms(G):
-    """T' (4M, 3): the joint transforms [R_j | t_j] of G stacked, contiguous for the GEMM."""
-    return G[:, :3, :].transpose(0, 2, 1).reshape(-1, 3)
-
-
-def _arm_map(model, G, sub):
-    """(F, Rp): F (3M, 4M) maps U_i to the lever arms (a_i1, ..., a_iM), and Rp are
-    the parent-chain rotations; `sub` is `_subtree_matrix(model.parents)`."""
-    M = len(G)
-    Rp, centers = _parent_frames(model, G)
-    Tc = G[:, :3, :].transpose(1, 0, 2) - centers[:, :, None, None] * np.eye(4)[3]  # [R_j | t_j - c_m]
-    return (sub.T[:, None, :, None] * Tc).reshape(3 * M, 4 * M), Rp
-
-
 def pose_residual_jacobian(model: SkinnedBodyModel, quats, root_t, vertex_ids, targets):
-    """Residuals v_i - p_i and their Jacobian w.r.t. (per-joint tangent, root translation).
-
-    The tangent of joint m perturbs its local rotation on the left
-    (R_m <- Exp(d) R_m); the world-space effect on a blended vertex is
-    sum_{j in subtree(m)} w_ij (Rp_m d) x (G_j v_i - c_m) = (Rp_m d) x a_im,
-    giving the closed form used here.
-    """
+    """Residuals v_i - p_i and their Jacobian w.r.t. (per-joint tangent, root translation),
+    the `pose_jacobian` of the vertices' lever arms."""
     vertex_ids = np.asarray(vertex_ids, dtype=int)
     targets = np.asarray(targets, dtype=float).reshape(len(vertex_ids), 3)
-    M, n = model.n_joints, len(vertex_ids)
     G = joint_transforms(model, quats, root_t)
-    U = _blend_rows(model, vertex_ids)
-    r = U @ _stacked_transforms(G) - targets
-    F, Rp = _arm_map(model, G, _subtree_matrix(model.parents))
-    arms = (U @ F.T).reshape(n, M, 3)
-    ax, ay, az = arms[..., 0], arms[..., 1], arms[..., 2]
-
-    # block (i, m) is -[arm]_x Rp_m, written column by column as two-term cross products
-    Jac = np.zeros((n, 3, 3 * M + 3))
-    blocks = Jac[:, :, : 3 * M].reshape(n, 3, M, 3)  # a view: blocks[i, :, m] = Jac[i, :, 3m:3m+3]
-    for k in range(3):
-        px, py, pz = Rp[:, 0, k], Rp[:, 1, k], Rp[:, 2, k]  # column k of each Rp_m
-        blocks[:, 0, :, k] = az * py - ay * pz
-        blocks[:, 1, :, k] = ax * pz - az * px
-        blocks[:, 2, :, k] = ay * px - ax * py
-    Jac[:, 0, 3 * M + 0] = 1.0
-    Jac[:, 1, 3 * M + 1] = 1.0
-    Jac[:, 2, 3 * M + 2] = 1.0
-    return r, Jac
+    U = blend_rows(model.weights[vertex_ids], model.rest_vertices[vertex_ids])
+    F, Rp = arm_map(model, G, subtree_matrix(model.parents))
+    arms = (U @ F.T).reshape(len(vertex_ids), model.n_joints, 3)
+    return U @ stacked_transforms(G) - targets, pose_jacobian(arms, Rp)
 
 
 def _skew(a):
@@ -370,17 +304,17 @@ def _pose_solve(model, quats, root_t, vertex_ids, targets, iterations):
     H_root,root = n I, g_m = Rp_m' sum_i a_im x r_i (from F U'r) and g_root = sum_i r_i.
     """
     M, n = model.n_joints, len(vertex_ids)
-    U = _blend_rows(model, vertex_ids)
+    U = blend_rows(model.weights[vertex_ids], model.rest_vertices[vertex_ids])
     UtU, U_sum = U.T @ U, U.sum(axis=0)
-    sub = _subtree_matrix(model.parents)
+    sub = subtree_matrix(model.parents)
     diag, ones = np.arange(M), np.ones(n)
 
     def evaluate(pose):
         G = joint_transforms(model, *pose)
-        r = U @ _stacked_transforms(G) - targets
+        r = U @ stacked_transforms(G) - targets
 
         def normal_equations():
-            F, Rp = _arm_map(model, G, sub)
+            F, Rp = arm_map(model, G, sub)
             S = (F @ UtU @ F.T).reshape(M, 3, M, 3)  # S[m, :, l] = sum_i a_im a_il'
             B, trace = -S.transpose(0, 3, 2, 1), np.einsum("mala->ml", S)  # block (m, l) is tr(S_ml) I - S_ml'
             for a in range(3):
@@ -420,11 +354,11 @@ def _joint_normal_equations(model, frames, transforms, lambda_j, joints0, total_
     they assemble from subtree weight sums and per-joint 3x3 blocks.
     """
     M = model.n_joints
-    sub = _subtree_matrix(model.parents)
+    sub = subtree_matrix(model.parents)
     H = np.zeros((3 * M, 3 * M))
     g = np.zeros(3 * M)
     for (ids, pts), q, G in zip(frames, model.pose_quats, transforms):
-        Rp, _ = _parent_frames(model, G)
+        Rp, _ = parent_frames(model, G)
         D = np.einsum("mij,mjk->mik", Rp, np.eye(3)[None] - quat_to_rot(q))  # (M, 3, 3)
         Wsub = model.weights[ids] @ sub  # (n, M)
         r = _residuals(model, ids, pts, G)
@@ -472,7 +406,7 @@ def _frame_transforms(model):
 
 def _residuals(model, ids, pts, G):
     """Skinned positions of vertices `ids` under joint transforms G minus their observations `pts`."""
-    return _blend_rows(model, ids) @ _stacked_transforms(G) - pts
+    return blend_rows(model.weights[ids], model.rest_vertices[ids]) @ stacked_transforms(G) - pts
 
 
 def _fit_sse(model, frames, transforms):
@@ -557,7 +491,7 @@ def _solve_weights(model, frames, transforms, observed, g_geo, lambda_g, total_o
     cacc = np.zeros((N, M))
     for (ids, pts), G in zip(frames, transforms):
         x1 = np.concatenate([model.rest_vertices[ids], np.ones((len(ids), 1))], axis=1)
-        y = np.matmul(x1, _stacked_transforms(G).reshape(M, 4, 3)).transpose(1, 0, 2)  # y_ij = [x_i, 1] T_j'
+        y = np.matmul(x1, stacked_transforms(G).reshape(M, 4, 3)).transpose(1, 0, 2)  # y_ij = [x_i, 1] T_j'
         Qacc[ids] += np.matmul(y, y.transpose(0, 2, 1))
         cacc[ids] += np.matmul(y, pts[:, :, None])[:, :, 0]
 

@@ -12,7 +12,6 @@ positions and weights over the suit mesh.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass
 
@@ -25,9 +24,9 @@ from .errors import ConfigError, DivergedICP, InsufficientSeeds
 from .geometry import quat_from_rotvec, quat_mul, quat_normalize
 from .layout import SuitLayout
 from .meshes import closest_point_on_triangles, mesh_edges
-from .refine import damped_gauss_newton, pose_residual_jacobian
-from .skinning import SkinnedBodyModel, blend_transforms, joint_transforms, parents_from_entries
-from .skinning import skin_with_transforms, weights_from_entries
+from .refine import damped_gauss_newton
+from .skinning import SkinnedBodyModel, arm_map, blend_rows, blend_transforms, joint_transforms, parents_from_entries
+from .skinning import pose_jacobian, stacked_transforms, subtree_matrix, weights_from_entries
 
 __all__ = ["register_icp", "RegistrationResult"]
 
@@ -62,19 +61,19 @@ def save_template(template, path) -> None:
 def load_template(path):
     """Read a template file as (SkinnedBodyModel, (F, 3) triangles), each weight row divided by its sum.
 
-    Raises ConfigError naming the file and the entry or row of an index out of
-    range, a parent that is not -1 or a joint index, a weight below -1e-12, a
-    row sum off 1 by more than 1e-6 or parents that form a cycle.
+    Raises ConfigError naming the file and the entry or row of an index that is
+    not an integer in range, a parent that is not -1 or a joint index, a weight
+    below -1e-12, a row sum off 1 by more than 1e-6 or parents that form a cycle.
     """
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     verts = np.array(doc["verts"], dtype=float)
     joints = np.array(doc["joints"], dtype=float)
-    tris = np.array(doc["tris"], dtype=int).reshape(-1, 3)
     V, M = len(verts), len(joints)
-    bad = np.flatnonzero(((tris < 0) | (tris >= V)).any(axis=1))
-    if bad.size:
-        raise ConfigError(f"{path}: tris[{bad[0]}] = {tris[bad[0]].tolist()} has a vertex outside 0..{V - 1}")
+    for k, t in enumerate(doc["tris"]):
+        if not (isinstance(t, list) and len(t) == 3 and all(type(v) is int and 0 <= v < V for v in t)):
+            raise ConfigError(f"{path}: tris[{k}] = {t} is not 3 integer vertex indices in 0..{V - 1}")
+    tris = np.array(doc["tris"], dtype=int).reshape(-1, 3)
     parents = parents_from_entries(doc["parents"], M, path)
     W = weights_from_entries(doc["weights"], V, M, path)
     negative = np.flatnonzero((W < -1e-12).any(axis=1))
@@ -94,20 +93,26 @@ def load_seeds(path, template) -> dict:
     """Read seed correspondences {corner id: (triangle, (3,) barycentric)} of `template`.
 
     The file is a JSON list of {"id", "tri", "bary"} entries. Raises ConfigError
-    naming the file and entry when one is malformed, its `tri` is not a
+    naming the file and entry when one is malformed, its `id` is not an integer
+    or repeats an earlier entry's, its `tri` is not the integer index of a
     triangle of the template, or its `bary` is not three finite numbers.
     """
     with open(path, "r", encoding="utf-8") as f:
         entries = json.load(f)
     n_tris = len(template[1])
-    seeds = {}
+    seeds, entry_of = {}, {}
     for k, e in enumerate(entries):
         try:
-            cid, tri, bary = int(e["id"]), int(e["tri"]), np.array(e["bary"], dtype=float)
+            cid, tri, bary = e["id"], e["tri"], np.array(e["bary"], dtype=float)
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"{path}: seed entry {k} is not an {{id, tri, bary}} object: {err}") from err
-        if not 0 <= tri < n_tris:
-            raise ConfigError(f"{path}: seed entry {k} (id {cid}): tri {tri} is outside 0..{n_tris - 1}")
+        if type(cid) is not int:
+            raise ConfigError(f"{path}: seed entry {k}: id {cid} is not an integer")
+        if cid in entry_of:
+            raise ConfigError(f"{path}: seed entries {entry_of[cid]} and {k} both have id {cid}")
+        entry_of[cid] = k
+        if type(tri) is not int or not 0 <= tri < n_tris:
+            raise ConfigError(f"{path}: seed entry {k} (id {cid}): tri {tri} is not an integer in 0..{n_tris - 1}")
         if bary.shape != (3,) or not np.isfinite(bary).all():
             raise ConfigError(f"{path}: seed entry {k} (id {cid}): bary must be 3 finite numbers, got {e['bary']}")
         seeds[cid] = (tri, bary)
@@ -115,55 +120,51 @@ def load_seeds(path, template) -> dict:
 
 
 def _scaled_rest(model: SkinnedBodyModel, log_scales):
-    """The rest vertices scaled by exp(log_scales) about each joint, blended by the weights."""
-    offs = model.rest_vertices[:, None, :] - model.joints[None, :, :]
-    scaled = model.joints[None, :, :] + np.exp(log_scales)[None, :, None] * offs
-    return np.einsum("nm,nmi->ni", model.weights, scaled)
+    """The rest vertices scaled by s = exp(log_scales) about each joint and blended by the
+    weights, and their derivatives by the log-scales, the levers W_nm s_m (x_n - j_m) (N, M, 3)."""
+    levers = model.weights[:, :, None] * np.exp(log_scales)[:, None] * (model.rest_vertices[:, None, :] - model.joints)
+    return model.weights @ model.joints + levers.sum(axis=1), levers
 
 
 def _deform(model: SkinnedBodyModel, state):
     """The model's vertices at a state (quats (M, 4), root translation (3,), log-scales (M,))."""
     quats, root_t, log_scales = state
-    G = joint_transforms(model, quats, root_t)
-    return skin_with_transforms(model, G, _scaled_rest(model, log_scales))
+    U = blend_rows(model.weights, _scaled_rest(model, log_scales)[0])
+    return U @ stacked_transforms(joint_transforms(model, quats, root_t))
 
 
 def _fit_params(model: SkinnedBodyModel, state, corners, bary, targets):
     """Damped Gauss-Newton fit of the template state to surface correspondences.
 
-    Surface point n lies on the triangle of vertices `corners[n]` at
-    barycentric `bary[n]`. The residuals are the surface points minus their
-    targets. The fit works on the sub-model of the triangles' vertices only.
-    The Jacobian of a vertex is refine's pose Jacobian at the scaled rest plus
-    one log-scale column per joint m, lin_n W_nm s_m (x_n - j_m); the surface
-    rows combine those of their triangle's vertices.
+    Surface point n lies on the triangle of vertices `corners[n]` at barycentric
+    `bary[n]`, row n of B. So with U = W * [x, 1] at the scaled rest x, the
+    residuals are B U T' minus the targets and the lever arms are B U F'. The
+    Jacobian is their `pose_jacobian` plus one log-scale column per joint m,
+    B lin W_m s_m (x - j_m); it is formed, not taken from moments of U as in
+    refine's pose solve, because U moves with the log-scales. The fit works on
+    the sub-model of the triangles' vertices only.
     """
     M, n = model.n_joints, len(corners)
     verts, inverse = np.unique(corners, return_inverse=True)
     sub = SkinnedBodyModel(model.rest_vertices[verts], model.joints, model.parents, model.weights[verts])
-    scaled = copy.copy(sub)  # shares sub's arrays; its rest vertices are set to the scaled rest per state
-    # (n, len(verts)) barycentric weights of each surface point's triangle vertices
     B = csr_matrix((bary.ravel(), (np.repeat(np.arange(n), 3), inverse.ravel())), shape=(n, len(verts)))
-    # W_nm (x_n - j_m), the log-scale lever of joint m at vertex n before s_m and lin_n
-    lever = sub.weights[:, :, None] * (sub.rest_vertices[:, None, :] - sub.joints)
-    ids, zero_targets = np.arange(len(verts)), np.zeros((len(verts), 3))  # residuals = skinned vertices
 
-    def on_surface(values):
-        """Per-vertex rows (len(verts), ...) combined into surface rows (n, ...)."""
-        return (B @ values.reshape(len(verts), -1)).reshape((n,) + values.shape[1:])
-
-    def cost(state):
-        return float(np.sum((on_surface(_deform(sub, state)) - targets) ** 2))
-
-    def normal_equations(state):
+    def evaluate(state):
         quats, root_t, log_scales = state
-        scaled.rest_vertices = _scaled_rest(sub, log_scales)
-        v, J_pose = pose_residual_jacobian(scaled, quats, root_t, ids, zero_targets)
-        lin, _ = blend_transforms(sub, joint_transforms(sub, quats, root_t))
-        J_scale = np.einsum("nij,nmj->nim", lin, np.exp(log_scales)[:, None] * lever)
-        J = on_surface(np.concatenate([J_pose, J_scale], axis=2)).reshape(-1, 4 * M + 3)
-        r = (on_surface(v) - targets).reshape(-1)
-        return J.T @ J, J.T @ r
+        G = joint_transforms(sub, quats, root_t)
+        rest, levers = _scaled_rest(sub, log_scales)
+        BU = B @ blend_rows(sub.weights, rest)
+        r = BU @ stacked_transforms(G) - targets
+
+        def normal_equations():
+            F, Rp = arm_map(sub, G, subtree_matrix(model.parents))
+            lin, _ = blend_transforms(sub, G)
+            J_scale = B @ np.einsum("vij,vmj->vim", lin, levers).reshape(len(verts), 3 * M)
+            J = np.concatenate([pose_jacobian((BU @ F.T).reshape(n, M, 3), Rp), J_scale.reshape(n, 3, M)], axis=2)
+            J = J.reshape(-1, 4 * M + 3)
+            return J.T @ J, J.T @ r.reshape(-1)
+
+        return float(np.sum(r ** 2)), normal_equations
 
     def retract(state, delta):
         quats, root_t, log_scales = state
@@ -171,7 +172,7 @@ def _fit_params(model: SkinnedBodyModel, state, corners, bary, targets):
         root_step, scale_step = delta[3 * M : 3 * M + 3], delta[3 * M + 3 :]
         return quat_normalize(quat_mul(dq, quats)), root_t + root_step, log_scales + scale_step
 
-    return damped_gauss_newton(state, lambda s: (cost(s), lambda: normal_equations(s)), retract, FIT_ITERATIONS)[0]
+    return damped_gauss_newton(state, evaluate, retract, FIT_ITERATIONS)[0]
 
 
 def _closest_on_surface(points, surface_vertices, triangles):
@@ -268,7 +269,7 @@ def register_icp(
 
 def _build_model(model, triangles, state, correspondences, layout: SuitLayout):
     """Barycentric transport of registered corners to the scaled template rest pose."""
-    rest_template = _scaled_rest(model, state[2])
+    rest_template = _scaled_rest(model, state[2])[0]
 
     n_total = layout.total_vertices
     rest = np.zeros((n_total, 3))

@@ -21,6 +21,7 @@ __all__ = [
     "SkinnedBodyModel",
     "joint_transforms",
     "blend_transforms",
+    "blend_rows", "stacked_transforms", "subtree_matrix", "parent_frames", "arm_map", "pose_jacobian",
     "save_model",
     "load_model",
     "weights_from_entries",
@@ -138,6 +139,73 @@ def blend_transforms(model: SkinnedBodyModel, G, vertex_ids=None):
     return A[:, :, :3], A[:, :, 3]
 
 
+# Skinning is linear in the stacked joint transforms T = [R_j | t_j] (3, 4M):
+# v_i = U_i T' with U = W * [x, 1] (n, 4M). So is the lever arm
+# a_im = sum_{j in subtree(m)} w_ij (G_j x_i - c_m) = F_m U_i, where block (m, j)
+# of F (3M, 4M) is sub[j, m] [R_j | t_j - c_m]. Refine and registration skin
+# and take their arms in these forms only.
+
+
+def blend_rows(weights, points):
+    """U = W * [x, 1] (n, 4M) of points x (n, 3) with weight rows W (n, M), whose skinned positions are U T'."""
+    x1 = np.concatenate([points, np.ones((len(points), 1))], axis=1)
+    return (weights[:, :, None] * x1[:, None, :]).reshape(len(points), 4 * weights.shape[1])
+
+
+def stacked_transforms(G):
+    """T' (4M, 3): the joint transforms [R_j | t_j] of G stacked, contiguous for the GEMM."""
+    return G[:, :3, :].transpose(0, 2, 1).reshape(-1, 3)
+
+
+def subtree_matrix(parents):
+    """sub[j, m] = 1 when joint j is in the subtree rooted at m (j == m included)."""
+    M = len(parents)
+    sub = np.zeros((M, M))
+    for j in range(M):
+        a = j
+        while a != -1:
+            sub[j, a] = 1.0
+            a = parents[a]
+    return sub
+
+
+def parent_frames(model: SkinnedBodyModel, G):
+    """Parent-chain rotations (the identity at a root) and world joint centers of the joint transforms G."""
+    Rp = G[np.maximum(model.parents, 0), :3, :3]
+    Rp[model.parents == -1] = np.eye(3)
+    centers = np.einsum("mij,mj->mi", G[:, :3, :3], model.joints) + G[:, :3, 3]
+    return Rp, centers
+
+
+def arm_map(model: SkinnedBodyModel, G, sub):
+    """(F, Rp): F (3M, 4M) maps U_i to the lever arms (a_i1, ..., a_iM), and Rp are
+    the parent-chain rotations; `sub` is `subtree_matrix(model.parents)`."""
+    M = len(G)
+    Rp, centers = parent_frames(model, G)
+    Tc = G[:, :3, :].transpose(1, 0, 2) - centers[:, :, None, None] * np.eye(4)[3]  # [R_j | t_j - c_m]
+    return (sub.T[:, None, :, None] * Tc).reshape(3 * M, 4 * M), Rp
+
+
+def pose_jacobian(arms, Rp):
+    """Jacobian (n, 3, 3M+3) of skinned points w.r.t. (per-joint tangent, root translation)
+    from their lever arms a (n, M, 3) and the parent-chain rotations Rp (M, 3, 3).
+
+    The tangent d of joint m turns its local rotation R_m into Exp(d) R_m, which
+    moves point i by (Rp_m d) x a_im: block (i, m) is -[a_im]_x Rp_m, the root block I.
+    """
+    n, M = arms.shape[:2]
+    ax, ay, az = arms[..., 0], arms[..., 1], arms[..., 2]
+    Jac = np.zeros((n, 3, 3 * M + 3))
+    blocks = Jac[:, :, : 3 * M].reshape(n, 3, M, 3)  # a view: blocks[i, :, m] = Jac[i, :, 3m:3m+3]
+    for k in range(3):  # column k of each block, as two-term cross products
+        px, py, pz = Rp[:, 0, k], Rp[:, 1, k], Rp[:, 2, k]
+        blocks[:, 0, :, k] = az * py - ay * pz
+        blocks[:, 1, :, k] = ax * pz - az * px
+        blocks[:, 2, :, k] = ay * px - ax * py
+    Jac[:, :, 3 * M :] = np.eye(3)
+    return Jac
+
+
 def skin_with_transforms(model: SkinnedBodyModel, G, rest):
     """Every vertex's `rest` position (N, 3) posed by the joint transforms G."""
     lin, tr = blend_transforms(model, G)
@@ -181,15 +249,17 @@ def save_model(model: SkinnedBodyModel, path) -> None:
 def weights_from_entries(entries, n_vertices: int, n_joints: int, path) -> np.ndarray:
     """(V, M) weights from a file's `[i, j, w]` entries.
 
-    Raises ConfigError naming the file and the entry of an index outside V x M.
+    Raises ConfigError naming the file and the entry of an index that is not an
+    integer inside V x M (1.0 and true included).
     """
     W = np.zeros((n_vertices, n_joints))
     for k, (i, j, w) in enumerate(entries):
-        if not (0 <= int(i) < n_vertices and 0 <= int(j) < n_joints):
+        if not (type(i) is int and type(j) is int and 0 <= i < n_vertices and 0 <= j < n_joints):
             raise ConfigError(
-                f"{path}: weights[{k}] = [{i}, {j}, {w}] is outside {n_vertices} vertices x {n_joints} joints"
+                f"{path}: weights[{k}] = [{i}, {j}, {w}] is outside the integer indices of"
+                f" {n_vertices} vertices x {n_joints} joints"
             )
-        W[int(i), int(j)] = w
+        W[i, j] = w
     return W
 
 
@@ -202,7 +272,7 @@ def parents_from_entries(entries, n_joints: int, path) -> np.ndarray:
     if len(entries) != n_joints:
         raise ConfigError(f"{path}: {len(entries)} parents for {n_joints} joints")
     for k, p in enumerate(entries):
-        if isinstance(p, bool) or not isinstance(p, int) or not -1 <= p < n_joints:
+        if type(p) is not int or not -1 <= p < n_joints:
             raise ConfigError(f"{path}: parents[{k}] = {p} is neither -1 nor a joint index below {n_joints}")
     return np.array(entries, dtype=int)
 
@@ -235,7 +305,7 @@ def load_model(path) -> SkinnedBodyModel:
         roots.append(arr[n_joints * 4 :])
     never_observed = doc.get("never_observed", [])
     for k, i in enumerate(never_observed):
-        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(rest):
+        if type(i) is not int or not 0 <= i < len(rest):
             raise ConfigError(f"{path}: never_observed[{k}] = {i} is not a vertex index below {len(rest)}")
     never = np.zeros(len(rest), dtype=bool)
     never[np.array(never_observed, dtype=int)] = True

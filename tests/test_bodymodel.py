@@ -8,10 +8,15 @@ from suitcap.layout import SuitLayout, generate_synthetic_layout
 from suitcap.refine import geodesic_weights, pose_residual_jacobian, simplex_qp
 from suitcap.skinning import (
     SkinnedBodyModel,
+    arm_map,
+    blend_rows,
     joint_transforms,
     load_model,
+    parent_frames,
     save_model,
     skin_with_transforms,
+    stacked_transforms,
+    subtree_matrix,
     unskin_with_transforms,
 )
 
@@ -548,15 +553,16 @@ def _arms_oracle(model, G, ids):
     """Lever arms a_im = sum_{j in subtree(m)} w_ij (y_ij - c_m) (n, M, 3), as an einsum subtree sum."""
     y, _ = _skin_oracle(model, G, ids)
     W = model.weights[ids]
-    sub = refine_module._subtree_matrix(model.parents)
-    centers = refine_module._parent_frames(model, G)[1]
+    sub = subtree_matrix(model.parents)
+    centers = parent_frames(model, G)[1]
     return np.einsum("njc,jm->nmc", W[:, :, None] * y, sub) - (W @ sub)[:, :, None] * centers
 
 
 def _kernel_arms(model, G, ids):
     """The lever arms as refine takes them, U F' (n, M, 3), with the parent rotations."""
-    F, Rp = refine_module._arm_map(model, G, refine_module._subtree_matrix(model.parents))
-    return (refine_module._blend_rows(model, ids) @ F.T).reshape(len(ids), model.n_joints, 3), Rp
+    F, Rp = arm_map(model, G, subtree_matrix(model.parents))
+    U = blend_rows(model.weights[ids], model.rest_vertices[ids])
+    return (U @ F.T).reshape(len(ids), model.n_joints, 3), Rp
 
 
 def _pose_jacobian_oracle(model, quats, root_t, ids, targets):
@@ -609,7 +615,7 @@ def test_pose_kernels_match_einsum_oracles_bitwise(make_model):
         ids = np.sort(rng.choice(N, rng.integers(1, N + 1), replace=False))
         targets = rng.uniform(-1000, 1000, (len(ids), 3))
         G = joint_transforms(model, quats, root_t)
-        v = refine_module._blend_rows(model, ids) @ refine_module._stacked_transforms(G)
+        v = blend_rows(model.weights[ids], model.rest_vertices[ids]) @ stacked_transforms(G)
         v_ref = _skin_oracle(model, G, ids)[1]
         assert np.abs(v - v_ref).max() <= 1e-14 * np.abs(v_ref).max()
         arms, arms_ref = _kernel_arms(model, G, ids)[0], _arms_oracle(model, G, ids)

@@ -616,6 +616,18 @@ BAD_REGISTRATION_INPUTS = {
     "seed-bary-two-values": ("seeds.json", lambda d, t: d[0].update(bary=[0.5, 0.5]), "seed entry 0 "),
     "seed-bary-nan": ("seeds.json", lambda d, t: d[3].update(bary=[float("nan"), 0.5, 0.5]), "seed entry 3 "),
     "seed-without-tri": ("seeds.json", lambda d, t: d[1].pop("tri"), "seed entry 1 "),
+    "seed-tri-fraction": ("seeds.json", lambda d, t: d[2].update(tri=d[2]["tri"] + 0.6), "seed entry 2 "),
+    "seed-tri-bool": ("seeds.json", lambda d, t: d[1].update(tri=True), "seed entry 1 "),
+    "seed-id-fraction": ("seeds.json", lambda d, t: d[0].update(id=d[0]["id"] + 0.9), "seed entry 0: id "),
+    "seed-id-repeated": (
+        "seeds.json", lambda d, t: d[5].update(id=d[2]["id"]), "seed entries 2 and 5 both have id "
+    ),
+    "template-tri-fraction": ("template.json", lambda d, t: d["tris"][3].__setitem__(0, 0.7), "tris[3] = [0.7, "),
+    "template-weight-index-fraction": (
+        "template.json",
+        lambda d, t: d["weights"].__setitem__(0, [1.9, 0.4, 1.0]),
+        "weights[0] = [1.9, 0.4, 1.0] is outside the integer indices",
+    ),
     "template-tri-negative": ("template.json", lambda d, t: d["tris"][5].__setitem__(1, -1), "tris[5] "),
     "template-tri-past-end": (
         "template.json", lambda d, t: d["tris"][0].__setitem__(2, len(t["verts"])), "tris[0] "
@@ -670,8 +682,14 @@ def test_fit_rejects_bad_seeds_and_template_files(tmp_path, capsys, case):
 
 @pytest.mark.parametrize(
     "entry",
-    [lambda m: [len(m["rest"]), 0, 0.5], lambda m: [-1, 0, 0.5], lambda m: [3, len(m["joints"]), 0.5]],
-    ids=["vertex-past-end", "vertex-negative", "joint-past-end"],
+    [
+        lambda m: [len(m["rest"]), 0, 0.5],
+        lambda m: [-1, 0, 0.5],
+        lambda m: [3, len(m["joints"]), 0.5],
+        lambda m: [1.9, 0.4, 1.0],
+        lambda m: [True, 0, 0.5],
+    ],
+    ids=["vertex-past-end", "vertex-negative", "joint-past-end", "indices-fraction", "vertex-bool"],
 )
 def test_fit_rejects_model_weight_outside_model(tmp_path, capsys, entry):
     run_simulate(tmp_path, frames=1)

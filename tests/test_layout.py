@@ -18,7 +18,19 @@ from suitcap.layout import (
     load_layout,
     save_layout,
 )
-from suitcap.meshes import is_manifold
+
+
+def is_manifold(faces) -> bool:
+    """Every undirected edge is used by at most two faces."""
+    count: dict = {}
+    for f in faces:
+        for i in range(len(f)):
+            a, b = f[i], f[(i + 1) % len(f)]
+            k = (a, b) if a < b else (b, a)
+            count[k] = count.get(k, 0) + 1
+            if count[k] > 2:
+                return False
+    return True
 
 
 def test_default_alphabet_is_the_25_symbol_set():

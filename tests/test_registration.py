@@ -10,7 +10,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import suitcap
-from suitcap import registration
+from suitcap import refine, registration, skinning
 from suitcap.errors import InsufficientSeeds
 from suitcap.geometry import quat_from_rotvec
 from suitcap.meshes import closest_point_on_triangles, vertex_normals
@@ -232,6 +232,42 @@ def test_template_fit_normal_equations_match_central_differences(build, monkeypa
     assert H.shape == (4 * M + 3, 4 * M + 3)
     assert np.abs(H - J.T @ J).max() < 1e-6 * np.abs(J.T @ J).max()
     assert np.abs(g - J.T @ residuals(state)).max() < 1e-6 * np.abs(J.T @ residuals(state)).max()
+
+
+def test_template_fit_builds_joint_transforms_once_per_evaluation(template_scene, rng, monkeypatch):
+    """Each state the driver evaluates makes one `joint_transforms` call; its normal equations make none."""
+    scene, template = template_scene
+    calls, joint_transforms = [], skinning.joint_transforms
+
+    def counted(*args):
+        calls.append(args)
+        return joint_transforms(*args)
+
+    for module in (registration, refine, skinning):
+        monkeypatch.setattr(module, "joint_transforms", counted)
+    per_evaluation, per_normal_equations = [], []
+
+    def driver(x, evaluate, retract, iterations):
+        def counting_evaluate(x):
+            before = len(calls)
+            cost, normal_equations = evaluate(x)[:2]
+            per_evaluation.append(len(calls) - before)
+
+            def counting_normal_equations():
+                before = len(calls)
+                H, g = normal_equations()
+                per_normal_equations.append(len(calls) - before)
+                return H, g
+
+            return cost, counting_normal_equations
+
+        return refine.damped_gauss_newton(x, counting_evaluate, retract, iterations)
+
+    monkeypatch.setattr(registration, "damped_gauss_newton", driver)
+    cloud, tris, bary, _ = surface_cloud(template, rng, scene.layout.n_corners)
+    register_icp(cloud, template, {i: (int(tris[i]), bary[i]) for i in range(12)}, scene.layout)
+    assert set(per_evaluation) == {1}
+    assert set(per_normal_equations) == {0}
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
