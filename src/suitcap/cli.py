@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import shutil
@@ -32,7 +33,6 @@ from .skinning import export_obj, load_model, save_model
 DEFAULT_CONFIG = {
     "seed": 0,
     "workers": 1,
-    "cluster_radius": 3.0,
     "paths": {
         "output_dir": "out",
         "calibration": None,
@@ -59,14 +59,8 @@ DEFAULT_CONFIG = {
         "radius": 150.0,
     },
     "noise": {"pixel_sigma": 0.2, "dropout_prob": 0.0, "mislabel_prob": 0.0},
-    "refine": {
-        "lambda_g": 1000.0,
-        "lambda_j": 1.0,
-        "outer_iterations": 100,
-        "convergence_tol": 1e-5,
-        "prune_top": 4,
-    },
-    "window": {"length": 150, "overlap": 50, "w_temporal": 100.0},
+    "refine": dataclasses.asdict(refine.RefineConfig()),
+    "window": {"length": 150, "overlap": 50, "w_temporal": inpaint.DEFAULT_TEMPORAL_WEIGHT},
     "fit": {"perturb_joints": 0.0, "blur_weights": 0},
 }
 
@@ -223,7 +217,7 @@ def cmd_reconstruct(cfg) -> int:
     # one job per frame, in frame order; a pool hands each worker one run of consecutive frames
     groups = reconstruct.group_frames(frames)
     workers = min(int(cfg["workers"]) or 1, len(groups))
-    jobs = (reconstruct.reconstruct_frame, groups, repeat(rig), repeat(layout), repeat(float(cfg["cluster_radius"])))
+    jobs = (reconstruct.reconstruct_frame, groups, repeat(rig), repeat(layout))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             clouds = list(pool.map(*jobs, chunksize=-(-len(groups) // workers)))
@@ -259,13 +253,8 @@ def _write_reconstruct_report(cfg, paths, clouds) -> None:
 
 def cmd_fit(cfg) -> int:
     paths = _paths(cfg)
-    rcfg = refine.RefineConfig(
-        lambda_g=float(cfg["refine"]["lambda_g"]),
-        lambda_j=float(cfg["refine"]["lambda_j"]),
-        outer_iterations=int(cfg["refine"]["outer_iterations"]),
-        convergence_tol=float(cfg["refine"]["convergence_tol"]),
-        prune_top=int(cfg["refine"]["prune_top"]),
-    )
+    # each value is cast to the type of its default
+    rcfg = refine.RefineConfig(**{k: type(v)(cfg["refine"][k]) for k, v in DEFAULT_CONFIG["refine"].items()})
     layout = load_layout(paths["layout"])
     clouds = reconstruct.read_clouds(paths["clouds"])
     rng = np.random.default_rng(int(cfg["seed"]))

@@ -17,6 +17,8 @@ from scipy.spatial import cKDTree
 from .errors import ConfigError
 from .geometry import Camera, project_many
 
+CLUSTER_RADIUS_PX = 3.0  # corners closer than this are one corner detected twice
+
 __all__ = [
     "DetectionFrame",
     "OracleNoiseConfig",
@@ -82,19 +84,19 @@ class OracleNoiseConfig:
                 raise ValueError("probabilities must lie in [0, 1]")
 
 
-def _cluster(pos, conf, radius):
+def _cluster(pos, conf):
     """Greedy duplicate suppression: the surviving indices, and each corner's
     survivor as an index into them."""
     n = len(pos)
     winner = np.arange(n)
-    if n > 1 and radius != 0:
-        # only corners with a neighbour closer than `radius` can suppress or be suppressed
-        near = cKDTree(pos).query_pairs(abs(radius) * (1 + 1e-9), output_type="ndarray")
+    if n > 1:
+        # only corners with a neighbour closer than the radius can suppress or be suppressed
+        near = cKDTree(pos).query_pairs(CLUSTER_RADIUS_PX * (1 + 1e-9), output_type="ndarray")
         crowded = np.zeros(n, dtype=bool)
         crowded[near.ravel()] = True
         order = np.lexsort((np.arange(n), -conf))
-        cells = pos // radius
-        r2 = radius * radius
+        cells = pos // CLUSTER_RADIUS_PX
+        r2 = CLUSTER_RADIUS_PX * CLUSTER_RADIUS_PX
         grid: dict[tuple, list[int]] = {}
         for i in order[crowded[order]].tolist():
             cx, cy = int(cells[i, 0]), int(cells[i, 1])
@@ -117,14 +119,14 @@ def _cluster(pos, conf, radius):
     return np.flatnonzero(survives), (np.cumsum(survives) - 1)[winner]
 
 
-def cluster_frame(frame: DetectionFrame, radius: float = 3.0) -> DetectionFrame:
-    """Suppress near-duplicate corners: within `radius` px, the higher confidence wins.
+def cluster_frame(frame: DetectionFrame) -> DetectionFrame:
+    """Suppress near-duplicate corners: within `CLUSTER_RADIUS_PX`, the higher confidence wins.
 
     Greedy over descending confidence (ties broken by lower index), so the
     result is deterministic and idempotent. Survivors keep their order, and
     reading indices are remapped onto them.
     """
-    kept, survivor = _cluster(frame.corners, frame.corner_conf, radius)
+    kept, survivor = _cluster(frame.corners, frame.corner_conf)
     return DetectionFrame(
         frame.frame_index, frame.camera_id, frame.corners[kept], frame.corner_conf[kept],
         survivor[frame.quads], frame.codes, frame.code_conf,

@@ -24,6 +24,8 @@ import numpy as np
 
 from .errors import CalibrationError
 
+UNDISTORT_ITERATIONS = 12  # fixed-point steps of `undistort_normalized`
+
 __all__ = [
     "Camera",
     "CameraRig",
@@ -212,13 +214,13 @@ def distort_normalized(xn, dist):
     return np.stack([xd, yd], axis=-1)
 
 
-def undistort_normalized(xd, dist, iterations: int = 12):
+def undistort_normalized(xd, dist):
     """Invert the distortion polynomial by fixed-point iteration; `dist` as in `distort_normalized`."""
     k1, k2, p1, p2, k3 = np.moveaxis(np.asarray(dist), -1, 0)
     xd = np.asarray(xd, dtype=float)
     x = xd[..., 0].copy()
     y = xd[..., 1].copy()
-    for _ in range(iterations):
+    for _ in range(UNDISTORT_ITERATIONS):
         r2 = x * x + y * y
         radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
         dx = 2 * p1 * x * y + p2 * (r2 + 2 * x * x)

@@ -46,8 +46,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WindowPlan:
-    window_length: int = 150
-    overlap: int = 50
+    window_length: int
+    overlap: int
 
     def __post_init__(self):
         if not 0 < self.overlap < self.window_length:
@@ -342,7 +342,7 @@ def _stack(frames) -> Constraints:
 def solve_frames(
     L: sparse.spmatrix,
     frames,
-    plan: WindowPlan | None = None,
+    plan: WindowPlan,
     w_temporal: float = DEFAULT_TEMPORAL_WEIGHT,
 ):
     """Windowed solve with smooth overlap blending over a stream of frames.
@@ -354,7 +354,6 @@ def solve_frames(
     A take no longer than one window is one window, bitwise identical to
     `solve_window`'s.
     """
-    plan = plan or WindowPlan()
     step = plan.window_length - plan.overlap
     blend = plan.blend_weights()[:, None, None]
     frames = iter(frames)

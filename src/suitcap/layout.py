@@ -117,10 +117,8 @@ class SuitLayout:
         return mesh_edges(self.faces)
 
 
-def generate_synthetic_layout(
-    n_strips: int, codes_per_strip: int, alphabet: CodeAlphabet | None = None, code_offset: int = 0
-) -> SuitLayout:
-    """Cylinder-topology checkerboard layout.
+def generate_synthetic_layout(n_strips: int, codes_per_strip: int, code_offset: int = 0) -> SuitLayout:
+    """Cylinder-topology checkerboard layout, coded from the default alphabet.
 
     The grid has `n_strips` cell rows and `2*codes_per_strip` cell columns
     wrapping around; cells with even (row+col) parity are coded white squares.
@@ -129,7 +127,7 @@ def generate_synthetic_layout(
     """
     if n_strips < 1 or codes_per_strip < 1:
         raise LayoutError("need at least one strip and one code per strip")
-    alphabet = alphabet or CodeAlphabet()
+    alphabet = CodeAlphabet()
     n_codes = n_strips * codes_per_strip
     if code_offset + n_codes > len(alphabet) ** 2:
         raise AlphabetExhausted(
@@ -163,7 +161,6 @@ def concat_layouts(parts: list[SuitLayout]) -> SuitLayout:
     quad_table = {}
     faces = []
     offset = 0
-    extra = 0
     for p in parts:
         if p.extra_vertices:
             raise LayoutError("concat over layouts with extra vertices is unsupported")
@@ -173,7 +170,7 @@ def concat_layouts(parts: list[SuitLayout]) -> SuitLayout:
             quad_table[code] = tuple(v + offset for v in quad)
         faces.extend(tuple(v + offset for v in f) for f in p.faces)
         offset += p.total_vertices
-    return SuitLayout(n_corners=offset, quad_table=quad_table, faces=faces, extra_vertices=extra)
+    return SuitLayout(n_corners=offset, quad_table=quad_table, faces=faces)
 
 
 def load_layout(path) -> SuitLayout:

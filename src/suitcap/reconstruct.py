@@ -235,12 +235,7 @@ def filter_mislabels(corner_id, camera_id, pixel, rig: CameraRig, frame_index: i
     return cloud
 
 
-def reconstruct_frame(
-    frames: list[DetectionFrame],
-    rig: CameraRig,
-    layout: SuitLayout,
-    cluster_radius: float = 3.0,
-) -> LabeledPointCloud:
+def reconstruct_frame(frames: list[DetectionFrame], rig: CameraRig, layout: SuitLayout) -> LabeledPointCloud:
     """All per-camera detections of one time step -> labeled point cloud."""
     if not frames:
         raise ValueError("no detection frames supplied")
@@ -250,7 +245,7 @@ def reconstruct_frame(
     for f in frames:
         if f.frame_index != frame_index:
             raise ValueError("reconstruct_frame expects a single time step")
-        f = cluster_frame(f, cluster_radius)
+        f = cluster_frame(f)
         obs, conf = consolidate_labels(f, layout)
         conflicts.extend(conf)
         corner_id.append(obs[:, 0])

@@ -28,7 +28,7 @@ from .geometry import quat_from_rotvec, quat_mul, quat_normalize, quat_to_rot
 from .layout import SuitLayout
 from .meshes import edge_graph, geodesic_to_sources
 from .skinning import SkinnedBodyModel, arm_map, blend_rows, blend_transforms, joint_transforms, parent_frames
-from .skinning import pose_jacobian, stacked_transforms, subtree_matrix
+from .skinning import pose_jacobian, stacked_transforms
 
 log = logging.getLogger(__name__)
 
@@ -277,7 +277,7 @@ def pose_residual_jacobian(model: SkinnedBodyModel, quats, root_t, vertex_ids, t
     targets = np.asarray(targets, dtype=float).reshape(len(vertex_ids), 3)
     G = joint_transforms(model, quats, root_t)
     U = blend_rows(model.weights[vertex_ids], model.rest_vertices[vertex_ids])
-    F, Rp = arm_map(model, G, subtree_matrix(model.parents))
+    F, Rp = arm_map(model, G)
     arms = (U @ F.T).reshape(len(vertex_ids), model.n_joints, 3)
     return U @ stacked_transforms(G) - targets, pose_jacobian(arms, Rp)
 
@@ -306,7 +306,6 @@ def _pose_solve(model, quats, root_t, vertex_ids, targets, iterations):
     M, n = model.n_joints, len(vertex_ids)
     U = blend_rows(model.weights[vertex_ids], model.rest_vertices[vertex_ids])
     UtU, U_sum = U.T @ U, U.sum(axis=0)
-    sub = subtree_matrix(model.parents)
     diag, ones = np.arange(M), np.ones(n)
 
     def evaluate(pose):
@@ -314,7 +313,7 @@ def _pose_solve(model, quats, root_t, vertex_ids, targets, iterations):
         r = U @ stacked_transforms(G) - targets
 
         def normal_equations():
-            F, Rp = arm_map(model, G, sub)
+            F, Rp = arm_map(model, G)
             S = (F @ UtU @ F.T).reshape(M, 3, M, 3)  # S[m, :, l] = sum_i a_im a_il'
             B, trace = -S.transpose(0, 3, 2, 1), np.einsum("mala->ml", S)  # block (m, l) is tr(S_ml) I - S_ml'
             for a in range(3):
@@ -354,13 +353,12 @@ def _joint_normal_equations(model, frames, transforms, lambda_j, joints0, total_
     they assemble from subtree weight sums and per-joint 3x3 blocks.
     """
     M = model.n_joints
-    sub = subtree_matrix(model.parents)
     H = np.zeros((3 * M, 3 * M))
     g = np.zeros(3 * M)
     for (ids, pts), q, G in zip(frames, model.pose_quats, transforms):
         Rp, _ = parent_frames(model, G)
         D = np.einsum("mij,mjk->mik", Rp, np.eye(3)[None] - quat_to_rot(q))  # (M, 3, 3)
-        Wsub = model.weights[ids] @ sub  # (n, M)
+        Wsub = model.weights[ids] @ model.subtree  # (n, M)
         r = _residuals(model, ids, pts, G)
         S = Wsub.T @ Wsub  # (M, M) sum over obs of Wsub_im Wsub_im'
         DtD = np.einsum("mik,lij->mlkj", D, D)  # D_m' D_l as (M, M, 3, 3)
@@ -423,14 +421,8 @@ def _total_loss(model, frames, transforms, g_geo, joints0, cfg, total_obs):
     return fit + cfg.lambda_g * reg_w + cfg.lambda_j * reg_j, fit
 
 
-def refine(
-    model0: SkinnedBodyModel,
-    clouds,
-    layout: SuitLayout,
-    cfg: RefineConfig | None = None,
-) -> RefineResult:
+def refine(model0: SkinnedBodyModel, clouds, layout: SuitLayout, cfg: RefineConfig) -> RefineResult:
     """Alternating refinement of weights, joints, rest pose, and per-frame poses."""
-    cfg = cfg or RefineConfig()
     model = model0.copy()
     K = len(clouds)
     if model.n_frames != K:

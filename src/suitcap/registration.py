@@ -26,7 +26,7 @@ from .layout import SuitLayout
 from .meshes import closest_point_on_triangles, mesh_edges
 from .refine import damped_gauss_newton
 from .skinning import SkinnedBodyModel, arm_map, blend_rows, blend_transforms, joint_transforms, parents_from_entries
-from .skinning import pose_jacobian, stacked_transforms, subtree_matrix, weights_from_entries
+from .skinning import pose_jacobian, stacked_transforms, weights_from_entries
 
 __all__ = ["register_icp", "RegistrationResult"]
 
@@ -157,7 +157,7 @@ def _fit_params(model: SkinnedBodyModel, state, corners, bary, targets):
         r = BU @ stacked_transforms(G) - targets
 
         def normal_equations():
-            F, Rp = arm_map(sub, G, subtree_matrix(model.parents))
+            F, Rp = arm_map(sub, G)
             lin, _ = blend_transforms(sub, G)
             J_scale = B @ np.einsum("vij,vmj->vim", lin, levers).reshape(len(verts), 3 * M)
             J = np.concatenate([pose_jacobian((BU @ F.T).reshape(n, M, 3), Rp), J_scale.reshape(n, 3, M)], axis=2)

@@ -8,20 +8,21 @@ import json
 import numpy as np
 
 PERCENTILES = (95.0, 99.0, 99.9, 99.99)
+HISTOGRAM_BINS = 40
 
 
-def percentile_table(values, percentiles=PERCENTILES) -> dict:
+def percentile_table(values) -> dict:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
-        return {f"{p:g}": float("nan") for p in percentiles}
-    return {f"{p:g}": float(np.percentile(values, p)) for p in percentiles}
+        return {f"{p:g}": float("nan") for p in PERCENTILES}
+    return {f"{p:g}": float(np.percentile(values, p)) for p in PERCENTILES}
 
 
-def log_histogram(values, n_bins: int = 40, lo: float = 1e-4, hi: float = 1e2):
-    """Log-binned histogram; out-of-range values fold into the edge bins so the
-    counts always sum to len(values)."""
+def log_histogram(values, lo: float = 1e-4, hi: float = 1e2):
+    """Log-binned histogram over `HISTOGRAM_BINS` bins; out-of-range values fold
+    into the edge bins so the counts always sum to len(values)."""
     values = np.asarray(values, dtype=float)
-    edges = np.logspace(np.log10(lo), np.log10(hi), n_bins + 1)
+    edges = np.logspace(np.log10(lo), np.log10(hi), HISTOGRAM_BINS + 1)
     clipped = np.clip(values, edges[0] * (1 + 1e-12), edges[-1] * (1 - 1e-12))
     counts, _ = np.histogram(clipped, bins=edges)
     return edges, counts

@@ -14,12 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Camera, CameraRig, rot_to_quat
-from .layout import CodeAlphabet, SuitLayout, concat_layouts, generate_synthetic_layout
+from .layout import SuitLayout, concat_layouts, generate_synthetic_layout
 from .meshes import segments_hit_triangles, triangulate_faces, vertex_normals
 from .skinning import SkinnedBodyModel, joint_transforms, skin_with_transforms
 
-DEFAULT_IMAGE_SIZE = (4000, 2160)
-DEFAULT_FOCAL = 2400.0
+# the ring rig: cameras on a circle about the volume's center, aimed at it
+RIG_CENTER = np.array([0.0, 0.0, 1000.0])  # mm
+RIG_RADIUS = 3200.0  # mm
+RIG_HEIGHT = 1000.0  # mm, camera height above the floor
+RIG_FOCAL = 2400.0  # px
+RIG_IMAGE_SIZE = (4000, 2160)  # px
+ROOT_PERIOD = 240.0  # frames of one turn of the root's sway
 MIN_PIXEL_SEPARATION = 4.0  # a detector cannot resolve corners closer than this
 
 __all__ = [
@@ -36,26 +41,17 @@ __all__ = [
 ]
 
 
-def build_default_rig(
-    n_cameras: int = 16,
-    radius: float = 3200.0,
-    height: float = 1000.0,
-    focal: float = DEFAULT_FOCAL,
-    image_size=DEFAULT_IMAGE_SIZE,
-    center=(0.0, 0.0, 1000.0),
-) -> CameraRig:
-    """Cameras evenly spaced on a circle, all aimed at the center of the volume."""
+def build_default_rig(n_cameras: int = 16) -> CameraRig:
+    """Cameras evenly spaced on the ring rig's circle, all aimed at the center of the volume."""
     if n_cameras < 2:
         raise ValueError("a rig needs at least two cameras")
-    center = np.asarray(center, dtype=float)
-    K = np.array(
-        [[focal, 0.0, image_size[0] / 2.0], [0.0, focal, image_size[1] / 2.0], [0.0, 0.0, 1.0]]
-    )
+    w, h = RIG_IMAGE_SIZE
+    K = np.array([[RIG_FOCAL, 0.0, w / 2.0], [0.0, RIG_FOCAL, h / 2.0], [0.0, 0.0, 1.0]])
     cams = []
     for i in range(n_cameras):
         phi = 2.0 * np.pi * i / n_cameras
-        pos = center + np.array([radius * np.cos(phi), radius * np.sin(phi), height - center[2]])
-        z = center - pos
+        pos = RIG_CENTER + np.array([RIG_RADIUS * np.cos(phi), RIG_RADIUS * np.sin(phi), RIG_HEIGHT - RIG_CENTER[2]])
+        z = RIG_CENTER - pos
         z /= np.linalg.norm(z)
         x = np.cross(z, np.array([0.0, 0.0, 1.0]))
         x /= np.linalg.norm(x)
@@ -68,7 +64,7 @@ def build_default_rig(
                 distortion=np.zeros(5),
                 rotation=rot_to_quat(R),
                 translation=-R @ pos,
-                image_size=image_size,
+                image_size=RIG_IMAGE_SIZE,
             )
         )
     return CameraRig(cams)
@@ -83,7 +79,6 @@ class JointAnimation:
     periods: np.ndarray     # (M,) frames
     phases: np.ndarray      # (M,)
     root_sway: float = 0.0  # mm
-    root_period: float = 240.0
 
     def pose(self, k: int):
         angles = self.amplitudes * np.sin(2.0 * np.pi * k / self.periods + self.phases)
@@ -91,7 +86,7 @@ class JointAnimation:
         from .geometry import quat_from_rotvec
 
         quats = quat_from_rotvec(rotvecs)
-        phi = 2.0 * np.pi * k / self.root_period
+        phi = 2.0 * np.pi * k / ROOT_PERIOD
         root_t = self.root_sway * np.array([np.cos(phi), np.sin(phi), 0.0])
         return quats, root_t
 
@@ -115,9 +110,8 @@ class SyntheticScene:
     animation: JointAnimation
     breathing_amplitude: np.ndarray  # (N,) mm
     breathing_dirs: np.ndarray       # (N, 3) unit
+    vertex_tube: np.ndarray          # (N,) tube index per vertex
     breathing_period: float = 100.0
-    seed: int = 0
-    vertex_tube: np.ndarray = None   # (N,) tube index per vertex
     triangles: np.ndarray = field(init=False, repr=False)
     quad_codes: list = field(init=False, repr=False)
     quad_ids: np.ndarray = field(init=False, repr=False)
@@ -126,8 +120,6 @@ class SyntheticScene:
         self.triangles = triangulate_faces(self.layout.faces, self.model.rest_vertices)
         self.quad_codes = list(self.layout.codes)
         self.quad_ids = np.array([self.layout.quad_table[c] for c in self.quad_codes], dtype=int)
-        if self.vertex_tube is None:
-            self.vertex_tube = np.zeros(self.model.n_vertices, dtype=int)
 
     def rest_displacements(self, k: int):
         s = np.sin(2.0 * np.pi * k / self.breathing_period)
@@ -172,7 +164,7 @@ def _smoothstep(t):
     return t * t * (3.0 - 2.0 * t)
 
 
-def build_tube_body(joints, parents, bones, alphabet: CodeAlphabet | None = None):
+def build_tube_body(joints, parents, bones):
     """Assemble a multi-tube body: layout, rest vertices, weights, tube index.
 
     Each bone entry is (parent_joint, child_joint, radius, strips, codes_per_strip);
@@ -182,7 +174,6 @@ def build_tube_body(joints, parents, bones, alphabet: CodeAlphabet | None = None
     """
     joints = np.asarray(joints, dtype=float)
     parents = np.asarray(parents, dtype=int)
-    alphabet = alphabet or CodeAlphabet()
     M = len(joints)
 
     parts = []
@@ -191,7 +182,7 @@ def build_tube_body(joints, parents, bones, alphabet: CodeAlphabet | None = None
     tube_of = []
     code_offset = 0
     for tube_idx, (jp, jc, radius, strips, codes_per_strip) in enumerate(bones):
-        part = generate_synthetic_layout(strips, codes_per_strip, alphabet, code_offset)
+        part = generate_synthetic_layout(strips, codes_per_strip, code_offset)
         code_offset += strips * codes_per_strip
         parts.append(part)
         cols = 2 * codes_per_strip
@@ -278,9 +269,8 @@ def _body_scene(joints, parents, bones, n_cameras, seed, breathing_amplitude, br
         animation=animation,
         breathing_amplitude=amp,
         breathing_dirs=dirs,
-        breathing_period=breathing_period,
-        seed=seed,
         vertex_tube=tube_of,
+        breathing_period=breathing_period,
     )
 
 

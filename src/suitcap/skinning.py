@@ -21,7 +21,7 @@ __all__ = [
     "SkinnedBodyModel",
     "joint_transforms",
     "blend_transforms",
-    "blend_rows", "stacked_transforms", "subtree_matrix", "parent_frames", "arm_map", "pose_jacobian",
+    "blend_rows", "stacked_transforms", "parent_frames", "arm_map", "pose_jacobian",
     "save_model",
     "load_model",
     "weights_from_entries",
@@ -40,6 +40,7 @@ class SkinnedBodyModel:
     root_translations: np.ndarray = None  # (K, 3)
     never_observed: np.ndarray = None    # (N,) bool, hole-closing vertices
     levels: list = field(init=False, repr=False)  # joint indices by depth, roots first
+    subtree: np.ndarray = field(init=False, repr=False)  # (M, M), 1 where joint j is in m's subtree
 
     def __post_init__(self):
         self.rest_vertices = np.asarray(self.rest_vertices, dtype=float).reshape(-1, 3)
@@ -56,6 +57,7 @@ class SkinnedBodyModel:
             self.never_observed = np.zeros(len(self.rest_vertices), dtype=bool)
         self.never_observed = np.asarray(self.never_observed, dtype=bool)
         self.levels = _tree_levels(self.parents)
+        self.subtree = _subtree_matrix(self.parents)
         self.validate()
 
     @property
@@ -142,7 +144,7 @@ def blend_transforms(model: SkinnedBodyModel, G, vertex_ids=None):
 # Skinning is linear in the stacked joint transforms T = [R_j | t_j] (3, 4M):
 # v_i = U_i T' with U = W * [x, 1] (n, 4M). So is the lever arm
 # a_im = sum_{j in subtree(m)} w_ij (G_j x_i - c_m) = F_m U_i, where block (m, j)
-# of F (3M, 4M) is sub[j, m] [R_j | t_j - c_m]. Refine and registration skin
+# of F (3M, 4M) is subtree[j, m] [R_j | t_j - c_m]. Refine and registration skin
 # and take their arms in these forms only.
 
 
@@ -157,8 +159,8 @@ def stacked_transforms(G):
     return G[:, :3, :].transpose(0, 2, 1).reshape(-1, 3)
 
 
-def subtree_matrix(parents):
-    """sub[j, m] = 1 when joint j is in the subtree rooted at m (j == m included)."""
+def _subtree_matrix(parents):
+    """subtree[j, m] = 1 when joint j is in the subtree rooted at m (j == m included)."""
     M = len(parents)
     sub = np.zeros((M, M))
     for j in range(M):
@@ -177,13 +179,13 @@ def parent_frames(model: SkinnedBodyModel, G):
     return Rp, centers
 
 
-def arm_map(model: SkinnedBodyModel, G, sub):
+def arm_map(model: SkinnedBodyModel, G):
     """(F, Rp): F (3M, 4M) maps U_i to the lever arms (a_i1, ..., a_iM), and Rp are
-    the parent-chain rotations; `sub` is `subtree_matrix(model.parents)`."""
+    the parent-chain rotations."""
     M = len(G)
     Rp, centers = parent_frames(model, G)
     Tc = G[:, :3, :].transpose(1, 0, 2) - centers[:, :, None, None] * np.eye(4)[3]  # [R_j | t_j - c_m]
-    return (sub.T[:, None, :, None] * Tc).reshape(3 * M, 4 * M), Rp
+    return (model.subtree.T[:, None, :, None] * Tc).reshape(3 * M, 4 * M), Rp
 
 
 def pose_jacobian(arms, Rp):

@@ -16,7 +16,6 @@ from suitcap.skinning import (
     save_model,
     skin_with_transforms,
     stacked_transforms,
-    subtree_matrix,
     unskin_with_transforms,
 )
 
@@ -553,14 +552,19 @@ def _arms_oracle(model, G, ids):
     """Lever arms a_im = sum_{j in subtree(m)} w_ij (y_ij - c_m) (n, M, 3), as an einsum subtree sum."""
     y, _ = _skin_oracle(model, G, ids)
     W = model.weights[ids]
-    sub = subtree_matrix(model.parents)
+    sub = np.zeros((model.n_joints, model.n_joints))  # sub[j, m] = 1 for j in subtree(m), walked up from j
+    for j in range(model.n_joints):
+        m = j
+        while m != -1:
+            sub[j, m] = 1.0
+            m = model.parents[m]
     centers = parent_frames(model, G)[1]
     return np.einsum("njc,jm->nmc", W[:, :, None] * y, sub) - (W @ sub)[:, :, None] * centers
 
 
 def _kernel_arms(model, G, ids):
     """The lever arms as refine takes them, U F' (n, M, 3), with the parent rotations."""
-    F, Rp = arm_map(model, G, subtree_matrix(model.parents))
+    F, Rp = arm_map(model, G)
     U = blend_rows(model.weights[ids], model.rest_vertices[ids])
     return (U @ F.T).reshape(len(ids), model.n_joints, 3), Rp
 

@@ -16,8 +16,8 @@ from suitcap.detection import (
 from suitcap.simulator import compute_visibility, tube_scene
 
 
-def cluster(corners, conf, radius=3.0):
-    return cluster_frame(DetectionFrame(0, 0, corners, conf), radius)
+def cluster(corners, conf):
+    return cluster_frame(DetectionFrame(0, 0, corners, conf))
 
 
 def test_cluster_keeps_higher_confidence():
@@ -65,7 +65,7 @@ def test_cluster_matches_greedy_oracle(rng):
 
 def test_cluster_idempotent(rng):
     once = cluster(rng.uniform(0, 30, (40, 2)), rng.uniform(0, 1, 40))
-    twice = cluster_frame(once, 3.0)
+    twice = cluster_frame(once)
     assert np.array_equal(once.corners, twice.corners)
     assert np.array_equal(once.corner_conf, twice.corner_conf)
 
@@ -86,7 +86,7 @@ def test_cluster_frame_remaps_readings():
         (10.0, 50.0),
     ]
     frame = DetectionFrame(0, 0, corners, [0.9, 0.3, 0.8, 0.8, 0.8], [(1, 2, 3, 4)], ["AA"], [1.0])
-    out = cluster_frame(frame, radius=3.0)
+    out = cluster_frame(frame)
     assert len(out.corners) == 4
     assert out.quads.tolist() == [[0, 1, 2, 3]]
 
