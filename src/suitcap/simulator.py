@@ -19,7 +19,7 @@ from .meshes import segments_hit_triangles, triangulate_faces, vertex_normals
 from .skinning import SkinnedBodyModel, joint_transforms, skin_with_transforms
 
 # the ring rig: cameras on a circle about the volume's center, aimed at it
-RIG_CENTER = np.array([0.0, 0.0, 1000.0])  # mm
+RIG_CENTER = (0.0, 0.0, 1000.0)  # mm
 RIG_RADIUS = 3200.0  # mm
 RIG_HEIGHT = 1000.0  # mm, camera height above the floor
 RIG_FOCAL = 2400.0  # px
@@ -45,13 +45,14 @@ def build_default_rig(n_cameras: int = 16) -> CameraRig:
     """Cameras evenly spaced on the ring rig's circle, all aimed at the center of the volume."""
     if n_cameras < 2:
         raise ValueError("a rig needs at least two cameras")
+    center = np.array(RIG_CENTER)
     w, h = RIG_IMAGE_SIZE
     K = np.array([[RIG_FOCAL, 0.0, w / 2.0], [0.0, RIG_FOCAL, h / 2.0], [0.0, 0.0, 1.0]])
     cams = []
     for i in range(n_cameras):
         phi = 2.0 * np.pi * i / n_cameras
-        pos = RIG_CENTER + np.array([RIG_RADIUS * np.cos(phi), RIG_RADIUS * np.sin(phi), RIG_HEIGHT - RIG_CENTER[2]])
-        z = RIG_CENTER - pos
+        pos = center + np.array([RIG_RADIUS * np.cos(phi), RIG_RADIUS * np.sin(phi), RIG_HEIGHT - center[2]])
+        z = center - pos
         z /= np.linalg.norm(z)
         x = np.cross(z, np.array([0.0, 0.0, 1.0]))
         x /= np.linalg.norm(x)
