@@ -263,7 +263,7 @@ def cmd_fit(cfg) -> int:
         model0 = load_model(paths["init_model"])
     elif paths["template"] is not None and paths["seeds"] is not None:
         template = registration.load_template(paths["template"])
-        seeds = registration.load_seeds(paths["seeds"], template)
+        seeds = registration.load_seeds(paths["seeds"], template, layout.n_corners)
         if not clouds:
             raise ConfigError(f"{paths['clouds']}: no frames to register the template to")
         result = registration.register_icp(

@@ -222,7 +222,7 @@ def filter_mislabels(corner_id, camera_id, pixel, rig: CameraRig, frame_index: i
         if res.parallel[i]:
             cloud.discarded.append(DiscardRecord(cid, REASON_TOO_FEW))
             continue
-        if mean_err > MAX_MEAN_REPROJECTION:
+        if not mean_err <= MAX_MEAN_REPROJECTION:  # NaN included
             cloud.discarded.append(DiscardRecord(cid, REASON_RESIDUAL))
             continue
         b0, b1 = bounds[i], bounds[i + 1]
@@ -301,9 +301,10 @@ def cloud_from_json(line: str, where: str = "point-cloud line") -> CloudArrays:
 
     Raises `ConfigError`, prefixed with `where`, for a line that is not a JSON
     object with "frame", "points" and "discarded"; a point without "id", "p",
-    "cams" or "err"; a "p" that is not 3 finite numbers; an "errs" that is
-    present but not as long as "cams"; a negative or repeated id; and a
-    discard without an integer "id" and a "reason".
+    "cams" or "err"; a "p" that is not 3 finite numbers; an "err" or "errs"
+    that is not finite; an "errs" that is present but not as long as "cams";
+    a negative or repeated id; and a discard without an integer "id" and a
+    "reason".
     """
     try:
         doc = json.loads(line)
@@ -323,6 +324,9 @@ def cloud_from_json(line: str, where: str = "point-cloud line") -> CloudArrays:
     if bad.size:
         raise ConfigError(f"{where}: points[{bad[0]}] 'p' is not 3 finite numbers")
     mean_err = _column(pts, "err", float, where)
+    bad = np.flatnonzero(~np.isfinite(mean_err))
+    if bad.size:
+        raise ConfigError(f"{where}: points[{bad[0]}] 'err' is not a finite number")
     cams = _fields(pts, "cams", where)
     n_cams = _lengths(cams, "cams", where)
     errs = list(map(dict.get, pts, itertools.repeat("errs"), itertools.repeat(())))
@@ -336,6 +340,10 @@ def cloud_from_json(line: str, where: str = "point-cloud line") -> CloudArrays:
     cam_offsets, err_offsets = _offsets(n_cams), _offsets(n_errs)
     cams = _numbers(itertools.chain.from_iterable(cams), np.int64, cam_offsets[-1], where, "cams")
     errs = _numbers(itertools.chain.from_iterable(errs), float, err_offsets[-1], where, "errs")
+    bad = np.flatnonzero(~np.isfinite(errs))
+    if bad.size:
+        r = np.searchsorted(err_offsets, bad[0], side="right") - 1
+        raise ConfigError(f"{where}: points[{r}] 'errs' holds a non-finite number")
 
     if np.any(ids[1:] <= ids[:-1]):
         order = np.argsort(ids, kind="stable")

@@ -89,12 +89,13 @@ def load_template(path):
         raise ConfigError(f"{path}: {e}") from e
 
 
-def load_seeds(path, template) -> dict:
+def load_seeds(path, template, n_corners: int) -> dict:
     """Read seed correspondences {corner id: (triangle, (3,) barycentric)} of `template`.
 
     The file is a JSON list of {"id", "tri", "bary"} entries. Raises ConfigError
     naming the file and entry when one is malformed, its `id` is not an integer
-    or repeats an earlier entry's, its `tri` is not the integer index of a
+    in 0..n_corners-1 (the layout's corners, which a detector can see) or
+    repeats an earlier entry's, its `tri` is not the integer index of a
     triangle of the template, or its `bary` is not three finite numbers.
     """
     with open(path, "r", encoding="utf-8") as f:
@@ -108,6 +109,8 @@ def load_seeds(path, template) -> dict:
             raise ConfigError(f"{path}: seed entry {k} is not an {{id, tri, bary}} object: {err}") from err
         if type(cid) is not int:
             raise ConfigError(f"{path}: seed entry {k}: id {cid} is not an integer")
+        if not 0 <= cid < n_corners:
+            raise ConfigError(f"{path}: seed entry {k}: id {cid} is not a corner id in 0..{n_corners - 1}")
         if cid in entry_of:
             raise ConfigError(f"{path}: seed entries {entry_of[cid]} and {k} both have id {cid}")
         entry_of[cid] = k

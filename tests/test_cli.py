@@ -99,9 +99,11 @@ def test_set_overrides_config_file(tmp_path):
     assert len(frames) == 1 * 8  # --set wins over the config file
 
 
-def test_unknown_set_key_exits_2(tmp_path, capsys):
-    assert main(["simulate", "--set", f"paths.output_dir={tmp_path}", "--set", "refine.lamda_g=5"]) == 2
-    assert "configuration error: unknown configuration key 'refine.lamda_g'" in capsys.readouterr().err
+# a misspelt key, and a key that the detector's fixed duplicate-corner radius retired
+@pytest.mark.parametrize("key", ["refine.lamda_g", "cluster_radius"])
+def test_unknown_set_key_exits_2(tmp_path, capsys, key):
+    assert main(["simulate", "--set", f"paths.output_dir={tmp_path}", "--set", f"{key}=3.0"]) == 2
+    assert f"configuration error: unknown configuration key '{key}'" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -324,6 +326,8 @@ def test_eval_rejects_repeated_frame(tmp_path, capsys, name):
         (lambda d: d["points"][1].update(p=[1.0, None, 3.0]), "points[1] 'p' is not 3 finite numbers"),
         (lambda d: d["points"][1].update(p=[1.0, "x", 3.0]), "a point's 'p' holds a non-number"),
         (lambda d: d["points"][1].update(errs=[0.1]), "points[1] 'errs' has 1 per-camera errors for 2 cameras"),
+        (lambda d: d["points"][1].update(err=float("nan")), "points[1] 'err' is not a finite number"),
+        (lambda d: d["points"][2].update(errs=[0.5, float("inf")]), "points[2] 'errs' holds a non-finite number"),
         (lambda d: d["points"][1].update(id=3), "id 3 repeated"),
         (lambda d: d["points"][1].update(id=-1), "id -1 is negative"),
         (
@@ -333,7 +337,7 @@ def test_eval_rejects_repeated_frame(tmp_path, capsys, name):
     ],
     ids=[
         "no-id", "no-p", "no-cams", "no-err", "p-two", "p-four", "p-scalar", "p-null", "p-string",
-        "errs-length", "repeated-id", "negative-id", "discard-id",
+        "errs-length", "err-nan", "errs-inf", "repeated-id", "negative-id", "discard-id",
     ],
 )
 def test_eval_rejects_malformed_cloud_line(tmp_path, capsys, edit, message):
@@ -619,6 +623,11 @@ BAD_REGISTRATION_INPUTS = {
     "seed-tri-fraction": ("seeds.json", lambda d, t: d[2].update(tri=d[2]["tri"] + 0.6), "seed entry 2 "),
     "seed-tri-bool": ("seeds.json", lambda d, t: d[1].update(tri=True), "seed entry 1 "),
     "seed-id-fraction": ("seeds.json", lambda d, t: d[0].update(id=d[0]["id"] + 0.9), "seed entry 0: id "),
+    # the tube layout has no hole-closing vertices: its corner count is the template's vertex count
+    "seed-id-past-corners": (
+        "seeds.json", lambda d, t: d[4].update(id=len(t["verts"])), "seed entry 4: id 80 is not a corner id in 0..79"
+    ),
+    "seed-id-negative": ("seeds.json", lambda d, t: d[6].update(id=-7), "seed entry 6: id -7 is not a corner id"),
     "seed-id-repeated": (
         "seeds.json", lambda d, t: d[5].update(id=d[2]["id"]), "seed entries 2 and 5 both have id "
     ),

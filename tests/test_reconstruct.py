@@ -539,6 +539,24 @@ def test_filter_two_cameras_absolute_threshold(rig4):
     assert any(d.reason == REASON_RESIDUAL for d in cloud.discarded)
 
 
+def test_filter_discards_a_nan_mean_error(rig4, monkeypatch):
+    # a NaN mean error passes `err > 1.5`; the gate must read it as too high
+    import suitcap.reconstruct as reconstruct_module
+
+    solve = reconstruct_module.triangulate_points
+
+    def nan_errors(*args):
+        res = solve(*args)
+        res.mean_error[:] = np.nan
+        return res
+
+    monkeypatch.setattr(reconstruct_module, "triangulate_points", nan_errors)
+    p = np.array([0.0, 0.0, 1000.0])
+    cloud = filter_flat({5: [obs_of(5, c.id, project_many(c, p)[0][0]) for c in rig4.cameras[:2]]}, rig4)
+    assert not cloud.points
+    assert cloud.discarded == [DiscardRecord(5, REASON_RESIDUAL)]
+
+
 def test_filter_single_camera_discarded(rig4):
     p = np.array([0.0, 0.0, 1000.0])
     a = rig4.cameras[0]
