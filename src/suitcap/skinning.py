@@ -114,6 +114,20 @@ def _tree_levels(parents):
     return levels
 
 
+def _subtree_matrix(parents):
+    """subtree[j, m] = 1 when joint j is in the subtree rooted at m (j == m included).
+
+    The walk up from j ends only on an acyclic tree, which `_tree_levels` checks first."""
+    M = len(parents)
+    sub = np.zeros((M, M))
+    for j in range(M):
+        a = j
+        while a != -1:
+            sub[j, a] = 1.0
+            a = parents[a]
+    return sub
+
+
 def joint_transforms(model: SkinnedBodyModel, quats, root_translation):
     """World 4x4 transform per joint for one pose.
 
@@ -157,18 +171,6 @@ def blend_rows(weights, points):
 def stacked_transforms(G):
     """T' (4M, 3): the joint transforms [R_j | t_j] of G stacked, contiguous for the GEMM."""
     return G[:, :3, :].transpose(0, 2, 1).reshape(-1, 3)
-
-
-def _subtree_matrix(parents):
-    """subtree[j, m] = 1 when joint j is in the subtree rooted at m (j == m included)."""
-    M = len(parents)
-    sub = np.zeros((M, M))
-    for j in range(M):
-        a = j
-        while a != -1:
-            sub[j, a] = 1.0
-            a = parents[a]
-    return sub
 
 
 def parent_frames(model: SkinnedBodyModel, G):
