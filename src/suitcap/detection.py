@@ -12,10 +12,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError
-from .geometry import Camera, project_many
+from .geometry import Camera, crowded, project_many
 
 CLUSTER_RADIUS_PX = 3.0  # corners closer than this are one corner detected twice
 
@@ -91,14 +90,12 @@ def _cluster(pos, conf):
     winner = np.arange(n)
     if n > 1:
         # only corners with a neighbour closer than the radius can suppress or be suppressed
-        near = cKDTree(pos).query_pairs(CLUSTER_RADIUS_PX * (1 + 1e-9), output_type="ndarray")
-        crowded = np.zeros(n, dtype=bool)
-        crowded[near.ravel()] = True
+        near = crowded(pos, CLUSTER_RADIUS_PX * (1 + 1e-9))
         order = np.lexsort((np.arange(n), -conf))
         cells = pos // CLUSTER_RADIUS_PX
         r2 = CLUSTER_RADIUS_PX * CLUSTER_RADIUS_PX
         grid: dict[tuple, list[int]] = {}
-        for i in order[crowded[order]].tolist():
+        for i in order[near[order]].tolist():
             cx, cy = int(cells[i, 0]), int(cells[i, 1])
             best = -1
             best_d2 = r2

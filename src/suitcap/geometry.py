@@ -13,6 +13,7 @@ distorts with `distort_normalized` and applies the intrinsics. `project_cams`
 (simulation, the mislabel filter, evaluation, LM's costs) and `project_jacobian`
 (LM's residuals and gradient) share it, so their pixels agree bit for bit.
 `normalized_coords` maps observed pixels back through `undistort_normalized`.
+`crowded` marks the image points that have a neighbour within a radius.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "project_jacobian",
     "normalized_coords",
     "project_many",
+    "crowded",
     "distort_normalized",
     "undistort_normalized",
     "quat_to_rot",
@@ -350,6 +352,50 @@ def project_many(camera: Camera, points):
     """Project (N, 3) world points through one camera with `project_cams`."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     return project_cams(CameraArrays.from_rig([camera]), np.zeros(len(pts), dtype=int), pts)
+
+
+# ---------------------------------------------------------------------------
+# image-plane neighbours
+
+# each cell has side r times this, so that rounding in `points / side` cannot
+# put two points within r of each other more than one cell apart
+_CELL_MARGIN = 1.0 + 1e-9
+
+
+def crowded(points, r):
+    """Mask (n,) of the 2D `points` (n, 2) that have another point at distance <= r > 0.
+
+    A pair is near when `dx*dx + dy*dy <= r*r`, the test `cKDTree.query_pairs`
+    makes. The points are hashed into square cells a hair wider than r and
+    sorted by cell key `x * width + y`. Each point is then compared with the
+    points after it in its own cell and in cell (x, y + 1), and with those in
+    cells (x + 1, y - 1..y + 1): both are runs of the sorted order, and each
+    candidate pair is tested once.
+    """
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = len(p)
+    near = np.zeros(n, dtype=bool)
+    if n < 2:
+        return near
+    cell = np.floor(p / (r * _CELL_MARGIN)).astype(np.int64)
+    cell -= cell.min(axis=0) - 1  # so that y - 1 and y + 1 stay in 0..width-1
+    width = int(cell[:, 1].max()) + 2
+    key = cell[:, 0] * width + cell[:, 1]
+    order = np.argsort(key)
+    key = key[order]
+    p = p[order]
+    lo = np.concatenate([np.arange(1, n + 1), np.searchsorted(key, key + (width - 1), "left")])
+    hi = np.concatenate([np.searchsorted(key, key + 1, "right"), np.searchsorted(key, key + (width + 1), "right")])
+    count = hi - lo
+    # the candidate pairs (i, j): i repeated count times, j counting up from lo
+    i = np.repeat(np.tile(np.arange(n), 2), count)
+    j = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(len(i))
+    dx = p[j, 0] - p[i, 0]
+    dy = p[j, 1] - p[i, 1]
+    hit = dx * dx + dy * dy <= r * r
+    near[order[i[hit]]] = True
+    near[order[j[hit]]] = True
+    return near
 
 
 # ---------------------------------------------------------------------------

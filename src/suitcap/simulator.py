@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Camera, CameraRig, rot_to_quat
+from .geometry import Camera, CameraRig, crowded, project_many, rot_to_quat
 from .layout import SuitLayout, concat_layouts, generate_synthetic_layout
-from .meshes import segments_hit_triangles, triangulate_faces, vertex_normals
+from .meshes import pack_triangles, segments_hit_triangles, triangulate_faces, vertex_normals
 from .skinning import SkinnedBodyModel, joint_transforms, skin_with_transforms
 
 # the ring rig: cameras on a circle about the volume's center, aimed at it
@@ -342,11 +342,6 @@ def compute_visibility(scene: SyntheticScene, frame_index: int, positions=None) 
     other tubes whose bounding boxes the segment crosses; each straight tube
     segment is treated as self-occluding only through its back-face test.
     """
-    from scipy.spatial import cKDTree
-
-    from .geometry import project_many
-    from .meshes import pack_triangles
-
     pos = scene.positions(frame_index) if positions is None else positions
     normals = vertex_normals(pos, scene.triangles)
     n_tubes = int(scene.vertex_tube.max()) + 1
@@ -368,14 +363,7 @@ def compute_visibility(scene: SyntheticScene, frame_index: int, positions=None) 
         ok &= np.einsum("ij,ij->i", normals, view) > 0
         ok[scene.layout.n_corners :] = False  # hole-closing vertices are never detected
         cand = np.where(ok)[0]
-        if len(cand) > 1:
-            tree = cKDTree(uv[cand])
-            close = tree.query_pairs(MIN_PIXEL_SEPARATION, output_type="ndarray")
-            if len(close):
-                keep = np.ones(len(cand), dtype=bool)
-                keep[np.unique(close.ravel())] = False
-                cand = cand[keep]
-        cand_per_cam[cam.id] = cand
+        cand_per_cam[cam.id] = cand[~crowded(uv[cand], MIN_PIXEL_SEPARATION)]
 
     origins = np.concatenate(
         [np.broadcast_to(scene.rig.camera(c).center, (len(ids), 3)) for c, ids in cand_per_cam.items()]

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from suitcap.errors import CalibrationError
 from suitcap.geometry import (
     Camera,
     CameraArrays,
+    crowded,
     load_calibration,
     normalized_coords,
     project_jacobian,
@@ -277,3 +279,49 @@ def test_rig_requires_unique_ids():
     cam = simple_camera()
     with pytest.raises(ValueError):
         CameraRig([cam, cam])
+
+
+# ---------------------------------------------------------------------------
+# crowded
+
+
+def _crowded_oracle(points, r):
+    near = np.zeros(len(points), dtype=bool)
+    if len(points) > 1:
+        near[cKDTree(points).query_pairs(r, output_type="ndarray").ravel()] = True
+    return near
+
+
+def _crowded_cases():
+    rng = np.random.default_rng(7)
+    cases = {
+        "empty": (np.zeros((0, 2)), 3.0),
+        "one": (np.array([[5.0, -2.0]]), 3.0),
+        "two-at-r": (np.array([[0.0, 0.0], [3.0, 4.0]]), 5.0),
+        "two-past-r": (np.array([[0.0, 0.0], [3.0, 4.0]]), 4.999),
+        "two-equal": (np.array([[-7.5, 2.25], [-7.5, 2.25]]), 0.5),
+    }
+    for k, r in enumerate([0.5, 3.0, 3.0 * (1 + 1e-9), 40.0]):
+        cases[f"uniform-{r}"] = (rng.uniform(-80, 150, size=(1500, 2)) * r, r)
+        cases[f"clumped-{r}"] = (rng.normal(scale=6 * r, size=(300, 2)) - 1000 * k, r)
+    # integer points, where many pairs lie exactly r apart (5 = |(3, 4)|; 1, 2 and 3 along the axes)
+    for r in (1.0, 2.0, 3.0, 5.0, np.sqrt(2.0)):
+        half = int(12 * r) + 5  # about one other point within r of each
+        cases[f"lattice-{r:.3f}"] = (rng.integers(-half, half, size=(200, 2)).astype(float), r)
+    base = rng.uniform(-50, 50, size=(100, 2))
+    cases["duplicates"] = (np.concatenate([base, base[::3], base[::7] + 3.0]), 3.0)
+    cases["sparse-duplicates"] = (np.concatenate([base * 100, base[:2] * 100]), 1.0)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_crowded_cases()))
+def test_crowded_matches_kdtree_pairs(case):
+    points, r = _crowded_cases()[case]
+    expected = _crowded_oracle(points, r)
+    near = crowded(points, r)
+    assert near.dtype == bool and near.shape == (len(points),)
+    assert np.array_equal(near, expected)
+    if case.startswith(("uniform", "lattice", "duplicates")):
+        assert 0 < expected.sum() < len(points)  # the case has both kinds of point
+    if case.startswith("lattice"):  # pairs exactly r apart count as near
+        assert not np.array_equal(near, crowded(points, np.nextafter(r, 0)))
