@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
+import scipy
 
 from .errors import SingularKKT
 from .meshes import triangulate_faces
@@ -117,7 +115,7 @@ def unpose_observations(model: SkinnedBodyModel, clouds, first_frame: int = 0) -
     )
 
 
-def build_spatial_laplacian(faces, rest_vertices) -> sparse.csr_matrix:
+def build_spatial_laplacian(faces, rest_vertices) -> scipy.sparse.csr_matrix:
     """Cotangent-weighted Laplacian of the rest mesh, PSD with constants in its null space.
 
     Quads are split along their shorter rest-pose diagonal. Cotangents of
@@ -154,8 +152,8 @@ def build_spatial_laplacian(faces, rest_vertices) -> sparse.csr_matrix:
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
-    L = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    L = L + sparse.diags(-np.asarray(L.sum(axis=1)).ravel())
+    L = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    L = L + scipy.sparse.diags(-np.asarray(L.sum(axis=1)).ravel())
     return L.tocsr()
 
 
@@ -202,7 +200,7 @@ def _with_diagonal(Ls):
         return Ls
     data = np.concatenate([Ls.data, np.zeros(len(missing))])
     ij = (np.concatenate([rows, missing]), np.concatenate([Ls.indices, missing]))
-    return sparse.coo_matrix((data, ij), shape=Ls.shape).tocsr()
+    return scipy.sparse.coo_matrix((data, ij), shape=Ls.shape).tocsr()
 
 
 def _free_blocks(Ls, n_frames: int, free, known, w_temporal: float):
@@ -259,13 +257,13 @@ def _free_blocks(Ls, n_frames: int, free, known, w_temporal: float):
 
     def block(m, n_cols):
         indptr = np.concatenate([[0], np.cumsum(m, dtype=itype)])[start]
-        return sparse.csr_matrix((vals[m], slot[cols[m]], indptr), shape=(len(free), n_cols))
+        return scipy.sparse.csr_matrix((vals[m], slot[cols[m]], indptr), shape=(len(free), n_cols))
 
     return block(to_free, len(free)).tocsc(), block(~to_free, len(known))
 
 
 def solve_window(
-    L: sparse.spmatrix,
+    L: scipy.sparse.spmatrix,
     constraints: Constraints,
     w_temporal: float = DEFAULT_TEMPORAL_WEIGHT,
 ):
@@ -285,7 +283,7 @@ def solve_window(
     if len(constraints.frame_idx) == 0:
         raise SingularKKT("window has no constraints")
 
-    n_comp, comp = connected_components(L != 0, directed=False)
+    n_comp, comp = scipy.sparse.csgraph.connected_components(L != 0, directed=False)
     constrained_comps = np.unique(comp[constraints.vertex_idx])
     zeroed = sorted(set(range(n_comp)) - set(constrained_comps.tolist()))
     active_vertices = np.where(np.isin(comp, constrained_comps))[0]
@@ -318,7 +316,7 @@ def solve_window(
     if len(free):
         Q_ff, Q_fc = _free_blocks(Ls, F, free, known, w_temporal)
         try:
-            lu = splu(Q_ff)
+            lu = scipy.sparse.linalg.splu(Q_ff)
         except RuntimeError as e:
             raise SingularKKT(f"factorization of the free block failed: {e}") from e
         x[free] = lu.solve(-(Q_fc @ constraints.targets))
@@ -340,7 +338,7 @@ def _stack(frames) -> Constraints:
 
 
 def solve_frames(
-    L: sparse.spmatrix,
+    L: scipy.sparse.spmatrix,
     frames,
     plan: WindowPlan,
     w_temporal: float = DEFAULT_TEMPORAL_WEIGHT,

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
+import scipy
 
 __all__ = [
     "triangulate_faces", "mesh_edges", "vertex_normals", "edge_graph", "geodesic_to_sources",
@@ -63,7 +62,7 @@ def edge_graph(vertices, edges):
     e = np.asarray(edges, dtype=int)
     n = len(v)
     w = np.linalg.norm(v[e[:, 0]] - v[e[:, 1]], axis=1)
-    g = coo_matrix(
+    g = scipy.sparse.coo_matrix(
         (np.concatenate([w, w]), (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]))),
         shape=(n, n),
     )
@@ -75,7 +74,7 @@ def geodesic_to_sources(graph, sources):
     sources = np.asarray(sources, dtype=int)
     if len(sources) == 0:
         return np.full(graph.shape[0], np.inf)
-    return dijkstra(graph, directed=False, indices=sources, min_only=True)
+    return scipy.sparse.csgraph.dijkstra(graph, directed=False, indices=sources, min_only=True)
 
 
 def closest_point_on_triangles(p, tri_pts):

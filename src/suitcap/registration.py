@@ -16,9 +16,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
-from scipy.spatial import cKDTree
+import scipy
 
 from .errors import ConfigError, DivergedICP, InsufficientSeeds
 from .geometry import quat_from_rotvec, quat_mul, quat_normalize
@@ -150,7 +148,7 @@ def _fit_params(model: SkinnedBodyModel, state, corners, bary, targets):
     M, n = model.n_joints, len(corners)
     verts, inverse = np.unique(corners, return_inverse=True)
     sub = SkinnedBodyModel(model.rest_vertices[verts], model.joints, model.parents, model.weights[verts])
-    B = csr_matrix((bary.ravel(), (np.repeat(np.arange(n), 3), inverse.ravel())), shape=(n, len(verts)))
+    B = scipy.sparse.csr_matrix((bary.ravel(), (np.repeat(np.arange(n), 3), inverse.ravel())), shape=(n, len(verts)))
 
     def evaluate(state):
         quats, root_t, log_scales = state
@@ -181,7 +179,7 @@ def _fit_params(model: SkinnedBodyModel, state, corners, bary, targets):
 def _closest_on_surface(points, surface_vertices, triangles):
     """(tri, bary, distance) of the closest surface point for each query point."""
     k = min(CLOSEST_CANDIDATES, len(triangles))
-    _, cand = cKDTree(surface_vertices[triangles].mean(axis=1)).query(points, k=k)
+    _, cand = scipy.spatial.cKDTree(surface_vertices[triangles].mean(axis=1)).query(points, k=k)
     cand = cand.reshape(len(points), k)
     queries = np.repeat(points, k, axis=0)
     cp, cb = closest_point_on_triangles(queries, surface_vertices[triangles[cand.ravel()]])
@@ -313,9 +311,9 @@ def _harmonic_fill(layout: SuitLayout, rest, W, registered):
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     vals = np.ones(len(rows))
-    A = csr_matrix((vals, (rows, cols)), shape=(n, n))
+    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
     deg = np.asarray(A.sum(axis=1)).ravel()
-    L = csr_matrix((deg, (np.arange(n), np.arange(n))), shape=(n, n)) - A
+    L = scipy.sparse.csr_matrix((deg, (np.arange(n), np.arange(n))), shape=(n, n)) - A
 
     free = np.where(~registered)[0]
     fixed = np.where(registered)[0]
@@ -324,7 +322,7 @@ def _harmonic_fill(layout: SuitLayout, rest, W, registered):
     Lff = L[np.ix_(free, free)].tocsc()
     Lfo = L[np.ix_(free, fixed)]
     rhs = -Lfo @ np.concatenate([rest[fixed], W[fixed]], axis=1)
-    sol = spsolve(Lff, rhs)
+    sol = scipy.sparse.linalg.spsolve(Lff, rhs)
     rest[free] = sol[:, :3]
     W[free] = sol[:, 3:]
     return rest, W

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import suitcap
 from suitcap.cli import main
 from suitcap.detection import read_detections
 from suitcap.reconstruct import read_clouds
@@ -143,6 +148,30 @@ def test_simulate_io_error_exits_3(tmp_path):
     blocker.write_text("x")
     code = main(["simulate", "--set", f"paths.output_dir={blocker}/sub", *TUBE_SCENE])
     assert code == 3
+
+
+def test_capture_stages_load_no_scipy_submodule(tmp_path):
+    """simulate, reconstruct and eval run on numpy alone: in a fresh process, none of
+    them loads scipy's sparse, spatial, linalg or optimize modules."""
+    src = str(Path(suitcap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    stages = [
+        ["simulate", "--set", "scene.frames=2", *TUBE_SCENE],
+        ["reconstruct"],
+        ["eval"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from suitcap.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv + ['--set', 'paths.output_dir=' + sys.argv[2]]) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "    if m.startswith(('scipy.sparse', 'scipy.spatial', 'scipy.linalg', 'scipy.optimize')))))\n"
+    )
+    argv = [sys.executable, "-c", code, json.dumps(stages), str(tmp_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_reconstruct_noiseless_report(tmp_path, capsys):

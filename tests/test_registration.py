@@ -1,15 +1,10 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scipy.spatial import cKDTree
 
-import suitcap
 from suitcap import refine, registration, skinning
 from suitcap.errors import InsufficientSeeds
 from suitcap.geometry import quat_from_rotvec
@@ -268,10 +263,3 @@ def test_template_fit_builds_joint_transforms_once_per_evaluation(template_scene
     register_icp(cloud, template, {i: (int(tris[i]), bary[i]) for i in range(12)}, scene.layout)
     assert set(per_evaluation) == {1}
     assert set(per_normal_equations) == {0}
-
-
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    src = str(Path(suitcap.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, suitcap.cli; sys.exit(3 if 'scipy.optimize' in sys.modules else 0)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
