@@ -110,6 +110,22 @@ def _check_keys(cfg: dict) -> None:
         raise ConfigError(f"unknown configuration key {unknown!r}")
 
 
+def _check_counts(cfg: dict, known: dict, prefix: str = "") -> None:
+    """Make each count setting of `cfg` (one whose default in `known` is an int) an int in place.
+
+    Raises ConfigError, naming the key, for a value that is not a number with
+    no fractional part: 2.0 is read as 2, but 1.9 and `true` are refused.
+    """
+    for k, default in known.items():
+        if isinstance(default, dict):
+            _check_counts(cfg[k], default, f"{prefix}{k}.")
+        elif type(default) is int:
+            v = cfg[k]
+            if not (isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer()):
+                raise ConfigError(f"{prefix}{k} must be an integer, got {json.dumps(v)}")
+            cfg[k] = int(v)
+
+
 def load_config(args) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if args.config:
@@ -131,6 +147,7 @@ def load_config(args) -> dict:
         _check_keys(cfg)
     if args.workers is not None:
         cfg["workers"] = args.workers
+    _check_counts(cfg, DEFAULT_CONFIG)
     return cfg
 
 
@@ -166,14 +183,14 @@ def cmd_simulate(cfg) -> int:
     paths = _paths(cfg)
     paths["output_dir"].mkdir(parents=True, exist_ok=True)
     scene_cfg = dict(cfg["scene"])
-    n_frames = int(scene_cfg.pop("frames"))
+    n_frames = scene_cfg.pop("frames")
     scene_cfg["seed"] = cfg["seed"]
     scene = simulator.scene_from_spec(scene_cfg)
     noise = detection.OracleNoiseConfig(
         pixel_sigma=float(cfg["noise"]["pixel_sigma"]),
         dropout_prob=float(cfg["noise"]["dropout_prob"]),
         mislabel_prob=float(cfg["noise"]["mislabel_prob"]),
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
     )
     save_layout(scene.layout, paths["layout"])
     save_calibration(scene.rig, paths["calibration"])
@@ -216,7 +233,7 @@ def cmd_reconstruct(cfg) -> int:
 
     # one job per frame, in frame order; a pool hands each worker one run of consecutive frames
     groups = reconstruct.group_frames(frames)
-    workers = min(int(cfg["workers"]) or 1, len(groups))
+    workers = min(cfg["workers"] or 1, len(groups))
     jobs = (reconstruct.reconstruct_frame, groups, repeat(rig), repeat(layout))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -257,7 +274,7 @@ def cmd_fit(cfg) -> int:
     rcfg = refine.RefineConfig(**{k: type(v)(cfg["refine"][k]) for k, v in DEFAULT_CONFIG["refine"].items()})
     layout = load_layout(paths["layout"])
     clouds = reconstruct.read_clouds(paths["clouds"])
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
 
     if paths["init_model"] is not None:
         model0 = load_model(paths["init_model"])
@@ -280,7 +297,7 @@ def cmd_fit(cfg) -> int:
         d = rng.normal(size=model0.joints.shape)
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         model0.joints = model0.joints + d * float(fit_cfg["perturb_joints"])
-    for _ in range(int(fit_cfg["blur_weights"])):
+    for _ in range(fit_cfg["blur_weights"]):
         model0.weights = _blur_weights(model0.weights, layout)
 
     # one pose-only fit of the initial model serves the printed rms and the histogram
@@ -336,7 +353,7 @@ def cmd_inpaint(cfg) -> int:
     w_temporal = float(cfg["window"]["w_temporal"])
     if not 0 < w_temporal < np.inf:  # the window quadratic is positive definite only for a positive weight
         raise ConfigError(f"window.w_temporal must be a finite number > 0, got {w_temporal}")
-    plan = inpaint.WindowPlan(int(cfg["window"]["length"]), int(cfg["window"]["overlap"]))
+    plan = inpaint.WindowPlan(cfg["window"]["length"], cfg["window"]["overlap"])
     paths = _paths(cfg)
     layout = load_layout(paths["layout"])
     model = load_model(paths["model"])

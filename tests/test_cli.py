@@ -448,6 +448,36 @@ def test_non_finite_or_non_positive_solver_setting_exits_2(tmp_path, capsys, com
     assert f"configuration error: {key} must be a finite number > 0, got " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("simulate", "scene.frames", "1.9"),
+        ("reconstruct", "workers", "2.5"),
+        ("fit", "refine.outer_iterations", "1.9"),
+        ("fit", "refine.prune_top", "2.5"),
+        ("fit", "fit.blur_weights", "true"),
+        ("inpaint", "window.length", "1.9"),
+        ("inpaint", "window.overlap", "true"),
+    ],
+)
+def test_non_integer_count_setting_exits_2(tmp_path, capsys, command, key, value):
+    """A count setting is checked before any file is read or written: the inputs here do not exist."""
+    capsys.readouterr()
+    out = tmp_path / "missing"
+    assert main([command, "--set", f"paths.output_dir={out}", "--set", f"{key}={value}"]) == 2
+    assert f"configuration error: {key} must be an integer, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_count_setting_reads_as_int():
+    from suitcap.cli import build_parser, load_config
+
+    args = build_parser().parse_args(["fit", "--set", "refine.outer_iterations=2.0", "--set", "scene.frames=3"])
+    cfg = load_config(args)
+    assert type(cfg["refine"]["outer_iterations"]) is int and cfg["refine"]["outer_iterations"] == 2
+    assert type(cfg["scene"]["frames"]) is int and cfg["scene"]["frames"] == 3
+
+
 @pytest.mark.parametrize("overlap", ["0", "-1", "150"])
 def test_inpaint_window_overlap_out_of_range_exits_2_before_reading(tmp_path, capsys, overlap):
     """The window plan is checked before any file is read (the inputs here do not exist), and the
