@@ -1,7 +1,7 @@
 """Batch pipeline driver: simulate | reconstruct | fit | inpaint | eval | export-mesh.
 
 Configuration comes from a JSON file plus `--set key.path=value` overrides
-(flags win); a key that DEFAULT_CONFIG does not hold is a configuration error.
+(flags win); a key or value that SETTINGS does not allow is a configuration error.
 The environment variable MOCAP_SEED overrides the configured seed. Identical
 configuration and seed produce byte-identical outputs.
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import json
 import os
 import shutil
@@ -30,39 +29,81 @@ from .geometry import load_calibration, save_calibration
 from .layout import load_layout, save_layout
 from .skinning import export_obj, load_model, save_model
 
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "workers": 1,
+
+def _integer(least):
+    """Domain of the integers >= `least`; an integral number such as 2.0 reads as 2."""
+    def read(v):
+        if not (type(v) is int or type(v) is float and v.is_integer()):
+            raise ValueError("an integer")
+        if v < least:
+            raise ValueError(f"an integer >= {least}")
+        return int(v)
+    return read
+
+
+def _where(what, ok):
+    """Domain of the values for which `ok` holds, taken as they are."""
+    def read(v):
+        if not ok(v):
+            raise ValueError(what)
+        return v
+    return read
+
+
+def _real(what, ok):
+    """Domain of the finite numbers for which `ok` holds; an integer such as 1000 reads as 1000.0.
+    The bound refuses NaN, the infinities, booleans and integers beyond the float range."""
+    finite = _where(what, lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max and ok(v))
+    return lambda v: float(finite(v))
+
+
+# a domain reads a JSON value as its setting, or raises ValueError completing "<key> must be ..."
+COUNT = _integer(1)
+NATURAL = _integer(0)
+INTEGER = _integer(-np.inf)  # window.overlap: WindowPlan checks 0 < overlap < window.length
+POSITIVE = _real("a finite number > 0", lambda x: x > 0)
+NON_NEGATIVE = _real("a finite number >= 0", lambda x: x >= 0)
+PROBABILITY = _real("a probability in [0, 1]", lambda x: 0 <= x <= 1)
+PATH = _where("a path string", lambda v: type(v) is str)
+OPTIONAL_PATH = _where("a path string or null", lambda v: v is None or type(v) is str)
+PRESET = _where("one of " + ", ".join(map(repr, simulator.PRESETS)), lambda v: v in tuple(simulator.PRESETS))
+
+# every setting, as (default, domain)
+SETTINGS = {
+    "seed": (0, NATURAL),
+    "workers": (1, COUNT),
     "paths": {
-        "output_dir": "out",
-        "calibration": None,
-        "layout": None,
-        "detections": None,
-        "truth": None,
-        "clouds": None,
-        "model": None,
-        "template": None,
-        "seeds": None,
-        "init_model": None,
-        "animation": None,
-        "report_prefix": None,
+        "output_dir": ("out", PATH),
+        **dict.fromkeys(("calibration", "layout", "detections", "truth", "clouds", "model", "template",
+                         "seeds", "init_model", "animation", "report_prefix"), (None, OPTIONAL_PATH)),
     },
     "scene": {
-        "preset": "stick_figure",
-        "frames": 100,
-        "n_cameras": 16,
-        "breathing_amplitude": 0.0,
-        "breathing_period": 100.0,
-        "animation_strength": 1.0,
-        "strips": 6,
-        "codes_per_strip": 10,
-        "radius": 150.0,
+        "preset": ("stick_figure", PRESET), "frames": (100, COUNT), "n_cameras": (16, _integer(2)),
+        "breathing_amplitude": (0.0, NON_NEGATIVE), "breathing_period": (100.0, POSITIVE),
+        "animation_strength": (1.0, NON_NEGATIVE),
+        "strips": (6, COUNT), "codes_per_strip": (10, COUNT), "radius": (150.0, POSITIVE),  # tube only
     },
-    "noise": {"pixel_sigma": 0.2, "dropout_prob": 0.0, "mislabel_prob": 0.0},
-    "refine": dataclasses.asdict(refine.RefineConfig()),
-    "window": {"length": 150, "overlap": 50, "w_temporal": inpaint.DEFAULT_TEMPORAL_WEIGHT},
-    "fit": {"perturb_joints": 0.0, "blur_weights": 0},
+    "noise": {"pixel_sigma": (0.2, NON_NEGATIVE), "dropout_prob": (0.0, PROBABILITY),
+              "mislabel_prob": (0.0, PROBABILITY)},
+    "refine": {  # the defaults are RefineConfig's
+        "lambda_g": (refine.RefineConfig.lambda_g, POSITIVE),
+        "lambda_j": (refine.RefineConfig.lambda_j, POSITIVE),
+        "outer_iterations": (refine.RefineConfig.outer_iterations, COUNT),
+        "convergence_tol": (refine.RefineConfig.convergence_tol, POSITIVE),
+        "prune_top": (refine.RefineConfig.prune_top, NATURAL),
+    },
+    # a positive w_temporal keeps the window quadratic definite
+    "window": {"length": (150, COUNT), "overlap": (50, INTEGER),
+               "w_temporal": (inpaint.DEFAULT_TEMPORAL_WEIGHT, POSITIVE)},
+    "fit": {"perturb_joints": (0.0, NON_NEGATIVE), "blur_weights": (0, NATURAL)},
 }
+
+
+def _defaults(table: dict) -> dict:
+    return {k: _defaults(v) if isinstance(v, dict) else v[0] for k, v in table.items()}
+
+
+DEFAULT_CONFIG = _defaults(SETTINGS)
 
 
 def _deep_update(base: dict, extra: dict) -> dict:
@@ -74,21 +115,21 @@ def _deep_update(base: dict, extra: dict) -> dict:
     return base
 
 
-def _unknown_key(doc: dict, known, prefix: str = ""):
-    """Dotted name of the first key in `doc` that `known` does not hold, else None.
-
-    Raises ConfigError, naming the key, for a section of `known` that `doc`
-    sets to something other than an object.
-    """
-    for k, v in doc.items():
-        if not isinstance(known, dict) or k not in known:
-            return prefix + k
-        if isinstance(known[k], dict) and not isinstance(v, dict):
-            raise ConfigError(f"configuration key {prefix + k!r} is a section, not {v!r}")
-        inner = _unknown_key(v, known[k], f"{prefix}{k}.") if isinstance(v, dict) else None
-        if inner is not None:
-            return inner
-    return None
+def _check(cfg: dict, table: dict, read: bool, prefix: str = "") -> None:
+    """Raise ConfigError naming the first key of `cfg` that `table` does not hold or that sets a
+    section to a non-object; with `read`, also read each value through its domain, in place."""
+    for k, v in cfg.items():
+        if k not in table:
+            raise ConfigError(f"unknown configuration key {prefix + k!r}")
+        if isinstance(table[k], dict):
+            if not isinstance(v, dict):
+                raise ConfigError(f"configuration key {prefix + k!r} is a section, not {v!r}")
+            _check(v, table[k], read, f"{prefix}{k}.")
+        elif read:
+            try:
+                cfg[k] = table[k][1](v)
+            except ValueError as e:
+                raise ConfigError(f"{prefix}{k} must be {e}, got {json.dumps(v)}") from None
 
 
 def _apply_set(cfg: dict, assignment: str) -> None:
@@ -104,50 +145,26 @@ def _apply_set(cfg: dict, assignment: str) -> None:
     _deep_update(cfg, value)
 
 
-def _check_keys(cfg: dict) -> None:
-    unknown = _unknown_key(cfg, DEFAULT_CONFIG)
-    if unknown is not None:
-        raise ConfigError(f"unknown configuration key {unknown!r}")
-
-
-def _check_counts(cfg: dict, known: dict, prefix: str = "") -> None:
-    """Make each count setting of `cfg` (one whose default in `known` is an int) an int in place.
-
-    Raises ConfigError, naming the key, for a value that is not a number with
-    no fractional part: 2.0 is read as 2, but 1.9 and `true` are refused.
-    """
-    for k, default in known.items():
-        if isinstance(default, dict):
-            _check_counts(cfg[k], default, f"{prefix}{k}.")
-        elif type(default) is int:
-            v = cfg[k]
-            if not (isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer()):
-                raise ConfigError(f"{prefix}{k} must be an integer, got {json.dumps(v)}")
-            cfg[k] = int(v)
-
-
 def load_config(args) -> dict:
+    """Defaults, config file, MOCAP_SEED, each `--set`, `--workers`; each value read through its domain."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as f:
-                _deep_update(cfg, json.load(f))
-        except (OSError, json.JSONDecodeError) as e:
+                _deep_update(cfg, {**json.load(f)})  # TypeError unless the file holds an object
+        except (OSError, json.JSONDecodeError, TypeError) as e:
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
     if "MOCAP_SEED" in os.environ:
-        try:
-            cfg["seed"] = int(os.environ["MOCAP_SEED"])
-        except ValueError as e:
-            raise ConfigError(f"MOCAP_SEED must be an integer: {e}") from e
+        _apply_set(cfg, "seed=" + os.environ["MOCAP_SEED"])
     # checked after each step: a later `--set` into a section that an earlier
     # step replaced by a scalar would rebuild the section from that one key
-    _check_keys(cfg)
+    _check(cfg, SETTINGS, read=False)
     for assignment in args.set or []:
         _apply_set(cfg, assignment)
-        _check_keys(cfg)
+        _check(cfg, SETTINGS, read=False)
     if args.workers is not None:
         cfg["workers"] = args.workers
-    _check_counts(cfg, DEFAULT_CONFIG)
+    _check(cfg, SETTINGS, read=True)
     return cfg
 
 
@@ -163,16 +180,7 @@ def _paths(cfg) -> dict:
         "animation": out / "animation.bin",
         "report_prefix": out / "report",
     }
-    resolved = {}
-    for k, v in cfg["paths"].items():
-        if v is not None:
-            resolved[k] = Path(v)
-        elif k in defaults:
-            resolved[k] = defaults[k]
-        else:
-            resolved[k] = None
-    resolved["output_dir"] = out
-    return resolved
+    return {k: defaults.get(k) if v is None else Path(v) for k, v in cfg["paths"].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +190,9 @@ def _paths(cfg) -> dict:
 def cmd_simulate(cfg) -> int:
     paths = _paths(cfg)
     paths["output_dir"].mkdir(parents=True, exist_ok=True)
-    scene_cfg = dict(cfg["scene"])
-    n_frames = scene_cfg.pop("frames")
-    scene_cfg["seed"] = cfg["seed"]
-    scene = simulator.scene_from_spec(scene_cfg)
-    noise = detection.OracleNoiseConfig(
-        pixel_sigma=float(cfg["noise"]["pixel_sigma"]),
-        dropout_prob=float(cfg["noise"]["dropout_prob"]),
-        mislabel_prob=float(cfg["noise"]["mislabel_prob"]),
-        seed=cfg["seed"],
-    )
+    n_frames = cfg["scene"]["frames"]
+    scene = simulator.scene_from_spec(dict(cfg["scene"], seed=cfg["seed"]))
+    noise = detection.OracleNoiseConfig(**cfg["noise"], seed=cfg["seed"])
     save_layout(scene.layout, paths["layout"])
     save_calibration(scene.rig, paths["calibration"])
 
@@ -233,7 +234,7 @@ def cmd_reconstruct(cfg) -> int:
 
     # one job per frame, in frame order; a pool hands each worker one run of consecutive frames
     groups = reconstruct.group_frames(frames)
-    workers = min(cfg["workers"] or 1, len(groups))
+    workers = min(cfg["workers"], len(groups))
     jobs = (reconstruct.reconstruct_frame, groups, repeat(rig), repeat(layout))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -270,8 +271,7 @@ def _write_reconstruct_report(cfg, paths, clouds) -> None:
 
 def cmd_fit(cfg) -> int:
     paths = _paths(cfg)
-    # each value is cast to the type of its default
-    rcfg = refine.RefineConfig(**{k: type(v)(cfg["refine"][k]) for k, v in DEFAULT_CONFIG["refine"].items()})
+    rcfg = refine.RefineConfig(**cfg["refine"])
     layout = load_layout(paths["layout"])
     clouds = reconstruct.read_clouds(paths["clouds"])
     rng = np.random.default_rng(cfg["seed"])
@@ -293,10 +293,10 @@ def cmd_fit(cfg) -> int:
         raise ConfigError("fit needs either paths.init_model or paths.template + paths.seeds")
 
     fit_cfg = cfg["fit"]
-    if float(fit_cfg["perturb_joints"]) > 0:
+    if fit_cfg["perturb_joints"] > 0:
         d = rng.normal(size=model0.joints.shape)
         d /= np.linalg.norm(d, axis=1, keepdims=True)
-        model0.joints = model0.joints + d * float(fit_cfg["perturb_joints"])
+        model0.joints = model0.joints + d * fit_cfg["perturb_joints"]
     for _ in range(fit_cfg["blur_weights"]):
         model0.weights = _blur_weights(model0.weights, layout)
 
@@ -350,9 +350,6 @@ def cmd_inpaint(cfg) -> int:
     is read, each window is solved once its frames are in, and each frame is
     skinned and written once its blend is final. The animation is written under
     a sibling name and renamed on success, so a failed run leaves none."""
-    w_temporal = float(cfg["window"]["w_temporal"])
-    if not 0 < w_temporal < np.inf:  # the window quadratic is positive definite only for a positive weight
-        raise ConfigError(f"window.w_temporal must be a finite number > 0, got {w_temporal}")
     plan = inpaint.WindowPlan(cfg["window"]["length"], cfg["window"]["overlap"])
     paths = _paths(cfg)
     layout = load_layout(paths["layout"])
@@ -383,7 +380,7 @@ def cmd_inpaint(cfg) -> int:
         if len(observed) != K:
             raise ConfigError(f"{clouds_path}: {len(observed)} frames read, {K} counted before reading")
 
-    displacements = inpaint.solve_frames(L, frames(), plan, w_temporal)
+    displacements = inpaint.solve_frames(L, frames(), plan, cfg["window"]["w_temporal"])
     anim_path = paths["animation"]
     anim_path.parent.mkdir(parents=True, exist_ok=True)
     binary = str(anim_path).endswith(".bin")

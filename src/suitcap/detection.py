@@ -76,8 +76,8 @@ class OracleNoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pixel_sigma < 0:
-            raise ValueError("pixel_sigma must be >= 0")
+        if not 0 <= self.pixel_sigma < np.inf:  # NaN fails this test too
+            raise ValueError(f"pixel_sigma must be a finite number >= 0, got {self.pixel_sigma}")
         for p in (self.dropout_prob, self.mislabel_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")

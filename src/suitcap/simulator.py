@@ -9,6 +9,7 @@ real pipeline can be checked against the values generated here.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,6 +260,8 @@ STICK_FIGURE_BONES = [
 
 def _body_scene(joints, parents, bones, n_cameras, seed, breathing_amplitude, breathing_period, **motion):
     """Tube body, random joint animation and breathing field; `motion` goes to JointAnimation.random."""
+    if not 0 < breathing_period < np.inf:  # NaN fails this test too
+        raise ValueError(f"breathing_period must be a finite number > 0, got {breathing_period}")
     rng = np.random.default_rng(seed)
     layout, model, tube_of = build_tube_body(joints, parents, bones)
     animation = JointAnimation.random(model.n_joints, rng, **motion)
@@ -451,23 +454,16 @@ def truth_cloud(k: int, positions, vis: VisibilityRecord, min_cameras: int):
 # scene spec files
 
 
+PRESETS = {"stick_figure": stick_figure_scene, "tube": tube_scene}
+
+
 def scene_from_spec(spec: dict) -> SyntheticScene:
-    """Build a scene from a JSON-able spec dict (preset plus parameters)."""
+    """Build a scene from a JSON-able spec dict: a preset name plus any of its
+    builder's arguments. Keys the builder does not take (such as `frames`) are
+    ignored, and an argument the spec leaves out takes the builder's default."""
     preset = spec.get("preset", "stick_figure")
-    common = dict(
-        n_cameras=spec.get("n_cameras", 16),
-        seed=spec.get("seed", 0),
-        breathing_amplitude=spec.get("breathing_amplitude", 0.0),
-        breathing_period=spec.get("breathing_period", 100.0),
-        animation_strength=spec.get("animation_strength", 1.0),
-    )
-    if preset == "stick_figure":
-        return stick_figure_scene(**common)
-    if preset == "tube":
-        return tube_scene(
-            strips=spec.get("strips", 6),
-            codes_per_strip=spec.get("codes_per_strip", 10),
-            radius=spec.get("radius", 150.0),
-            **common,
-        )
-    raise ValueError(f"unknown scene preset {preset!r}")
+    if preset not in PRESETS:
+        raise ValueError(f"unknown scene preset {preset!r}")
+    build = PRESETS[preset]
+    params = inspect.signature(build).parameters
+    return build(**{k: v for k, v in spec.items() if k in params})

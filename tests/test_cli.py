@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import suitcap
+from suitcap import cli
 from suitcap.cli import main
 from suitcap.detection import read_detections
 from suitcap.reconstruct import read_clouds
@@ -135,6 +136,14 @@ def test_config_file_section_set_to_scalar_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"paths": 5}))
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert "configuration error: configuration key 'paths' is a section" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")
+    assert main(["simulate", "--config", str(cfg), "--set", f"paths.output_dir={tmp_path / 'out'}"]) == 2
+    assert f"configuration error: cannot read config {cfg}: 'list' object is not a mapping" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -476,6 +485,71 @@ def test_integral_float_count_setting_reads_as_int():
     cfg = load_config(args)
     assert type(cfg["refine"]["outer_iterations"]) is int and cfg["refine"]["outer_iterations"] == 2
     assert type(cfg["scene"]["frames"]) is int and cfg["scene"]["frames"] == 3
+
+
+def _leaves(table, prefix=""):
+    """(dotted key, leaf) of each leaf of a nested settings dict."""
+    for k, v in table.items():
+        if isinstance(v, dict):
+            yield from _leaves(v, f"{prefix}{k}.")
+        else:
+            yield prefix + k, v
+
+
+# one value outside each domain of the settings table
+OUT_OF_DOMAIN = {
+    cli.COUNT: "0", cli.NATURAL: "-1", cli.INTEGER: "1.5", cli.SETTINGS["scene"]["n_cameras"][1]: "1",
+    cli.POSITIVE: "0", cli.NON_NEGATIVE: "-1", cli.PROBABILITY: "1.5",
+    cli.PATH: "5", cli.OPTIONAL_PATH: "[1]", cli.PRESET: "bogus",
+}
+
+
+def test_every_default_has_a_domain_that_keeps_it():
+    table = dict(_leaves(cli.SETTINGS))
+    assert dict(_leaves(cli.DEFAULT_CONFIG)).keys() == table.keys()
+    for key, (default, read) in table.items():
+        assert read(default) == default and type(read(default)) is type(default), key
+        assert read in OUT_OF_DOMAIN, key
+    # a real setting written as an integer reads as a float, as the solvers' casts once did
+    args = cli.build_parser().parse_args(["fit", "--set", "refine.lambda_g=1000", "--set", "scene.radius=90"])
+    cfg = cli.load_config(args)
+    assert type(cfg["refine"]["lambda_g"]) is float and cfg["refine"]["lambda_g"] == 1000.0
+    assert type(cfg["scene"]["radius"]) is float and cfg["scene"]["radius"] == 90.0
+
+
+def _out_of_domain_cases():
+    # a domain missing from OUT_OF_DOMAIN fails test_every_default_has_a_domain_that_keeps_it
+    cases = [("simulate", f"{key}={OUT_OF_DOMAIN.get(read)}") for key, (_, read) in _leaves(cli.SETTINGS)]
+    # values that once exited 0, crashed, or exited 2 without naming the key
+    cases += [("simulate", f"scene.frames={v}") for v in ("-2", "1.0e400")]
+    cases += [("simulate", f"workers={v}") for v in ("0", "-3")]
+    cases += [
+        ("simulate", "scene.radius=-150"), ("simulate", "noise.pixel_sigma=NaN"),
+        ("simulate", "scene.breathing_period=0"), ("simulate", "scene.radius=abc"),
+        ("simulate", "scene.animation_strength=abc"), ("reconstruct", "paths.clouds=5"),
+        ("eval", "paths.truth=[1]"), ("fit", "refine.lambda_g=abc"), ("inpaint", "window.w_temporal=abc"),
+        ("simulate", "noise.pixel_sigma=abc"), ("fit", "fit.perturb_joints=NaN"),
+        ("fit", "fit.perturb_joints=-1"), ("fit", "fit.blur_weights=-1"), ("simulate", "scene.frames={}"),
+    ]
+    params = [pytest.param(cmd, ["--set", a], {}, a.split("=")[0], id=f"{cmd}-{a}") for cmd, a in cases]
+    params.append(pytest.param("simulate", ["--workers", "0"], {}, "workers", id="simulate---workers-0"))
+    params.append(pytest.param("simulate", [], {"MOCAP_SEED": "-1"}, "seed", id="simulate-MOCAP_SEED=-1"))
+    return params
+
+
+@pytest.mark.parametrize("command, extra, env, key", _out_of_domain_cases())
+def test_setting_outside_its_domain_exits_2_before_any_file(tmp_path, capsys, monkeypatch, command, extra, env, key):
+    """load_config reads every setting through its domain: the command's inputs here do not
+    exist, the error names the key, and no output directory appears."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    # a cheap scene, so that a value the table let through would still finish soon
+    argv = [command, "--set", f"paths.output_dir={out}", "--set", "scene.preset=tube", "--set", "scene.frames=1"]
+    assert main([*argv, *extra]) == 2
+    assert f"configuration error: {key} must be " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("overlap", ["0", "-1", "150"])

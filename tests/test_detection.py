@@ -196,6 +196,9 @@ def test_oracle_deterministic():
 def test_noise_config_validation():
     with pytest.raises(ValueError):
         OracleNoiseConfig(pixel_sigma=-1.0)
+    for sigma in (float("nan"), float("inf")):  # either would write non-finite pixels
+        with pytest.raises(ValueError, match="pixel_sigma must be a finite number >= 0"):
+            OracleNoiseConfig(pixel_sigma=sigma)
     with pytest.raises(ValueError):
         OracleNoiseConfig(dropout_prob=1.5)
 

@@ -7,6 +7,7 @@ from suitcap.simulator import (
     animate_and_sample,
     build_default_rig,
     compute_visibility,
+    scene_from_spec,
     stick_figure_scene,
     truth_clouds,
     tube_scene,
@@ -30,6 +31,36 @@ def test_default_rig_spacing_and_aim():
 def test_default_rig_needs_two_cameras():
     with pytest.raises(ValueError):
         build_default_rig(1)
+
+
+@pytest.mark.parametrize("build", [stick_figure_scene, tube_scene])
+@pytest.mark.parametrize("period", [0.0, -40.0, float("nan"), float("inf")])
+def test_breathing_period_must_be_finite_and_positive(build, period):
+    with pytest.raises(ValueError, match="breathing_period must be a finite number > 0"):
+        build(n_cameras=2, breathing_period=period)
+
+
+@pytest.mark.parametrize(
+    "spec, build, kwargs",
+    [
+        ({"preset": "stick_figure", "seed": 3}, stick_figure_scene, {"seed": 3}),
+        ({"preset": "tube", "seed": 3, "breathing_amplitude": 3.0}, tube_scene, dict(seed=3, breathing_amplitude=3.0)),
+        # the builder's own defaults fill what the spec leaves out, and keys it does not take are ignored
+        ({"seed": 3, "frames": 7, "strips": 2}, stick_figure_scene, {"seed": 3}),
+        ({"preset": "tube", "strips": 4, "radius": 90.0, "frames": 7}, tube_scene, {"strips": 4, "radius": 90.0}),
+    ],
+)
+def test_scene_from_spec_forwards_only_what_the_spec_holds(spec, build, kwargs):
+    a, b = scene_from_spec(spec), build(**kwargs)
+    assert np.array_equal(a.model.rest_vertices, b.model.rest_vertices)
+    assert np.array_equal(a.breathing_amplitude, b.breathing_amplitude)
+    assert np.array_equal(a.positions(5), b.positions(5))
+    assert [c.center.tolist() for c in a.rig] == [c.center.tolist() for c in b.rig]
+
+
+def test_scene_from_spec_rejects_unknown_preset():
+    with pytest.raises(ValueError, match="unknown scene preset 'bogus'"):
+        scene_from_spec({"preset": "bogus"})
 
 
 def static_scene(**kw):
