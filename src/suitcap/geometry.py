@@ -30,7 +30,6 @@ UNDISTORT_ITERATIONS = 12  # fixed-point steps of `undistort_normalized`
 __all__ = [
     "Camera",
     "CameraRig",
-    "CameraArrays",
     "project_cams",
     "project_jacobian",
     "normalized_coords",
@@ -182,15 +181,29 @@ class Camera:
 
 @dataclass
 class CameraRig:
-    """Ordered collection of cameras with unique ids. World units are millimeters."""
+    """Ordered cameras with unique ids, their parameters stacked once for the projection kernel.
+
+    Row c of every stack belongs to `cameras[c]`: `ids` (C,), `R` (C, 3, 3),
+    `t` (C, 3), the intrinsics `fx`, `fy`, `cx`, `cy` and `skew` (C,), and
+    `dist` (C, 5). The stacks are read-only; `any_distortion` is False for an
+    all-pinhole rig. World units are millimeters.
+    """
 
     cameras: list[Camera]
 
     def __post_init__(self):
-        ids = [c.id for c in self.cameras]
-        if len(set(ids)) != len(ids):
+        cams = self.cameras
+        self.ids = np.array([c.id for c in cams], dtype=int)
+        if len(np.unique(self.ids)) != len(self.ids):
             raise ValueError("camera ids must be unique")
-        self._by_id = {c.id: c for c in self.cameras}
+        K = np.array([c.intrinsics for c in cams]).reshape(-1, 3, 3)
+        self.R = np.array([c.rot for c in cams]).reshape(-1, 3, 3)
+        self.t = np.array([c.translation for c in cams]).reshape(-1, 3)
+        self.dist = np.array([c.distortion for c in cams]).reshape(-1, 5)
+        for a in (self.ids, K, self.R, self.t, self.dist):
+            a.setflags(write=False)
+        self.fx, self.fy, self.cx, self.cy, self.skew = K[:, 0, 0], K[:, 1, 1], K[:, 0, 2], K[:, 1, 2], K[:, 0, 1]
+        self.any_distortion = bool(np.any(self.dist != 0.0))
 
     def __len__(self):
         return len(self.cameras)
@@ -198,8 +211,16 @@ class CameraRig:
     def __iter__(self):
         return iter(self.cameras)
 
-    def camera(self, cam_id: int) -> Camera:
-        return self._by_id[cam_id]
+    def rows_of(self, camera_ids) -> np.ndarray:
+        """Row of each camera id; ValueError for an id not in the rig."""
+        camera_ids = np.asarray(camera_ids, dtype=int)
+        order = np.argsort(self.ids)
+        at = np.searchsorted(self.ids, camera_ids, sorter=order)
+        known = at < len(order)
+        known[known] = self.ids[order[at[known]]] == camera_ids[known]
+        if not known.all():
+            raise ValueError(f"camera id {camera_ids[~known][0]} is not in the rig")
+        return order[at]
 
 
 def distort_normalized(xn, dist):
@@ -232,85 +253,37 @@ def undistort_normalized(xd, dist):
     return np.stack([x, y], axis=-1)
 
 
-@dataclass
-class CameraArrays:
-    """Rig parameters stacked for vectorized projection; row order == rig order."""
-
-    R: np.ndarray          # (C, 3, 3)
-    t: np.ndarray          # (C, 3)
-    fx: np.ndarray
-    fy: np.ndarray
-    cx: np.ndarray
-    cy: np.ndarray
-    skew: np.ndarray
-    dist: np.ndarray       # (C, 5)
-    ids: np.ndarray        # (C,) camera ids
-    any_distortion: bool
-
-    @classmethod
-    def from_rig(cls, rig) -> "CameraArrays":
-        """Stack a CameraRig, or any sequence of cameras."""
-        cams = list(rig)
-        K = np.array([c.intrinsics for c in cams])
-        R = np.array([c.rot for c in cams])
-        t = np.array([c.translation for c in cams])
-        dist = np.array([c.distortion for c in cams])
-        return cls(
-            R=R,
-            t=t,
-            fx=K[:, 0, 0],
-            fy=K[:, 1, 1],
-            cx=K[:, 0, 2],
-            cy=K[:, 1, 2],
-            skew=K[:, 0, 1],
-            dist=dist,
-            ids=np.array([c.id for c in cams], dtype=int),
-            any_distortion=bool(np.any(dist != 0.0)),
-        )
-
-    def rows_of(self, camera_ids) -> np.ndarray:
-        """Row of each camera id; ValueError for an id not in the rig."""
-        camera_ids = np.asarray(camera_ids, dtype=int)
-        order = np.argsort(self.ids)
-        at = np.searchsorted(self.ids, camera_ids, sorter=order).clip(max=len(order) - 1)
-        rows = order[at]
-        unknown = self.ids[rows] != camera_ids
-        if unknown.any():
-            raise ValueError(f"camera id {camera_ids[unknown][0]} is not in the rig")
-        return rows
-
-
-def _camera_normalized(arr: CameraArrays, cam_idx, pts):
+def _camera_normalized(rig: CameraRig, cam_idx, pts):
     """Rotate pts[b] into camera cam_idx[b] and divide by depth: ((B,2) x / z, (B,) z, (B,3,3) R)."""
-    R = arr.R[cam_idx]
-    pc = np.einsum("bij,bj->bi", R, pts) + arr.t[cam_idx]
+    R = rig.R[cam_idx]
+    pc = np.einsum("bij,bj->bi", R, pts) + rig.t[cam_idx]
     z = pc[:, 2]
     with np.errstate(invalid="ignore", divide="ignore"):
         xn = pc[:, :2] / z[:, None]
     return xn, z, R
 
 
-def _to_pixels(arr: CameraArrays, cam_idx, xn):
+def _to_pixels(rig: CameraRig, cam_idx, xn):
     """Distort (B, 2) normalized coordinates and apply the intrinsics of camera cam_idx[b]."""
-    if arr.any_distortion:
-        xn = distort_normalized(xn, arr.dist[cam_idx])
-    u = arr.fx[cam_idx] * xn[:, 0] + arr.skew[cam_idx] * xn[:, 1] + arr.cx[cam_idx]
-    v = arr.fy[cam_idx] * xn[:, 1] + arr.cy[cam_idx]
+    if rig.any_distortion:
+        xn = distort_normalized(xn, rig.dist[cam_idx])
+    u = rig.fx[cam_idx] * xn[:, 0] + rig.skew[cam_idx] * xn[:, 1] + rig.cx[cam_idx]
+    v = rig.fy[cam_idx] * xn[:, 1] + rig.cy[cam_idx]
     return np.stack([u, v], axis=-1)
 
 
-def project_cams(arr: CameraArrays, cam_idx, pts):
+def project_cams(rig: CameraRig, cam_idx, pts):
     """Project pts[b] through camera cam_idx[b]; returns ((B,2) pixels, (B,) depth).
 
     Does not raise on non-positive depth; callers mask on the returned depth.
     """
-    xn, z, _ = _camera_normalized(arr, cam_idx, pts)
-    return _to_pixels(arr, cam_idx, xn), z
+    xn, z, _ = _camera_normalized(rig, cam_idx, pts)
+    return _to_pixels(rig, cam_idx, xn), z
 
 
-def project_jacobian(arr: CameraArrays, cam_idx, pts):
+def project_jacobian(rig: CameraRig, cam_idx, pts):
     """`project_cams` plus the (B, 2, 3) Jacobian of the pixels with respect to the world point."""
-    xn, z, R = _camera_normalized(arr, cam_idx, pts)
+    xn, z, R = _camera_normalized(rig, cam_idx, pts)
     with np.errstate(invalid="ignore", divide="ignore"):
         inv_z = 1.0 / z
 
@@ -319,9 +292,9 @@ def project_jacobian(arr: CameraArrays, cam_idx, pts):
     dn[:, 0, 0] = dn[:, 1, 1] = inv_z
     dn[:, :, 2] = -xn * inv_z[:, None]
 
-    if arr.any_distortion:
+    if rig.any_distortion:
         x, y = xn[:, 0], xn[:, 1]
-        k1, k2, p1, p2, k3 = arr.dist[cam_idx].T
+        k1, k2, p1, p2, k3 = rig.dist[cam_idx].T
         r2 = x * x + y * y
         radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
         dr = k1 + r2 * (2 * k2 + 3 * k3 * r2)
@@ -333,25 +306,25 @@ def project_jacobian(arr: CameraArrays, cam_idx, pts):
 
     # rows of K act on the distorted normalized coords, then chain through R
     Jn = np.empty_like(dn)
-    Jn[:, 0] = arr.fx[cam_idx][:, None] * dn[:, 0] + arr.skew[cam_idx][:, None] * dn[:, 1]
-    Jn[:, 1] = arr.fy[cam_idx][:, None] * dn[:, 1]
-    return _to_pixels(arr, cam_idx, xn), z, Jn @ R
+    Jn[:, 0] = rig.fx[cam_idx][:, None] * dn[:, 0] + rig.skew[cam_idx][:, None] * dn[:, 1]
+    Jn[:, 1] = rig.fy[cam_idx][:, None] * dn[:, 1]
+    return _to_pixels(rig, cam_idx, xn), z, Jn @ R
 
 
-def normalized_coords(arr: CameraArrays, cam_idx, pixels):
+def normalized_coords(rig: CameraRig, cam_idx, pixels):
     """Undistorted normalized image coordinates of observed pixels."""
-    yn = (pixels[:, 1] - arr.cy[cam_idx]) / arr.fy[cam_idx]
-    xn = (pixels[:, 0] - arr.cx[cam_idx] - arr.skew[cam_idx] * yn) / arr.fx[cam_idx]
+    yn = (pixels[:, 1] - rig.cy[cam_idx]) / rig.fy[cam_idx]
+    xn = (pixels[:, 0] - rig.cx[cam_idx] - rig.skew[cam_idx] * yn) / rig.fx[cam_idx]
     out = np.stack([xn, yn], axis=-1)
-    if not arr.any_distortion:
+    if not rig.any_distortion:
         return out
-    return undistort_normalized(out, arr.dist[cam_idx])
+    return undistort_normalized(out, rig.dist[cam_idx])
 
 
 def project_many(camera: Camera, points):
     """Project (N, 3) world points through one camera with `project_cams`."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    return project_cams(CameraArrays.from_rig([camera]), np.zeros(len(pts), dtype=int), pts)
+    return project_cams(CameraRig([camera]), np.zeros(len(pts), dtype=int), pts)
 
 
 # ---------------------------------------------------------------------------

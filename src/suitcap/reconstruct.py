@@ -19,7 +19,7 @@ import numpy as np
 
 from .detection import DetectionFrame, cluster_frame
 from .errors import ConfigError
-from .geometry import CameraArrays, CameraRig, project_cams
+from .geometry import CameraRig, project_cams
 from .layout import SuitLayout
 from .triangulate import linear_initialization, triangulate_points
 
@@ -146,11 +146,10 @@ def filter_mislabels(corner_id, camera_id, pixel, rig: CameraRig, frame_index: i
     test. With exactly two cameras the IQR step is skipped and only the
     absolute test applies.
     """
-    arr = CameraArrays.from_rig(rig)
     corner_id = np.asarray(corner_id, dtype=int)
     camera_id = np.asarray(camera_id, dtype=int)
     pixel = np.asarray(pixel, dtype=float).reshape(-1, 2)
-    cam_idx = arr.rows_of(camera_id)
+    cam_idx = rig.rows_of(camera_id)
     cloud = LabeledPointCloud(frame_index)
 
     ids, start, count = np.unique(corner_id, return_index=True, return_counts=True)
@@ -174,14 +173,14 @@ def filter_mislabels(corner_id, camera_id, pixel, rig: CameraRig, frame_index: i
         hyp_cams = cams[:, pairs].reshape(-1)  # (g * P * 2,)
         hyp_pix = pix[:, pairs, :].reshape(-1, 2)
         hyp_index = np.repeat(np.arange(g * n_pairs), 2)
-        hyps = linear_initialization(arr, hyp_index, hyp_cams, hyp_pix, g * n_pairs)
+        hyps = linear_initialization(rig, hyp_index, hyp_cams, hyp_pix, g * n_pairs)
         hyps = hyps.reshape(g, n_pairs, 3)
 
         # evaluate every hypothesis in every claiming camera, one camera column at a time
         err_sum = np.zeros((g, n_pairs))
         err_at = np.empty((g, n_pairs, m))
         for c in range(m):
-            uv, z = project_cams(arr, np.repeat(cams[:, c], n_pairs), hyps.reshape(-1, 3))
+            uv, z = project_cams(rig, np.repeat(cams[:, c], n_pairs), hyps.reshape(-1, 3))
             e = np.linalg.norm(uv.reshape(g, n_pairs, 2) - pix[:, c][:, None, :], axis=-1)
             e[z.reshape(g, n_pairs) <= 0] = np.inf
             err_at[:, :, c] = e
@@ -212,7 +211,7 @@ def filter_mislabels(corner_id, camera_id, pixel, rig: CameraRig, frame_index: i
     point_ids, first, point_index = np.unique(
         corner_id[batch], return_index=True, return_inverse=True
     )
-    res = triangulate_points(arr, point_index, cam_idx[batch], pixel[batch], len(point_ids))
+    res = triangulate_points(rig, point_index, cam_idx[batch], pixel[batch], len(point_ids))
 
     bounds = np.append(first, len(batch)).tolist()
     cameras = camera_id[batch].tolist()

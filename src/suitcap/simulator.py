@@ -369,7 +369,7 @@ def compute_visibility(scene: SyntheticScene, frame_index: int, positions=None) 
         cand_per_cam[cam.id] = cand[~crowded(uv[cand], MIN_PIXEL_SEPARATION)]
 
     origins = np.concatenate(
-        [np.broadcast_to(scene.rig.camera(c).center, (len(ids), 3)) for c, ids in cand_per_cam.items()]
+        [np.broadcast_to(cam.center, (len(ids), 3)) for cam, ids in zip(scene.rig, cand_per_cam.values())]
     )
     corner_ids = np.concatenate(list(cand_per_cam.values())).astype(int)
     clear = _unoccluded(scene, origins, pos[corner_ids], scene.vertex_tube[corner_ids], tube_boxes, tube_packs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraArrays, normalized_coords, project_cams, project_jacobian
+from .geometry import CameraRig, normalized_coords, project_cams, project_jacobian
 
 GRADIENT_TOL = 1e-10
 MAX_ITERATIONS = 100
@@ -34,11 +34,11 @@ def _sums(index, values, n):
     return out
 
 
-def linear_initialization(arr: CameraArrays, point_index, cam_idx, pixels, n_points):
+def linear_initialization(rig: CameraRig, point_index, cam_idx, pixels, n_points):
     """Linear-LS triangulation (normalized DLT rows, per-point normal equations)."""
-    nc = normalized_coords(arr, cam_idx, pixels)
-    R = arr.R[cam_idx]
-    t = arr.t[cam_idx]
+    nc = normalized_coords(rig, cam_idx, pixels)
+    R = rig.R[cam_idx]
+    t = rig.t[cam_idx]
     a1 = nc[:, 0, None] * R[:, 2, :] - R[:, 0, :]
     b1 = t[:, 0] - nc[:, 0] * t[:, 2]
     a2 = nc[:, 1, None] * R[:, 2, :] - R[:, 1, :]
@@ -66,11 +66,11 @@ def linear_initialization(arr: CameraArrays, point_index, cam_idx, pixels, n_poi
         return out
 
 
-def ray_spread_flags(arr: CameraArrays, point_index, cam_idx, pixels, n_points):
+def ray_spread_flags(rig: CameraRig, point_index, cam_idx, pixels, n_points):
     """True where all of a point's observation rays fall within the minimum angle."""
-    nc = normalized_coords(arr, cam_idx, pixels)
+    nc = normalized_coords(rig, cam_idx, pixels)
     d_cam = np.concatenate([nc, np.ones((len(nc), 1))], axis=1)
-    d = np.einsum("bji,bj->bi", arr.R[cam_idx], d_cam)
+    d = np.einsum("bji,bj->bi", rig.R[cam_idx], d_cam)
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     mean = _sums(point_index, d, n_points)
     counts = np.bincount(point_index, minlength=n_points).astype(float)
@@ -100,16 +100,16 @@ def _point_costs(point_index, n_points, residuals, depths):
     return cost
 
 
-def triangulate_points(arr: CameraArrays, point_index, cam_idx, pixels, n_points) -> TriangulationResult:
+def triangulate_points(rig: CameraRig, point_index, cam_idx, pixels, n_points) -> TriangulationResult:
     """Solve all points of an observation batch by LM from the Linear-LS start."""
     point_index = np.asarray(point_index, dtype=int)
     cam_idx = np.asarray(cam_idx, dtype=int)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
 
-    parallel = ray_spread_flags(arr, point_index, cam_idx, pixels, n_points)
-    p = linear_initialization(arr, point_index, cam_idx, pixels, n_points)
+    parallel = ray_spread_flags(rig, point_index, cam_idx, pixels, n_points)
+    p = linear_initialization(rig, point_index, cam_idx, pixels, n_points)
 
-    uv, z = project_cams(arr, cam_idx, p[point_index])
+    uv, z = project_cams(rig, cam_idx, p[point_index])
     cost = _point_costs(point_index, n_points, uv - pixels, z)
     lam = np.full(n_points, 1e-3)
     converged = np.zeros(n_points, dtype=bool)
@@ -123,7 +123,7 @@ def triangulate_points(arr: CameraArrays, point_index, cam_idx, pixels, n_points
             break
         rows = np.flatnonzero(active[point_index])
         local = (np.cumsum(active) - 1)[point_index[rows]]
-        uv, z, J = project_jacobian(arr, cam_idx[rows], p[ai][local])
+        uv, z, J = project_jacobian(rig, cam_idx[rows], p[ai][local])
         r = uv - pixels[rows]
         g = _sums(local, np.einsum("bij,bi->bj", J, r), len(ai))
         H = _sums(local, np.einsum("bij,bik->bjk", J, J), len(ai))
@@ -146,7 +146,7 @@ def triangulate_points(arr: CameraArrays, point_index, cam_idx, pixels, n_points
             delta = np.stack([np.linalg.lstsq(Ha[k], -g[k], rcond=None)[0] for k in range(len(ai))])
 
         trial = p[ai] + delta
-        uv_t, z_t = project_cams(arr, cam_idx[rows], trial[local])
+        uv_t, z_t = project_cams(rig, cam_idx[rows], trial[local])
         cost_t = _point_costs(local, len(ai), uv_t - pixels[rows], z_t)
 
         cost_a = cost[ai]
@@ -163,7 +163,7 @@ def triangulate_points(arr: CameraArrays, point_index, cam_idx, pixels, n_points
         stuck = ~improved & (lam[ai] > 1e10)
         active[ai[stuck | negligible]] = False
 
-    uv, z = project_cams(arr, cam_idx, p[point_index])
+    uv, z = project_cams(rig, cam_idx, p[point_index])
     obs_err = np.linalg.norm(uv - pixels, axis=1)
     counts = np.bincount(point_index, minlength=n_points)
     mean_err = np.bincount(point_index, weights=obs_err, minlength=n_points) / np.maximum(counts, 1)

@@ -7,7 +7,6 @@ from scipy.spatial import cKDTree
 from suitcap.errors import CalibrationError
 from suitcap.geometry import (
     Camera,
-    CameraArrays,
     crowded,
     load_calibration,
     normalized_coords,
@@ -111,9 +110,8 @@ def _mixed_rig_points(rng, n=400):
 
 
 def test_kernel_matches_scalar_oracle_on_mixed_rig(mixed_rig, rng):
-    arr = CameraArrays.from_rig(mixed_rig)
     pts, cam_idx = _mixed_rig_points(rng)
-    uv, z = project_cams(arr, cam_idx, pts)
+    uv, z = project_cams(mixed_rig, cam_idx, pts)
     shift = []
     for b, (p, c) in enumerate(zip(pts, cam_idx)):
         cam = mixed_rig.cameras[c]
@@ -131,45 +129,43 @@ def test_kernel_matches_scalar_oracle_on_mixed_rig(mixed_rig, rng):
 
 
 def test_project_jacobian_matches_kernel_central_differences(mixed_rig, rng):
-    arr = CameraArrays.from_rig(mixed_rig)
     pts, cam_idx = _mixed_rig_points(rng, 100)
-    uv, z = project_cams(arr, cam_idx, pts)
-    uv_j, z_j, J = project_jacobian(arr, cam_idx, pts)
+    uv, z = project_cams(mixed_rig, cam_idx, pts)
+    uv_j, z_j, J = project_jacobian(mixed_rig, cam_idx, pts)
     assert np.array_equal(uv_j, uv)
     assert np.array_equal(z_j, z)
     h = 1e-3
     for k in range(3):
         step = np.zeros(3)
         step[k] = h
-        up, _ = project_cams(arr, cam_idx, pts + step)
-        down, _ = project_cams(arr, cam_idx, pts - step)
+        up, _ = project_cams(mixed_rig, cam_idx, pts + step)
+        down, _ = project_cams(mixed_rig, cam_idx, pts - step)
         assert np.abs((up - down) / (2 * h) - J[:, :, k]).max() < 1e-7
 
 
-def _normalized_coords_per_camera(arr, cam_idx, pixels):
+def _normalized_coords_per_camera(rig, cam_idx, pixels):
     # the per-camera loop that `normalized_coords` replaced: one camera's (5,)
     # coefficients at a time, pinhole cameras passed through unchanged
-    yn = (pixels[:, 1] - arr.cy[cam_idx]) / arr.fy[cam_idx]
-    xn = (pixels[:, 0] - arr.cx[cam_idx] - arr.skew[cam_idx] * yn) / arr.fx[cam_idx]
+    yn = (pixels[:, 1] - rig.cy[cam_idx]) / rig.fy[cam_idx]
+    xn = (pixels[:, 0] - rig.cx[cam_idx] - rig.skew[cam_idx] * yn) / rig.fx[cam_idx]
     res = np.stack([xn, yn], axis=-1)
     for c in np.unique(cam_idx):
-        if np.any(arr.dist[c] != 0.0):
+        if np.any(rig.dist[c] != 0.0):
             m = cam_idx == c
-            res[m] = undistort_normalized(res[m], arr.dist[c])
+            res[m] = undistort_normalized(res[m], rig.dist[c])
     return res
 
 
 def test_normalized_coords_matches_per_camera_loop(mixed_rig, rng):
-    arr = CameraArrays.from_rig(mixed_rig)
     pts, cam_idx = _mixed_rig_points(rng, 2000)
-    uv, _ = project_cams(arr, cam_idx, pts)
+    uv, _ = project_cams(mixed_rig, cam_idx, pts)
     pixels = uv + rng.normal(0.0, 0.5, uv.shape)
-    nc = normalized_coords(arr, cam_idx, pixels)
-    assert np.array_equal(nc, _normalized_coords_per_camera(arr, cam_idx, pixels))
+    nc = normalized_coords(mixed_rig, cam_idx, pixels)
+    assert np.array_equal(nc, _normalized_coords_per_camera(mixed_rig, cam_idx, pixels))
     # both kinds of camera are exercised, and the undistortion inverts the kernel
     assert set(cam_idx % 2) == {0, 1}
-    noiseless = normalized_coords(arr, cam_idx, uv)
-    pc = np.einsum("bij,bj->bi", arr.R[cam_idx], pts) + arr.t[cam_idx]
+    noiseless = normalized_coords(mixed_rig, cam_idx, uv)
+    pc = np.einsum("bij,bj->bi", mixed_rig.R[cam_idx], pts) + mixed_rig.t[cam_idx]
     assert np.abs(noiseless - pc[:, :2] / pc[:, 2:]).max() < 1e-9
 
 

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from suitcap.detection import DetectionFrame, OracleNoiseConfig, oracle_detect
-from suitcap.geometry import CameraArrays, normalized_coords, project_jacobian, project_many
+from suitcap.geometry import normalized_coords, project_jacobian, project_many
 from suitcap.layout import SuitLayout
 from suitcap.reconstruct import (
     REASON_CONFLICT,
@@ -140,8 +140,7 @@ def test_consolidate_noiseless_oracle_matches_truth():
 def triangulate_one(rig, p, cams):
     """Solve one point from exact projections in `cams`."""
     pix = np.array([project_many(c, p)[0][0] for c in cams])
-    arr = CameraArrays.from_rig(rig)
-    return triangulate_points(arr, np.zeros(len(cams), dtype=int), arr.rows_of([c.id for c in cams]), pix, 1)
+    return triangulate_points(rig, np.zeros(len(cams), dtype=int), rig.rows_of([c.id for c in cams]), pix, 1)
 
 
 def assert_exact(res, p):
@@ -184,24 +183,22 @@ def test_triangulate_parallel_rays_flagged():
 
 def test_lm_objective_never_worse_than_linear(rig4, rng):
     from suitcap.triangulate import (
-        CameraArrays,
         linear_initialization,
         project_cams,
         triangulate_points,
     )
 
-    arr = CameraArrays.from_rig(rig4)
     wins = 0
     for _ in range(1000):
         p = np.array([rng.uniform(-300, 300), rng.uniform(-300, 300), rng.uniform(700, 1300)])
         pix = np.array([project_many(c, p)[0][0] + rng.normal(0, 0.5, 2) for c in rig4])
         cam_idx = np.arange(4)
         point_index = np.zeros(4, dtype=int)
-        lin = linear_initialization(arr, point_index, cam_idx, pix, 1)
-        uv, _ = project_cams(arr, cam_idx, np.repeat(lin, 4, axis=0))
+        lin = linear_initialization(rig4, point_index, cam_idx, pix, 1)
+        uv, _ = project_cams(rig4, cam_idx, np.repeat(lin, 4, axis=0))
         cost_lin = np.sum((uv - pix) ** 2)
-        res = triangulate_points(arr, point_index, cam_idx, pix, 1)
-        uv, _ = project_cams(arr, cam_idx, np.repeat(res.points, 4, axis=0))
+        res = triangulate_points(rig4, point_index, cam_idx, pix, 1)
+        uv, _ = project_cams(rig4, cam_idx, np.repeat(res.points, 4, axis=0))
         cost_lm = np.sum((uv - pix) ** 2)
         assert cost_lm <= cost_lin + 1e-12
         wins += cost_lm < cost_lin
@@ -210,18 +207,17 @@ def test_lm_objective_never_worse_than_linear(rig4, rng):
 
 def test_lm_matches_grid_search_oracle(rig4, rng):
     """Spot-check the LM solution against a dense 0.01 mm lattice around truth."""
-    from suitcap.triangulate import CameraArrays, project_cams, triangulate_points
+    from suitcap.triangulate import project_cams, triangulate_points
 
-    arr = CameraArrays.from_rig(rig4)
     for _ in range(10):
         p = np.array([rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(800, 1200)])
         pix = np.array([project_many(c, p)[0][0] + rng.normal(0, 0.5, 2) for c in rig4])
         cam_idx = np.arange(4)
-        res = triangulate_points(arr, np.zeros(4, dtype=int), cam_idx, pix, 1)
+        res = triangulate_points(rig4, np.zeros(4, dtype=int), cam_idx, pix, 1)
         lm_err = np.linalg.norm(res.points[0] - p)
 
         def objective(q):
-            uv, _ = project_cams(arr, cam_idx, np.repeat(q.reshape(1, 3), 4, axis=0))
+            uv, _ = project_cams(rig4, cam_idx, np.repeat(q.reshape(1, 3), 4, axis=0))
             return float(np.sum((uv - pix) ** 2))
 
         # coarse 0.1 mm lattice over +-1.2 mm, then fine 0.01 mm around the best cell
@@ -235,7 +231,7 @@ def test_lm_matches_grid_search_oracle(rig4, rng):
 
             costs = np.empty(len(grid))
             for c_i in range(4):
-                uv, _ = pc(arr, np.full(len(grid), c_i), grid)
+                uv, _ = pc(rig4, np.full(len(grid), c_i), grid)
                 d = uv - pix[c_i]
                 costs_c = np.sum(d * d, axis=1)
                 costs = costs_c if c_i == 0 else costs + costs_c
@@ -249,10 +245,10 @@ def test_lm_matches_grid_search_oracle(rig4, rng):
 # add in row order, so the kernels must reproduce these oracles bit for bit.
 
 
-def _linear_initialization_add_at(arr, point_index, cam_idx, pixels, n_points):
-    nc = normalized_coords(arr, cam_idx, pixels)
-    R = arr.R[cam_idx]
-    t = arr.t[cam_idx]
+def _linear_initialization_add_at(rig, point_index, cam_idx, pixels, n_points):
+    nc = normalized_coords(rig, cam_idx, pixels)
+    R = rig.R[cam_idx]
+    t = rig.t[cam_idx]
     a1 = nc[:, 0, None] * R[:, 2, :] - R[:, 0, :]
     b1 = t[:, 0] - nc[:, 0] * t[:, 2]
     a2 = nc[:, 1, None] * R[:, 2, :] - R[:, 1, :]
@@ -273,10 +269,10 @@ def _linear_initialization_add_at(arr, point_index, cam_idx, pixels, n_points):
         return out
 
 
-def _ray_spread_flags_add_at(arr, point_index, cam_idx, pixels, n_points):
-    nc = normalized_coords(arr, cam_idx, pixels)
+def _ray_spread_flags_add_at(rig, point_index, cam_idx, pixels, n_points):
+    nc = normalized_coords(rig, cam_idx, pixels)
     d_cam = np.concatenate([nc, np.ones((len(nc), 1))], axis=1)
-    d = np.einsum("bji,bj->bi", arr.R[cam_idx], d_cam)
+    d = np.einsum("bji,bj->bi", rig.R[cam_idx], d_cam)
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     mean = np.zeros((n_points, 3))
     np.add.at(mean, point_index, d)
@@ -299,12 +295,12 @@ def _point_costs_add_at(point_index, n_points, residuals, depths):
     return cost
 
 
-def _triangulate_points_add_at(arr, point_index, cam_idx, pixels, n_points):
+def _triangulate_points_add_at(rig, point_index, cam_idx, pixels, n_points):
     """LM over every observation row in each iteration, summed with add.at."""
-    parallel = _ray_spread_flags_add_at(arr, point_index, cam_idx, pixels, n_points)
-    p = _linear_initialization_add_at(arr, point_index, cam_idx, pixels, n_points)
+    parallel = _ray_spread_flags_add_at(rig, point_index, cam_idx, pixels, n_points)
+    p = _linear_initialization_add_at(rig, point_index, cam_idx, pixels, n_points)
 
-    uv, z = project_cams(arr, cam_idx, p[point_index])
+    uv, z = project_cams(rig, cam_idx, p[point_index])
     cost = _point_costs_add_at(point_index, n_points, uv - pixels, z)
     lam = np.full(n_points, 1e-3)
     converged = np.zeros(n_points, dtype=bool)
@@ -316,7 +312,7 @@ def _triangulate_points_add_at(arr, point_index, cam_idx, pixels, n_points):
     for _ in range(MAX_ITERATIONS):
         if not np.any(active):
             break
-        uv, z, J = project_jacobian(arr, cam_idx, p[point_index])
+        uv, z, J = project_jacobian(rig, cam_idx, p[point_index])
         r = uv - pixels
         g = np.zeros((n_points, 3))
         H = np.zeros((n_points, 3, 3))
@@ -338,7 +334,7 @@ def _triangulate_points_add_at(arr, point_index, cam_idx, pixels, n_points):
 
         trial = p.copy()
         trial[ai] += delta
-        uv_t, z_t = project_cams(arr, cam_idx, trial[point_index])
+        uv_t, z_t = project_cams(rig, cam_idx, trial[point_index])
         cost_t = _point_costs_add_at(point_index, n_points, uv_t - pixels, z_t)
 
         with np.errstate(invalid="ignore"):
@@ -353,7 +349,7 @@ def _triangulate_points_add_at(arr, point_index, cam_idx, pixels, n_points):
         stuck = worsened & (lam > 1e10)
         active &= ~(stuck | negligible)
 
-    uv, z = project_cams(arr, cam_idx, p[point_index])
+    uv, z = project_cams(rig, cam_idx, p[point_index])
     obs_err = np.linalg.norm(uv - pixels, axis=1)
     mean_err = np.zeros(n_points)
     np.add.at(mean_err, point_index, obs_err)
@@ -373,8 +369,7 @@ def _lm_batch(rig, rng, n_points, noise_px):
     random direction, which some of its cameras see from behind. Far rays are
     near-parallel, some below MIN_RAY_ANGLE_DEG.
     """
-    arr = CameraArrays.from_rig(rig)
-    n_cams = len(arr.R)
+    n_cams = len(rig)
     center = np.array([0.0, 0.0, 1000.0])
     point_index, cam_idx, pts = [], [], []
     for i in range(n_points):
@@ -385,7 +380,7 @@ def _lm_batch(rig, rng, n_points, noise_px):
         if kind == 2:
             k = min(k, 3)
             cams = (cams[0] + np.arange(k)) % n_cams
-            p = center + arr.R[cams[0], 2] * distance + rng.normal(0.0, 300.0, 3)
+            p = center + rig.R[cams[0], 2] * distance + rng.normal(0.0, 300.0, 3)
         elif kind == 3:
             direction = rng.normal(size=3)
             p = center + direction / np.linalg.norm(direction) * distance
@@ -395,10 +390,10 @@ def _lm_batch(rig, rng, n_points, noise_px):
         cam_idx += list(cams)
         pts += [p] * k
     point_index, cam_idx = np.array(point_index), np.array(cam_idx)
-    pixels, _ = project_cams(arr, cam_idx, np.array(pts))
+    pixels, _ = project_cams(rig, cam_idx, np.array(pts))
     pixels += rng.normal(0.0, noise_px, pixels.shape)
     order = rng.permutation(len(point_index))
-    return arr, point_index[order], cam_idx[order], pixels[order]
+    return point_index[order], cam_idx[order], pixels[order]
 
 
 # a far point that a distorted camera sees far off its axis squares past the
@@ -417,8 +412,8 @@ def test_lm_kernels_match_add_at_oracles_bitwise(rig_name, noise_px):
     rng = np.random.default_rng([7, len(rig_name), int(noise_px * 10)])
     for _ in range(25):
         n = int(rng.integers(1, 60))
-        arr, point_index, cam_idx, pixels = _lm_batch(LM_RIGS[rig_name], rng, n, noise_px)
-        args = (arr, point_index, cam_idx, pixels, n)
+        point_index, cam_idx, pixels = _lm_batch(LM_RIGS[rig_name], rng, n, noise_px)
+        args = (LM_RIGS[rig_name], point_index, cam_idx, pixels, n)
         assert linear_initialization(*args).tobytes() == _linear_initialization_add_at(*args).tobytes()
         assert np.array_equal(ray_spread_flags(*args), _ray_spread_flags_add_at(*args))
         assert _result_bytes(triangulate_points(*args)) == _result_bytes(_triangulate_points_add_at(*args))
@@ -440,11 +435,12 @@ def test_lm_kernels_match_add_at_oracles_bitwise(rig_name, noise_px):
 def test_lm_point_alone_equals_point_in_batch(seed, rig_name, noise_px, n):
     """Renumbering the active points must not couple them: each solves as if alone."""
     rng = np.random.default_rng(seed)
-    arr, point_index, cam_idx, pixels = _lm_batch(LM_RIGS[rig_name], rng, n, noise_px)
-    batch = triangulate_points(arr, point_index, cam_idx, pixels, n)
+    rig = LM_RIGS[rig_name]
+    point_index, cam_idx, pixels = _lm_batch(rig, rng, n, noise_px)
+    batch = triangulate_points(rig, point_index, cam_idx, pixels, n)
     for i in rng.choice(n, size=min(n, 3), replace=False):
         rows = np.flatnonzero(point_index == i)
-        alone = triangulate_points(arr, np.zeros(len(rows), dtype=int), cam_idx[rows], pixels[rows], 1)
+        alone = triangulate_points(rig, np.zeros(len(rows), dtype=int), cam_idx[rows], pixels[rows], 1)
         assert alone.points.tobytes() == batch.points[i].tobytes()
         assert alone.converged[0] == batch.converged[i] and alone.parallel[0] == batch.parallel[i]
         assert alone.obs_errors.tobytes() == batch.obs_errors[rows].tobytes()
@@ -461,7 +457,8 @@ def test_noiseless_project_triangulate_round_trip(rig_name, point, cams):
     """Exact projections into three or more ring cameras (never collinear) give the point back."""
     rig = LM_RIGS[rig_name]
     ids = cams.draw(st.lists(st.sampled_from([c.id for c in rig]), min_size=3, unique=True))
-    assert_exact(triangulate_one(rig, np.array(point), [rig.camera(i) for i in ids]), np.array(point))
+    cameras = [rig.cameras[r] for r in rig.rows_of(ids)]
+    assert_exact(triangulate_one(rig, np.array(point), cameras), np.array(point))
 
 
 # ---------------------------------------------------------------------------
@@ -604,14 +601,13 @@ def test_filter_monotone_outlier_removal(rig16, rng):
     cloud = filter_flat(per_corner, rig16)
     flagged = {d.corner_id for d in cloud.discarded if d.reason == REASON_MISLABEL} & set(cloud.points)
     assert flagged, "the injected gross outliers must trigger IQR removals"
-    arr = CameraArrays.from_rig(rig16)
     pairs = np.array(list(itertools.combinations(range(16), 2)))
     n_pairs = len(pairs)
     for cid in sorted(flagged):
         pix = np.array([o[2] for o in per_corner[cid]])
         # each camera pair's point, scored by its mean error over all 16 claiming cameras
-        res = triangulate_points(arr, np.repeat(np.arange(n_pairs), 2), pairs.ravel(), pix[pairs.ravel()], n_pairs)
-        uv, _ = project_cams(arr, np.tile(np.arange(16), n_pairs), np.repeat(res.points, 16, axis=0))
+        res = triangulate_points(rig16, np.repeat(np.arange(n_pairs), 2), pairs.ravel(), pix[pairs.ravel()], n_pairs)
+        uv, _ = project_cams(rig16, np.tile(np.arange(16), n_pairs), np.repeat(res.points, 16, axis=0))
         pair_mean = np.linalg.norm(uv - np.tile(pix, (n_pairs, 1)), axis=1).reshape(n_pairs, 16).mean(axis=1)
         assert cloud.points[cid].mean_reproj_err <= pair_mean.min() + 1e-9
 
