@@ -57,6 +57,14 @@ def _real(what, ok):
     return lambda v: float(finite(v))
 
 
+def _even(v):
+    """Domain of the even integers >= 2, as the tube splits each strip's codes between its two
+    bones; an integral number such as 4.0 reads as 4."""
+    if not (type(v) in (int, float) and 2 <= v < np.inf and v % 2 == 0):
+        raise ValueError("an even integer >= 2")
+    return int(v)
+
+
 # a domain reads a JSON value as its setting, or raises ValueError completing "<key> must be ..."
 COUNT = _integer(1)
 NATURAL = _integer(0)
@@ -81,7 +89,7 @@ SETTINGS = {
         "preset": ("stick_figure", PRESET), "frames": (100, COUNT), "n_cameras": (16, _integer(2)),
         "breathing_amplitude": (0.0, NON_NEGATIVE), "breathing_period": (100.0, POSITIVE),
         "animation_strength": (1.0, NON_NEGATIVE),
-        "strips": (6, COUNT), "codes_per_strip": (10, COUNT), "radius": (150.0, POSITIVE),  # tube only
+        "strips": (6, COUNT), "codes_per_strip": (10, _even), "radius": (150.0, POSITIVE),  # tube only
     },
     "noise": {"pixel_sigma": (0.2, NON_NEGATIVE), "dropout_prob": (0.0, PROBABILITY),
               "mislabel_prob": (0.0, PROBABILITY)},

@@ -229,17 +229,22 @@ def write_detections(frames, path) -> None:
 def read_detections(path) -> list[DetectionFrame]:
     """Parse a detection file, rejecting records that would silently change results.
 
-    Raises `ConfigError`, naming the frame, the camera and the bad value, for a
-    reading index outside the frame's corners, a non-finite pixel or
-    confidence, or a repeated (frame, camera) record.
+    Raises `ConfigError` naming the file and the line, with the parser's
+    message, for a line that `frame_from_json` cannot read. Raises it naming
+    the frame, the camera and the bad value for a reading index outside the
+    frame's corners, a non-finite pixel or confidence, or a repeated
+    (frame, camera) record.
     """
     frames = []
     seen = set()
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            frame = frame_from_json(line)
+            try:
+                frame = frame_from_json(line)
+            except (KeyError, TypeError, ValueError) as e:
+                raise ConfigError(f"{path}: line {n}: not a detection record ({type(e).__name__}: {e})") from None
             where = f"{path}: frame {frame.frame_index} camera {frame.camera_id}"
             if (frame.frame_index, frame.camera_id) in seen:
                 raise ConfigError(f"{where}: repeated (frame, camera) record")

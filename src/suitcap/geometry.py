@@ -19,6 +19,7 @@ distorts with `distort_normalized` and applies the intrinsics. `project_cams`
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -374,42 +375,50 @@ def crowded(points, r):
 # ---------------------------------------------------------------------------
 # calibration files
 
-_CALIB_FIELDS = ("id", "K", "dist", "q", "t", "size")
+# each list field of a calibration entry, with its length
+_CALIB_LISTS = {"K": 9, "dist": 5, "q": 4, "t": 3, "size": 2}
+
+
+def _finite(x) -> bool:
+    """A JSON number that is finite as a float; NaN, the infinities, booleans and huge integers are not."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 def load_calibration(path) -> CameraRig:
-    """Read a JSON calibration file: a list of `{id, K:[9], dist:[5], q:[4], t:[3], size:[2]}`."""
+    """Read a JSON calibration file: a non-empty list of `{id, K:[9], dist:[5], q:[4], t:[3], size:[2]}`.
+
+    Raises `CalibrationError` naming the file, and the entry (both entries for a
+    repeated id), for anything that is not such a list of valid cameras.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise CalibrationError(f"cannot read calibration file {path}: {e}") from e
-    if not isinstance(raw, list):
-        raise CalibrationError("calibration file must contain a JSON array of cameras")
-    cameras = []
-    for entry in raw:
-        missing = [k for k in _CALIB_FIELDS if k not in entry]
+    if not isinstance(raw, list) or not raw:
+        raise CalibrationError(f"{path}: calibration file must contain a non-empty JSON array of cameras")
+    cameras, entry_of = [], {}
+    for i, entry in enumerate(raw):
+        where = f"{path}: camera entry {i}"
+        if not isinstance(entry, dict):
+            raise CalibrationError(f"{where} is not an object")
+        missing = [k for k in ("id", *_CALIB_LISTS) if k not in entry]
         if missing:
-            raise CalibrationError(f"camera entry missing fields {missing}")
-        if len(entry["dist"]) != 5:
-            raise CalibrationError(
-                f"unsupported distortion model with {len(entry['dist'])} coefficients (expected 5)"
-            )
-        if len(entry["K"]) != 9:
-            raise CalibrationError("K must have 9 entries")
+            raise CalibrationError(f"{where} is missing fields {missing}")
+        cam_id = entry["id"]
+        if type(cam_id) is not int:
+            raise CalibrationError(f"{where}: 'id' must be an integer, got {json.dumps(cam_id)}")
+        if cam_id in entry_of:
+            raise CalibrationError(f"{path}: camera entries {entry_of[cam_id]} and {i} both have id {cam_id}")
+        entry_of[cam_id] = i
+        for k, n in _CALIB_LISTS.items():
+            v = entry[k]
+            if not (isinstance(v, list) and len(v) == n and all(_finite(x) for x in v)):
+                raise CalibrationError(f"{where}: {k!r} must be {n} finite numbers, got {json.dumps(v)}")
         try:
-            cameras.append(
-                Camera(
-                    id=int(entry["id"]),
-                    intrinsics=np.array(entry["K"], dtype=float).reshape(3, 3),
-                    distortion=np.array(entry["dist"], dtype=float),
-                    rotation=np.array(entry["q"], dtype=float),
-                    translation=np.array(entry["t"], dtype=float),
-                    image_size=(entry["size"][0], entry["size"][1]),
-                )
-            )
+            cameras.append(Camera(cam_id, entry["K"], entry["dist"], entry["q"], entry["t"], entry["size"]))
         except ValueError as e:
-            raise CalibrationError(str(e)) from e
+            raise CalibrationError(f"{where}: {e}") from e
     return CameraRig(cameras)
 
 

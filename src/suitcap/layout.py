@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import AlphabetExhausted, BadCornerIndex, LayoutError, UnknownCode
 from .meshes import mesh_edges
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Camera, CameraRig, crowded, project_many, rot_to_quat
+from .geometry import Camera, CameraRig, crowded, project_many, quat_from_rotvec, rot_to_quat
 from .layout import SuitLayout, concat_layouts, generate_synthetic_layout
 from .meshes import pack_triangles, segments_hit_triangles, triangulate_faces, vertex_normals
 from .skinning import SkinnedBodyModel, joint_transforms, skin_with_transforms
@@ -85,8 +85,6 @@ class JointAnimation:
     def pose(self, k: int):
         angles = self.amplitudes * np.sin(2.0 * np.pi * k / self.periods + self.phases)
         rotvecs = self.axes * angles[:, None]
-        from .geometry import quat_from_rotvec
-
         quats = quat_from_rotvec(rotvecs)
         phi = 2.0 * np.pi * k / ROOT_PERIOD
         root_t = self.root_sway * np.array([np.cos(phi), np.sin(phi), 0.0])
@@ -302,10 +300,16 @@ def tube_scene(
     breathing_period: float = 100.0,
     animation_strength: float = 1.0,
 ) -> SyntheticScene:
-    """Single articulated cylinder: a 3-joint chain wrapped with one corner grid."""
+    """Single articulated cylinder: a 3-joint chain wrapped with one corner grid.
+
+    Each of the two bones carries half of each strip's codes, so `codes_per_strip`
+    must be even; ValueError otherwise.
+    """
+    if codes_per_strip < 2 or codes_per_strip % 2:
+        raise ValueError(f"codes_per_strip must be an even integer >= 2, got {codes_per_strip}")
     joints = np.array([[0, 0, 600], [0, 0, 1000], [0, 0, 1400]], dtype=float)
     parents = np.array([-1, 0, 1])
-    tube = (radius, strips, codes_per_strip // 2 or 1)
+    tube = (radius, strips, codes_per_strip // 2)
     bones = [(0, 1, *tube), (1, 2, *tube)]
     return _body_scene(
         joints, parents, bones, n_cameras, seed,

@@ -207,6 +207,17 @@ def test_reconstruct_bad_calibration_exits_4(tmp_path):
     assert main(["reconstruct", "--set", f"paths.output_dir={tmp_path}"]) == 4
 
 
+def test_reconstruct_calibration_error_names_entry_exits_4(tmp_path, capsys):
+    run_simulate(tmp_path, frames=1)
+    path = tmp_path / "calibration.json"
+    doc = json.loads(path.read_text())
+    doc[2]["size"] = 5
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["reconstruct", "--set", f"paths.output_dir={tmp_path}"]) == 4
+    assert f"calibration error: {path}: camera entry 2: 'size' must be 2 finite numbers, got 5" in capsys.readouterr().err
+
+
 def reconstruct_edited(tmp_path, capsys, edit):
     """Simulate one frame, let `edit(first_record, lines)` change the detection
     file's lines, and reconstruct; returns the exit code and stderr."""
@@ -239,6 +250,30 @@ def test_reconstruct_rejects_non_finite_pixel(tmp_path, capsys):
     rc, err = reconstruct_edited(tmp_path, capsys, edit)
     assert rc == 2
     assert "frame 0 camera 0: non-finite pixel nan" in err
+
+
+def _drop_first_x(doc):
+    del doc["corners"][0]["x"]
+
+
+@pytest.mark.parametrize(
+    "edit, cause",
+    [
+        pytest.param(lambda doc: doc.update(corners=5), "TypeError", id="corners-5"),
+        pytest.param(lambda doc: doc.update(cam=None), "TypeError", id="cam-null"),
+        pytest.param(_drop_first_x, "KeyError: 'x'", id="corner-without-x"),
+        pytest.param(lambda doc: doc.update(frame="a"), "ValueError", id="frame-a"),
+        pytest.param(lambda doc: doc["readings"][0].update(idx=[0, 1]), "ValueError", id="idx-2-values"),
+    ],
+)
+def test_reconstruct_rejects_malformed_detection_record(tmp_path, capsys, edit, cause):
+    def edit_line(doc, lines):
+        edit(doc)
+        lines[0] = json.dumps(doc)
+
+    rc, err = reconstruct_edited(tmp_path, capsys, edit_line)
+    assert rc == 2
+    assert f"{tmp_path / 'detections.jsonl'}: line 1: not a detection record ({cause}" in err
 
 
 def test_reconstruct_rejects_repeated_frame_camera_record(tmp_path, capsys):
@@ -499,6 +534,7 @@ def _leaves(table, prefix=""):
 # one value outside each domain of the settings table
 OUT_OF_DOMAIN = {
     cli.COUNT: "0", cli.NATURAL: "-1", cli.INTEGER: "1.5", cli.SETTINGS["scene"]["n_cameras"][1]: "1",
+    cli.SETTINGS["scene"]["codes_per_strip"][1]: "7",
     cli.POSITIVE: "0", cli.NON_NEGATIVE: "-1", cli.PROBABILITY: "1.5",
     cli.PATH: "5", cli.OPTIONAL_PATH: "[1]", cli.PRESET: "bogus",
 }
@@ -523,6 +559,7 @@ def _out_of_domain_cases():
     # values that once exited 0, crashed, or exited 2 without naming the key
     cases += [("simulate", f"scene.frames={v}") for v in ("-2", "1.0e400")]
     cases += [("simulate", f"workers={v}") for v in ("0", "-3")]
+    cases += [("simulate", f"scene.codes_per_strip={v}") for v in ("1", "4.5")]
     cases += [
         ("simulate", "scene.radius=-150"), ("simulate", "noise.pixel_sigma=NaN"),
         ("simulate", "scene.breathing_period=0"), ("simulate", "scene.radius=abc"),

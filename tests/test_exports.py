@@ -106,3 +106,18 @@ def test_every_exported_name_has_a_caller():
     assert EXEMPT <= exported
     uncalled = sorted(e for e in exported - EXEMPT if e[1] not in used)
     assert not uncalled, f"exported names that nothing in src/ or perfbench/ uses: {uncalled}"
+
+
+def test_every_module_level_import_is_used():
+    # a name is used when the module's code reads it or lists it in `__all__` (a re-export)
+    unused = []
+    for path in sorted(Path(suitcap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(_exports(tree))
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}: {name}")
+    assert not unused

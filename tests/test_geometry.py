@@ -1,12 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from suitcap.errors import CalibrationError
 from suitcap.geometry import (
     Camera,
+    CameraRig,
     crowded,
     load_calibration,
     normalized_coords,
@@ -259,6 +263,41 @@ def test_calibration_rejects_missing_fields(tmp_path, rig4):
         load_calibration(path)
 
 
+def _entry(k, v):
+    def edit(doc):
+        doc[0][k] = v
+        return doc
+    return edit
+
+
+def _repeat_id(doc):
+    doc[3]["id"] = doc[1]["id"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        pytest.param(lambda doc: [5] + doc[1:], "camera entry 0 is not an object", id="entry-not-object"),
+        pytest.param(_entry("size", 5), "camera entry 0: 'size' must be 2 finite numbers", id="size-5"),
+        pytest.param(_repeat_id, "camera entries 1 and 3 both have id 1", id="repeated-id"),
+        pytest.param(_entry("id", "x"), "camera entry 0: 'id' must be an integer", id="id-string"),
+        pytest.param(_entry("id", 1.5), "camera entry 0: 'id' must be an integer", id="id-fraction"),
+        pytest.param(_entry("q", [1.0, 0.0, 0.0]), "camera entry 0: 'q' must be 4 finite numbers", id="q-3-values"),
+        pytest.param(_entry("K", [float("nan")] * 9), "camera entry 0: 'K' must be 9 finite numbers", id="K-nan"),
+        pytest.param(lambda doc: [], "calibration file must contain a non-empty JSON array", id="no-cameras"),
+    ],
+)
+def test_calibration_error_names_file_and_entry(tmp_path, rig4, edit, where):
+    import json
+
+    path = tmp_path / "calib.json"
+    save_calibration(rig4, path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(CalibrationError, match="^" + re.escape(f"{path}: {where}")):
+        load_calibration(path)
+
+
 def test_camera_invariants_enforced():
     K = np.array([[1000.0, 0, 960], [0, 1000.0, 540], [0, 0, 1.0]])
     with pytest.raises(ValueError):
@@ -270,11 +309,60 @@ def test_camera_invariants_enforced():
 
 
 def test_rig_requires_unique_ids():
-    from suitcap.geometry import CameraRig
-
     cam = simple_camera()
     with pytest.raises(ValueError):
         CameraRig([cam, cam])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(st.integers(-1000, 1000), unique=True, max_size=6),
+    distorted=st.lists(st.booleans(), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rig_stacks_its_cameras(ids, distorted, seed):
+    """Unsorted and negative ids, distorted and pinhole cameras, and the empty rig."""
+    rng = np.random.default_rng(seed)
+    cams = []
+    for cam_id, d in zip(ids, distorted):
+        fx, fy = rng.uniform(500.0, 3000.0, 2)
+        K = [[fx, rng.uniform(-5.0, 5.0), rng.uniform(0.0, 4000.0)], [0.0, fy, rng.uniform(0.0, 2000.0)], [0, 0, 1]]
+        dist = rng.normal(0.0, 0.05, 5) if d else np.zeros(5)
+        q = quat_normalize(rng.normal(size=4))
+        cams.append(Camera(cam_id, K, dist, q, rng.uniform(-3000.0, 3000.0, 3), (4000, 2000)))
+    rig = CameraRig(cams)
+    n = len(cams)
+
+    per_camera = {
+        "ids": [c.id for c in cams],
+        "R": [c.rot for c in cams],
+        "t": [c.translation for c in cams],
+        "fx": [c.intrinsics[0, 0] for c in cams],
+        "fy": [c.intrinsics[1, 1] for c in cams],
+        "cx": [c.intrinsics[0, 2] for c in cams],
+        "cy": [c.intrinsics[1, 2] for c in cams],
+        "skew": [c.intrinsics[0, 1] for c in cams],
+        "dist": [c.distortion for c in cams],
+    }
+    shapes = {"R": (3, 3), "t": (3,), "dist": (5,)}
+    for name, values in per_camera.items():
+        stack = getattr(rig, name)
+        assert stack.shape == (n, *shapes.get(name, ())), name
+        assert np.array_equal(stack, np.reshape(values, stack.shape)), name
+        assert not stack.flags.writeable, name
+    assert rig.any_distortion == any(distorted[:n])
+
+    order = rng.permutation(n)
+    assert rig.rows_of(np.array(ids, dtype=int)[order]).tolist() == order.tolist()
+    unknown = max(ids, default=0) + 1
+    with pytest.raises(ValueError, match=f"camera id {unknown} is not in the rig"):
+        rig.rows_of([*ids, unknown])
+
+    pts = rng.uniform(-1000.0, 1000.0, (5, 3))
+    for cam in cams:
+        uv, z = project_many(cam, pts)
+        uv_rig, z_rig = project_cams(rig, rig.rows_of([cam.id] * len(pts)), pts)
+        assert uv.tobytes() == uv_rig.tobytes() and z.tobytes() == z_rig.tobytes()
 
 
 # ---------------------------------------------------------------------------

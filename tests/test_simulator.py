@@ -58,6 +58,13 @@ def test_scene_from_spec_forwards_only_what_the_spec_holds(spec, build, kwargs):
     assert [c.center.tolist() for c in a.rig] == [c.center.tolist() for c in b.rig]
 
 
+@pytest.mark.parametrize("codes_per_strip", [7, 1, 0])
+def test_tube_codes_per_strip_must_be_even(codes_per_strip):
+    # each bone carries half of each strip's codes; 7 once built the scene of 6, and 1 that of 2
+    with pytest.raises(ValueError, match="codes_per_strip must be an even integer >= 2"):
+        tube_scene(codes_per_strip=codes_per_strip)
+
+
 def test_scene_from_spec_rejects_unknown_preset():
     with pytest.raises(ValueError, match="unknown scene preset 'bogus'"):
         scene_from_spec({"preset": "bogus"})
@@ -99,7 +106,7 @@ def test_breathing_peak_to_peak():
 
 
 def test_samples_respect_generative_roundtrip(rng):
-    scene = tube_scene(strips=4, codes_per_strip=7, seed=19, breathing_amplitude=3.0)
+    scene = tube_scene(strips=4, codes_per_strip=6, seed=19, breathing_amplitude=3.0)
     model = scene.posed_model(5)
     from suitcap.skinning import joint_transforms, unskin_with_transforms
 
