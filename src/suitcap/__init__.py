@@ -10,6 +10,6 @@ multi-camera simulator provides ground truth for every stage.
 __version__ = "0.1.0"
 
 from .geometry import Camera, CameraRig
-from .layout import CodeAlphabet, SuitLayout
+from .layout import SuitLayout
 
-__all__ = ["Camera", "CameraRig", "CodeAlphabet", "SuitLayout", "__version__"]
+__all__ = ["Camera", "CameraRig", "SuitLayout", "__version__"]

@@ -211,16 +211,14 @@ def cmd_simulate(cfg) -> int:
     ) as truth_f:
         for k in range(n_frames):
             pos = scene.positions(k)
-            vis = simulator.compute_visibility(scene, k, positions=pos)
-            for cam in scene.rig:
-                frame = detection.oracle_detect(
-                    k, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
-                    scene.layout, noise,
-                )
+            visible = simulator.compute_visibility(scene, k, positions=pos)
+            for cam, seen in zip(scene.rig, visible):
+                frame = detection.oracle_detect(k, cam, pos, seen, scene.layout, noise)
                 n_corner_obs += len(frame.corners)
                 n_readings += len(frame.codes)
                 det_f.write(detection.frame_to_json(frame) + "\n")
-            truth_f.write(reconstruct.cloud_to_json(simulator.truth_cloud(k, pos, vis, min_cameras=1)) + "\n")
+            truth = simulator.truth_cloud(k, pos, visible, scene.rig, min_cameras=1)
+            truth_f.write(reconstruct.cloud_to_json(truth) + "\n")
     print(f"simulated {n_frames} frames x {len(scene.rig)} cameras")
     print(f"corners: {scene.layout.n_corners} on suit, {n_corner_obs} detections")
     print(f"codes: {len(scene.layout.codes)} on suit, {n_readings} readings")

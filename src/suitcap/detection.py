@@ -134,57 +134,51 @@ def oracle_detect(
     frame_index: int,
     camera: Camera,
     truth_positions,
-    visible_corner_ids,
-    visible_quads,
+    visible,
     layout,
     noise: OracleNoiseConfig,
 ) -> DetectionFrame:
     """Synthetic stand-in for an image-based detector.
 
     Emits each visible corner at its true projection plus isotropic Gaussian
-    pixel noise, independently dropped with `dropout_prob`; each fully detected
-    code quad yields a reading carrying the true code, or (with
-    `mislabel_prob`) a uniformly random different code. Deterministic given the
-    noise seed, camera and frame index.
+    pixel noise, independently dropped with `dropout_prob`; each code quad
+    whose four corners were all detected yields a reading carrying the true
+    code, or (with `mislabel_prob`) a uniformly random different code.
+    Deterministic given the noise seed, camera and frame index.
 
     Parameters
     ----------
     truth_positions : (N, 3) array
-        World positions of every layout corner this frame.
-    visible_corner_ids : int array
-        Corner IDs visible in this camera.
-    visible_quads : list[(code, (id1..id4))]
-        Code quads fully visible in this camera, corner IDs in i_q order.
+        World positions of every layout vertex this frame.
+    visible : (N,) bool array
+        The vertices this camera sees: its row of `simulator.compute_visibility`.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=noise.seed, spawn_key=(frame_index, camera.id))
     )
-    visible_corner_ids = np.asarray(visible_corner_ids, dtype=int)
+    ids = np.flatnonzero(visible)
     truth_positions = np.asarray(truth_positions, dtype=float)
 
     corners = conf = ()
     index_of = np.full(len(truth_positions), -1)  # corner ID -> detection index
-    if len(visible_corner_ids):
-        uv, _ = project_many(camera, truth_positions[visible_corner_ids])
-        keep = rng.random(len(visible_corner_ids)) >= noise.dropout_prob
+    if len(ids):
+        uv, _ = project_many(camera, truth_positions[ids])
+        keep = rng.random(len(ids)) >= noise.dropout_prob
         offsets = rng.normal(0.0, 1.0, size=uv.shape) * noise.pixel_sigma
-        confs = rng.uniform(0.5, 1.0, size=len(visible_corner_ids))
+        confs = rng.uniform(0.5, 1.0, size=len(ids))
         corners = (uv + offsets)[keep]
         conf = confs[keep]
-        index_of[visible_corner_ids[keep]] = np.arange(len(corners))
+        index_of[ids[keep]] = np.arange(len(corners))
 
-    quads = index_of[np.array([ids for _, ids in visible_quads], dtype=int).reshape(-1, 4)]
+    quads = index_of[layout.quads]
     detected = np.flatnonzero((quads >= 0).all(axis=1))
     codes = layout.codes
     emitted = []
     for q in detected.tolist():
-        code = visible_quads[q][0]
         if noise.mislabel_prob > 0 and rng.random() < noise.mislabel_prob:
             other = int(rng.integers(0, len(codes) - 1))
-            if other >= codes.index(code):
-                other += 1
-            code = codes[other]
-        emitted.append(code)
+            q = other + (other >= q)  # any code but its own
+        emitted.append(codes[q])
     return DetectionFrame(
         frame_index, camera.id, corners, conf, quads[detected], emitted, np.ones(len(emitted))
     )

@@ -13,14 +13,6 @@ class LayoutError(SuitcapError):
     """Suit layout data is inconsistent."""
 
 
-class UnknownCode(LayoutError):
-    """Two-letter code not present in the layout."""
-
-
-class BadCornerIndex(LayoutError):
-    """Corner position index outside 1..4."""
-
-
 class AlphabetExhausted(LayoutError):
     """Requested more codes than the alphabet can produce."""
 

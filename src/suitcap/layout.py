@@ -8,43 +8,18 @@ participate in meshing and inpainting but are never observed by any detector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .errors import AlphabetExhausted, BadCornerIndex, LayoutError, UnknownCode
+import numpy as np
+
+from .errors import AlphabetExhausted, LayoutError
 from .meshes import mesh_edges
 
-DEFAULT_SYMBOLS = "1234567ABCDEFGJKLMPQRTUVY"
+# The code symbols. Each reads one way up: no symbol may read as itself after a
+# 180-degree turn (0 O 8 I H N S X Z are out), and 6 and 9, each the other
+# turned, may not both appear.
+SYMBOLS = "1234567ABCDEFGJKLMPQRTUVY"
 
-__all__ = ["CodeAlphabet", "SuitLayout", "generate_synthetic_layout", "load_layout", "save_layout"]
-
-
-@dataclass(frozen=True)
-class CodeAlphabet:
-    """Ordered set of code symbols, each with an unambiguous upright orientation."""
-
-    symbols: str = DEFAULT_SYMBOLS
-
-    def __post_init__(self):
-        if len(set(self.symbols)) != len(self.symbols):
-            raise LayoutError("alphabet symbols must be unique")
-        # glyphs that read as themselves after a 180-degree turn
-        self_ambiguous = set("0O8IHNSXZ")
-        bad = sorted(set(self.symbols) & self_ambiguous)
-        if bad:
-            raise LayoutError(f"rotationally self-ambiguous symbols not allowed: {bad}")
-        # 6 and 9 are each other's 180-degree turn; at most one may be present
-        if "6" in self.symbols and "9" in self.symbols:
-            raise LayoutError("symbols 6 and 9 are mutually ambiguous under rotation")
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def pair(self, index: int) -> str:
-        """The index-th two-letter code in lexicographic enumeration order."""
-        n = len(self.symbols)
-        if not 0 <= index < n * n:
-            raise AlphabetExhausted(f"code index {index} out of range for {n}^2 pairs")
-        return self.symbols[index // n] + self.symbols[index % n]
+__all__ = ["SuitLayout", "generate_synthetic_layout", "load_layout", "save_layout"]
 
 
 class SuitLayout:
@@ -62,6 +37,8 @@ class SuitLayout:
     extra_vertices : int
         Count of hole-closing vertices appended after the corners; these are
         flagged never-observed.
+
+    `quads` is the quad table as a (Q, 4) int array, row q belonging to `codes[q]`.
     """
 
     def __init__(self, n_corners: int, quad_table: dict, faces: list, extra_vertices: int = 0):
@@ -71,6 +48,7 @@ class SuitLayout:
         self.faces = [tuple(int(v) for v in f) for f in faces]
         self.codes = sorted(self.quad_table)
         self._validate()
+        self.quads = np.array([self.quad_table[c] for c in self.codes], dtype=int).reshape(-1, 4)
 
     # -- construction helpers ------------------------------------------------
 
@@ -102,35 +80,25 @@ class SuitLayout:
     def total_vertices(self) -> int:
         return self.n_corners + self.extra_vertices
 
-    def label(self, code: str, i_q: int) -> int:
-        """Corner ID at position `i_q` (1..4, clockwise from top-left) of `code`'s quad."""
-        if code not in self.quad_table:
-            raise UnknownCode(f"code {code!r} not in layout")
-        if i_q not in (1, 2, 3, 4):
-            raise BadCornerIndex(f"corner index {i_q} not in 1..4")
-        return self.quad_table[code][i_q - 1]
-
     def edges(self):
         """Unique undirected mesh edges as a sorted (E, 2) int array."""
         return mesh_edges(self.faces)
 
 
 def generate_synthetic_layout(n_strips: int, codes_per_strip: int, code_offset: int = 0) -> SuitLayout:
-    """Cylinder-topology checkerboard layout, coded from the default alphabet.
+    """Cylinder-topology checkerboard layout, coded from `SYMBOLS`.
 
     The grid has `n_strips` cell rows and `2*codes_per_strip` cell columns
     wrapping around; cells with even (row+col) parity are coded white squares.
     Corner IDs enumerate grid vertices row-major; `code_offset` shifts which
-    alphabet pairs are consumed so several layouts can share one alphabet.
+    symbol pairs are consumed so several layouts can share one alphabet.
     """
     if n_strips < 1 or codes_per_strip < 1:
         raise LayoutError("need at least one strip and one code per strip")
-    alphabet = CodeAlphabet()
+    n = len(SYMBOLS)
     n_codes = n_strips * codes_per_strip
-    if code_offset + n_codes > len(alphabet) ** 2:
-        raise AlphabetExhausted(
-            f"{code_offset + n_codes} codes requested but alphabet yields {len(alphabet) ** 2} pairs"
-        )
+    if code_offset + n_codes > n * n:
+        raise AlphabetExhausted(f"{code_offset + n_codes} codes requested but alphabet yields {n * n} pairs")
     cols = 2 * codes_per_strip
     rows = n_strips + 1
 
@@ -149,7 +117,7 @@ def generate_synthetic_layout(n_strips: int, codes_per_strip: int, code_offset: 
             if coded or cols > 2:
                 faces.append(quad)
             if coded:
-                quad_table[alphabet.pair(next_code)] = quad
+                quad_table[SYMBOLS[next_code // n] + SYMBOLS[next_code % n]] = quad
                 next_code += 1
     return SuitLayout(n_corners=rows * cols, quad_table=quad_table, faces=faces)
 

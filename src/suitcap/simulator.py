@@ -3,7 +3,7 @@
 Builds an articulated capsule-chain body whose surface carries a coded corner
 layout, animates it with smooth per-joint rotation curves plus an optional
 sinusoidal breathing field on the rest pose, surrounds it with a circular
-camera rig, and computes per-camera corner/quad visibility. Every stage of the
+camera rig, and computes which camera sees which corner. Every stage of the
 real pipeline can be checked against the values generated here.
 """
 
@@ -30,7 +30,6 @@ MIN_PIXEL_SEPARATION = 4.0  # a detector cannot resolve corners closer than this
 
 __all__ = [
     "SyntheticScene",
-    "VisibilityRecord",
     "build_default_rig",
     "build_tube_body",
     "stick_figure_scene",
@@ -113,13 +112,9 @@ class SyntheticScene:
     vertex_tube: np.ndarray          # (N,) tube index per vertex
     breathing_period: float = 100.0
     triangles: np.ndarray = field(init=False, repr=False)
-    quad_codes: list = field(init=False, repr=False)
-    quad_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.triangles = triangulate_faces(self.layout.faces, self.model.rest_vertices)
-        self.quad_codes = list(self.layout.codes)
-        self.quad_ids = np.array([self.layout.quad_table[c] for c in self.quad_codes], dtype=int)
 
     def rest_displacements(self, k: int):
         s = np.sin(2.0 * np.pi * k / self.breathing_period)
@@ -332,15 +327,9 @@ def animate_and_sample(scene: SyntheticScene, n_frames: int):
     return np.stack([scene.positions(k) for k in range(n_frames)])
 
 
-@dataclass
-class VisibilityRecord:
-    frame_index: int
-    visible_corners: dict   # cam_id -> int array of corner ids
-    visible_quads: dict     # cam_id -> list[(code, (id1..id4))]
-
-
-def compute_visibility(scene: SyntheticScene, frame_index: int, positions=None) -> VisibilityRecord:
-    """Corner/quad visibility per camera at one frame.
+def compute_visibility(scene: SyntheticScene, frame_index: int, positions=None):
+    """Which camera sees which corner at one frame: a (C, N) bool mask, row c
+    belonging to `scene.rig.cameras[c]`.
 
     A corner is visible when it projects with positive depth inside the image,
     its outward normal faces the camera, no other candidate corner projects
@@ -361,42 +350,25 @@ def compute_visibility(scene: SyntheticScene, frame_index: int, positions=None) 
         tube_boxes[t, 1] = pts.max(axis=0)
         tube_packs.append(pack_triangles(pos[scene.triangles[tri_tube == t]]))
 
-    cand_per_cam = {}
-    for cam in scene.rig:
+    visible = np.zeros((len(scene.rig), len(pos)), dtype=bool)
+    centers = np.empty((len(scene.rig), 3))
+    for c, cam in enumerate(scene.rig):
         uv, z = project_many(cam, pos)
         w, h = cam.image_size
         ok = (z > 0) & (uv[:, 0] >= 0) & (uv[:, 0] < w) & (uv[:, 1] >= 0) & (uv[:, 1] < h)
-        view = cam.center - pos
-        ok &= np.einsum("ij,ij->i", normals, view) > 0
+        centers[c] = cam.center
+        ok &= np.einsum("ij,ij->i", normals, centers[c] - pos) > 0
         ok[scene.layout.n_corners :] = False  # hole-closing vertices are never detected
-        cand = np.where(ok)[0]
-        cand_per_cam[cam.id] = cand[~crowded(uv[cand], MIN_PIXEL_SEPARATION)]
+        cand = np.flatnonzero(ok)
+        visible[c, cand[~crowded(uv[cand], MIN_PIXEL_SEPARATION)]] = True
 
-    origins = np.concatenate(
-        [np.broadcast_to(cam.center, (len(ids), 3)) for cam, ids in zip(scene.rig, cand_per_cam.values())]
-    )
-    corner_ids = np.concatenate(list(cand_per_cam.values())).astype(int)
-    clear = _unoccluded(scene, origins, pos[corner_ids], scene.vertex_tube[corner_ids], tube_boxes, tube_packs)
-    off = 0
-    for c, ids in cand_per_cam.items():
-        cand_per_cam[c] = ids[clear[off : off + len(ids)]]
-        off += len(ids)
-
-    visible_corners = {}
-    visible_quads = {}
-    for cam_id, cand in cand_per_cam.items():
-        vis_mask = np.zeros(scene.model.n_vertices, dtype=bool)
-        vis_mask[cand] = True
-        visible_corners[cam_id] = cand
-        qmask = vis_mask[scene.quad_ids].all(axis=1)
-        visible_quads[cam_id] = [
-            (scene.quad_codes[q], tuple(int(v) for v in scene.quad_ids[q]))
-            for q in np.where(qmask)[0]
-        ]
-    return VisibilityRecord(frame_index, visible_corners, visible_quads)
+    rows, ids = np.nonzero(visible)
+    clear = _unoccluded(centers[rows], pos[ids], scene.vertex_tube[ids], tube_boxes, tube_packs)
+    visible[rows[~clear], ids[~clear]] = False
+    return visible
 
 
-def _unoccluded(scene, origins, targets, own_tube, tube_boxes, tube_packs):
+def _unoccluded(origins, targets, own_tube, tube_boxes, tube_packs):
     """Flat occlusion pass: segment s runs origin->target, skipping its own tube."""
     d = targets - origins
 
@@ -436,21 +408,20 @@ def truth_clouds(scene: SyntheticScene, n_frames: int, min_cameras: int = 2):
     clouds = []
     for k in range(n_frames):
         pos = scene.positions(k)
-        clouds.append(truth_cloud(k, pos, compute_visibility(scene, k, positions=pos), min_cameras))
+        clouds.append(truth_cloud(k, pos, compute_visibility(scene, k, positions=pos), scene.rig, min_cameras))
     return clouds
 
 
-def truth_cloud(k: int, positions, vis: VisibilityRecord, min_cameras: int):
-    """Ground-truth cloud of frame k: the corners that `vis` puts in at least `min_cameras`, by id."""
+def truth_cloud(k: int, positions, visible, rig: CameraRig, min_cameras: int):
+    """Ground-truth cloud of frame k: the corners that at least `min_cameras` (>= 1)
+    cameras of `rig` see in the (C, N) mask `visible`, by id, with their camera ids sorted."""
     from .reconstruct import LabeledPointCloud, PointRecord
 
-    cams: dict[int, list] = {}
-    for cam_id, ids in vis.visible_corners.items():
-        for cid in ids.tolist():
-            cams.setdefault(cid, []).append(cam_id)
+    order = np.argsort(rig.ids)
+    ids, seen_by = rig.ids[order], visible[order].T
     cloud = LabeledPointCloud(k)
-    for cid in sorted(cid for cid, seen_by in cams.items() if len(seen_by) >= min_cameras):
-        cloud.points[cid] = PointRecord(positions[cid].copy(), tuple(sorted(cams[cid])), 0.0)
+    for cid in np.flatnonzero(seen_by.sum(axis=1) >= min_cameras).tolist():
+        cloud.points[cid] = PointRecord(positions[cid].copy(), tuple(ids[seen_by[cid]].tolist()), 0.0)
     return cloud
 
 

@@ -8,7 +8,9 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
+from suitcap.detection import oracle_detect
 from suitcap.geometry import Camera, CameraRig, rot_to_quat
+from suitcap.simulator import compute_visibility
 
 ACCEPTANCE_LINES = []
 
@@ -78,3 +80,23 @@ def mixed_rig():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def detect_sequence(scene, n_frames, noise):
+    """Oracle detections of every camera of the scene's rig over frames 0..n_frames-1."""
+    frames = []
+    for k in range(n_frames):
+        pos = scene.positions(k)
+        visible = compute_visibility(scene, k, positions=pos)
+        frames += [oracle_detect(k, cam, pos, seen, scene.layout, noise) for cam, seen in zip(scene.rig, visible)]
+    return frames
+
+
+def labeled_counts(scene, k):
+    """Per corner id, the number of cameras in which some fully visible quad labels it."""
+    quads = scene.layout.quads
+    full = compute_visibility(scene, k)[:, quads].all(axis=2)  # (cameras, quads)
+    labeled = np.zeros((len(full), scene.layout.n_corners), dtype=bool)
+    cams, q = np.nonzero(full)
+    labeled[cams[:, None], quads[q]] = True
+    return labeled.sum(axis=0)

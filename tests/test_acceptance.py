@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import detect_sequence, labeled_counts
 from scipy.linalg import null_space
 
 from suitcap import detection as det
@@ -24,34 +25,6 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
     print("\n" + line)
     conftest.ACCEPTANCE_LINES.append(line)
-
-
-def detect_sequence(scene, n_frames, noise):
-    frames = []
-    for k in range(n_frames):
-        pos = scene.positions(k)
-        vis = sim.compute_visibility(scene, k, positions=pos)
-        for cam in scene.rig:
-            frames.append(
-                det.oracle_detect(
-                    k, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
-                    scene.layout, noise,
-                )
-            )
-    return frames
-
-
-def labeled_camera_counts(scene, k):
-    """cameras per corner in which a fully visible quad provides its label."""
-    vis = sim.compute_visibility(scene, k)
-    counts = np.zeros(scene.layout.n_corners, dtype=int)
-    for cam_id, quads in vis.visible_quads.items():
-        labeled = set()
-        for _, ids in quads:
-            labeled.update(int(v) for v in ids)
-        for c in labeled:
-            counts[c] += 1
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +46,7 @@ def test_criterion_1_end_to_end_oracle():
     checked = 0
     for cloud in clouds:
         pos = scene.positions(cloud.frame_index)
-        counts = labeled_camera_counts(scene, cloud.frame_index)
+        counts = labeled_counts(scene, cloud.frame_index)
         for cid in np.where(counts >= 2)[0]:
             checked += 1
             recp = cloud.points.get(int(cid))
@@ -150,14 +123,11 @@ def test_criterion_3_mislabel_filter():
     filter_seconds = 0.0
     for k in range(n_frames):
         pos = scene.positions(k)
-        vis = sim.compute_visibility(scene, k, positions=pos)
+        visible = sim.compute_visibility(scene, k, positions=pos)
         corner_id, camera_id, pixel, truthful = [], [], [], []
-        for cam in scene.rig:
-            f = det.oracle_detect(
-                k, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
-                scene.layout, noise,
-            )
-            pix2tid = {tuple(p): int(t) for p, t in zip(f.corners.tolist(), vis.visible_corners[cam.id])}
+        for cam, seen in zip(scene.rig, visible):
+            f = det.oracle_detect(k, cam, pos, seen, scene.layout, noise)
+            pix2tid = {tuple(p): int(t) for p, t in zip(f.corners.tolist(), np.flatnonzero(seen))}
             f = det.cluster_frame(f)
             obs, _ = rec.consolidate_labels(f, scene.layout)
             corner_id += obs[:, 0].tolist()

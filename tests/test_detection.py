@@ -98,46 +98,38 @@ def _tiny_scene():
 def test_oracle_noiseless_matches_projections():
     scene = _tiny_scene()
     pos = scene.positions(0)
-    vis = compute_visibility(scene, 0, positions=pos)
+    seen = compute_visibility(scene, 0, positions=pos)[0]
     cam = scene.rig.cameras[0]
-    frame = oracle_detect(
-        0, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
-        scene.layout, OracleNoiseConfig(seed=3),
-    )
+    frame = oracle_detect(0, cam, pos, seen, scene.layout, OracleNoiseConfig(seed=3))
     from suitcap.geometry import project_many
 
-    ids = vis.visible_corners[cam.id]
+    ids = np.flatnonzero(seen)
     assert len(frame.corners) == len(ids)
     for k, cid in enumerate(ids):
         assert np.array_equal(frame.corners[k], project_many(cam, pos[cid])[0][0])
-    # with zero mislabel probability every reading carries the true code
-    assert frame.codes == [code for code, _ in vis.visible_quads[cam.id]]
+    # with zero mislabel probability every fully seen quad is read with its true code
+    layout = scene.layout
+    assert frame.codes == [code for code, quad in zip(layout.codes, layout.quads) if seen[quad].all()]
 
 
 def test_oracle_labels_match_ground_truth_ids():
     scene = _tiny_scene()
     pos = scene.positions(0)
-    vis = compute_visibility(scene, 0, positions=pos)
+    seen = compute_visibility(scene, 0, positions=pos)[1]
     cam = scene.rig.cameras[1]
-    frame = oracle_detect(
-        0, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
-        scene.layout, OracleNoiseConfig(seed=3),
-    )
-    id_of_detection = np.asarray(vis.visible_corners[cam.id])
+    frame = oracle_detect(0, cam, pos, seen, scene.layout, OracleNoiseConfig(seed=3))
+    id_of_detection = np.flatnonzero(seen)
     for quad, code in zip(frame.quads, frame.codes):
-        for i_q in (1, 2, 3, 4):
-            assert scene.layout.label(code, i_q) == id_of_detection[quad[i_q - 1]]
+        # column i of a reading is corner i_q = i + 1 of its code's quad
+        assert scene.layout.quad_table[code] == tuple(id_of_detection[quad].tolist())
 
 
 def test_oracle_dropout_one_empties_frame():
     scene = _tiny_scene()
     pos = scene.positions(0)
-    vis = compute_visibility(scene, 0, positions=pos)
-    cam = scene.rig.cameras[0]
-    frame = oracle_detect(
-        0, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
-        scene.layout, OracleNoiseConfig(dropout_prob=1.0, seed=3),
-    )
+    seen = compute_visibility(scene, 0, positions=pos)[0]
+    noise = OracleNoiseConfig(dropout_prob=1.0, seed=3)
+    frame = oracle_detect(0, scene.rig.cameras[0], pos, seen, scene.layout, noise)
     assert frame.corners.shape == (0, 2) and frame.corner_conf.shape == (0,)
     assert frame.quads.shape == (0, 4) and frame.codes == []
 
@@ -151,13 +143,10 @@ def test_oracle_noise_standard_deviation():
     k = 0
     while len(deltas) < 10000:
         pos = scene.positions(k)
-        vis = compute_visibility(scene, k, positions=pos)
+        seen = compute_visibility(scene, k, positions=pos)[k % 2]
         cam = scene.rig.cameras[k % 2]
-        frame = oracle_detect(
-            k, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
-            scene.layout, noise,
-        )
-        uv, _ = project_many(cam, pos[vis.visible_corners[cam.id]])
+        frame = oracle_detect(k, cam, pos, seen, scene.layout, noise)
+        uv, _ = project_many(cam, pos[seen])
         deltas.extend(frame.corners - uv)
         k += 1
     deltas = np.array(deltas[:10000])
@@ -168,28 +157,26 @@ def test_oracle_noise_standard_deviation():
 def test_oracle_mislabel_emits_valid_different_code():
     scene = _tiny_scene()
     pos = scene.positions(0)
-    vis = compute_visibility(scene, 0, positions=pos)
-    cam = scene.rig.cameras[0]
-    frame = oracle_detect(
-        0, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
-        scene.layout, OracleNoiseConfig(mislabel_prob=1.0, seed=5),
-    )
+    seen = compute_visibility(scene, 0, positions=pos)[0]
+    noise = OracleNoiseConfig(mislabel_prob=1.0, seed=5)
+    frame = oracle_detect(0, scene.rig.cameras[0], pos, seen, scene.layout, noise)
     assert frame.codes
     for code in frame.codes:
         assert code in scene.layout.quad_table
     # with mislabel probability 1 every reading differs from the truth
-    codes_true = [c for c, _ in vis.visible_quads[cam.id]]
+    codes_true = [code for code, quad in zip(scene.layout.codes, scene.layout.quads) if seen[quad].all()]
+    assert len(codes_true) == len(frame.codes)
     assert all(c != t for c, t in zip(frame.codes, codes_true))
 
 
 def test_oracle_deterministic():
     scene = _tiny_scene()
     pos = scene.positions(0)
-    vis = compute_visibility(scene, 0, positions=pos)
+    seen = compute_visibility(scene, 0, positions=pos)[0]
     cam = scene.rig.cameras[0]
     noise = OracleNoiseConfig(pixel_sigma=0.3, dropout_prob=0.1, mislabel_prob=0.05, seed=77)
-    a = oracle_detect(0, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id], scene.layout, noise)
-    b = oracle_detect(0, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id], scene.layout, noise)
+    a = oracle_detect(0, cam, pos, seen, scene.layout, noise)
+    b = oracle_detect(0, cam, pos, seen, scene.layout, noise)
     assert frame_to_json(a) == frame_to_json(b)
 
 

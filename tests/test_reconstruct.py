@@ -5,7 +5,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from conftest import mixed_ring_rig, ring_rig
+from conftest import detect_sequence, labeled_counts, mixed_ring_rig, ring_rig
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -85,8 +85,8 @@ def _consolidate_reference(frame, layout):
     proposals = defaultdict(list)
     for quad, code in zip(frame.quads.tolist(), frame.codes):
         if code in layout.quad_table:
-            for i_q in (1, 2, 3, 4):
-                proposals[quad[i_q - 1]].append(layout.label(code, i_q))
+            for det, cid in zip(quad, layout.quad_table[code]):
+                proposals[det].append(cid)
     conflicts, by_id = [], defaultdict(list)
     for det in sorted(proposals):
         ids = sorted(set(proposals[det]))
@@ -120,12 +120,9 @@ def test_consolidate_matches_loop_reference(rng):
 def test_consolidate_noiseless_oracle_matches_truth():
     scene = tube_scene(n_cameras=4, strips=3, codes_per_strip=6, seed=31)
     pos = scene.positions(0)
-    vis = compute_visibility(scene, 0, positions=pos)
     cam = scene.rig.cameras[2]
-    frame = oracle_detect(
-        0, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
-        scene.layout, OracleNoiseConfig(seed=1),
-    )
+    seen = compute_visibility(scene, 0, positions=pos)[2]
+    frame = oracle_detect(0, cam, pos, seen, scene.layout, OracleNoiseConfig(seed=1))
     obs, conflicts = consolidate_labels(frame, scene.layout)
     assert not conflicts
     assert len(obs)
@@ -565,7 +562,7 @@ def test_filter_single_camera_discarded(rig4):
 def test_filter_camera_order_invariance():
     # a frame's cloud does not depend on the order of its camera records
     scene = tube_scene(n_cameras=6, strips=3, codes_per_strip=6, seed=46)
-    frames = _simulate_detections(scene, 1, OracleNoiseConfig(pixel_sigma=0.4, mislabel_prob=0.05, seed=14))
+    frames = detect_sequence(scene, 1, OracleNoiseConfig(pixel_sigma=0.4, mislabel_prob=0.05, seed=14))
     shuffled = list(frames)
     np.random.default_rng(5).shuffle(shuffled)
     assert [f.camera_id for f in shuffled] != [f.camera_id for f in frames]
@@ -616,37 +613,9 @@ def test_filter_monotone_outlier_removal(rig16, rng):
 # sequence reconstruction
 
 
-def _simulate_detections(scene, n_frames, noise):
-    frames = []
-    for k in range(n_frames):
-        pos = scene.positions(k)
-        vis = compute_visibility(scene, k, positions=pos)
-        for cam in scene.rig:
-            frames.append(
-                oracle_detect(
-                    k, cam, pos, vis.visible_corners[cam.id], vis.visible_quads[cam.id],
-                    scene.layout, noise,
-                )
-            )
-    return frames
-
-
-def labeled_counts(scene, k):
-    """corner id -> number of cameras in which some fully visible quad labels it."""
-    vis = compute_visibility(scene, k)
-    counts = np.zeros(scene.layout.n_corners, dtype=int)
-    for cam_id, quads in vis.visible_quads.items():
-        labeled = set()
-        for _, ids in quads:
-            labeled.update(int(v) for v in ids)
-        for c in labeled:
-            counts[c] += 1
-    return counts
-
-
 def test_sequence_noiseless_reconstructs_every_labeled_corner():
     scene = tube_scene(n_cameras=8, strips=4, codes_per_strip=8, seed=41)
-    frames = _simulate_detections(scene, 3, OracleNoiseConfig(seed=2))
+    frames = detect_sequence(scene, 3, OracleNoiseConfig(seed=2))
     clouds = [reconstruct_frame(g, scene.rig, scene.layout) for g in group_frames(frames)]
     assert len(clouds) == 3
     for cloud in clouds:
@@ -660,7 +629,7 @@ def test_sequence_noiseless_reconstructs_every_labeled_corner():
 def test_sequence_deterministic():
     scene = tube_scene(n_cameras=6, strips=3, codes_per_strip=6, seed=43)
     noise = OracleNoiseConfig(pixel_sigma=0.4, mislabel_prob=0.03, seed=11)
-    frames = _simulate_detections(scene, 2, noise)
+    frames = detect_sequence(scene, 2, noise)
     a = [reconstruct_frame(g, scene.rig, scene.layout) for g in group_frames(frames)]
     b = [reconstruct_frame(g, scene.rig, scene.layout) for g in group_frames(frames)]
     assert [cloud_to_json(x) for x in a] == [cloud_to_json(x) for x in b]
@@ -689,7 +658,7 @@ def assert_read_back(a: LabeledPointCloud, b):
 
 def test_cloud_file_roundtrip(tmp_path):
     scene = tube_scene(n_cameras=6, strips=3, codes_per_strip=6, seed=44)
-    frames = _simulate_detections(scene, 2, OracleNoiseConfig(pixel_sigma=0.3, seed=12))
+    frames = detect_sequence(scene, 2, OracleNoiseConfig(pixel_sigma=0.3, seed=12))
     clouds = [reconstruct_frame(g, scene.rig, scene.layout) for g in group_frames(frames)]
     path = tmp_path / "clouds.jsonl"
     write_clouds(clouds, path)
@@ -704,7 +673,7 @@ def test_cloud_file_roundtrip(tmp_path):
 
 def test_cloud_file_roundtrips_per_camera_errors(tmp_path):
     scene = tube_scene(n_cameras=6, strips=3, codes_per_strip=6, seed=45)
-    frames = _simulate_detections(scene, 1, OracleNoiseConfig(pixel_sigma=0.3, seed=13))
+    frames = detect_sequence(scene, 1, OracleNoiseConfig(pixel_sigma=0.3, seed=13))
     clouds = [reconstruct_frame(g, scene.rig, scene.layout) for g in group_frames(frames)]
     clouds.append(LabeledPointCloud(1, {0: PointRecord(np.zeros(3), (0, 1), 0.0)}))  # errors unknown
     path = tmp_path / "clouds.jsonl"
@@ -762,7 +731,7 @@ def test_noisy_tube_clouds_golden_digest(tmp_path):
     """Pins the bytes of `write_clouds` on a scene where every discard reason occurs."""
     scene = tube_scene(n_cameras=6, strips=4, codes_per_strip=8, seed=3)
     noise = OracleNoiseConfig(pixel_sigma=0.5, dropout_prob=0.05, mislabel_prob=0.05, seed=3)
-    frames = _simulate_detections(scene, 2, noise)
+    frames = detect_sequence(scene, 2, noise)
     clouds = [reconstruct_frame(g, scene.rig, scene.layout) for g in group_frames(frames)]
     reasons = {d.reason for c in clouds for d in c.discarded}
     assert reasons == {REASON_CONFLICT, REASON_MISLABEL, REASON_RESIDUAL, REASON_TOO_FEW}

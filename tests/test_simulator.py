@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from suitcap.detection import OracleNoiseConfig, oracle_detect
 from suitcap.geometry import Camera, CameraRig, project_many, quat_from_rotvec, quat_mul, quat_normalize
 from suitcap.simulator import (
     JointAnimation,
@@ -139,10 +140,9 @@ def test_animation_stays_smooth():
 
 def test_visibility_matches_analytic_half_cylinder():
     scene = static_scene()
-    vis = compute_visibility(scene, 0)
     cam = scene.rig.cameras[0]  # on the +X axis
     rest = scene.model.rest_vertices
-    visible = set(int(v) for v in vis.visible_corners[cam.id])
+    visible = set(np.flatnonzero(compute_visibility(scene, 0)[0]).tolist())
 
     # outward normal of a vertical cylinder is the radial direction
     radial = rest.copy()
@@ -186,23 +186,24 @@ def test_corner_behind_camera_invisible():
         image_size=cam_near.image_size,
     )
     scene.rig = CameraRig([cam_near, cam_away])
-    vis = compute_visibility(scene, 0)
-    assert len(vis.visible_corners[1]) == 0
-    assert len(vis.visible_corners[0]) > 0
+    visible = compute_visibility(scene, 0)
+    assert not visible[1].any()
+    assert visible[0].any()
 
 
 def test_quad_visible_only_with_all_four_corners():
     scene = static_scene()
-    vis = compute_visibility(scene, 0)
-    for cam_id, quads in vis.visible_quads.items():
-        visible = set(int(v) for v in vis.visible_corners[cam_id])
-        for code, ids in quads:
-            assert all(int(v) in visible for v in ids)
-        # and conversely: fully visible quads are reported
-        for code in scene.layout.codes:
-            ids = scene.layout.quad_table[code]
-            if all(i in visible for i in ids):
-                assert (code, ids) in quads
+    pos = scene.positions(0)
+    visible = compute_visibility(scene, 0, positions=pos)
+    layout = scene.layout
+    for cam, seen in zip(scene.rig, visible):
+        frame = oracle_detect(0, cam, pos, seen, layout, OracleNoiseConfig())
+        read = [layout.codes.index(code) for code in frame.codes]
+        # every reading's four corners are visible in its camera, detected where the reading says
+        assert seen[layout.quads[read]].all()
+        assert np.array_equal(np.flatnonzero(seen)[frame.quads], layout.quads[read])
+        # and conversely: without dropout every fully visible quad is read
+        assert read == np.flatnonzero(seen[layout.quads].all(axis=1)).tolist()
 
 
 def test_visibility_invariant_under_joint_rotation_of_scene_and_rig():
@@ -229,11 +230,7 @@ def test_visibility_invariant_under_joint_rotation_of_scene_and_rig():
             )
         )
     rot.rig = CameraRig(cams)
-    got = compute_visibility(rot, 0)
-    for cam_id in base.visible_corners:
-        assert set(map(int, base.visible_corners[cam_id])) == set(
-            map(int, got.visible_corners[cam_id])
-        )
+    assert np.array_equal(compute_visibility(rot, 0), base)
 
 
 def test_truth_clouds_cover_multicamera_corners():
@@ -241,15 +238,12 @@ def test_truth_clouds_cover_multicamera_corners():
     clouds = truth_clouds(scene, 2, min_cameras=2)
     assert len(clouds) == 2
     for k, cloud in enumerate(clouds):
-        vis = compute_visibility(scene, k)
-        counts = np.zeros(scene.model.n_vertices, dtype=int)
-        for ids in vis.visible_corners.values():
-            counts[ids] += 1
-        assert set(cloud.points) == set(np.where(counts >= 2)[0].tolist())
+        visible = compute_visibility(scene, k)
+        assert set(cloud.points) == set(np.flatnonzero(visible.sum(axis=0) >= 2).tolist())
         pos = scene.positions(k)
         for cid, rec in cloud.points.items():
             assert np.array_equal(rec.position, pos[cid])
-            assert len(rec.cameras) == counts[cid]
+            assert rec.cameras == tuple(scene.rig.ids[visible[:, cid]].tolist())
 
 
 def test_stick_figure_scale():
@@ -292,6 +286,4 @@ def test_hole_closing_vertices_never_visible():
         breathing_dirs=np.vstack([base.breathing_dirs, [[0.0, 0.0, 1.0]]]),
         vertex_tube=np.concatenate([base.vertex_tube, [0]]),
     )
-    vis = compute_visibility(scene, 0)
-    for ids in vis.visible_corners.values():
-        assert n not in set(int(v) for v in ids)
+    assert not compute_visibility(scene, 0)[:, n].any()
