@@ -200,17 +200,45 @@ def frame_to_json(frame: DetectionFrame) -> str:
     return json.dumps(doc)
 
 
+NUMBER = {int, float}  # the types json.loads gives a number; true and false load as bool
+
+
+def _typed(values: list, types: set, what: str) -> list:
+    """`values`, once the set of their types is checked against `types`; TypeError otherwise."""
+    wrong = set(map(type, values)) - types
+    if wrong:
+        raise TypeError(f"{what} must be {'/'.join(sorted(t.__name__ for t in types))}, "
+                        f"got {'/'.join(sorted(t.__name__ for t in wrong))}")
+    return values
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer, or a float with an integral value, as an int."""
+    n = int(value)  # raises first, so that "a" stays a ValueError and null a TypeError
+    _typed([value], NUMBER, what)
+    if n != value:
+        raise ValueError(f"{what} {value} is not an integer")
+    return n
+
+
 def frame_from_json(line: str) -> DetectionFrame:
+    """One detection record. `frame`, `cam` and each `idx` must be integers (3.0
+    reads as 3), `x`, `y` and each `conf` numbers, and each `code` a string;
+    anything else raises KeyError, TypeError or ValueError."""
     doc = json.loads(line)
     corners, readings = doc["corners"], doc["readings"]
+    xs = _typed([c["x"] for c in corners], NUMBER, "x")
+    ys = _typed([c["y"] for c in corners], NUMBER, "y")
+    idx = [r["idx"] for r in readings]
+    _typed([i for quad in idx for i in quad], NUMBER, "idx")
     return DetectionFrame(
-        int(doc["frame"]),
-        int(doc["cam"]),
-        [(c["x"], c["y"]) for c in corners],
-        [c["conf"] for c in corners],
-        [r["idx"] for r in readings],
-        [r["code"] for r in readings],
-        [r["conf"] for r in readings],
+        _integer(doc["frame"], "frame"),
+        _integer(doc["cam"], "cam"),
+        list(zip(xs, ys)),
+        _typed([c["conf"] for c in corners], NUMBER, "corner conf"),
+        idx,
+        _typed([r["code"] for r in readings], {str}, "code"),
+        _typed([r["conf"] for r in readings], NUMBER, "reading conf"),
     )
 
 
@@ -237,7 +265,7 @@ def read_detections(path) -> list[DetectionFrame]:
                 continue
             try:
                 frame = frame_from_json(line)
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise ConfigError(f"{path}: line {n}: not a detection record ({type(e).__name__}: {e})") from None
             where = f"{path}: frame {frame.frame_index} camera {frame.camera_id}"
             if (frame.frame_index, frame.camera_id) in seen:

@@ -160,7 +160,10 @@ class Camera:
         self.distortion = np.asarray(self.distortion, dtype=float).reshape(5)
         self.rotation = np.asarray(self.rotation, dtype=float).reshape(4)
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
-        self.image_size = (int(self.image_size[0]), int(self.image_size[1]))
+        size = np.asarray(self.image_size, dtype=float).reshape(2)
+        if not np.all(np.isfinite(size) & (size > 0) & (size == np.floor(size))):
+            raise ValueError(f"image size must be 2 positive integers, got {self.image_size}")
+        self.image_size = (int(size[0]), int(size[1]))
         if abs(np.linalg.norm(self.rotation) - 1.0) > 1e-9:
             raise ValueError("rotation quaternion must be unit norm")
         K = self.intrinsics
@@ -168,8 +171,6 @@ class Camera:
             raise ValueError("K must be upper-triangular with K[2,2] == 1")
         if K[0, 0] <= 0 or K[1, 1] <= 0:
             raise ValueError("focal lengths must be positive")
-        if self.image_size[0] <= 0 or self.image_size[1] <= 0:
-            raise ValueError("image size must be positive")
         self.rot = quat_to_rot(self.rotation)
         for a in (self.intrinsics, self.distortion, self.rotation, self.translation, self.rot):
             a.setflags(write=False)

@@ -264,6 +264,21 @@ def _drop_first_x(doc):
         pytest.param(_drop_first_x, "KeyError: 'x'", id="corner-without-x"),
         pytest.param(lambda doc: doc.update(frame="a"), "ValueError", id="frame-a"),
         pytest.param(lambda doc: doc["readings"][0].update(idx=[0, 1]), "ValueError", id="idx-2-values"),
+        # each of these read as a number or a camera before: 0.9 as camera 0, true as 1, "12.5" as 12.5
+        pytest.param(lambda doc: doc.update(frame=0.7), "ValueError: frame 0.7 is not an integer", id="frame-0.7"),
+        pytest.param(lambda doc: doc.update(frame="0"), "TypeError: frame must be float/int, got str", id="frame-str"),
+        pytest.param(lambda doc: doc.update(cam=0.9), "ValueError: cam 0.9 is not an integer", id="cam-0.9"),
+        pytest.param(lambda doc: doc["corners"][0].update(x=True), "TypeError: x must be", id="x-true"),
+        pytest.param(lambda doc: doc["corners"][0].update(y="12.5"), "TypeError: y must be", id="y-str"),
+        pytest.param(lambda doc: doc["corners"][0].update(conf="1"), "TypeError: corner conf must be", id="conf-str"),
+        pytest.param(lambda doc: doc["readings"][0].update(conf=True), "TypeError: reading conf must be",
+                     id="reading-conf-true"),
+        pytest.param(lambda doc: doc["readings"][0].update(code=5), "TypeError: code must be str, got int",
+                     id="code-5"),
+        pytest.param(lambda doc: doc["readings"][0].update(idx=["0", "1", "2", "3"]), "TypeError: idx must be",
+                     id="idx-str"),
+        pytest.param(lambda doc: doc["readings"][0].update(idx=[0, True, 2, 3]), "TypeError: idx must be",
+                     id="idx-true"),
     ],
 )
 def test_reconstruct_rejects_malformed_detection_record(tmp_path, capsys, edit, cause):

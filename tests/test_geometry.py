@@ -280,6 +280,8 @@ def _repeat_id(doc):
     [
         pytest.param(lambda doc: [5] + doc[1:], "camera entry 0 is not an object", id="entry-not-object"),
         pytest.param(_entry("size", 5), "camera entry 0: 'size' must be 2 finite numbers", id="size-5"),
+        pytest.param(_entry("size", [4000.7, 2160]), "camera entry 0: image size must be 2 positive integers",
+                     id="size-fraction"),
         pytest.param(_repeat_id, "camera entries 1 and 3 both have id 1", id="repeated-id"),
         pytest.param(_entry("id", "x"), "camera entry 0: 'id' must be an integer", id="id-string"),
         pytest.param(_entry("id", 1.5), "camera entry 0: 'id' must be an integer", id="id-fraction"),
@@ -306,6 +308,11 @@ def test_camera_invariants_enforced():
     bad_K[2, 2] = 2.0
     with pytest.raises(ValueError):
         Camera(0, bad_K, np.zeros(5), np.array([1.0, 0, 0, 0]), np.zeros(3), (1920, 1080))
+    for size in ((1920.5, 1080), (0, 1080), (1920, -1080), (1920, float("nan"))):
+        with pytest.raises(ValueError, match="image size must be 2 positive integers"):
+            Camera(0, K, np.zeros(5), np.array([1.0, 0, 0, 0]), np.zeros(3), size)
+    # an integral float is that many pixels
+    assert Camera(0, K, np.zeros(5), np.array([1.0, 0, 0, 0]), np.zeros(3), (1920.0, 1080)).image_size == (1920, 1080)
 
 
 def test_rig_requires_unique_ids():
