@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suitcap.detection import (
     DetectionFrame,
@@ -68,6 +70,38 @@ def test_cluster_idempotent(rng):
     twice = cluster_frame(once)
     assert np.array_equal(once.corners, twice.corners)
     assert np.array_equal(once.corner_conf, twice.corner_conf)
+
+
+def _survivors(frame):
+    return {(x, y, c) for (x, y), c in zip(frame.corners.tolist(), frame.corner_conf.tolist())}
+
+
+# pixel coordinates, some on a 1.5 px lattice so that pairs sit exactly at the radius
+COORD = st.one_of(st.floats(0, 30), st.integers(0, 20).map(lambda v: 1.5 * v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(COORD, COORD), max_size=30), st.data())
+def test_cluster_is_idempotent_and_independent_of_order(points, data):
+    n = len(points)
+    conf = data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n, unique=True))
+    order = np.array(data.draw(st.permutations(range(n))), dtype=int)
+    quads = np.resize(np.arange(n), 4 * ((n + 3) // 4)).reshape(-1, 4)
+    codes = [f"{q:02d}" for q in range(len(quads))]
+    frame = DetectionFrame(0, 0, points, conf, quads, codes, np.ones(len(quads)))
+    once = cluster_frame(frame)
+    twice = cluster_frame(once)
+    assert np.array_equal(twice.corners, once.corners) and np.array_equal(twice.corner_conf, once.corner_conf)
+    assert np.array_equal(twice.quads, once.quads) and twice.codes == once.codes
+
+    # the same corners listed in another order, readings pointing at the same corners
+    where = np.empty(n, dtype=int)
+    where[order] = np.arange(n)
+    shuffled = cluster_frame(
+        DetectionFrame(0, 0, frame.corners[order], frame.corner_conf[order], where[quads], codes, np.ones(len(quads)))
+    )
+    assert _survivors(shuffled) == _survivors(once)
+    assert np.array_equal(shuffled.corners[shuffled.quads], once.corners[once.quads])
 
 
 def test_cluster_no_survivors_within_radius(rng):

@@ -93,19 +93,31 @@ def _exports(tree):
     return []
 
 
+def _public_methods(tree):
+    """(class, name) of each public method and property of the module's classes."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield cls.name, node.name
+
+
 def test_every_exported_name_has_a_caller():
-    # a name in `__all__` that no module of the package and no benchmark script uses
-    # is code that the pipeline never calls
+    # a name in `__all__`, or a public method or property of a class the package
+    # defines, that no module of the package and no benchmark script uses is code
+    # that the pipeline never calls; methods are matched by attribute name alone
     modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in Path(suitcap.__file__).parent.glob("*.py")}
     used = set().union(*(_references(tree, False) for tree in modules.values()))
     for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"):
         if path.name != "test_perfbench.py":
             used |= _references(ast.parse(path.read_text(encoding="utf-8")), True)
     exported = {(m, name) for m, tree in modules.items() for name in _exports(tree)}
-    assert len(exported) > 50
+    methods = {(m, f"{cls}.{name}") for m, tree in modules.items() for cls, name in _public_methods(tree)}
+    assert len(exported) > 50 and len(methods) > 10
     assert EXEMPT <= exported
     uncalled = sorted(e for e in exported - EXEMPT if e[1] not in used)
-    assert not uncalled, f"exported names that nothing in src/ or perfbench/ uses: {uncalled}"
+    uncalled += sorted(e for e in methods if e[1].split(".")[1] not in used)
+    assert not uncalled, f"exported names and methods that nothing in src/ or perfbench/ uses: {uncalled}"
 
 
 def test_every_module_level_import_is_used():
