@@ -264,7 +264,6 @@ def _drop_first_x(doc):
         pytest.param(_drop_first_x, "KeyError: 'x'", id="corner-without-x"),
         pytest.param(lambda doc: doc.update(frame="a"), "ValueError", id="frame-a"),
         pytest.param(lambda doc: doc["readings"][0].update(idx=[0, 1]), "ValueError", id="idx-2-values"),
-        # each of these read as a number or a camera before: 0.9 as camera 0, true as 1, "12.5" as 12.5
         pytest.param(lambda doc: doc.update(frame=0.7), "ValueError: frame 0.7 is not an integer", id="frame-0.7"),
         pytest.param(lambda doc: doc.update(frame="0"), "TypeError: frame must be float/int, got str", id="frame-str"),
         pytest.param(lambda doc: doc.update(cam=0.9), "ValueError: cam 0.9 is not an integer", id="cam-0.9"),
