@@ -28,10 +28,18 @@ def is_manifold(faces) -> bool:
     return True
 
 
-def test_symbols_read_one_way_up():
-    assert len(SYMBOLS) == len(set(SYMBOLS)) == 25
-    # none reads as itself after a 180-degree turn, and 6 and 9 would read as each other
+def test_default_alphabet_is_the_25_symbol_set():
+    assert SYMBOLS == "1234567ABCDEFGJKLMPQRTUVY"
+    assert len(set(SYMBOLS)) == 25
+
+
+def test_alphabet_rejects_self_ambiguous_symbols():
+    # none reads as itself after a 180-degree turn
     assert not set(SYMBOLS) & set("0O8IHNSXZ")
+
+
+def test_alphabet_rejects_six_and_nine_together():
+    # 6 and 9 would read as each other
     assert not {"6", "9"} <= set(SYMBOLS)
 
 
