@@ -18,7 +18,8 @@ class AlphabetExhausted(LayoutError):
 
 
 class InsufficientSeeds(SuitcapError):
-    """Template registration needs at least 10 seed correspondences."""
+    """Template registration needs at least 10 seed correspondences and a
+    registered corner in every suit component."""
 
 
 class NotConverged(SuitcapError):

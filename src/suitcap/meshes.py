@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
+import math
+
 import numpy as np
-import scipy
 
 __all__ = [
     "triangulate_faces", "mesh_edges", "vertex_normals", "edge_graph", "geodesic_to_sources",
@@ -57,24 +59,37 @@ def vertex_normals(vertices, triangles):
 
 
 def edge_graph(vertices, edges):
-    """Sparse symmetric graph of Euclidean edge lengths."""
+    """Adjacency lists of the undirected edge graph: entry i lists (neighbour, Euclidean edge length)."""
     v = np.asarray(vertices, dtype=float)
-    e = np.asarray(edges, dtype=int)
-    n = len(v)
+    e = np.asarray(edges, dtype=int).reshape(-1, 2)
     w = np.linalg.norm(v[e[:, 0]] - v[e[:, 1]], axis=1)
-    g = scipy.sparse.coo_matrix(
-        (np.concatenate([w, w]), (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]))),
-        shape=(n, n),
-    )
-    return g.tocsr()
+    graph = [[] for _ in range(len(v))]
+    for a, b, d in zip(e[:, 0].tolist(), e[:, 1].tolist(), w.tolist()):
+        graph[a].append((b, d))
+        graph[b].append((a, d))
+    return graph
 
 
 def geodesic_to_sources(graph, sources):
-    """Shortest-path distance from every vertex to the nearest source (inf if unreachable)."""
-    sources = np.asarray(sources, dtype=int)
-    if len(sources) == 0:
-        return np.full(graph.shape[0], np.inf)
-    return scipy.sparse.csgraph.dijkstra(graph, directed=False, indices=sources, min_only=True)
+    """Shortest-path distance from every vertex of `graph` (from `edge_graph`) to
+    the nearest source (inf if unreachable): multi-source Dijkstra on a binary heap.
+    """
+    sources = sorted(set(np.asarray(sources, dtype=int).tolist()))
+    dist = [math.inf] * len(graph)
+    for s in sources:
+        dist[s] = 0.0
+    heap = [(0.0, s) for s in sources]  # sorted, so already a heap
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, u = pop(heap)
+        if d > dist[u]:
+            continue  # stale entry: u was reached more cheaply after this push
+        for v, w in graph[u]:
+            dv = d + w
+            if dv < dist[v]:
+                dist[v] = dv
+                push(heap, (dv, v))
+    return np.array(dist)
 
 
 def closest_point_on_triangles(p, tri_pts):

@@ -21,7 +21,7 @@ import scipy
 from .errors import ConfigError, DivergedICP, InsufficientSeeds
 from .geometry import quat_from_rotvec, quat_mul, quat_normalize
 from .layout import SuitLayout
-from .meshes import closest_point_on_triangles, mesh_edges
+from .meshes import closest_point_on_triangles, edge_graph, geodesic_to_sources, mesh_edges
 from .refine import damped_gauss_newton
 from .skinning import SkinnedBodyModel, arm_map, blend_rows, blend_transforms, joint_transforms, parents_from_entries
 from .skinning import pose_jacobian, stacked_transforms, weights_from_entries
@@ -212,7 +212,8 @@ def register_icp(
     Raises
     ------
     InsufficientSeeds
-        Fewer than 10 seed correspondences.
+        Fewer than 10 seed correspondences, or a suit component without a
+        registered corner.
     DivergedICP
         Mean correspondence distance grew five consecutive iterations.
     """
@@ -305,9 +306,18 @@ def _build_model(model, triangles, state, correspondences, layout: SuitLayout):
 
 
 def _harmonic_fill(layout: SuitLayout, rest, W, registered):
-    """Graph-Laplacian interpolation of rest positions and weights onto unregistered vertices."""
+    """Graph-Laplacian interpolation of rest positions and weights onto unregistered vertices.
+
+    Raises InsufficientSeeds when a suit component holds no registered corner,
+    since nothing then pins its vertices.
+    """
     n = layout.total_vertices
     edges = mesh_edges(layout.faces)
+    free = np.where(~registered)[0]
+    fixed = np.where(registered)[0]
+    unreached = np.flatnonzero(np.isinf(geodesic_to_sources(edge_graph(rest, edges), fixed)))
+    if len(unreached):
+        raise InsufficientSeeds(f"no corner is registered in the suit component(s) of corners {_id_runs(unreached)}")
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     vals = np.ones(len(rows))
@@ -315,10 +325,6 @@ def _harmonic_fill(layout: SuitLayout, rest, W, registered):
     deg = np.asarray(A.sum(axis=1)).ravel()
     L = scipy.sparse.csr_matrix((deg, (np.arange(n), np.arange(n))), shape=(n, n)) - A
 
-    free = np.where(~registered)[0]
-    fixed = np.where(registered)[0]
-    if len(free) == 0 or len(fixed) == 0:
-        return rest, W
     Lff = L[np.ix_(free, free)].tocsc()
     Lfo = L[np.ix_(free, fixed)]
     rhs = -Lfo @ np.concatenate([rest[fixed], W[fixed]], axis=1)
@@ -326,3 +332,9 @@ def _harmonic_fill(layout: SuitLayout, rest, W, registered):
     rest[free] = sol[:, :3]
     W[free] = sol[:, 3:]
     return rest, W
+
+
+def _id_runs(ids) -> str:
+    """Sorted ids as runs, e.g. [1, 2, 3, 7] -> '1-3, 7'."""
+    runs = np.split(ids, np.flatnonzero(np.diff(ids) != 1) + 1)
+    return ", ".join(f"{r[0]}-{r[-1]}" if len(r) > 1 else f"{r[0]}" for r in runs)

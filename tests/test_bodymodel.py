@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import suitcap.refine as refine_module
+from suitcap.cli import _blur_weights
 from suitcap.errors import NotConverged
 from suitcap.geometry import quat_from_rotvec, quat_mul, quat_normalize, quat_to_rot
 from suitcap.layout import SuitLayout, generate_synthetic_layout
 from suitcap.refine import geodesic_weights, pose_residual_jacobian, simplex_qp
+from suitcap.simulator import stick_figure_scene
 from suitcap.skinning import (
     SkinnedBodyModel,
     arm_map,
     blend_rows,
+    blend_transforms,
     joint_transforms,
     load_model,
     parent_frames,
@@ -147,6 +153,32 @@ def test_skin_of_unskin_roundtrip_many(rng):
         assert np.abs(again - pts).max() < 1e-9
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    rotvecs=arrays(float, (3, 3), elements=st.floats(-np.pi, np.pi)),
+    root_t=arrays(float, 3, elements=st.floats(-100, 100)),
+    weights=arrays(float, (8, 3), elements=st.floats(0, 1)),
+    pts=arrays(float, (8, 3), elements=st.floats(-200, 200)),
+)
+def test_skin_of_unskin_is_identity_on_non_singular_blends(rotvecs, root_t, weights, pts):
+    """Any pose, any convex blend of the 3-joint chain: posing the unposed point returns it,
+    to round-off scaled by the blended matrix's condition number."""
+    base = chain_model(n_vertices=8)
+    weights = weights + 1e-9  # a row of zeros becomes the even blend
+    model = SkinnedBodyModel(base.rest_vertices, base.joints, base.parents, weights / weights.sum(axis=1, keepdims=True))
+    m = with_pose(model, quat_from_rotvec(rotvecs), root_t)
+    G = pose_transforms(m)
+    rest_pts, singular = unskin_with_transforms(m, G, np.arange(8), pts)
+    ok = ~singular
+    assert np.isfinite(rest_pts[ok]).all()
+    per_id = SkinnedBodyModel(rest_pts[ok], m.joints, m.parents, m.weights[ok])
+    again = skin_with_transforms(per_id, G, rest_pts[ok])
+    lin, tr = blend_transforms(m, G)
+    scale = np.abs(pts[ok]).max(axis=1) + np.abs(tr[ok]).max(axis=1) + 1.0
+    bound = 1e-13 * np.linalg.cond(lin[ok]) * scale
+    assert (np.abs(again - pts[ok]).max(axis=1) <= bound).all()
+
+
 def test_unskin_singular_blend_is_nan_and_marked():
     # two opposite 180-degree rotations blended half-half collapse the matrix
     joints = np.array([[0.0, 0, 0], [0.0, 0, 0]])
@@ -256,6 +288,62 @@ def test_geodesic_unreachable_is_infinite():
     assert np.isinf(g[4:, 0]).all()
     assert np.isinf(g[:4, 1]).all()
     assert np.isfinite(g[:4, 0]).all()
+
+
+def _csgraph_geodesics(layout, rest, W0):
+    """Reference: scipy's multi-source Dijkstra over the same edge lengths, joint by joint."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    e = layout.edges()
+    w = np.linalg.norm(rest[e[:, 0]] - rest[e[:, 1]], axis=1)
+    n = len(rest)
+    graph = coo_matrix((np.concatenate([w, w]), (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]))),
+                       shape=(n, n)).tocsr()
+    return np.stack(
+        [dijkstra(graph, directed=False, indices=np.where(W0[:, j] > refine_module.GEODESIC_SUPPORT)[0], min_only=True)
+         for j in range(W0.shape[1])],
+        axis=1,
+    )
+
+
+def _stick_figure_weights(blur):
+    scene = stick_figure_scene(seed=0)
+    W0 = scene.model.weights
+    for _ in range(blur):
+        W0 = _blur_weights(W0, scene.layout)
+    return scene.layout, scene.model.rest_vertices, W0
+
+
+def _two_quads_one_reached():
+    layout = SuitLayout(
+        n_corners=8,
+        quad_table={"AA": (0, 1, 2, 3), "AB": (4, 5, 6, 7)},
+        faces=[(0, 1, 2, 3), (4, 5, 6, 7)],
+    )
+    W0 = np.zeros((8, 2))
+    W0[[0, 2], :] = 1.0
+    return layout, np.random.default_rng(3).uniform(0, 10, (8, 3)), W0
+
+
+def _no_sources():
+    layout = generate_synthetic_layout(2, 3)
+    n = layout.n_corners
+    return layout, np.random.default_rng(4).uniform(0, 10, (n, 3)), np.zeros((n, 2))
+
+
+@pytest.mark.parametrize(
+    "case",
+    # blurred twice, as the benchmark's fit workload starts from
+    [lambda: _stick_figure_weights(0), lambda: _stick_figure_weights(2), _two_quads_one_reached, _no_sources],
+    ids=["stick-figure-truth", "stick-figure-blurred", "unreached-component", "no-sources"],
+)
+def test_geodesic_weights_equal_csgraph_dijkstra_bitwise(case):
+    layout, rest, W0 = case()
+    g = geodesic_weights(layout, rest, W0)
+    want = _csgraph_geodesics(layout, rest, W0)
+    assert g.shape == want.shape
+    assert g.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -159,16 +159,11 @@ def test_simulate_io_error_exits_3(tmp_path):
     assert code == 3
 
 
-def test_capture_stages_load_no_scipy_submodule(tmp_path):
-    """simulate, reconstruct and eval run on numpy alone: in a fresh process, none of
-    them loads scipy's sparse, spatial, linalg or optimize modules."""
+def _scipy_submodules_after(stages, out):
+    """The scipy sparse, spatial, linalg and optimize modules that a fresh process has
+    loaded after running each argv of `stages` through `main`, with `out` as output dir."""
     src = str(Path(suitcap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    stages = [
-        ["simulate", "--set", "scene.frames=2", *TUBE_SCENE],
-        ["reconstruct"],
-        ["eval"],
-    ]
     code = (
         "import json, sys\n"
         "from suitcap.cli import main\n"
@@ -177,10 +172,30 @@ def test_capture_stages_load_no_scipy_submodule(tmp_path):
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "    if m.startswith(('scipy.sparse', 'scipy.spatial', 'scipy.linalg', 'scipy.optimize')))))\n"
     )
-    argv = [sys.executable, "-c", code, json.dumps(stages), str(tmp_path)]
+    argv = [sys.executable, "-c", code, json.dumps(stages), str(out)]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_capture_stages_load_no_scipy_submodule(tmp_path):
+    """simulate, reconstruct and eval run on numpy alone: in a fresh process, none of
+    them loads scipy's sparse, spatial, linalg or optimize modules."""
+    stages = [
+        ["simulate", "--set", "scene.frames=2", *TUBE_SCENE],
+        ["reconstruct"],
+        ["eval"],
+    ]
+    assert _scipy_submodules_after(stages, tmp_path) == []
+
+
+def test_fit_from_init_model_loads_no_scipy_submodule(tmp_path):
+    """fit from an initial model runs on numpy alone, geodesic regularizer included."""
+    run_simulate(tmp_path, frames=2)
+    run_reconstruct(tmp_path)
+    _write_init_model(tmp_path)
+    stages = [["fit", "--set", f"paths.init_model={tmp_path}/init_model.json", "--set", "fit.blur_weights=1"]]
+    assert _scipy_submodules_after(stages, tmp_path) == []
 
 
 def test_reconstruct_noiseless_report(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.spatial import cKDTree
 from suitcap import refine, registration, skinning
 from suitcap.errors import InsufficientSeeds
 from suitcap.geometry import quat_from_rotvec
-from suitcap.meshes import closest_point_on_triangles, vertex_normals
+from suitcap.meshes import closest_point_on_triangles, edge_graph, geodesic_to_sources, vertex_normals
 from suitcap.reconstruct import LabeledPointCloud, PointRecord
 from suitcap.registration import (
     _closest_on_surface,
@@ -99,6 +100,27 @@ def test_hidden_corners_registered_from_later_frames(template_scene, rng):
         observed_anywhere.update(c.points)
     assert res.registered[sorted(observed_anywhere)].all()
     assert res.registered.sum() >= n - 5  # near-total coverage including revealed corners
+
+
+def test_component_without_registered_corner_raises():
+    """A tube none of whose corners is observed cannot be placed: a typed error, not NaN weights."""
+    scene = stick_figure_scene(seed=0)
+    layout, rest = scene.layout, scene.model.rest_vertices
+    cloud = truth_clouds(scene, 1)[0]
+    tube = np.flatnonzero(np.isfinite(geodesic_to_sources(edge_graph(rest, layout.edges()), [layout.n_corners - 1])))
+    assert 0 < len(tube) < layout.n_corners  # the stick figure is one component per tube
+    for cid in tube.tolist():
+        del cloud.points[cid]
+    seeds = {}
+    surface = rest[scene.triangles]
+    for cid in sorted(cloud.points)[::86]:
+        cp, cb = closest_point_on_triangles(rest[cid], surface)
+        t = int(np.argmin(np.linalg.norm(cp - rest[cid], axis=1)))
+        seeds[cid] = (t, cb[t])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InsufficientSeeds, match=f"component\\(s\\) of corners {tube[0]}-{tube[-1]}$"):
+            register_icp(cloud, (scene.model, scene.triangles), seeds, layout)
 
 
 def test_template_file_roundtrip(template_scene, tmp_path):
