@@ -74,11 +74,19 @@ def geodesic_to_sources(graph, sources):
     """Shortest-path distance from every vertex of `graph` (from `edge_graph`) to
     the nearest source (inf if unreachable): multi-source Dijkstra on a binary heap.
     """
-    sources = sorted(set(np.asarray(sources, dtype=int).tolist()))
+    sources = np.asarray(sources, dtype=int).tolist()
     dist = [math.inf] * len(graph)
     for s in sources:
         dist[s] = 0.0
-    heap = [(0.0, s) for s in sources]  # sorted, so already a heap
+    # every source settles at 0 before any other vertex, so relax their edges
+    # directly and start the heap from the vertices they reach
+    heap = []
+    for u in sources:
+        for v, w in graph[u]:
+            if w < dist[v]:
+                dist[v] = w
+                heap.append((w, v))
+    heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         d, u = pop(heap)
