@@ -61,7 +61,7 @@ def vertex_normals(vertices, triangles):
 def edge_graph(vertices, edges):
     """Adjacency lists of the undirected edge graph: entry i lists (neighbour, Euclidean edge length)."""
     v = np.asarray(vertices, dtype=float)
-    e = np.asarray(edges, dtype=int).reshape(-1, 2)
+    e = np.asarray(edges, dtype=int)
     w = np.linalg.norm(v[e[:, 0]] - v[e[:, 1]], axis=1)
     graph = [[] for _ in range(len(v))]
     for a, b, d in zip(e[:, 0].tolist(), e[:, 1].tolist(), w.tolist()):

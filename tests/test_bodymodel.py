@@ -334,7 +334,7 @@ def _no_sources():
 
 @pytest.mark.parametrize(
     "case",
-    # blurred twice, as the benchmark's fit workload starts from
+    # "blurred" blurs the truth weights twice, as the benchmark's fit workload does
     [lambda: _stick_figure_weights(0), lambda: _stick_figure_weights(2), _two_quads_one_reached, _no_sources],
     ids=["stick-figure-truth", "stick-figure-blurred", "unreached-component", "no-sources"],
 )
